@@ -2,7 +2,8 @@
  * @file
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
- * at MII, rotating register allocation, one full constrained-pipeline
+ * at MII, rotating register allocation (the packing alone and a whole
+ * allocateLoop), one full constrained-pipeline
  * run, and the cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
@@ -130,6 +131,21 @@ BM_RotatingAllocation(benchmark::State &state)
         benchmark::DoNotOptimize(minRotatingRegs(info));
 }
 BENCHMARK(BM_RotatingAllocation)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
+
+void
+BM_AllocateLoop(benchmark::State &state)
+{
+    // The allocation every spill / best-of-all attempt runs: lifetime
+    // analysis plus the register-count search over both orders, at the
+    // paper's budget of 32 on the same schedule BM_RotatingAllocation
+    // packs.
+    const SuiteLoop &loop = loopOfSize(int(state.range(0)));
+    const Machine m = benchutil::benchMachine();
+    const PipelineResult r = pipelineIdeal(loop.graph, m);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(allocateLoop(loop.graph, r.sched, 32));
+}
+BENCHMARK(BM_AllocateLoop)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
 
 void
 BM_ConstrainedPipeline(benchmark::State &state)

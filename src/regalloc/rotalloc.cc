@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "support/bitmatrix.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
 
@@ -12,13 +13,6 @@ namespace swp
 namespace
 {
 
-/** An occupied arc [start, start+len) on the allocation circle. */
-struct Arc
-{
-    long start;
-    long len;
-};
-
 /** floorMod for longs. */
 long
 fmod2(long a, long m)
@@ -27,7 +21,10 @@ fmod2(long a, long m)
     return r < 0 ? r + m : r;
 }
 
-/** True if circular arcs [q1,q1+l1) and [q2,q2+l2) intersect mod C. */
+/**
+ * True if circular arcs [q1,q1+l1) and [q2,q2+l2) intersect mod C. Only
+ * the independent pairwise check, allocationConflictFree, uses it.
+ */
 bool
 arcsOverlap(long q1, long l1, long q2, long l2, long circ)
 {
@@ -36,50 +33,10 @@ arcsOverlap(long q1, long l1, long q2, long l2, long circ)
     return fmod2(q2 - q1, circ) < l1 || fmod2(q1 - q2, circ) < l2;
 }
 
-/** Gap from q backwards to the end of the nearest occupied arc. */
-long
-leftGap(const std::vector<Arc> &occupied, long q, long circ)
+/** Live values of `lifetimes` in the processing order `order`. */
+std::vector<const Lifetime *>
+orderedValues(const LifetimeInfo &lifetimes, AllocOrder order)
 {
-    long best = circ;
-    for (const Arc &a : occupied)
-        best = std::min(best, fmod2(q - (a.start + a.len), circ));
-    return best;
-}
-
-/** Gap from q+len forward to the start of the nearest occupied arc. */
-long
-rightGap(const std::vector<Arc> &occupied, long q, long len, long circ)
-{
-    long best = circ;
-    for (const Arc &a : occupied)
-        best = std::min(best, fmod2(a.start - (q + len), circ));
-    return best;
-}
-
-} // namespace
-
-const char *
-fitStrategyName(FitStrategy s)
-{
-    switch (s) {
-      case FitStrategy::EndFit: return "end-fit";
-      case FitStrategy::FirstFit: return "first-fit";
-      case FitStrategy::BestFit: return "best-fit";
-    }
-    SWP_PANIC("unknown fit strategy ", int(s));
-}
-
-RotAllocResult
-allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
-                 FitStrategy strategy, AllocOrder order)
-{
-    RotAllocResult result;
-    result.offset.assign(lifetimes.lifetimes.size(), -1);
-    result.registers = num_regs;
-
-    const long ii = lifetimes.ii;
-    const long circ = long(num_regs) * ii;
-
     std::vector<const Lifetime *> values;
     for (const Lifetime &lt : lifetimes.lifetimes) {
         if (lt.live && lt.length() > 0)
@@ -104,56 +61,188 @@ allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
                          });
         break;
     }
+    return values;
+}
 
-    std::vector<Arc> occupied;
+/** True if the arc [q, q+len) of the circle `row` is unoccupied. */
+bool
+arcFree(const BitRow &row, long q, long len)
+{
+    const long circ = row.size();
+    const long end = q + len;
+    if (end <= circ)
+        return row.noneInRange(int(q), int(end));
+    return row.noneInRange(int(q), int(circ)) &&
+           row.noneInRange(0, int(end - circ));
+}
+
+/** Occupy the arc [q, q+len) of the circle `row`. */
+void
+occupyArc(BitRow &row, long q, long len)
+{
+    const long circ = row.size();
+    const long end = q + len;
+    if (end <= circ) {
+        row.setRange(int(q), int(end));
+    } else {
+        row.setRange(int(q), int(circ));
+        row.setRange(0, int(end - circ));
+    }
+}
+
+/**
+ * Gap from a free cell q back to the end of the nearest occupied arc:
+ * the distance to the previous set bit, less one. The circle must hold
+ * at least one occupied cell.
+ */
+long
+gapBefore(const BitRow &row, long q)
+{
+    int p = row.prevSetBit(int(q) - 1);
+    if (p < 0)
+        p = row.prevSetBit(row.size() - 1);
+    return fmod2(q - p, row.size()) - 1;
+}
+
+/**
+ * Gap from cell e forward to the start of the nearest occupied arc: the
+ * distance to the next set bit. The circle must hold at least one
+ * occupied cell.
+ */
+long
+gapAfter(const BitRow &row, long e)
+{
+    int n = row.nextSetBit(int(e));
+    if (n < 0)
+        n = row.nextSetBit(0);
+    return fmod2(n - e, row.size());
+}
+
+/**
+ * Pack `values`, in order, into a rotating file of `num_regs` registers,
+ * writing the placement into `result`. `row` is the occupancy circle,
+ * re-sized and cleared here so its storage is reused across attempts.
+ */
+void
+packValues(const LifetimeInfo &lifetimes,
+           const std::vector<const Lifetime *> &values, int num_regs,
+           FitStrategy strategy, BitRow &row, RotAllocResult &result)
+{
+    result.ok = false;
+    result.registers = num_regs;
+    result.offset.assign(lifetimes.lifetimes.size(), -1);
+
+    const long ii = lifetimes.ii;
+    const long circ = long(num_regs) * ii;
+    if (circ <= 0) {
+        // No register: only an empty value set fits.
+        result.ok = values.empty();
+        return;
+    }
+    SWP_ASSERT(circ <= std::numeric_limits<int>::max(),
+               "rotating circle R*II = ", circ, " exceeds the bit row size");
+    row.reset(int(circ));
+
+    bool empty = true;
     for (const Lifetime *lt : values) {
         const long len = lt->length();
         if (len > circ)
-            return result;  // A single value exceeds the whole file.
+            return;  // A single value exceeds the whole file.
 
-        long bestQ = -1;
-        long bestKey = -1;
-        for (int o = 0; o < num_regs; ++o) {
-            const long q = fmod2(lt->start - long(o) * ii, circ);
-            bool fits = true;
-            for (const Arc &a : occupied) {
-                if (arcsOverlap(q, len, a.start, a.len, circ)) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (!fits)
+        // Offsets o = 0, 1, ... anchor the arc at q = (start - o*II) mod C.
+        // On the empty circle every offset fits with the same key, so
+        // offset 0 wins.
+        int bestO = empty ? 0 : -1;
+        long bestQ = fmod2(lt->start, circ);
+        long bestKey = 0;
+        long q = bestQ;
+        for (int o = 0; !empty && o < num_regs; ++o) {
+            if (o > 0)
+                q = q >= ii ? q - ii : q - ii + circ;
+            if (!arcFree(row, q, len))
                 continue;
-
-            long key = 0;
-            switch (strategy) {
-              case FitStrategy::FirstFit:
-                key = 0;  // First feasible offset wins.
-                break;
-              case FitStrategy::EndFit:
-                key = leftGap(occupied, q, circ);
-                break;
-              case FitStrategy::BestFit:
-                key = leftGap(occupied, q, circ) +
-                      rightGap(occupied, q, len, circ);
+            if (strategy == FitStrategy::FirstFit) {
+                bestO = o;  // The first feasible offset wins.
+                bestQ = q;
                 break;
             }
-            if (bestQ < 0 || key < bestKey) {
+
+            long key = gapBefore(row, q);
+            if (strategy == FitStrategy::EndFit) {
+                // The next offsets move the arc back II cells at a time,
+                // staying feasible while it starts inside the free gap
+                // before q, and each cuts the key by II: only the last
+                // of them can win, so jump to it.
+                const int inGap =
+                    int(std::min(key / ii, long(num_regs - 1 - o)));
+                o += inGap;
+                q = fmod2(q - inGap * ii, circ);
+                key -= inGap * ii;
+            } else {
+                key += gapAfter(row, (q + len) % circ);
+            }
+            if (bestO < 0 || key < bestKey) {
+                bestO = o;
                 bestQ = q;
                 bestKey = key;
-                result.offset[std::size_t(lt->producer)] = o;
             }
-            if (strategy == FitStrategy::FirstFit)
-                break;
             if (key == 0)
                 break;  // Cannot improve on a zero gap.
         }
-        if (bestQ < 0)
-            return result;  // No feasible position: allocation fails.
-        occupied.push_back({bestQ, len});
+        if (bestO < 0)
+            return;  // No feasible position: allocation fails.
+        result.offset[std::size_t(lt->producer)] = bestO;
+        occupyArc(row, bestQ, len);
+        empty = false;
     }
-
     result.ok = true;
+}
+
+/**
+ * Smallest register count in [max(1, MaxLive), cap] that `values` pack
+ * into, with its allocation moved into `won`; cap+1 (and `won`
+ * untouched) if none does. With no live values, 0 registers.
+ */
+int
+searchRegs(const LifetimeInfo &lifetimes,
+           const std::vector<const Lifetime *> &values, FitStrategy strategy,
+           int cap, BitRow &row, RotAllocResult &attempt, RotAllocResult &won)
+{
+    if (values.empty()) {
+        packValues(lifetimes, values, 0, strategy, row, won);
+        return 0;
+    }
+    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
+        packValues(lifetimes, values, r, strategy, row, attempt);
+        if (attempt.ok) {
+            std::swap(won, attempt);
+            return r;
+        }
+    }
+    return cap + 1;
+}
+
+} // namespace
+
+const char *
+fitStrategyName(FitStrategy s)
+{
+    switch (s) {
+      case FitStrategy::EndFit: return "end-fit";
+      case FitStrategy::FirstFit: return "first-fit";
+      case FitStrategy::BestFit: return "best-fit";
+    }
+    SWP_PANIC("unknown fit strategy ", int(s));
+}
+
+RotAllocResult
+allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
+                 FitStrategy strategy, AllocOrder order)
+{
+    RotAllocResult result;
+    BitRow row;
+    packValues(lifetimes, orderedValues(lifetimes, order), num_regs,
+               strategy, row, result);
     return result;
 }
 
@@ -161,21 +250,10 @@ int
 minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
 {
-    bool anyLive = false;
-    for (const Lifetime &lt : lifetimes.lifetimes) {
-        if (lt.live && lt.length() > 0) {
-            anyLive = true;
-            break;
-        }
-    }
-    if (!anyLive)
-        return 0;
-
-    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
-        if (allocateRotating(lifetimes, r, strategy, order).ok)
-            return r;
-    }
-    return cap + 1;
+    BitRow row;
+    RotAllocResult attempt, won;
+    return searchRegs(lifetimes, orderedValues(lifetimes, order), strategy,
+                      cap, row, attempt, won);
 }
 
 AllocationOutcome
@@ -200,21 +278,21 @@ allocateLoop(const Ddg &g, const Schedule &sched, int budget,
         budget > maxScalableBudget
             ? std::max(info.maxLive + 64, 64)
             : std::max({budget * 4, info.maxLive + 64, 64});
-    AllocOrder order = AllocOrder::Adjacency;
-    outcome.rotating = minRotatingRegs(info, strategy, order, cap);
-    const int byLength = minRotatingRegs(
-        info, strategy, AllocOrder::DescendingLength, cap);
-    if (byLength < outcome.rotating) {
-        outcome.rotating = byLength;
-        order = AllocOrder::DescendingLength;
-    }
-    if (outcome.rotating <= cap) {
-        outcome.rotAlloc =
-            allocateRotating(info, outcome.rotating, strategy, order);
-    }
+    // Each order is sorted once and one occupancy row serves every
+    // attempt. Descending length only wins with strictly fewer registers
+    // than adjacency, so its search stops below adjacency's count, and
+    // the winning search's allocation is kept rather than recomputed.
+    BitRow row;
+    RotAllocResult attempt;
+    outcome.rotating =
+        searchRegs(info, orderedValues(info, AllocOrder::Adjacency),
+                   strategy, cap, row, attempt, outcome.rotAlloc);
+    const int byLength = searchRegs(
+        info, orderedValues(info, AllocOrder::DescendingLength), strategy,
+        outcome.rotating - 1, row, attempt, outcome.rotAlloc);
+    outcome.rotating = std::min(outcome.rotating, byLength);
     outcome.regsRequired = outcome.rotating + outcome.invariants;
     outcome.fits = outcome.regsRequired <= budget;
-    (void)g;
     return outcome;
 }
 

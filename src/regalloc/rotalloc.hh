@@ -11,6 +11,18 @@
  * ranges over all residues congruent to start_v modulo II, so
  * allocation is packing |V| arcs of lengths LT_v at II-aligned anchors.
  *
+ * The circle is one word-packed BitRow of C bits, a bit per occupied
+ * cell. Values are placed one at a time in the chosen order; offsets are
+ * tried o = 0, 1, ..., R-1. An offset fits when the (possibly wrapping)
+ * range [q_v, q_v + LT_v) is clear. End-fit's key is the free gap back
+ * to the previous set bit; best-fit adds the gap forward to the next set
+ * bit. The first offset with the minimal key wins, and a zero key ends
+ * the scan. Under end-fit, the offsets after a feasible one step the arc
+ * back into the free gap before it, cutting the key by II per step, so
+ * only the last of them that stays inside the gap can win and the scan
+ * jumps to it. allocateLoop sorts each order once, reuses one row for
+ * every register count it tries, and keeps the winning allocation.
+ *
  * The paper reports that the "wands-only" strategy using end-fit with
  * adjacency ordering almost never needs more than MaxLive + 1 registers;
  * end-fit with start-time (adjacency) ordering is our default, with

@@ -39,6 +39,20 @@ countTrailingZeros(std::uint64_t word)
 #endif
 }
 
+/** Index of the highest set bit; undefined for word == 0. */
+inline int
+highestSetBit(std::uint64_t word)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return 63 - __builtin_clzll(word);
+#else
+    int n = 63;
+    while (!(word >> n))
+        --n;
+    return n;
+#endif
+}
+
 /** Mask with the low `n` bits set (n in [0, 64]). */
 inline std::uint64_t
 lowBitsMask(int n)
@@ -127,7 +141,9 @@ class BitMatrix
 /**
  * A single reusable bit row (a set over [0, size)), for masks that live
  * next to a BitMatrix: the ordered-set mask of the HRMS pre-ordering,
- * per-component membership masks, and similar.
+ * per-component membership masks, and similar. The range operations and
+ * nearest-set-bit scans serve interval occupancy, such as the rotating
+ * allocator's register circle; they work a word at a time.
  */
 class BitRow
 {
@@ -159,6 +175,79 @@ class BitRow
     clear(int i)
     {
         words_[std::size_t(i >> 6)] &= ~(std::uint64_t(1) << (i & 63));
+    }
+
+    /** True if no bit of [begin, end) is set (0 <= begin, end <= size). */
+    bool
+    noneInRange(int begin, int end) const
+    {
+        if (begin >= end)
+            return true;
+        const int first = begin >> 6;
+        const int last = (end - 1) >> 6;
+        const std::uint64_t head = ~lowBitsMask(begin & 63);
+        const std::uint64_t tail = lowBitsMask(((end - 1) & 63) + 1);
+        if (first == last)
+            return !(words_[std::size_t(first)] & head & tail);
+        if (words_[std::size_t(first)] & head)
+            return false;
+        for (int w = first + 1; w < last; ++w) {
+            if (words_[std::size_t(w)])
+                return false;
+        }
+        return !(words_[std::size_t(last)] & tail);
+    }
+
+    /** Set every bit of [begin, end) (0 <= begin, end <= size). */
+    void
+    setRange(int begin, int end)
+    {
+        if (begin >= end)
+            return;
+        const int first = begin >> 6;
+        const int last = (end - 1) >> 6;
+        const std::uint64_t head = ~lowBitsMask(begin & 63);
+        const std::uint64_t tail = lowBitsMask(((end - 1) & 63) + 1);
+        if (first == last) {
+            words_[std::size_t(first)] |= head & tail;
+            return;
+        }
+        words_[std::size_t(first)] |= head;
+        for (int w = first + 1; w < last; ++w)
+            words_[std::size_t(w)] = ~std::uint64_t(0);
+        words_[std::size_t(last)] |= tail;
+    }
+
+    /** Lowest set bit at or after i, or -1 if none (i >= 0). */
+    int
+    nextSetBit(int i) const
+    {
+        if (i >= size_)
+            return -1;
+        std::size_t w = std::size_t(i >> 6);
+        std::uint64_t word = words_[w] & ~lowBitsMask(i & 63);
+        while (!word) {
+            if (++w == words_.size())
+                return -1;
+            word = words_[w];
+        }
+        return int(w) * 64 + countTrailingZeros(word);
+    }
+
+    /** Highest set bit at or before i, or -1 if none (i < size). */
+    int
+    prevSetBit(int i) const
+    {
+        if (i < 0)
+            return -1;
+        std::size_t w = std::size_t(i >> 6);
+        std::uint64_t word = words_[w] & lowBitsMask((i & 63) + 1);
+        while (!word) {
+            if (w-- == 0)
+                return -1;
+            word = words_[w];
+        }
+        return int(w) * 64 + highestSetBit(word);
     }
 
     const std::uint64_t *words() const { return words_.data(); }

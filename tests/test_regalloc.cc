@@ -1,21 +1,234 @@
 /**
  * @file
  * Rotating register allocation tests: the circular-packing conflict
- * model, fit strategies, minimum-register search and the MaxLive bound.
+ * model, fit strategies, minimum-register search and the MaxLive bound,
+ * plus randomized differentials of the bitset allocator against a naive
+ * arc-scan reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
 #include "regalloc/rotalloc.hh"
 #include "sched/hrms.hh"
 #include "sched/mii.hh"
+#include "support/diag.hh"
+#include "support/rng.hh"
+#include "workload/suitegen.hh"
 
 namespace swp
 {
 namespace
 {
+
+/**
+ * Naive reference allocator: the pre-bitset implementation, keeping the
+ * occupied arcs in a vector and rescanning all of them for every
+ * candidate offset (O(n^2 R) per attempt). The bitset allocator must
+ * agree with it on `ok` and on every offset, failed attempts included.
+ */
+namespace naive
+{
+
+struct Arc
+{
+    long start;
+    long len;
+};
+
+long
+fmod2(long a, long m)
+{
+    const long r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+bool
+arcsOverlap(long q1, long l1, long q2, long l2, long circ)
+{
+    if (l1 <= 0 || l2 <= 0)
+        return false;
+    return fmod2(q2 - q1, circ) < l1 || fmod2(q1 - q2, circ) < l2;
+}
+
+long
+leftGap(const std::vector<Arc> &occupied, long q, long circ)
+{
+    long best = circ;
+    for (const Arc &a : occupied)
+        best = std::min(best, fmod2(q - (a.start + a.len), circ));
+    return best;
+}
+
+long
+rightGap(const std::vector<Arc> &occupied, long q, long len, long circ)
+{
+    long best = circ;
+    for (const Arc &a : occupied)
+        best = std::min(best, fmod2(a.start - (q + len), circ));
+    return best;
+}
+
+RotAllocResult
+allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
+                 FitStrategy strategy, AllocOrder order)
+{
+    RotAllocResult result;
+    result.offset.assign(lifetimes.lifetimes.size(), -1);
+    result.registers = num_regs;
+
+    const long ii = lifetimes.ii;
+    const long circ = long(num_regs) * ii;
+
+    std::vector<const Lifetime *> values;
+    for (const Lifetime &lt : lifetimes.lifetimes) {
+        if (lt.live && lt.length() > 0)
+            values.push_back(&lt);
+    }
+
+    switch (order) {
+      case AllocOrder::Adjacency:
+        std::stable_sort(values.begin(), values.end(),
+                         [](const Lifetime *a, const Lifetime *b) {
+                             if (a->start != b->start)
+                                 return a->start < b->start;
+                             return a->length() > b->length();
+                         });
+        break;
+      case AllocOrder::DescendingLength:
+        std::stable_sort(values.begin(), values.end(),
+                         [](const Lifetime *a, const Lifetime *b) {
+                             if (a->length() != b->length())
+                                 return a->length() > b->length();
+                             return a->start < b->start;
+                         });
+        break;
+    }
+
+    std::vector<Arc> occupied;
+    for (const Lifetime *lt : values) {
+        const long len = lt->length();
+        if (len > circ)
+            return result;  // A single value exceeds the whole file.
+
+        long bestQ = -1;
+        long bestKey = -1;
+        for (int o = 0; o < num_regs; ++o) {
+            const long q = fmod2(lt->start - long(o) * ii, circ);
+            bool fits = true;
+            for (const Arc &a : occupied) {
+                if (arcsOverlap(q, len, a.start, a.len, circ)) {
+                    fits = false;
+                    break;
+                }
+            }
+            if (!fits)
+                continue;
+
+            long key = 0;
+            switch (strategy) {
+              case FitStrategy::FirstFit:
+                key = 0;  // First feasible offset wins.
+                break;
+              case FitStrategy::EndFit:
+                key = leftGap(occupied, q, circ);
+                break;
+              case FitStrategy::BestFit:
+                key = leftGap(occupied, q, circ) +
+                      rightGap(occupied, q, len, circ);
+                break;
+            }
+            if (bestQ < 0 || key < bestKey) {
+                bestQ = q;
+                bestKey = key;
+                result.offset[std::size_t(lt->producer)] = o;
+            }
+            if (strategy == FitStrategy::FirstFit)
+                break;
+            if (key == 0)
+                break;  // Cannot improve on a zero gap.
+        }
+        if (bestQ < 0)
+            return result;  // No feasible position: allocation fails.
+        occupied.push_back({bestQ, len});
+    }
+
+    result.ok = true;
+    return result;
+}
+
+int
+minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
+                AllocOrder order, int cap)
+{
+    bool anyLive = false;
+    for (const Lifetime &lt : lifetimes.lifetimes) {
+        if (lt.live && lt.length() > 0) {
+            anyLive = true;
+            break;
+        }
+    }
+    if (!anyLive)
+        return 0;
+
+    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
+        if (naive::allocateRotating(lifetimes, r, strategy, order).ok)
+            return r;
+    }
+    return cap + 1;
+}
+
+/** Search both orders in full, then re-run the winner's allocation. */
+AllocationOutcome
+allocateLoop(const Ddg &g, const Schedule &sched, int budget,
+             FitStrategy strategy)
+{
+    const LifetimeInfo info = analyzeLifetimes(g, sched);
+
+    AllocationOutcome outcome;
+    outcome.maxLive = info.maxLive;
+    outcome.invariants = info.invariantCount;
+
+    const int maxScalableBudget = std::numeric_limits<int>::max() / 4;
+    const int cap =
+        budget > maxScalableBudget
+            ? std::max(info.maxLive + 64, 64)
+            : std::max({budget * 4, info.maxLive + 64, 64});
+    AllocOrder order = AllocOrder::Adjacency;
+    outcome.rotating = naive::minRotatingRegs(info, strategy, order, cap);
+    const int byLength = naive::minRotatingRegs(
+        info, strategy, AllocOrder::DescendingLength, cap);
+    if (byLength < outcome.rotating) {
+        outcome.rotating = byLength;
+        order = AllocOrder::DescendingLength;
+    }
+    if (outcome.rotating <= cap) {
+        outcome.rotAlloc =
+            naive::allocateRotating(info, outcome.rotating, strategy, order);
+    }
+    outcome.regsRequired = outcome.rotating + outcome.invariants;
+    outcome.fits = outcome.regsRequired <= budget;
+    return outcome;
+}
+
+} // namespace naive
+
+constexpr FitStrategy kFits[] = {FitStrategy::EndFit, FitStrategy::FirstFit,
+                                 FitStrategy::BestFit};
+constexpr AllocOrder kOrders[] = {AllocOrder::Adjacency,
+                                  AllocOrder::DescendingLength};
+
+void
+expectSameAllocation(const RotAllocResult &got, const RotAllocResult &want)
+{
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.registers, want.registers);
+    EXPECT_EQ(got.offset, want.offset);
+}
 
 Schedule
 paperFlatSchedule(int ii)
@@ -148,6 +361,182 @@ TEST(RotAlloc, EndFitTracksMaxLiveOnScheduledLoops)
         const int regs = minRotatingRegs(info);
         EXPECT_LE(regs, info.maxLive + 1) << "ii=" << ii;
     }
+}
+
+/**
+ * Random lifetimes on an II-periodic circle: starts anywhere (so arcs
+ * wrap), lengths from 0 to the whole circle, some values dead.
+ */
+LifetimeInfo
+randomLifetimes(Rng &rng, int ii, int circ)
+{
+    LifetimeInfo info;
+    info.ii = ii;
+    const int n = rng.range(1, 24);
+    for (int v = 0; v < n; ++v) {
+        Lifetime lt;
+        lt.producer = v;
+        lt.live = !rng.chance(0.1);
+        lt.start = rng.range(-2 * circ, 3 * circ);
+        const int shape = rng.range(0, 9);
+        const int len = shape == 0   ? circ
+                        : shape == 1 ? rng.range(0, 2 * circ)
+                        : shape <= 4 ? rng.range(1, std::max(1, circ / 2))
+                                     : rng.range(1, std::max(1, circ / 8));
+        lt.end = lt.start + len;
+        info.lifetimes.push_back(lt);
+    }
+    return info;
+}
+
+TEST(RotAlloc, DifferentialAgainstNaiveReference)
+{
+    // (II, R) pairs putting the circle C = R*II on and around word
+    // boundaries, II = 1, and a few random shapes.
+    struct Circle
+    {
+        int ii;
+        int regs;
+    };
+    std::vector<Circle> circles = {
+        {1, 1},  {1, 5},   {1, 63},  {1, 64},  {1, 65},  {3, 21},
+        {2, 32}, {5, 13},  {1, 128}, {4, 32},  {1, 129}, {3, 43},
+        {7, 9},  {16, 8},  {2, 100}, {11, 30},
+    };
+    Rng rng(0xa110c);
+    for (int extra = 0; extra < 16; ++extra)
+        circles.push_back({rng.range(1, 12), rng.range(1, 40)});
+
+    int succeeded = 0, failed = 0;
+    for (const Circle &c : circles) {
+        const int circ = c.ii * c.regs;
+        for (int trial = 0; trial < 32; ++trial) {
+            const LifetimeInfo info = randomLifetimes(rng, c.ii, circ);
+            for (const FitStrategy fit : kFits) {
+                for (const AllocOrder order : kOrders) {
+                    const RotAllocResult want =
+                        naive::allocateRotating(info, c.regs, fit, order);
+                    SCOPED_TRACE(::testing::Message()
+                                 << "ii=" << c.ii << " R=" << c.regs
+                                 << " fit=" << fitStrategyName(fit)
+                                 << " trial=" << trial);
+                    expectSameAllocation(
+                        allocateRotating(info, c.regs, fit, order), want);
+                    (want.ok ? succeeded : failed)++;
+                }
+            }
+        }
+    }
+    // Both outcomes are exercised, not just one.
+    EXPECT_GT(succeeded, 100);
+    EXPECT_GT(failed, 100);
+}
+
+TEST(RotAlloc, LifetimeSpanningWholeCircle)
+{
+    // len == C fits alone, and blocks every other value.
+    for (const int regs : {1, 63, 64, 65}) {
+        LifetimeInfo info;
+        info.ii = 1;
+        Lifetime whole;
+        whole.producer = 0;
+        whole.live = true;
+        whole.start = 5;
+        whole.end = 5 + regs;
+        info.lifetimes.push_back(whole);
+        for (const FitStrategy fit : kFits) {
+            EXPECT_TRUE(allocateRotating(info, regs, fit).ok);
+            EXPECT_FALSE(allocateRotating(info, regs - 1, fit).ok);
+        }
+        Lifetime other = whole;
+        other.producer = 1;
+        other.end = other.start + 1;
+        info.lifetimes.push_back(other);
+        for (const FitStrategy fit : kFits) {
+            const RotAllocResult r = allocateRotating(info, regs, fit);
+            expectSameAllocation(
+                r, naive::allocateRotating(info, regs, fit,
+                                           AllocOrder::Adjacency));
+            EXPECT_FALSE(r.ok);
+        }
+    }
+}
+
+TEST(RotAlloc, NoRegistersFitOnlyNoValues)
+{
+    LifetimeInfo empty;
+    empty.ii = 3;
+    Lifetime dead;
+    dead.producer = 0;
+    empty.lifetimes.push_back(dead);
+    LifetimeInfo one = empty;
+    one.lifetimes[0].live = true;
+    one.lifetimes[0].end = 4;
+
+    for (const int regs : {0, -1, -64}) {
+        for (const FitStrategy fit : kFits) {
+            const RotAllocResult none = allocateRotating(empty, regs, fit);
+            EXPECT_TRUE(none.ok) << regs;
+            EXPECT_EQ(none.registers, regs);
+            EXPECT_EQ(none.offset, std::vector<int>{-1});
+            const RotAllocResult some = allocateRotating(one, regs, fit);
+            EXPECT_FALSE(some.ok) << regs;
+            EXPECT_EQ(some.offset, std::vector<int>{-1});
+        }
+    }
+}
+
+TEST(RotAlloc, CircleBeyondBitRowSizeIsDiagnosed)
+{
+    // R*II is computed in long; a circle larger than a bit row can
+    // index panics instead of wrapping around int.
+    LifetimeInfo info;
+    info.ii = 1 << 16;
+    Lifetime lt;
+    lt.producer = 0;
+    lt.live = true;
+    lt.end = 1;
+    info.lifetimes.push_back(lt);
+    EXPECT_THROW(allocateRotating(info, 1 << 16), PanicError);
+}
+
+TEST(RotAlloc, AllocateLoopMatchesNaiveSearchOnSuiteSchedules)
+{
+    // The search reuses sorted orders and its winning allocation and
+    // stops descending length below adjacency's count; the outcome must
+    // equal searching both orders in full and re-running the winner.
+    SuiteParams params;
+    params.numLoops = 160;
+    const Machine m = Machine::p2l4();
+    HrmsScheduler hrms;
+    int compared = 0, fitting = 0;
+    for (const SuiteLoop &loop : generateSuite(params)) {
+        const auto s = hrms.scheduleAt(loop.graph, m, mii(loop.graph, m));
+        if (!s)
+            continue;
+        for (const int budget : {12, 16, 24, 32, 48, 64}) {
+            for (const FitStrategy fit : kFits) {
+                const AllocationOutcome got =
+                    allocateLoop(loop.graph, *s, budget, fit);
+                const AllocationOutcome want =
+                    naive::allocateLoop(loop.graph, *s, budget, fit);
+                SCOPED_TRACE(::testing::Message()
+                             << loop.graph.name() << " budget=" << budget
+                             << " fit=" << fitStrategyName(fit));
+                EXPECT_EQ(got.rotating, want.rotating);
+                EXPECT_EQ(got.regsRequired, want.regsRequired);
+                EXPECT_EQ(got.fits, want.fits);
+                EXPECT_EQ(got.maxLive, want.maxLive);
+                EXPECT_EQ(got.invariants, want.invariants);
+                expectSameAllocation(got.rotAlloc, want.rotAlloc);
+                ++compared;
+                fitting += got.fits;
+            }
+        }
+    }
+    EXPECT_GT(compared, 2000);
+    EXPECT_GT(fitting, 0);
+    EXPECT_LT(fitting, compared);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -601,6 +602,120 @@ TEST(BitRow, SetClearAndReuse)
     EXPECT_FALSE(r.test(69));
     r.reset(3);
     EXPECT_FALSE(r.test(0));
+}
+
+TEST(BitMatrix, HighestSetBit)
+{
+    EXPECT_EQ(highestSetBit(1), 0);
+    EXPECT_EQ(highestSetBit(0b1010), 3);
+    EXPECT_EQ(highestSetBit(~std::uint64_t(0)), 63);
+    EXPECT_EQ(highestSetBit(std::uint64_t(1) << 63), 63);
+}
+
+TEST(BitRow, EmptyRowScansFindNothing)
+{
+    BitRow r;
+    r.reset(0);
+    EXPECT_EQ(r.nextSetBit(0), -1);
+    EXPECT_EQ(r.prevSetBit(-1), -1);
+    EXPECT_TRUE(r.noneInRange(0, 0));
+
+    // A sized row with no bits set: every scan misses.
+    r.reset(130);
+    EXPECT_EQ(r.nextSetBit(0), -1);
+    EXPECT_EQ(r.nextSetBit(129), -1);
+    EXPECT_EQ(r.prevSetBit(129), -1);
+    EXPECT_EQ(r.prevSetBit(0), -1);
+    EXPECT_TRUE(r.noneInRange(0, 130));
+}
+
+TEST(BitRow, ScansAtWordBoundaries)
+{
+    BitRow r;
+    r.reset(130);
+    for (const int bit : {0, 63, 64, 129}) {
+        r.reset(130);
+        r.set(bit);
+        EXPECT_EQ(r.nextSetBit(0), bit);
+        EXPECT_EQ(r.nextSetBit(bit), bit);
+        EXPECT_EQ(r.nextSetBit(bit + 1), -1);
+        EXPECT_EQ(r.prevSetBit(129), bit);
+        EXPECT_EQ(r.prevSetBit(bit), bit);
+        EXPECT_EQ(r.prevSetBit(bit - 1), -1);
+        EXPECT_FALSE(r.noneInRange(bit, bit + 1));
+        EXPECT_TRUE(r.noneInRange(0, bit));
+        EXPECT_TRUE(r.noneInRange(bit + 1, 130));
+    }
+    // Scans cross whole empty words.
+    r.reset(200);
+    r.set(3);
+    r.set(190);
+    EXPECT_EQ(r.nextSetBit(4), 190);
+    EXPECT_EQ(r.prevSetBit(189), 3);
+}
+
+TEST(BitRow, RangesSpanningSeveralWords)
+{
+    BitRow r;
+    r.reset(300);
+    r.setRange(60, 200);
+    EXPECT_FALSE(r.test(59));
+    for (int i = 60; i < 200; ++i)
+        ASSERT_TRUE(r.test(i)) << i;
+    EXPECT_FALSE(r.test(200));
+    EXPECT_TRUE(r.noneInRange(0, 60));
+    EXPECT_TRUE(r.noneInRange(200, 300));
+    EXPECT_FALSE(r.noneInRange(0, 61));
+    EXPECT_FALSE(r.noneInRange(199, 300));
+    EXPECT_FALSE(r.noneInRange(100, 101));
+    EXPECT_EQ(r.nextSetBit(0), 60);
+    EXPECT_EQ(r.nextSetBit(200), -1);
+    EXPECT_EQ(r.prevSetBit(299), 199);
+    EXPECT_EQ(r.prevSetBit(59), -1);
+
+    // Empty and single-bit ranges, and the whole row.
+    r.reset(64);
+    r.setRange(10, 10);
+    EXPECT_TRUE(r.noneInRange(0, 64));
+    r.setRange(63, 64);
+    EXPECT_TRUE(r.test(63));
+    EXPECT_TRUE(r.noneInRange(0, 63));
+    r.setRange(0, 64);
+    EXPECT_FALSE(r.noneInRange(31, 32));
+    EXPECT_EQ(r.prevSetBit(0), 0);
+}
+
+TEST(BitRow, RangeOpsMatchBitByBitReference)
+{
+    Rng rng(0xb17);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int size = rng.range(1, 260);
+        BitRow r;
+        r.reset(size);
+        std::vector<bool> ref(std::size_t(size), false);
+        for (int step = 0; step < 12; ++step) {
+            const int b = rng.range(0, size);
+            const int e = rng.range(b, std::min(size, b + rng.range(0, 140)));
+            r.setRange(b, e);
+            for (int i = b; i < e; ++i)
+                ref[std::size_t(i)] = true;
+            for (int q = 0; q < 24; ++q) {
+                const int x = rng.range(0, size - 1);
+                const int y = rng.range(x, size);
+                const bool clear =
+                    std::none_of(ref.begin() + x, ref.begin() + y,
+                                 [](bool v) { return v; });
+                ASSERT_EQ(r.noneInRange(x, y), clear) << x << ".." << y;
+                int next = -1, prev = -1;
+                for (int i = x; i < size && next < 0; ++i)
+                    next = ref[std::size_t(i)] ? i : -1;
+                for (int i = x; i >= 0 && prev < 0; --i)
+                    prev = ref[std::size_t(i)] ? i : -1;
+                ASSERT_EQ(r.nextSetBit(x), next) << x;
+                ASSERT_EQ(r.prevSetBit(x), prev) << x;
+            }
+        }
+    }
 }
 
 } // namespace
