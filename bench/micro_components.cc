@@ -3,8 +3,8 @@
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
  * at MII, rotating register allocation (the packing alone and a whole
- * allocateLoop), one full constrained-pipeline
- * run, and the cycle-accurate simulator. These time individual layers
+ * allocateLoop), one full constrained-pipeline run, suite generation,
+ * and the cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
  */
@@ -190,7 +190,23 @@ BM_SuiteRunnerBatch(benchmark::State &state)
     state.SetLabel(std::to_string(runner.threads()) + " thread(s)" +
                    benchutil::shardSuffix());
 }
-BENCHMARK(BM_SuiteRunnerBatch)->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_SuiteRunnerBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1)
+    ->Repetitions(5);
+
+void
+BM_GenerateSuite(benchmark::State &state)
+{
+    // Generating the pinned 1258-loop suite, which every harness and
+    // swpipe_cli --suite pay before scheduling anything. Default
+    // parameters, so --seed/--loops do not change what is timed.
+    const SuiteParams params;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(generateSuite(params));
+    state.SetItemsProcessed(state.iterations() * params.numLoops);
+}
+BENCHMARK(BM_GenerateSuite)->Unit(benchmark::kMillisecond)->Repetitions(5);
 
 void
 BM_Simulator(benchmark::State &state)

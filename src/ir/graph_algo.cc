@@ -79,20 +79,34 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
     return result;
 }
 
-SccResult
-stronglyConnectedComponents(const Ddg &g)
+namespace
 {
-    // Successor lists in outEdges order: the DFS visits edges exactly
-    // as the historical DDG-walking Tarjan did, so component numbering
-    // and emission order are unchanged.
+
+/** Successor lists over live edges, in outEdgeIds order. */
+std::vector<std::vector<int>>
+liveSuccessors(const Ddg &g)
+{
     std::vector<std::vector<int>> succ(std::size_t(g.numNodes()));
     for (NodeId u = 0; u < g.numNodes(); ++u) {
         std::vector<int> &out = succ[std::size_t(u)];
-        const auto edges = g.outEdges(u);
-        out.reserve(edges.size());
-        for (EdgeId e : edges)
-            out.push_back(g.edge(e).dst);
+        out.reserve(g.outEdgeIds(u).size());
+        for (EdgeId e : g.outEdgeIds(u)) {
+            if (g.edge(e).alive)
+                out.push_back(g.edge(e).dst);
+        }
     }
+    return succ;
+}
+
+} // namespace
+
+SccResult
+stronglyConnectedComponents(const Ddg &g)
+{
+    // Successor lists in live out-edge order: the DFS visits edges
+    // exactly as the historical DDG-walking Tarjan did, so component
+    // numbering and emission order are unchanged.
+    const std::vector<std::vector<int>> succ = liveSuccessors(g);
     AdjScc adj = stronglyConnectedComponents(succ);
 
     SccResult result;
@@ -110,8 +124,8 @@ stronglyConnectedComponents(const Ddg &g)
     }
     // A single node with a self edge is also a recurrence.
     for (NodeId n = 0; n < g.numNodes(); ++n) {
-        for (EdgeId e : g.outEdges(n)) {
-            if (g.edge(e).dst == n)
+        for (int w : succ[std::size_t(n)]) {
+            if (w == n)
                 result.isRecurrence[std::size_t(
                     result.compOf[std::size_t(n)])] = true;
         }
@@ -119,107 +133,78 @@ stronglyConnectedComponents(const Ddg &g)
     return result;
 }
 
-std::vector<NodeId>
-topologicalOrder(const Ddg &g)
+bool
+intraIterationOrder(const Ddg &g, std::vector<NodeId> &order)
 {
-    const SccResult scc = stronglyConnectedComponents(g);
-
-    // Kahn's algorithm over the condensation. Tarjan emits components in
-    // reverse topological order, so sorting nodes by decreasing component
-    // index gives a valid order of the condensation; within a component
-    // we keep node-id order for determinism.
-    std::vector<NodeId> order(std::size_t(g.numNodes()));
-    for (NodeId n = 0; n < g.numNodes(); ++n)
-        order[std::size_t(n)] = n;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](NodeId a, NodeId b) {
-                         return scc.compOf[std::size_t(a)] >
-                                scc.compOf[std::size_t(b)];
-                     });
-    return order;
+    const int n = g.numNodes();
+    std::vector<int> indeg(std::size_t(n), 0);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (edge.alive && edge.distance == 0)
+            ++indeg[std::size_t(edge.dst)];
+    }
+    // `order` doubles as the ready queue: a node is appended when its
+    // last zero-distance predecessor has been ordered.
+    order.clear();
+    order.reserve(std::size_t(n));
+    for (NodeId u = 0; u < n; ++u) {
+        if (indeg[std::size_t(u)] == 0)
+            order.push_back(u);
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        for (EdgeId e : g.outEdgeIds(order[i])) {
+            const Edge &edge = g.edge(e);
+            if (!edge.alive || edge.distance != 0)
+                continue;
+            if (--indeg[std::size_t(edge.dst)] == 0)
+                order.push_back(edge.dst);
+        }
+    }
+    return int(order.size()) == n;
 }
 
 std::vector<NodeId>
 topologicalOrderIntraIteration(const Ddg &g)
 {
-    const int n = g.numNodes();
-    std::vector<int> indeg(std::size_t(n), 0);
-    for (NodeId u = 0; u < n; ++u) {
-        for (EdgeId e : g.outEdges(u)) {
-            if (g.edge(e).distance == 0)
-                ++indeg[std::size_t(g.edge(e).dst)];
-        }
-    }
-    std::vector<NodeId> ready;
-    for (NodeId u = 0; u < n; ++u) {
-        if (indeg[std::size_t(u)] == 0)
-            ready.push_back(u);
-    }
     std::vector<NodeId> order;
-    order.reserve(std::size_t(n));
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-        const NodeId u = ready[i];
-        order.push_back(u);
-        for (EdgeId e : g.outEdges(u)) {
-            if (g.edge(e).distance != 0)
-                continue;
-            const NodeId v = g.edge(e).dst;
-            if (--indeg[std::size_t(v)] == 0)
-                ready.push_back(v);
-        }
-    }
-    if (int(order.size()) != n) {
+    if (!intraIterationOrder(g, order)) {
         SWP_FATAL("loop '", g.name(),
                   "' has a zero-distance dependence cycle");
     }
     return order;
 }
 
-std::vector<std::vector<bool>>
+BitMatrix
 reachability(const Ddg &g)
 {
     const int n = g.numNodes();
-    const SccResult scc = stronglyConnectedComponents(g);
-    const int nc = scc.numComps();
+    const std::vector<std::vector<int>> succ = liveSuccessors(g);
+    const AdjScc scc = stronglyConnectedComponents(succ);
 
     // Tarjan emits components in reverse topological order: for an edge
     // between distinct components a -> b, compOf(b) < compOf(a). So
-    // iterating components in increasing index processes successors first
-    // and component reach sets are complete when read.
-    std::vector<std::vector<bool>> compReach(
-        std::size_t(nc), std::vector<bool>(std::size_t(nc), false));
-    for (int c = 0; c < nc; ++c) {
-        if (scc.isRecurrence[std::size_t(c)])
-            compReach[std::size_t(c)][std::size_t(c)] = true;
-        for (NodeId u : scc.comps[std::size_t(c)]) {
-            for (EdgeId e : g.outEdges(u)) {
-                const int d =
-                    scc.compOf[std::size_t(g.edge(e).dst)];
-                if (d == c)
-                    continue;
-                compReach[std::size_t(c)][std::size_t(d)] = true;
-                for (int w = 0; w < nc; ++w) {
-                    if (compReach[std::size_t(d)][std::size_t(w)])
-                        compReach[std::size_t(c)][std::size_t(w)] = true;
-                }
+    // visiting components in increasing index finds every successor
+    // component's row complete. A component's row is built in the row
+    // of its first node: each edge target's bit plus, across
+    // components, the target component's row. Every member of a cyclic
+    // component is the target of an edge inside it (a self-edge for a
+    // single node), so its own members land in the row with no special
+    // case.
+    BitMatrix reach(n, n);
+    const int words = reach.wordsPerRow();
+    for (int c = 0; c < scc.numComps(); ++c) {
+        const int *members = scc.compNodes(c);
+        std::uint64_t *row = reach.row(members[0]);
+        for (int i = 0; i < scc.compSize(c); ++i) {
+            for (int w : succ[std::size_t(members[i])]) {
+                reach.set(members[0], w);
+                const int d = scc.compOf[std::size_t(w)];
+                if (d != c)
+                    reach.orRowInto(scc.compNodes(d)[0], row);
             }
         }
-    }
-
-    std::vector<std::vector<bool>> reach(
-        std::size_t(n), std::vector<bool>(std::size_t(n), false));
-    for (NodeId u = 0; u < n; ++u) {
-        const int cu = scc.compOf[std::size_t(u)];
-        for (NodeId v = 0; v < n; ++v) {
-            const int cv = scc.compOf[std::size_t(v)];
-            if (cu == cv) {
-                reach[std::size_t(u)][std::size_t(v)] =
-                    scc.isRecurrence[std::size_t(cu)];
-            } else {
-                reach[std::size_t(u)][std::size_t(v)] =
-                    compReach[std::size_t(cu)][std::size_t(cv)];
-            }
-        }
+        for (int i = 1; i < scc.compSize(c); ++i)
+            std::copy_n(row, words, reach.row(members[i]));
     }
     return reach;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Graph algorithms over the DDG: strongly connected components,
- * topological ordering, and reachability. These underpin RecMII
- * computation and the HRMS pre-ordering phase.
+ * the intra-iteration topological order, and reachability. These
+ * underpin RecMII computation, DDG verification and the suite
+ * generator.
  */
 
 #ifndef SWP_IR_GRAPH_ALGO_HH
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "ir/ddg.hh"
+#include "support/bitmatrix.hh"
 
 namespace swp
 {
@@ -74,22 +76,26 @@ struct SccResult
 SccResult stronglyConnectedComponents(const Ddg &g);
 
 /**
- * Topological order of all nodes treating the graph as acyclic by
- * ignoring edges internal to a recurrence that would close a cycle
- * (formally: a topological order of the condensation expanded with an
- * arbitrary consistent order inside each component).
- */
-std::vector<NodeId> topologicalOrder(const Ddg &g);
-
-/**
  * Topological order of the loop-independent subgraph: only edges with
  * distance zero are honoured. Single-iteration semantics require this
  * order to exist; verifyDdg() checks it.
  */
 std::vector<NodeId> topologicalOrderIntraIteration(const Ddg &g);
 
-/** Bit-matrix reachability (live edges). result[u][v] = u reaches v. */
-std::vector<std::vector<bool>> reachability(const Ddg &g);
+/**
+ * Kahn's walk over the live zero-distance edges, the one shared by
+ * topologicalOrderIntraIteration() and verifyDdg(). Fills `order` with
+ * the nodes in that order and returns true, or returns false when a
+ * zero-distance cycle leaves nodes out of `order`.
+ */
+bool intraIterationOrder(const Ddg &g, std::vector<NodeId> &order);
+
+/**
+ * Transitive reachability over live edges, one word-packed row per
+ * node: test(u, v) is true iff a path of one or more edges leads from
+ * u to v (so test(u, u) iff u lies on a cycle).
+ */
+BitMatrix reachability(const Ddg &g);
 
 } // namespace swp
 

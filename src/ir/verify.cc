@@ -49,33 +49,9 @@ verifyDdg(const Ddg &g, std::string *why)
     }
 
     // An iteration must be executable: zero-distance edges acyclic.
-    {
-        const int n = g.numNodes();
-        std::vector<int> indeg(std::size_t(n), 0);
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            const Edge &edge = g.edge(e);
-            if (edge.alive && edge.distance == 0)
-                ++indeg[std::size_t(edge.dst)];
-        }
-        std::vector<NodeId> ready;
-        for (NodeId u = 0; u < n; ++u) {
-            if (indeg[std::size_t(u)] == 0)
-                ready.push_back(u);
-        }
-        std::size_t seen = 0;
-        while (seen < ready.size()) {
-            const NodeId u = ready[seen++];
-            for (EdgeId e : g.outEdges(u)) {
-                const Edge &edge = g.edge(e);
-                if (edge.distance != 0)
-                    continue;
-                if (--indeg[std::size_t(edge.dst)] == 0)
-                    ready.push_back(edge.dst);
-            }
-        }
-        if (int(seen) != n)
-            return fail(why, "zero-distance dependence cycle");
-    }
+    std::vector<NodeId> order;
+    if (!intraIterationOrder(g, order))
+        return fail(why, "zero-distance dependence cycle");
 
     for (NodeId n = 0; n < g.numNodes(); ++n) {
         const Node &node = g.node(n);

@@ -53,6 +53,20 @@ highestSetBit(std::uint64_t word)
 #endif
 }
 
+/** Number of set bits. */
+inline int
+popCount(std::uint64_t word)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_popcountll(word);
+#else
+    int n = 0;
+    for (; word; word &= word - 1)
+        ++n;
+    return n;
+#endif
+}
+
 /** Mask with the low `n` bits set (n in [0, 64]). */
 inline std::uint64_t
 lowBitsMask(int n)

@@ -1,10 +1,12 @@
 #include "workload/suitegen.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "ir/graph_algo.hh"
 #include "ir/verify.hh"
+#include "support/bitmatrix.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
 #include "support/strutil.hh"
@@ -95,24 +97,47 @@ pickSize(Rng &rng)
 void
 addRecurrence(LoopGen &gen)
 {
-    const auto reach = reachability(gen.g);
-    // Collect (ancestor, descendant) pairs among value producers.
-    std::vector<std::pair<NodeId, NodeId>> pairs;
+    const BitMatrix reach = reachability(gen.g);
+    // The candidates are the (ancestor a, descendant b) value pairs
+    // with a != b, ordered by a, then b, in gen.values order, which is
+    // ascending node id. They are counted per ancestor row by popcount
+    // against the value mask, and the k-th is found without listing
+    // them.
+    BitRow valueMask;
+    valueMask.reset(gen.g.numNodes());
+    for (NodeId v : gen.values)
+        valueMask.set(v);
+    const auto descendants = [&](NodeId a, int w) {
+        std::uint64_t word = reach.row(a)[w] & valueMask.words()[w];
+        if (w == a >> 6)
+            word &= ~(std::uint64_t(1) << (a & 63));
+        return word;
+    };
+    int pairs = 0;
     for (NodeId a : gen.values) {
-        for (NodeId b : gen.values) {
-            if (a != b && reach[std::size_t(a)][std::size_t(b)] &&
-                producesValue(gen.g.node(b).op)) {
-                pairs.emplace_back(a, b);
+        for (int w = 0; w < reach.wordsPerRow(); ++w)
+            pairs += popCount(descendants(a, w));
+    }
+    if (pairs == 0)
+        return;
+    int k = gen.rng.range(0, pairs - 1);
+    for (NodeId from : gen.values) {
+        for (int w = 0; w < reach.wordsPerRow(); ++w) {
+            std::uint64_t word = descendants(from, w);
+            const int count = popCount(word);
+            if (k >= count) {
+                k -= count;
+                continue;
             }
+            for (; k > 0; --k)
+                word &= word - 1;
+            const NodeId to = w * 64 + countTrailingZeros(word);
+            // Close the cycle: the descendant's value feeds the
+            // ancestor in a later iteration.
+            gen.use(to, from, gen.rng.range(1, 2));
+            return;
         }
     }
-    if (pairs.empty())
-        return;
-    const auto &[from, to] = pairs[std::size_t(
-        gen.rng.range(0, int(pairs.size()) - 1))];
-    // Close the cycle: the descendant's value feeds the ancestor in a
-    // later iteration.
-    gen.use(to, from, gen.rng.range(1, 2));
 }
 
 /**
@@ -124,7 +149,7 @@ addRecurrence(LoopGen &gen)
 void
 addCarriedUse(LoopGen &gen, int max_distance)
 {
-    const auto reach = reachability(gen.g);
+    const BitMatrix reach = reachability(gen.g);
     for (int attempt = 0; attempt < 8; ++attempt) {
         const NodeId producer = gen.values[std::size_t(
             gen.rng.range(0, int(gen.values.size()) - 1))];
@@ -137,7 +162,7 @@ addCarriedUse(LoopGen &gen, int max_distance)
         // Adding producer->consumer with distance >= 1 is always legal
         // (no zero-distance cycle possible), but avoid creating an
         // unintended recurrence: skip when consumer reaches producer.
-        if (reach[std::size_t(consumer)][std::size_t(producer)])
+        if (reach.test(consumer, producer))
             continue;
         gen.use(producer, consumer, gen.rng.range(1, max_distance));
         return;

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ir/builder.hh"
 #include "ir/graph_algo.hh"
 #include "ir/verify.hh"
 #include "support/diag.hh"
+#include "support/rng.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -318,6 +320,35 @@ TEST(GraphAlgo, ZeroDistanceCycleIsFatal)
     EXPECT_NE(why.find("cycle"), std::string::npos);
 }
 
+TEST(GraphAlgo, KilledEdgesDoNotOrderAnIteration)
+{
+    // w -> v -> y -> z live; x -> z and z -> w killed. The killed
+    // z -> w would close a zero-distance cycle, and the killed x -> z
+    // must not release z before y is ordered.
+    Ddg g("killed");
+    const NodeId w = g.addNode(Opcode::Add);
+    const NodeId v = g.addNode(Opcode::Add);
+    const NodeId y = g.addNode(Opcode::Add);
+    const NodeId z = g.addNode(Opcode::Add);
+    const NodeId x = g.addNode(Opcode::Add);
+    g.addEdge(w, v, DepKind::RegFlow);
+    g.addEdge(v, y, DepKind::RegFlow);
+    g.addEdge(y, z, DepKind::RegFlow);
+    g.killEdge(g.addEdge(x, z, DepKind::RegFlow));
+    g.killEdge(g.addEdge(z, w, DepKind::RegFlow));
+
+    std::string why;
+    EXPECT_TRUE(verifyDdg(g, &why)) << why;
+    const auto order = topologicalOrderIntraIteration(g);
+    ASSERT_EQ(order.size(), 5u);
+    std::vector<int> pos(5);
+    for (int i = 0; i < 5; ++i)
+        pos[std::size_t(order[std::size_t(i)])] = i;
+    EXPECT_LT(pos[std::size_t(w)], pos[std::size_t(v)]);
+    EXPECT_LT(pos[std::size_t(v)], pos[std::size_t(y)]);
+    EXPECT_LT(pos[std::size_t(y)], pos[std::size_t(z)]);
+}
+
 TEST(GraphAlgo, ReachabilityThroughSccAndBeyond)
 {
     //  a -> b <-> c -> d   (b,c recurrence)
@@ -332,13 +363,72 @@ TEST(GraphAlgo, ReachabilityThroughSccAndBeyond)
     bld.flow(c, d);
     const Ddg g = bld.take();
 
-    const auto reach = reachability(g);
-    EXPECT_TRUE(reach[std::size_t(a)][std::size_t(d)]);
-    EXPECT_TRUE(reach[std::size_t(a)][std::size_t(b)]);
-    EXPECT_TRUE(reach[std::size_t(b)][std::size_t(b)]);  // Via the cycle.
-    EXPECT_TRUE(reach[std::size_t(c)][std::size_t(c)]);
-    EXPECT_FALSE(reach[std::size_t(a)][std::size_t(a)]);
-    EXPECT_FALSE(reach[std::size_t(d)][std::size_t(a)]);
+    const BitMatrix reach = reachability(g);
+    EXPECT_TRUE(reach.test(a, d));
+    EXPECT_TRUE(reach.test(a, b));
+    EXPECT_TRUE(reach.test(b, b));  // Via the cycle.
+    EXPECT_TRUE(reach.test(c, c));
+    EXPECT_FALSE(reach.test(a, a));
+    EXPECT_FALSE(reach.test(d, a));
+}
+
+/** A random graph with multi-node cycles, self-edges, parallel edges
+    and killed edges; about two live out-edges per node. */
+Ddg
+randomGraph(Rng &rng, int n)
+{
+    Ddg g("random");
+    for (int i = 0; i < n; ++i)
+        g.addNode(Opcode::Add);
+    for (int i = 0; i < 3 * n; ++i) {
+        const NodeId src = rng.range(0, n - 1);
+        // Mostly forward edges with some back edges, so the graph has
+        // both long acyclic stretches and strongly connected regions.
+        const NodeId dst = rng.chance(0.8)
+                               ? rng.range(src, std::min(n - 1, src + 8))
+                               : rng.range(0, n - 1);
+        const EdgeId e = g.addEdge(src, dst, DepKind::RegFlow,
+                                   rng.range(0, 2));
+        if (rng.chance(0.1))  // A parallel copy of the same edge.
+            g.addEdge(src, dst, DepKind::Mem, rng.range(0, 2));
+        if (rng.chance(0.3))
+            g.killEdge(e);
+    }
+    return g;
+}
+
+TEST(GraphAlgo, ReachabilityMatchesReferenceDfs)
+{
+    // Differential against refReachability on random graphs, across
+    // the sizes at which rows span zero, one, and more words.
+    Rng rng(0x5eed);
+    int multiNodeSccs = 0, selfEdges = 0;
+    for (const int n : {0, 1, 63, 64, 65, 128, 129}) {
+        for (int trial = 0; trial < 12; ++trial) {
+            const Ddg g = randomGraph(rng, n);
+            const SccResult scc = stronglyConnectedComponents(g);
+            for (const auto &comp : scc.comps)
+                multiNodeSccs += comp.size() > 1;
+            for (EdgeId e = 0; e < g.numEdges(); ++e) {
+                selfEdges += g.edge(e).alive &&
+                             g.edge(e).src == g.edge(e).dst;
+            }
+            const BitMatrix reach = reachability(g);
+            ASSERT_EQ(reach.rows(), n);
+            ASSERT_EQ(reach.cols(), n);
+            const auto ref = refReachability(g);
+            for (NodeId u = 0; u < n; ++u) {
+                for (NodeId v = 0; v < n; ++v) {
+                    ASSERT_EQ(reach.test(u, v),
+                              bool(ref[std::size_t(u)][std::size_t(v)]))
+                        << "n " << n << " trial " << trial << " nodes "
+                        << u << ", " << v;
+                }
+            }
+        }
+    }
+    EXPECT_GT(multiNodeSccs, 0);
+    EXPECT_GT(selfEdges, 0);
 }
 
 TEST(Verify, AcceptsPaperExample)

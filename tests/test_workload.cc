@@ -76,6 +76,40 @@ TEST(SuiteGen, AllLoopsAreWellFormedAndSchedulable)
     }
 }
 
+/** FNV-1a over the .ddg text and trip count of loops [0, 1258). */
+std::uint64_t
+suiteTextHash(std::uint64_t seed)
+{
+    SuiteParams params;
+    params.seed = seed;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](const std::string &s) {
+        for (const unsigned char c : s) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (int i = 0; i < 1258; ++i) {
+        const SuiteLoop loop = generateSuiteLoop(params, i);
+        std::ostringstream text;
+        writeDdg(text, loop);
+        mix(text.str());
+        mix(std::to_string(loop.iterations) + "\n");
+    }
+    return h;
+}
+
+TEST(SuiteGen, GeneratedLoopsArePinned)
+{
+    // The generator's exact output: names, invariant uses and trip
+    // counts included, which graphFingerprint does not see. Every
+    // harness and the golden fingerprint build on these loops, so a
+    // change here must be deliberate.
+    EXPECT_EQ(suiteTextHash(kDefaultSuiteSeed), 0xe2544a83aa8f4958ull);
+    EXPECT_EQ(suiteTextHash(1), 0x3406e5b8eec996d4ull);
+    EXPECT_EQ(suiteTextHash(314159265), 0x142af0609c229024ull);
+}
+
 TEST(SuiteGen, ContainsHeavyAndNormalLoops)
 {
     SuiteParams params;
