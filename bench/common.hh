@@ -45,15 +45,6 @@ namespace swp::benchutil
  *                    byte-identical either way; 0 re-schedules every
  *                    (graph, machine, II) probe, for measuring the
  *                    memo's effect and for CI's determinism diff.
- *   --memo-cap <n>   LRU size cap on the schedule memo and on the
- *                    MII/RecMII bounds memo (default 0 = unbounded),
- *                    so no memo in the process is unbounded. Results
- *                    are byte-identical at any cap; capped runs report
- *                    both memos' eviction stats in the --json output
- *                    (the stats stanza itself is observability: its
- *                    counters depend on worker interleaving at >1
- *                    thread, like the wall-clock columns, and is no
- *                    part of the byte-identity guarantee).
  *   --chunk <auto|fixed>  job ordering/chunking policy (default auto
  *                    = heaviest loops first). Results are
  *                    byte-identical either way.
@@ -106,7 +97,6 @@ struct BenchOptions
     std::string jsonPath;
     int threads = 1;
     bool memo = true;
-    int memoCap = 0;
     ChunkPolicy chunk = ChunkPolicy::Auto;
     ShardSpec shard;
     bool verify = false;
@@ -219,7 +209,7 @@ BatchJob variantJob(int loopIndex, Variant v, int registers);
 std::vector<BatchJob> protoJobs(std::size_t n, const BatchJob &proto);
 
 /**
- * The process-wide batch runner, built from --threads/--memo/--memo-cap
+ * The process-wide batch runner, built from --threads/--memo
  * on first use. All harness grids funnel through it so the whole
  * experiment shares one evaluation path (and one MII/RecMII memo).
  */

@@ -9,9 +9,9 @@
  * The grid is deliberately memo-*hot*: every benchmark iteration
  * re-runs the identical jobs against a pre-warmed runner, so almost
  * every scheduling probe is a memo hit and the measurement stresses
- * exactly the between-worker paths this perf work targets — striped
- * memo lookups, work-stealing claims, and per-worker arenas — rather
- * than raw scheduling throughput (micro_components covers that).
+ * exactly the between-worker paths — memo lookups and work-stealing
+ * claims — rather than raw scheduling throughput (micro_components
+ * covers that).
  *
  * Each thread count also reports the per-worker counter breakdown:
  * schedule_s / memo_wait_s / steal_s totals as benchmark counters, and
@@ -65,8 +65,7 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<BatchJob> jobs = scalingGrid(suite.size());
     const RunOptions ropts = benchutil::benchChunkOptions();
 
-    SuiteRunner runner(threads, benchutil::benchOptions().memo,
-                       benchutil::benchOptions().memoCap);
+    SuiteRunner runner(threads, benchutil::benchOptions().memo);
     runner.run(suite, m, jobs, ropts); // Warm the memos once, untimed.
     runner.resetWorkerPerf();
 
@@ -81,19 +80,16 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<WorkerPerf> perf = runner.workerPerf();
     double schedule = 0, memoWait = 0, steal = 0;
     long steals = 0;
-    std::size_t arenaHw = 0;
     for (const WorkerPerf &w : perf) {
         schedule += w.scheduleSeconds;
         memoWait += w.memoWaitSeconds;
         steal += w.stealSeconds;
         steals += w.steals;
-        arenaHw = std::max(arenaHw, w.arenaHighWaterBytes);
     }
     state.counters["schedule_s"] = schedule;
     state.counters["memo_wait_s"] = memoWait;
     state.counters["steal_s"] = steal;
     state.counters["steals"] = double(steals);
-    state.counters["arena_hw_bytes"] = double(arenaHw);
 
     std::fprintf(stderr,
                  "[scaling] threads=%d jobs=%zu: per-worker "
@@ -104,11 +100,10 @@ runScaling(benchmark::State &state, int threads)
             continue;
         std::fprintf(stderr,
                      "[scaling]   w%zu: sched=%.4fs wait=%.4fs "
-                     "steal=%.4fs jobs=%ld claims=%ld steals=%ld "
-                     "arena=%zuB\n",
+                     "steal=%.4fs jobs=%ld claims=%ld steals=%ld\n",
                      w, perf[w].scheduleSeconds, perf[w].memoWaitSeconds,
                      perf[w].stealSeconds, perf[w].jobs, perf[w].claims,
-                     perf[w].steals, perf[w].arenaHighWaterBytes);
+                     perf[w].steals);
     }
 }
 

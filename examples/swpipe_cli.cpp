@@ -59,10 +59,6 @@
  *                                 thread count.
  *   --memo 0|1                    schedule memoization (default 1);
  *                                 output is byte-identical either way
- *   --memo-cap N                  LRU size cap on the schedule memo
- *                                 and the MII/RecMII bounds memo
- *                                 (default 0 = unbounded); output is
- *                                 byte-identical at any cap
  *   --chunk auto|fixed            job ordering/chunking policy (default
  *                                 auto = heaviest loops first); output
  *                                 is byte-identical either way
@@ -147,7 +143,6 @@ struct CliOptions
     bool csv = false;
     int threads = 1;
     bool memo = true;
-    int memoCap = 0;
     ChunkPolicy chunk = ChunkPolicy::Auto;
     ShardSpec shard;
     /** --shard was given (0/1 is a legitimate single-shard spec). */
@@ -291,10 +286,6 @@ parseArgs(int argc, char **argv)
             if (!parseIntInRange(text, 0, 1, memo))
                 usageError(std::string("bad --memo value ") + text);
             opts.memo = memo != 0;
-        } else if (!std::strcmp(arg, "--memo-cap")) {
-            const char *text = nextArg(argc, argv, i, arg);
-            if (!parseIntInRange(text, 0, 1 << 30, opts.memoCap))
-                usageError(std::string("bad --memo-cap value ") + text);
         } else if (!std::strcmp(arg, "--chunk")) {
             const char *text = nextArg(argc, argv, i, arg);
             if (!parseChunkPolicy(text, opts.chunk))
@@ -601,10 +592,9 @@ main(int argc, char **argv)
 
         // Evaluate all loops as one batch on the worker pool, then
         // report serially in input order — the output is byte-identical
-        // at any --threads count, --chunk policy, --memo setting,
-        // --memo-cap, and shard split.
-        SuiteRunner runner(opts.threads, opts.memo,
-                           std::size_t(opts.memoCap));
+        // at any --threads count, --chunk policy, --memo setting and
+        // shard split.
+        SuiteRunner runner(opts.threads, opts.memo);
         std::vector<BatchJob> jobs(opts.loops.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             jobs[i].loop = int(i);

@@ -7,7 +7,6 @@
 #include "sched/fingerprint.hh"
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
-#include "support/arena.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
 #include "verify/legality.hh"
@@ -66,10 +65,6 @@ struct TaskScope
     ~TaskScope() { --tlsInTask; }
 };
 
-/** The perf slot of the task this thread is currently working on (0
-    outside any task, which is also the dispatching caller's slot). */
-thread_local std::size_t tlsWorkerSlot = 0;
-
 double
 secondsSince(const std::chrono::steady_clock::time_point &start)
 {
@@ -97,12 +92,11 @@ SuiteRunner::setClaimJitterForTesting(unsigned seed)
     claimJitter_.store(seed, std::memory_order_relaxed);
 }
 
-SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules,
-                         std::size_t memoCap)
+SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
     : threads_(resolveThreadCount(threads)),
       memoizeSchedules_(memoizeSchedules),
-      boundsCache_(memoCap, threads_),
-      scheduleMemo_(kVerifyMemoKeys, memoCap, threads_),
+      boundsCache_(threads_),
+      scheduleMemo_(kVerifyMemoKeys, threads_),
       perf_(std::size_t(threads_))
 {
 }
@@ -254,8 +248,6 @@ SuiteRunner::runTask(PoolTask &t) const
         return;
     }
     const TaskScope scope;
-    const std::size_t prevSlot = tlsWorkerSlot;
-    tlsWorkerSlot = self;
     // makeWorker() runs on the worker thread too (it allocates
     // per-thread state); a throw there must reach the caller, not
     // std::terminate.
@@ -264,7 +256,6 @@ SuiteRunner::runTask(PoolTask &t) const
         fn = (*t.makeWorker)();
     } catch (...) {
         t.fail();
-        tlsWorkerSlot = prevSlot;
         return;
     }
     bool aborted = false;
@@ -289,11 +280,7 @@ SuiteRunner::runTask(PoolTask &t) const
             ++perf.jobs;
         }
     } while (!aborted && claim(t, self, r, perf));
-    // fn (and the per-thread state it owns, e.g. the worker's arena)
-    // dies before the perf flush so arena high-water notes land first.
-    fn = nullptr;
     flushPerf(self, perf);
-    tlsWorkerSlot = prevSlot;
 }
 
 void
@@ -307,17 +294,6 @@ SuiteRunner::flushPerf(std::size_t slot, const WorkerPerf &perf) const
     w.jobs += perf.jobs;
     w.claims += perf.claims;
     w.steals += perf.steals;
-    if (perf.arenaHighWaterBytes > w.arenaHighWaterBytes)
-        w.arenaHighWaterBytes = perf.arenaHighWaterBytes;
-}
-
-void
-SuiteRunner::noteArenaHighWater(std::size_t bytes) const
-{
-    std::lock_guard<std::mutex> lock(perfMutex_);
-    WorkerPerf &w = perf_[tlsWorkerSlot % perf_.size()];
-    if (bytes > w.arenaHighWaterBytes)
-        w.arenaHighWaterBytes = bytes;
 }
 
 std::vector<WorkerPerf>
@@ -543,25 +519,18 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
         [&]() -> Worker {
             // Per-worker scheduler objects, reused across every job
             // this worker executes (shared_ptr so the returned closure
-            // owns them). The worker's arena backs each job's transient
-            // buffers and is rewound between jobs; its deleter reports
-            // the high-water mark into this worker's perf slot.
+            // owns them).
             std::shared_ptr<ModuloScheduler> hrms =
                 makeScheduler(SchedulerKind::Hrms);
             std::shared_ptr<ModuloScheduler> ims =
                 makeScheduler(SchedulerKind::Ims);
-            std::shared_ptr<Arena> arena(new Arena, [this](Arena *a) {
-                noteArenaHighWater(a->stats().highWaterBytes);
-                delete a;
-            });
             return [this, &suite, &m, &jobs, &results, &order, verify,
-                    certify, certOut, hrms, ims, arena](std::size_t k) {
+                    certify, certOut, hrms, ims](std::size_t k) {
                 const std::size_t i = order[k];
                 const BatchJob &job = jobs[i];
                 const Ddg &g = suite[std::size_t(job.loop)].graph;
                 const LoopBounds b = bounds(g, m);
 
-                arena->reset();
                 EvalContext ctx;
                 const SchedulerKind kind = job.options.scheduler;
                 ctx.scheduler =
@@ -569,7 +538,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                 ctx.imsFallback = ims.get();
                 ctx.knownMii = b.mii;
                 ctx.memo = memoizeSchedules_ ? &scheduleMemo_ : nullptr;
-                ctx.arena = arena.get();
 
                 results[i] = job.ideal
                                  ? pipelineIdeal(g, m, kind, &ctx)
@@ -620,33 +588,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
 }
 
 std::vector<double>
-simulateWorkerLoads(const std::vector<double> &costs,
-                    const std::vector<std::size_t> &order, int workers,
-                    std::size_t chunk)
-{
-    SWP_ASSERT(workers >= 1, "simulateWorkerLoads needs >= 1 worker");
-    SWP_ASSERT(chunk >= 1, "simulateWorkerLoads needs chunk >= 1");
-    std::vector<double> load(std::size_t(workers), 0.0);
-    // Min-heap of (finish time, worker): the earliest-free worker
-    // claims the next chunk, exactly like the pool's shared counter.
-    using Slot = std::pair<double, int>;
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
-    for (int w = 0; w < workers; ++w)
-        free.push({0.0, w});
-    for (std::size_t base = 0; base < order.size(); base += chunk) {
-        const Slot slot = free.top();
-        free.pop();
-        double sum = 0;
-        const std::size_t end = std::min(base + chunk, order.size());
-        for (std::size_t k = base; k < end; ++k)
-            sum += costs[order[k]];
-        load[std::size_t(slot.second)] += sum;
-        free.push({slot.first + sum, slot.second});
-    }
-    return load;
-}
-
-std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,
                             const std::vector<std::size_t> &order,
                             int workers, std::size_t chunk)
@@ -672,8 +613,7 @@ simulateWorkerLoadsStealing(const std::vector<double> &costs,
 
     std::vector<double> load(w, 0.0);
     // Event model: the earliest-free worker claims next (ties broken by
-    // worker index, like the priority queue in the static model); a
-    // worker that finds every deque empty retires.
+    // worker index); a worker that finds every deque empty retires.
     using Slot = std::pair<double, int>;
     std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
     for (int i = 0; i < workers; ++i)

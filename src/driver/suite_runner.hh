@@ -25,7 +25,7 @@
  *    repeated cells never schedule the same probe twice.
  * All memos are single-flight (two workers never compute one key) and
  * none of them changes results: output is byte-identical with the
- * memos on or off, at any memo size cap.
+ * memos on or off.
  *
  * Beyond the thread pool, a batch can be split *across processes*: a
  * RunOptions::shard spec assigns job index j to shard j mod N, and a
@@ -139,7 +139,6 @@ struct WorkerPerf
     long jobs = 0;               ///< Jobs executed.
     long claims = 0;             ///< Chunks claimed (own + stolen).
     long steals = 0;             ///< Chunks taken from a victim's deque.
-    std::size_t arenaHighWaterBytes = 0;  ///< Max live arena bytes.
 };
 
 /** Per-run evaluation options; the defaults reproduce run(3 args). */
@@ -191,15 +190,8 @@ class SuiteRunner
      * memoizeSchedules toggles the schedule memo (results are identical
      * either way; off re-schedules every probe — useful for measuring
      * the memo's effect and for CI's byte-identical diff).
-     * memoCap bounds *both* process-lifetime memos — the schedule memo
-     * and the MII/RecMII bounds memo — with LRU eviction (0 =
-     * unbounded), so a service embedding the driver against an
-     * unbounded stream of distinct loops holds no unbounded map.
-     * Results are byte-identical at any cap; an evicted probe or bound
-     * is simply recomputed on its next request.
      */
-    explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true,
-                         std::size_t memoCap = 0);
+    explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true);
     ~SuiteRunner();
 
     SuiteRunner(const SuiteRunner &) = delete;
@@ -381,7 +373,6 @@ class SuiteRunner
     bool claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
                WorkerPerf &perf) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
-    void noteArenaHighWater(std::size_t bytes) const;
 
     int threads_ = 1;
     bool memoizeSchedules_ = true;
@@ -394,8 +385,7 @@ class SuiteRunner
         std::optional<Ddg> graph;
         std::optional<Machine> machine;
     };
-    StripedSingleFlightCache<std::pair<std::uint64_t, std::uint64_t>,
-                             CachedBounds>
+    SingleFlightCache<std::pair<std::uint64_t, std::uint64_t>, CachedBounds>
         boundsCache_;
 
     ScheduleMemo scheduleMemo_;
@@ -425,26 +415,14 @@ class SuiteRunner
 };
 
 /**
- * Simulate a shared-counter claiming discipline: `workers` greedy
- * workers consume `order` left to right, `chunk` indices per claim,
- * each job costing costs[order[k]]; returns each worker's total
- * simulated busy time. This is the model behind the chunk-policy
- * property tests — it lets the load-balance claim ("heaviest-first
- * ordering shrinks the makespan of a heavy-tailed grid") be asserted
+ * Simulate the pool's work-stealing discipline: chunks of `order`
+ * (job k costing costs[order[k]]) are dealt round-robin into
+ * per-worker deques, each worker pops its own front and an idle worker
+ * steals the back of the next non-empty victim (scanning from its own
+ * slot). Returns each worker's total simulated busy time; same model
+ * as runTask, so the load-balance properties ("heaviest-first ordering
+ * shrinks the makespan of a heavy-tailed grid") can be asserted
  * deterministically, without racing real threads.
- */
-std::vector<double> simulateWorkerLoads(const std::vector<double> &costs,
-                                        const std::vector<std::size_t> &order,
-                                        int workers, std::size_t chunk);
-
-/**
- * Simulate the pool's actual work-stealing discipline: chunks of
- * `order` are dealt round-robin into per-worker deques, each worker
- * pops its own front and an idle worker steals the back of the next
- * non-empty victim (scanning from its own slot). Returns each worker's
- * total simulated busy time; same model as runTask, so the makespan
- * property tests can compare static, chunked and stealing claiming on
- * one footing.
  */
 std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,

@@ -21,7 +21,6 @@
 #include "sched/mii.hh"
 #include "sched/sched_memo.hh"
 #include "sched/scheduler.hh"
-#include "support/arena.hh"
 
 namespace swp
 {
@@ -50,15 +49,6 @@ struct EvalContext
      * Results are identical with or without it; only the work changes.
      */
     ScheduleMemo *memo = nullptr;
-
-    /**
-     * Per-worker bump arena for the evaluation's transient buffers
-     * (e.g. the spill driver's per-round candidate/pick scratch). The
-     * batch driver resets it between jobs; a strategy without one
-     * simply builds a local arena. Allocation placement never changes
-     * results.
-     */
-    Arena *arena = nullptr;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sched/acyclic.hh"
 #include "sched/ii_search.hh"
@@ -28,14 +29,10 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     Ddg work = g;
     int prevIi = 0;
 
-    // Per-round candidate/pick scratch, bump-allocated from the
-    // worker's arena (reset between jobs by the batch driver) or a
-    // local one for standalone calls. Cleared per round; the retained
-    // capacity makes later rounds allocation-free.
-    Arena localArena;
-    Arena &arena = ctx && ctx->arena ? *ctx->arena : localArena;
-    SpillCandidateList candidates{ArenaAllocator<SpillCandidate>(arena)};
-    SpillCandidateList picks{ArenaAllocator<SpillCandidate>(arena)};
+    // Per-round candidate/pick scratch, hoisted out of the round loop
+    // so later rounds reuse its capacity.
+    std::vector<SpillCandidate> candidates;
+    std::vector<SpillCandidate> picks;
 
     // Best over-budget schedule seen so far (lowest register
     // requirement). Kept so that exhausting the rounds or the

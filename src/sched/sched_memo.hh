@@ -38,14 +38,9 @@ namespace swp
 {
 
 /**
- * Thread-safe, single-flight cache of scheduleAt outcomes.
- *
- * capacity == 0 (the default) keeps every probe for the life of the
- * process — the right trade for one-shot grid evaluations. A positive
- * capacity bounds the memo with LRU eviction (the `--memo-cap` flag of
- * the harnesses) for long-lived services: an evicted probe is simply
- * re-scheduled on its next request, so results are byte-identical at
- * any cap, and the stats() eviction counter reports the churn.
+ * Thread-safe, single-flight cache of scheduleAt outcomes. Every probe
+ * is kept for the life of the memo — the right trade for grid
+ * evaluations, whose working set is the grid.
  *
  * The backing store is striped by key fingerprint (threadsHint sizes
  * the stripe array) so a full worker pool hammering the memo doesn't
@@ -58,13 +53,10 @@ class ScheduleMemo
     using Stats = SingleFlightStats;
 
     explicit ScheduleMemo(bool verifyKeys = kVerifyMemoKeys,
-                          std::size_t capacity = 0, int threadsHint = 1)
-        : verifyKeys_(verifyKeys), cache_(capacity, threadsHint)
+                          int threadsHint = 1)
+        : verifyKeys_(verifyKeys), cache_(threadsHint)
     {
     }
-
-    /** The LRU size cap (0 = unbounded). */
-    std::size_t capacity() const { return cache_.capacity(); }
 
     /** How many lock stripes back the memo. */
     std::size_t stripeCount() const { return cache_.stripeCount(); }
@@ -98,7 +90,7 @@ class ScheduleMemo
     };
 
     bool verifyKeys_;
-    StripedSingleFlightCache<Key, CachedProbe> cache_;
+    SingleFlightCache<Key, CachedProbe> cache_;
 };
 
 /**

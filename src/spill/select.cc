@@ -118,12 +118,13 @@ useCandidate(const Ddg &g, const LifetimeInfo &lifetimes, NodeId u)
     return cand;
 }
 
-/** Shared enumeration body; Vec is any vector of SpillCandidate. */
-template <class Vec>
+} // namespace
+
 void
-spillCandidatesImpl(const Ddg &g, const LifetimeInfo &lifetimes,
-                    bool include_uses, Vec &out)
+spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
+                bool include_uses, std::vector<SpillCandidate> &out)
 {
+    out.clear();
     for (NodeId u = 0; u < g.numNodes(); ++u) {
         const Lifetime &lt = lifetimes.of(u);
         if (!lt.live || lt.length() <= 0)
@@ -158,23 +159,13 @@ spillCandidatesImpl(const Ddg &g, const LifetimeInfo &lifetimes,
     }
 }
 
-} // namespace
-
 std::vector<SpillCandidate>
 spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
                 bool include_uses)
 {
     std::vector<SpillCandidate> out;
-    spillCandidatesImpl(g, lifetimes, include_uses, out);
+    spillCandidates(g, lifetimes, include_uses, out);
     return out;
-}
-
-void
-spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
-                bool include_uses, SpillCandidateList &out)
-{
-    out.clear();
-    spillCandidatesImpl(g, lifetimes, include_uses, out);
 }
 
 namespace
@@ -196,29 +187,29 @@ better(const SpillCandidate &a, const SpillCandidate &b, SpillHeuristic h)
     SWP_PANIC("unknown spill heuristic ", int(h));
 }
 
+} // namespace
+
 std::optional<SpillCandidate>
-selectOneImpl(const SpillCandidate *begin, const SpillCandidate *end,
-              SpillHeuristic h)
+selectOne(const std::vector<SpillCandidate> &candidates, SpillHeuristic h)
 {
     const SpillCandidate *best = nullptr;
-    for (const SpillCandidate *cand = begin; cand != end; ++cand) {
-        if (!best || better(*cand, *best, h))
-            best = cand;
+    for (const SpillCandidate &cand : candidates) {
+        if (!best || better(cand, *best, h))
+            best = &cand;
     }
     if (!best)
         return std::nullopt;
     return *best;
 }
 
-/** Shared selection body; CandVec/NodeVec are any vectors of
-    SpillCandidate/NodeId (pool and chosen arrive empty). */
-template <class CandVec, class NodeVec>
 void
-selectMultipleImpl(const CandVec &candidates, SpillHeuristic h,
-                   const LifetimeInfo &lifetimes, int available,
-                   CandVec &pool, NodeVec &takenNodes, CandVec &chosen)
+selectMultiple(const std::vector<SpillCandidate> &candidates,
+               SpillHeuristic h, const LifetimeInfo &lifetimes,
+               int available, std::vector<SpillCandidate> &chosen)
 {
-    pool.assign(candidates.begin(), candidates.end());
+    chosen.clear();
+    std::vector<SpillCandidate> pool(candidates);
+    std::vector<NodeId> takenNodes;
     std::stable_sort(pool.begin(), pool.end(),
                      [&](const SpillCandidate &a, const SpillCandidate &b) {
                          return better(a, b, h);
@@ -255,45 +246,14 @@ selectMultipleImpl(const CandVec &candidates, SpillHeuristic h,
         chosen.push_back(pool.front());
 }
 
-} // namespace
-
-std::optional<SpillCandidate>
-selectOne(const std::vector<SpillCandidate> &candidates, SpillHeuristic h)
-{
-    return selectOneImpl(candidates.data(),
-                         candidates.data() + candidates.size(), h);
-}
-
-std::optional<SpillCandidate>
-selectOne(const SpillCandidateList &candidates, SpillHeuristic h)
-{
-    return selectOneImpl(candidates.data(),
-                         candidates.data() + candidates.size(), h);
-}
-
 std::vector<SpillCandidate>
 selectMultiple(const std::vector<SpillCandidate> &candidates,
                SpillHeuristic h, const LifetimeInfo &lifetimes,
                int available)
 {
-    std::vector<SpillCandidate> pool, chosen;
-    std::vector<NodeId> taken;
-    selectMultipleImpl(candidates, h, lifetimes, available, pool, taken,
-                       chosen);
+    std::vector<SpillCandidate> chosen;
+    selectMultiple(candidates, h, lifetimes, available, chosen);
     return chosen;
-}
-
-void
-selectMultiple(const SpillCandidateList &candidates, SpillHeuristic h,
-               const LifetimeInfo &lifetimes, int available,
-               SpillCandidateList &out)
-{
-    out.clear();
-    Arena &arena = *out.get_allocator().arena();
-    SpillCandidateList pool{ArenaAllocator<SpillCandidate>(arena)};
-    ArenaVector<NodeId> taken{ArenaAllocator<NodeId>(arena)};
-    selectMultipleImpl(candidates, h, lifetimes, available, pool, taken,
-                       out);
 }
 
 } // namespace swp

@@ -26,7 +26,6 @@
 
 #include "ir/ddg.hh"
 #include "liferange/lifetimes.hh"
-#include "support/arena.hh"
 
 namespace swp
 {
@@ -79,16 +78,9 @@ std::vector<SpillCandidate> spillCandidates(const Ddg &g,
                                             const LifetimeInfo &lifetimes,
                                             bool include_uses = false);
 
-/**
- * Arena-backed candidate/pick buffers: the spill driver's per-round
- * scratch lives in the evaluating worker's arena (reset between jobs
- * by the batch driver) instead of the heap.
- */
-using SpillCandidateList = ArenaVector<SpillCandidate>;
-
-/** spillCandidates into an arena-backed buffer (out is cleared first). */
+/** spillCandidates into a reused buffer (out is cleared first). */
 void spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
-                     bool include_uses, SpillCandidateList &out);
+                     bool include_uses, std::vector<SpillCandidate> &out);
 
 /**
  * The spill store already parked this value in memory (a previous
@@ -107,10 +99,6 @@ int spillCost(const Ddg &g, NodeId producer);
 std::optional<SpillCandidate>
 selectOne(const std::vector<SpillCandidate> &candidates, SpillHeuristic h);
 
-/** selectOne over an arena-backed candidate list. */
-std::optional<SpillCandidate> selectOne(const SpillCandidateList &candidates,
-                                        SpillHeuristic h);
-
 /**
  * Multi-selection (Section 4.5): greedily pick candidates until the
  * optimistic estimate `maxLive - sum(ceil(LT/II))` (plus remaining
@@ -127,11 +115,10 @@ selectMultiple(const std::vector<SpillCandidate> &candidates,
                SpillHeuristic h, const LifetimeInfo &lifetimes,
                int available);
 
-/** selectMultiple into an arena-backed pick list (out is cleared
-    first); the sort/dedup scratch comes from out's arena too. */
-void selectMultiple(const SpillCandidateList &candidates, SpillHeuristic h,
-                    const LifetimeInfo &lifetimes, int available,
-                    SpillCandidateList &out);
+/** selectMultiple into a reused pick buffer (out is cleared first). */
+void selectMultiple(const std::vector<SpillCandidate> &candidates,
+                    SpillHeuristic h, const LifetimeInfo &lifetimes,
+                    int available, std::vector<SpillCandidate> &out);
 
 } // namespace swp
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * A thread-safe memo cache with single-flight computation and an
- * optional LRU size cap.
+ * A thread-safe, lock-striped memo cache with single-flight
+ * computation.
  *
  * The batch driver's memos (MII/RecMII bounds, schedule probes) are hit
  * by every worker of the pool. A plain check-compute-insert memo lets
@@ -10,25 +10,15 @@
  * insertion time instead: exactly one caller computes each key while
  * the others block on that entry, so duplicate computation is
  * structurally impossible. The stats() counters expose that guarantee
- * to the tests (computes == entries + evictions always).
+ * to the tests (computes == entries at rest, absent failed computes).
  *
- * A capacity of 0 (the default) keeps every entry forever — right for
- * one-shot grid evaluations, where the working set is the grid. A
- * positive capacity bounds the map with least-recently-used eviction
- * for long-lived services embedding the driver: entries are evicted
- * coldest-first once the cap is exceeded, in-flight computations are
- * never evicted (their waiters hold the entry alive and single-flight
- * must keep arbitrating them), and an evicted key is simply recomputed
- * on its next request — eviction can change how much work is done,
- * never any result.
- *
- * SingleFlightCache serializes every lookup on one mutex, which is fine
- * for a handful of workers but becomes the bottleneck of the whole
- * batch path once the pool grows. StripedSingleFlightCache below keeps
- * the exact same contract (and the same computes == entries + evictions
- * invariant, aggregated) while sharding keys across independent stripes
- * by fingerprint hash, so unrelated keys never contend and hot keys of
- * an uncapped cache are served under a shared (reader) lock.
+ * Entries live for the life of the cache: the working set of a grid
+ * evaluation is the grid itself. Keys are sharded across independent
+ * lock stripes by a fingerprint hash, so workers looking up unrelated
+ * keys never touch the same mutex, and a completed entry is served
+ * under a shared (reader) lock, so N threads hammering one hot key read
+ * it in parallel. A hot-key microbenchmark favours a single mutex, but
+ * end to end on a 4-thread grid the stripes win.
  */
 
 #ifndef SWP_SUPPORT_SINGLEFLIGHT_HH
@@ -40,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,190 +62,10 @@ struct SingleFlightStats
     long requests = 0;
     /** Computations actually run (failed ones included). */
     long computes = 0;
-    /** Distinct keys currently cached. */
+    /** Distinct keys currently cached. Absent failed computations
+        (which count in computes but leave no entry), computes -
+        entries counts duplicate computations — provably zero. */
     long entries = 0;
-    /** Entries dropped by the LRU cap. Absent failed computations
-        (which count in computes but leave no entry),
-        computes - entries - evictions counts duplicate computations —
-        provably zero. */
-    long evictions = 0;
-};
-
-/**
- * Map from Key to Value where each key's value is computed exactly
- * once per residency, by the first requester; concurrent requesters for
- * the same key wait for that computation instead of repeating it.
- */
-template <typename Key, typename Value>
-class SingleFlightCache
-{
-  public:
-    using Stats = SingleFlightStats;
-
-    /** capacity == 0 means unbounded (no eviction). */
-    explicit SingleFlightCache(std::size_t capacity = 0)
-        : capacity_(capacity)
-    {
-    }
-
-    std::size_t capacity() const { return capacity_; }
-
-    /**
-     * The cached value for key; when absent, compute() fills it. The
-     * first requester of a key runs compute() (without holding the map
-     * lock); later requesters get the cached copy, after onHit(value)
-     * — the hook where callers verify the hit (e.g. a debug key
-     * collision check). A compute() exception propagates to every
-     * caller waiting on the entry and the key is dropped, so a later
-     * request retries. Every lookup refreshes the key's LRU position.
-     */
-    template <typename Compute, typename OnHit>
-    Value
-    getOrCompute(const Key &key, Compute &&compute, OnHit &&onHit)
-    {
-        std::shared_ptr<Entry> entry;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++requests_;
-            Slot &slot = map_[key];
-            if (!slot.entry) {
-                slot.entry = std::make_shared<Entry>();
-                lru_.push_front(key);
-                slot.lruIt = lru_.begin();
-                owner = true;
-            } else {
-                lru_.splice(lru_.begin(), lru_, slot.lruIt);
-            }
-            entry = slot.entry;
-        }
-
-        if (owner) {
-            Value value{};
-            std::exception_ptr error;
-            try {
-                value = compute();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            {
-                std::lock_guard<std::mutex> lock(entry->m);
-                entry->value = std::move(value);
-                entry->error = error;
-                entry->done.store(true, std::memory_order_release);
-            }
-            entry->cv.notify_all();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++computes_;
-                if (error)
-                    eraseIfEntry(key, entry);
-                else
-                    enforceCapacity();
-            }
-            if (error)
-                std::rethrow_exception(error);
-            return entry->value;
-        }
-
-        std::unique_lock<std::mutex> lock(entry->m);
-        if (!entry->done.load(std::memory_order_acquire)) {
-            const auto start = std::chrono::steady_clock::now();
-            entry->cv.wait(lock, [&] {
-                return entry->done.load(std::memory_order_acquire);
-            });
-            singleFlightWaitSeconds() +=
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-        }
-        if (entry->error)
-            std::rethrow_exception(entry->error);
-        onHit(static_cast<const Value &>(entry->value));
-        return entry->value;
-    }
-
-    Stats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return {requests_, computes_, long(map_.size()), evictions_};
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        map_.clear();
-        lru_.clear();
-    }
-
-  private:
-    struct Entry
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        /** Atomic so the eviction scan can read it under the map lock
-            alone (writes happen under this entry's own mutex). */
-        std::atomic<bool> done{false};
-        Value value{};
-        std::exception_ptr error;
-    };
-
-    struct Slot
-    {
-        std::shared_ptr<Entry> entry;
-        typename std::list<Key>::iterator lruIt;
-    };
-
-    /**
-     * Drop key from the map and the LRU list, but only while it still
-     * maps to `e` (map lock held). A failed computation's entry may
-     * have been evicted and replaced by a fresh in-flight slot in the
-     * window between the compute and this cleanup; erasing blindly
-     * would strand that successor's single-flight arbitration.
-     */
-    void
-    eraseIfEntry(const Key &key, const std::shared_ptr<Entry> &e)
-    {
-        const auto it = map_.find(key);
-        if (it == map_.end() || it->second.entry != e)
-            return;
-        lru_.erase(it->second.lruIt);
-        map_.erase(it);
-    }
-
-    /**
-     * Evict coldest done entries until the cap is met (map lock held).
-     * In-flight entries are skipped: their waiters must keep finding
-     * the shared entry, and a cache full of in-flight work is simply
-     * allowed to exceed the cap until those computations land.
-     */
-    void
-    enforceCapacity()
-    {
-        if (capacity_ == 0)
-            return;
-        auto it = lru_.end();
-        while (map_.size() > capacity_ && it != lru_.begin()) {
-            --it;
-            const auto slot = map_.find(*it);
-            if (!slot->second.entry->done.load(std::memory_order_acquire))
-                continue;
-            map_.erase(slot);
-            it = lru_.erase(it);
-            ++evictions_;
-        }
-    }
-
-    std::size_t capacity_ = 0;
-    mutable std::mutex mutex_;
-    std::map<Key, Slot> map_;
-    /** Front = most recently used. */
-    std::list<Key> lru_;
-    long requests_ = 0;
-    long computes_ = 0;
-    long evictions_ = 0;
 };
 
 namespace detail
@@ -319,89 +128,59 @@ stripeFingerprint(const std::tuple<Ts...> &t)
 } // namespace detail
 
 /**
- * A SingleFlightCache sharded into next-pow2(2×threads) independent
- * stripes selected by a fingerprint hash of the key. Each stripe has
- * its own lock, map and LRU list, so workers looking up unrelated keys
- * never touch the same mutex; the --memo-cap budget is split across
- * stripes (every stripe gets at least 1 slot — the stripe count is
- * clamped down to the capacity when the cap is smaller than the
- * stripe array).
+ * Map from Key to Value where each key's value is computed exactly
+ * once, by the first requester; concurrent requesters for the same key
+ * wait for that computation instead of repeating it. The map is split
+ * into next-pow2(2×threads) stripes, each with its own lock.
  *
- * Two deliberate differences from the flat cache:
- *
- *  - Uncapped stripes serve completed entries under a *shared* lock:
- *    with no eviction there is no LRU order to maintain on a hit, so N
- *    threads hammering one hot fingerprint read it in parallel instead
- *    of queueing on an exclusive mutex.
- *  - stats() takes every stripe lock simultaneously (in index order)
- *    before reading a single counter, so the snapshot is consistent
- *    across stripes: a concurrent reader can never see stripe 0 after
- *    an insertion but stripe 3 before it. At quiescence the aggregate
- *    satisfies computes == entries + evictions exactly; mid-run a
- *    snapshot may observe computes < entries + evictions for keys whose
- *    computation is still in flight (the entry exists, the compute
- *    counter lands last), never the reverse absent failed computes.
- *
- * Eviction still only changes how much work is done, never any result,
- * so a striped memo is byte-identical to the flat one at any thread
- * count, cap, or stripe count.
+ * stats() takes every stripe lock simultaneously (in index order)
+ * before reading a single counter, so the snapshot is consistent
+ * across stripes: a concurrent reader can never see stripe 0 after an
+ * insertion but stripe 3 before it. At quiescence computes == entries
+ * exactly (absent failed computes); mid-run a snapshot may observe
+ * computes < entries for keys whose computation is still in flight
+ * (the entry exists, the compute counter lands last), never the
+ * reverse.
  */
 template <typename Key, typename Value>
-class StripedSingleFlightCache
+class SingleFlightCache
 {
   public:
     using Stats = SingleFlightStats;
 
-    /** capacity == 0 means unbounded; threadsHint sizes the stripe
-        array (next-pow2(2×threads), clamped to [1, 256] and down to
-        the capacity so no stripe gets a cap of 0). */
-    explicit StripedSingleFlightCache(std::size_t capacity = 0,
-                                      int threadsHint = 1)
-        : capacity_(capacity),
-          stripes_(stripeCountFor(capacity, threadsHint))
+    /** threadsHint sizes the stripe array: next-pow2(2×threads),
+        clamped to [1, 256]. */
+    explicit SingleFlightCache(int threadsHint = 1)
+        : stripes_(stripeCountFor(threadsHint))
     {
-        const std::size_t n = stripes_.size();
-        const std::size_t base = capacity_ / n;
-        const std::size_t rem = capacity_ % n;
-        for (std::size_t i = 0; i < n; ++i)
-            stripes_[i].cap = capacity_ == 0 ? 0 : base + (i < rem ? 1 : 0);
     }
-
-    /** The total budget across all stripes (0 = unbounded). */
-    std::size_t capacity() const { return capacity_; }
 
     std::size_t stripeCount() const { return stripes_.size(); }
 
-    /** Stripe s's share of the capacity budget. */
-    std::size_t stripeCapacity(std::size_t s) const
-    {
-        return stripes_[s].cap;
-    }
-
-    /** Which stripe serves this key. */
-    std::size_t stripeOf(const Key &key) const
-    {
-        return detail::stripeFingerprint(key) & (stripes_.size() - 1);
-    }
-
-    /** Same contract as SingleFlightCache::getOrCompute. */
+    /**
+     * The cached value for key; when absent, compute() fills it. The
+     * first requester of a key runs compute() (without holding any
+     * stripe lock); later requesters get the cached copy, after
+     * onHit(value) — the hook where callers verify the hit (e.g. a
+     * debug key collision check). A compute() exception propagates to
+     * every caller waiting on the entry and the key is dropped, so a
+     * later request retries.
+     */
     template <typename Compute, typename OnHit>
     Value
     getOrCompute(const Key &key, Compute &&compute, OnHit &&onHit)
     {
         Stripe &s = stripes_[stripeOf(key)];
 
-        if (s.cap == 0) {
-            // Shared-lock fast path: an uncapped stripe never evicts,
-            // so a completed entry is immutable and hits need no LRU
-            // bookkeeping. value/error are safe to read after an
-            // acquire load of done (they are written before the
-            // release store).
+        {
+            // Shared-lock fast path: a completed entry is immutable.
+            // value/error are safe to read after an acquire load of
+            // done (they are written before the release store).
             std::shared_lock<std::shared_mutex> lock(s.m);
             const auto it = s.map.find(key);
             if (it != s.map.end() &&
-                it->second.entry->done.load(std::memory_order_acquire)) {
-                const std::shared_ptr<Entry> entry = it->second.entry;
+                it->second->done.load(std::memory_order_acquire)) {
+                const std::shared_ptr<Entry> entry = it->second;
                 lock.unlock();
                 s.requests.fetch_add(1, std::memory_order_relaxed);
                 if (entry->error)
@@ -416,18 +195,12 @@ class StripedSingleFlightCache
         {
             std::unique_lock<std::shared_mutex> lock(s.m);
             s.requests.fetch_add(1, std::memory_order_relaxed);
-            Slot &slot = s.map[key];
-            if (!slot.entry) {
-                slot.entry = std::make_shared<Entry>();
-                if (s.cap != 0) {
-                    s.lru.push_front(key);
-                    slot.lruIt = s.lru.begin();
-                }
+            std::shared_ptr<Entry> &slot = s.map[key];
+            if (!slot) {
+                slot = std::make_shared<Entry>();
                 owner = true;
-            } else if (s.cap != 0) {
-                s.lru.splice(s.lru.begin(), s.lru, slot.lruIt);
             }
-            entry = slot.entry;
+            entry = slot;
         }
 
         if (owner) {
@@ -448,10 +221,10 @@ class StripedSingleFlightCache
             {
                 std::unique_lock<std::shared_mutex> lock(s.m);
                 ++s.computes;
+                // Only the owner ever removes its entry, so the key
+                // still maps to it here.
                 if (error)
-                    s.eraseIfEntry(key, entry);
-                else
-                    s.enforceCapacity();
+                    s.map.erase(key);
             }
             if (error)
                 std::rethrow_exception(error);
@@ -488,32 +261,8 @@ class StripedSingleFlightCache
             out.requests += s.requests.load(std::memory_order_relaxed);
             out.computes += s.computes;
             out.entries += long(s.map.size());
-            out.evictions += s.evictions;
         }
         return out;
-    }
-
-    /** Counters of one stripe alone (for cap-splitting tests). */
-    Stats
-    stripeStats(std::size_t i) const
-    {
-        const Stripe &s = stripes_[i];
-        std::unique_lock<std::shared_mutex> lock(s.m);
-        return {s.requests.load(std::memory_order_relaxed), s.computes,
-                long(s.map.size()), s.evictions};
-    }
-
-    void
-    clear()
-    {
-        std::vector<std::unique_lock<std::shared_mutex>> locks;
-        locks.reserve(stripes_.size());
-        for (Stripe &s : stripes_)
-            locks.emplace_back(s.m);
-        for (Stripe &s : stripes_) {
-            s.map.clear();
-            s.lru.clear();
-        }
     }
 
   private:
@@ -521,79 +270,40 @@ class StripedSingleFlightCache
     {
         std::mutex m;
         std::condition_variable cv;
+        /** Atomic so the fast path can read it under the stripe's
+            shared lock alone (writes happen under this entry's own
+            mutex). */
         std::atomic<bool> done{false};
         Value value{};
         std::exception_ptr error;
     };
 
-    struct Slot
-    {
-        std::shared_ptr<Entry> entry;
-        typename std::list<Key>::iterator lruIt;
-    };
-
     struct Stripe
     {
         mutable std::shared_mutex m;
-        std::map<Key, Slot> map;
-        /** Maintained only when cap != 0 (front = most recently used). */
-        std::list<Key> lru;
-        std::size_t cap = 0;
+        std::map<Key, std::shared_ptr<Entry>> map;
         /** Atomic: bumped under the shared lock on the fast hit path. */
         std::atomic<long> requests{0};
         long computes = 0;
-        long evictions = 0;
-
-        /** Same guard as SingleFlightCache::eraseIfEntry (lock held). */
-        void
-        eraseIfEntry(const Key &key, const std::shared_ptr<Entry> &e)
-        {
-            const auto it = map.find(key);
-            if (it == map.end() || it->second.entry != e)
-                return;
-            if (cap != 0)
-                lru.erase(it->second.lruIt);
-            map.erase(it);
-        }
-
-        /** Evict coldest done entries past the stripe cap (lock held). */
-        void
-        enforceCapacity()
-        {
-            if (cap == 0)
-                return;
-            auto it = lru.end();
-            while (map.size() > cap && it != lru.begin()) {
-                --it;
-                const auto slot = map.find(*it);
-                if (!slot->second.entry->done.load(
-                        std::memory_order_acquire))
-                    continue;
-                map.erase(slot);
-                it = lru.erase(it);
-                ++evictions;
-            }
-        }
     };
 
-    /** next-pow2(2×threads), clamped to [1, 256] and, for capped
-        caches, down to the largest power of two ≤ capacity so every
-        stripe's share of the budget is at least one slot. */
+    /** Which stripe serves this key. */
+    std::size_t stripeOf(const Key &key) const
+    {
+        return detail::stripeFingerprint(key) & (stripes_.size() - 1);
+    }
+
     static std::size_t
-    stripeCountFor(std::size_t capacity, int threadsHint)
+    stripeCountFor(int threadsHint)
     {
         const std::size_t hint =
             threadsHint < 1 ? 1 : std::size_t(threadsHint);
         std::size_t n = 1;
         while (n < 2 * hint && n < 256)
             n <<= 1;
-        if (capacity != 0)
-            while (n > capacity)
-                n >>= 1;
-        return n == 0 ? 1 : n;
+        return n;
     }
 
-    std::size_t capacity_ = 0;
     std::vector<Stripe> stripes_;
 };
 

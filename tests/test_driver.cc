@@ -456,50 +456,14 @@ TEST(SuiteRunner, ChunkingNeverReordersResultsOnRandomGrids)
 TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
 {
     // The load-balance claim behind ChunkPolicy::Auto, asserted on the
-    // claiming-discipline model: on a heavy-tailed grid whose heavy
-    // jobs sit at the tail (the pathological case for static
-    // partitioning), heaviest-first ordering with fine-grained claims
-    // strictly shrinks the makespan.
+    // pool's work-stealing model at run()'s claiming grain (one job per
+    // claim): the heaviest-first plan of a real grid never yields a
+    // worse simulated makespan than grid order. The toy heavy-tail case
+    // is covered by StealingModelBeatsStaticPartitionAndConservesWork.
     const int workers = 4;
-    std::vector<double> costs(64, 1.0);
-    for (std::size_t i = costs.size() - 4; i < costs.size(); ++i)
-        costs[i] = 40.0;  // Heavy tail.
-
-    std::vector<std::size_t> gridOrder(costs.size());
-    std::iota(gridOrder.begin(), gridOrder.end(), 0);
-    std::vector<std::size_t> heavyFirst = gridOrder;
-    std::stable_sort(heavyFirst.begin(), heavyFirst.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return costs[a] > costs[b];
-                     });
-
-    // Static partitioning = grid order claimed in ceil(n/workers)
-    // blocks; the tuned policy = heaviest-first, one job per claim.
-    const std::size_t block =
-        (costs.size() + std::size_t(workers) - 1) / std::size_t(workers);
-    const std::vector<double> staticLoads =
-        simulateWorkerLoads(costs, gridOrder, workers, block);
-    const std::vector<double> autoLoads =
-        simulateWorkerLoads(costs, heavyFirst, workers, 1);
-
     const auto makespan = [](const std::vector<double> &loads) {
         return *std::max_element(loads.begin(), loads.end());
     };
-    EXPECT_LT(makespan(autoLoads), makespan(staticLoads));
-
-    // Both disciplines execute all the work exactly once.
-    const double total =
-        std::accumulate(costs.begin(), costs.end(), 0.0);
-    EXPECT_DOUBLE_EQ(
-        std::accumulate(staticLoads.begin(), staticLoads.end(), 0.0),
-        total);
-    EXPECT_DOUBLE_EQ(
-        std::accumulate(autoLoads.begin(), autoLoads.end(), 0.0),
-        total);
-
-    // And on the real cost model: the heaviest-first plan of a real
-    // grid never yields a worse simulated makespan than grid order at
-    // the same (fine) claiming grain.
     const std::vector<SuiteLoop> suite = testSuite(32);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
@@ -511,139 +475,40 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
         gridCosts[i] = runner.jobCost(suite, m, jobs[i]);
     const std::vector<std::size_t> planned =
         runner.planJobOrder(suite, m, jobs);
-    EXPECT_LE(makespan(simulateWorkerLoads(gridCosts, planned, workers,
-                                           1)),
-              makespan(simulateWorkerLoads(gridCosts, byIndex, workers,
-                                           1)));
-}
-
-TEST(SuiteRunner, MemoCapLruMatchesUncappedByteForByte)
-{
-    // The --memo-cap regression: a tightly capped memo evicts and
-    // recomputes, yet every result matches the uncapped run, and the
-    // single-flight guarantee survives eviction (computes accounts for
-    // exactly the resident entries plus the evicted ones — never a
-    // duplicate in-flight computation).
-    const std::vector<SuiteLoop> suite = testSuite(12);
-    const Machine m = Machine::p2l4();
-    const std::vector<BatchJob> jobs = mixedGrid(suite.size());
-
-    SuiteRunner uncapped(3, true);
-    SuiteRunner capped(3, true, 8);
-    EXPECT_EQ(capped.scheduleMemo().capacity(), 8u);
-
-    const auto a = uncapped.run(suite, m, jobs);
-    const auto b = capped.run(suite, m, jobs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdenticalResults(a[i], b[i], i);
-
-    const SingleFlightStats capStats = capped.memoStats().schedule;
-    EXPECT_GT(capStats.evictions, 0)
-        << "an 8-entry cap on this grid must evict";
-    EXPECT_LE(capStats.entries, 8);
-    EXPECT_EQ(capStats.computes, capStats.entries + capStats.evictions)
-        << "eviction broke the single-flight accounting";
-
-    const SingleFlightStats fullStats = uncapped.memoStats().schedule;
-    EXPECT_EQ(fullStats.evictions, 0);
-
-    // A second pass still agrees (evicted entries recompute the same
-    // outcomes). The uncapped memo serves it entirely from cache; the
-    // capped one must recompute what it evicted.
-    const auto c = capped.run(suite, m, jobs);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdenticalResults(a[i], c[i], i);
-    (void)uncapped.run(suite, m, jobs);
-    EXPECT_EQ(uncapped.memoStats().schedule.computes,
-              fullStats.computes);
-    EXPECT_GT(capped.memoStats().schedule.computes, capStats.computes)
-        << "evicted entries must be recomputed on re-request";
-
-    SuiteRunner roomy(3, true, 1 << 20);
-    const auto d = roomy.run(suite, m, jobs);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdenticalResults(a[i], d[i], i);
-    EXPECT_EQ(roomy.memoStats().schedule.evictions, 0);
-    EXPECT_EQ(roomy.memoStats().schedule.computes, fullStats.computes);
-}
-
-TEST(SuiteRunner, BoundsMemoHonorsTheCapToo)
-{
-    // --memo-cap bounds *every* memo in the process: the MII/RecMII
-    // bounds memo evicts LRU entries like the schedule memo, results
-    // stay byte-identical, and evicted bounds recompute correctly.
-    const std::vector<SuiteLoop> suite = testSuite(12);
-    const Machine m = Machine::p2l4();
-    const std::vector<BatchJob> jobs = mixedGrid(suite.size());
-
-    SuiteRunner uncapped(2, true);
-    SuiteRunner capped(2, true, 4);
-
-    const auto a = uncapped.run(suite, m, jobs);
-    const auto b = capped.run(suite, m, jobs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdenticalResults(a[i], b[i], i);
-
-    const SingleFlightStats cb = capped.memoStats().bounds;
-    EXPECT_LE(cb.entries, 4);
-    EXPECT_GT(cb.evictions, 0)
-        << "a 4-entry cap over 12 distinct loops must evict bounds";
-    EXPECT_EQ(cb.computes, cb.entries + cb.evictions)
-        << "eviction broke the bounds memo's single-flight accounting";
-    EXPECT_EQ(uncapped.memoStats().bounds.evictions, 0);
-
-    // Evicted bounds recompute to the same values on direct queries.
-    for (const SuiteLoop &loop : suite) {
-        const SuiteRunner::LoopBounds lb = capped.bounds(loop.graph, m);
-        EXPECT_EQ(lb.mii, mii(loop.graph, m));
-        EXPECT_EQ(lb.recMii, recMii(loop.graph, m));
-    }
+    EXPECT_LE(
+        makespan(simulateWorkerLoadsStealing(gridCosts, planned, workers, 1)),
+        makespan(simulateWorkerLoadsStealing(gridCosts, byIndex, workers, 1)));
 }
 
 TEST(SuiteRunner, StripedMemosStayByteIdenticalAcrossThreadCounts)
 {
-    // The striping regression: both memos stripe by thread count (and
-    // clamp to the cap), yet every result matches the serial run,
-    // capped or not, and the aggregated stripe stats still satisfy the
-    // flat cache's single-flight accounting invariant.
+    // The striping regression: both memos stripe by thread count, yet
+    // every result matches the serial run, and the aggregated stripe
+    // stats still show no duplicate computation.
     const std::vector<SuiteLoop> suite = testSuite(16);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
 
     SuiteRunner serial(1, true);
     SuiteRunner pooled(8, true);
-    SuiteRunner capped(8, true, 8);
 
-    // next-pow2(2 x threads); the 8-entry cap clamps to 8 stripes of 1.
+    // next-pow2(2 x threads).
     EXPECT_EQ(serial.scheduleMemo().stripeCount(), 2u);
     EXPECT_EQ(pooled.scheduleMemo().stripeCount(), 16u);
-    EXPECT_EQ(capped.scheduleMemo().stripeCount(), 8u);
     EXPECT_EQ(serial.boundsStripeCount(), 2u);
     EXPECT_EQ(pooled.boundsStripeCount(), 16u);
-    EXPECT_EQ(capped.boundsStripeCount(), 8u);
 
     const auto a = serial.run(suite, m, jobs);
     const auto b = pooled.run(suite, m, jobs);
-    const auto c = capped.run(suite, m, jobs);
     ASSERT_EQ(a.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
         expectIdenticalResults(a[i], b[i], i);
-        expectIdenticalResults(a[i], c[i], i);
-    }
 
-    const SingleFlightStats full = pooled.memoStats().schedule;
-    EXPECT_EQ(full.evictions, 0);
-    EXPECT_EQ(full.computes, full.entries + full.evictions);
-
-    const SingleFlightStats cap = capped.memoStats().schedule;
-    EXPECT_LE(cap.entries, 8);
-    EXPECT_GT(cap.evictions, 0);
-    EXPECT_EQ(cap.computes, cap.entries + cap.evictions)
+    const SingleFlightStats sched = pooled.memoStats().schedule;
+    EXPECT_EQ(sched.computes, sched.entries)
         << "striping broke the single-flight accounting";
-    const SingleFlightStats capBounds = capped.memoStats().bounds;
-    EXPECT_EQ(capBounds.computes, capBounds.entries + capBounds.evictions);
+    const SingleFlightStats bounds = pooled.memoStats().bounds;
+    EXPECT_EQ(bounds.computes, bounds.entries);
 }
 
 TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
@@ -672,9 +537,9 @@ TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
 
 TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
 {
-    // The load-balance claim behind work-stealing, on the same
-    // heavy-tailed grid as the claiming-discipline test: with the
-    // heavy chunk seeded to one worker's deque, the idle workers
+    // The load-balance claim behind work-stealing, on a heavy-tailed
+    // grid: with the heavy chunk seeded to one worker's deque, the idle
+    // workers
     // drain its remaining chunks from the back, so the makespan drops
     // to the heavy chunk itself instead of a whole static partition.
     const int workers = 4;
@@ -695,8 +560,9 @@ TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
     // Static partitioning: grid order, one ceil(n/workers) block each.
     const std::size_t block =
         (costs.size() + std::size_t(workers) - 1) / std::size_t(workers);
-    const std::vector<double> staticLoads =
-        simulateWorkerLoads(costs, heavyLast, workers, block);
+    std::vector<double> staticLoads(std::size_t(workers), 0.0);
+    for (std::size_t k = 0; k < heavyLast.size(); ++k)
+        staticLoads[k / block] += costs[heavyLast[k]];
 
     const std::vector<double> stealing =
         simulateWorkerLoadsStealing(costs, heavyFirst, workers, 4);
@@ -709,11 +575,8 @@ TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
         simulateWorkerLoadsStealing(costs, heavyLast, workers, 4);
     EXPECT_LT(makespan(stealing), makespan(buried));
 
-    // Every discipline executes all the work exactly once, at any
-    // worker count and chunking grain.
-    EXPECT_DOUBLE_EQ(
-        std::accumulate(staticLoads.begin(), staticLoads.end(), 0.0),
-        total);
+    // Stealing executes all the work exactly once, at any worker count
+    // and chunking grain.
     for (const int w : {1, 2, 4, 7}) {
         for (const std::size_t chunk : {std::size_t(1), std::size_t(3),
                                         std::size_t(16), block}) {

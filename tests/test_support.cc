@@ -8,11 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "support/arena.hh"
 #include "support/bitmatrix.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
@@ -206,11 +207,19 @@ cachedSquare(SingleFlightCache<int, int> &cache, int key, int &computes)
         [](const int &) {});
 }
 
+/** Spin until the cache has counted `requests` lookups. */
+void
+awaitRequests(const SingleFlightCache<int, int> &cache, long requests)
+{
+    while (cache.stats().requests < requests)
+        std::this_thread::yield();
+}
+
 } // namespace
 
-TEST(SingleFlight, UnboundedCacheNeverEvicts)
+TEST(SingleFlight, EveryKeyComputesOnceAndStaysCached)
 {
-    SingleFlightCache<int, int> cache;
+    SingleFlightCache<int, int> cache(4);
     int computes = 0;
     for (int round = 0; round < 3; ++round) {
         for (int k = 0; k < 50; ++k)
@@ -221,43 +230,6 @@ TEST(SingleFlight, UnboundedCacheNeverEvicts)
     EXPECT_EQ(s.requests, 150);
     EXPECT_EQ(s.computes, 50);
     EXPECT_EQ(s.entries, 50);
-    EXPECT_EQ(s.evictions, 0);
-}
-
-TEST(SingleFlight, CapacityEvictsLeastRecentlyUsed)
-{
-    SingleFlightCache<int, int> cache(2);
-    int computes = 0;
-    cachedSquare(cache, 1, computes);
-    cachedSquare(cache, 2, computes);
-    cachedSquare(cache, 1, computes);  // Touch 1: now 2 is coldest.
-    cachedSquare(cache, 3, computes);  // Evicts 2.
-    EXPECT_EQ(computes, 3);
-    EXPECT_EQ(cache.stats().entries, 2);
-    EXPECT_EQ(cache.stats().evictions, 1);
-
-    // 1 survived (served from cache), 2 was evicted (recomputed).
-    cachedSquare(cache, 1, computes);
-    EXPECT_EQ(computes, 3);
-    EXPECT_EQ(cachedSquare(cache, 2, computes), 4);
-    EXPECT_EQ(computes, 4);
-}
-
-TEST(SingleFlight, EvictedKeysRecomputeTheSameValue)
-{
-    SingleFlightCache<int, int> cache(4);
-    int computes = 0;
-    for (int k = 0; k < 64; ++k)
-        EXPECT_EQ(cachedSquare(cache, k, computes), k * k);
-    for (int k = 0; k < 64; ++k)
-        EXPECT_EQ(cachedSquare(cache, k, computes), k * k);
-    const SingleFlightStats s = cache.stats();
-    EXPECT_LE(s.entries, 4);
-    EXPECT_GT(s.evictions, 0);
-    // Single-flight accounting survives eviction: every computation
-    // either still sits in the map or was evicted — nothing was
-    // computed twice while resident.
-    EXPECT_EQ(s.computes, s.entries + s.evictions);
 }
 
 TEST(SingleFlight, FailedComputationsRetryAndDoNotPoison)
@@ -270,140 +242,119 @@ TEST(SingleFlight, FailedComputationsRetryAndDoNotPoison)
     };
     EXPECT_THROW(cache.getOrCompute(7, failing, [](const int &) {}),
                  std::runtime_error);
+    EXPECT_EQ(cache.stats().entries, 0);
     int computes = 0;
     EXPECT_EQ(cachedSquare(cache, 7, computes), 49);
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(computes, 1);
 }
 
-namespace
+TEST(SingleFlight, StripeCountTracksThreadsHint)
 {
-
-/** cachedSquare for the striped cache. */
-int
-stripedSquare(StripedSingleFlightCache<int, int> &cache, int key,
-              int &computes)
-{
-    return cache.getOrCompute(
-        key,
-        [&]() {
-            ++computes;
-            return key * key;
-        },
-        [](const int &) {});
+    using Cache = SingleFlightCache<int, int>;
+    // next-pow2(2 x hint), clamped to [1, 256]; a degenerate hint acts
+    // like 1 thread.
+    EXPECT_EQ(Cache(0).stripeCount(), 2u);
+    EXPECT_EQ(Cache(-3).stripeCount(), 2u);
+    EXPECT_EQ(Cache(1).stripeCount(), 2u);
+    EXPECT_EQ(Cache(3).stripeCount(), 8u);
+    EXPECT_EQ(Cache(8).stripeCount(), 16u);
+    EXPECT_EQ(Cache(200).stripeCount(), 256u);
 }
 
-} // namespace
-
-TEST(StripedSingleFlight, StripeCountTracksThreadsHint)
+TEST(SingleFlight, ConcurrentRequestersShareOneComputation)
 {
-    using Cache = StripedSingleFlightCache<int, int>;
-    // next-pow2(2 x hint), clamped to [1, 256]; uncapped caches never
-    // clamp to the capacity, and a degenerate hint acts like 1 thread.
-    EXPECT_EQ(Cache(0, 0).stripeCount(), 2u);
-    EXPECT_EQ(Cache(0, -3).stripeCount(), 2u);
-    EXPECT_EQ(Cache(0, 1).stripeCount(), 2u);
-    EXPECT_EQ(Cache(0, 3).stripeCount(), 8u);
-    EXPECT_EQ(Cache(0, 8).stripeCount(), 16u);
-    EXPECT_EQ(Cache(0, 200).stripeCount(), 256u);
-}
-
-TEST(StripedSingleFlight, CapSplitsAcrossStripesAndSumsToBudget)
-{
-    // cap 8, hint 3 -> 8 stripes of cap 1 (the budget is never
-    // exceeded in aggregate because per-stripe caps sum to it).
-    StripedSingleFlightCache<int, int> even(8, 3);
-    EXPECT_EQ(even.stripeCount(), 8u);
-    std::size_t sum = 0;
-    for (std::size_t s = 0; s < even.stripeCount(); ++s) {
-        EXPECT_EQ(even.stripeCapacity(s), 1u);
-        sum += even.stripeCapacity(s);
+    // The owner's compute() is held on a gate until every requester has
+    // looked the key up, so all but one of them must find the entry in
+    // flight and wait for it.
+    const int callers = 6;
+    SingleFlightCache<int, int> cache(4);
+    std::promise<void> open;
+    const std::shared_future<void> gate = open.get_future().share();
+    std::atomic<int> computes{0};
+    std::vector<int> got(callers, -1);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t) {
+        threads.emplace_back([&, t] {
+            got[std::size_t(t)] = cache.getOrCompute(
+                9,
+                [&] {
+                    ++computes;
+                    gate.wait();
+                    return 81;
+                },
+                [](const int &) {});
+        });
     }
-    EXPECT_EQ(sum, even.capacity());
+    awaitRequests(cache, callers);
+    open.set_value();
+    for (std::thread &t : threads)
+        t.join();
 
-    // cap 5, hint 4: the stripe count clamps down to 4 (the largest
-    // power of two <= 5) so no stripe gets cap 0 and becomes
-    // accidentally unbounded; the remainder goes to the low stripes.
-    StripedSingleFlightCache<int, int> uneven(5, 4);
-    EXPECT_EQ(uneven.stripeCount(), 4u);
-    EXPECT_EQ(uneven.stripeCapacity(0), 2u);
-    EXPECT_EQ(uneven.stripeCapacity(1), 1u);
-    EXPECT_EQ(uneven.stripeCapacity(2), 1u);
-    EXPECT_EQ(uneven.stripeCapacity(3), 1u);
-
-    // A tiny cap degenerates to the flat cache.
-    using Cache = StripedSingleFlightCache<int, int>;
-    EXPECT_EQ(Cache(1, 8).stripeCount(), 1u);
-}
-
-TEST(StripedSingleFlight, PerStripeLruKeepsEveryStripeWithinItsShare)
-{
-    StripedSingleFlightCache<int, int> cache(8, 3);
-    int computes = 0;
-    for (int round = 0; round < 2; ++round) {
-        for (int k = 0; k < 64; ++k)
-            EXPECT_EQ(stripedSquare(cache, k, computes), k * k);
-    }
-    long entries = 0;
-    for (std::size_t s = 0; s < cache.stripeCount(); ++s) {
-        const SingleFlightStats ss = cache.stripeStats(s);
-        EXPECT_LE(std::size_t(ss.entries), cache.stripeCapacity(s));
-        EXPECT_EQ(ss.computes, ss.entries + ss.evictions);
-        entries += ss.entries;
-    }
+    EXPECT_EQ(computes.load(), 1);
+    for (int t = 0; t < callers; ++t)
+        EXPECT_EQ(got[std::size_t(t)], 81) << "caller " << t;
     const SingleFlightStats s = cache.stats();
-    EXPECT_EQ(s.entries, entries);
-    EXPECT_LE(std::size_t(s.entries), cache.capacity());
-    EXPECT_GT(s.evictions, 0);
-    EXPECT_EQ(s.requests, 128);
-    // The flat cache's single-flight accounting invariant holds for
-    // the aggregated stripe counters too.
-    EXPECT_EQ(s.computes, s.entries + s.evictions);
+    EXPECT_EQ(s.requests, callers);
+    EXPECT_EQ(s.computes, 1);
+    EXPECT_EQ(s.entries, 1);
 }
 
-TEST(StripedSingleFlight, UnboundedStripesNeverEvict)
+TEST(SingleFlight, WaitersRethrowAFailedComputationAndLaterRequestsRetry)
 {
-    StripedSingleFlightCache<int, int> cache(0, 4);
-    int computes = 0;
-    for (int round = 0; round < 3; ++round) {
-        for (int k = 0; k < 50; ++k)
-            EXPECT_EQ(stripedSquare(cache, k, computes), k * k);
+    const int callers = 6;
+    SingleFlightCache<int, int> cache(4);
+    std::promise<void> open;
+    const std::shared_future<void> gate = open.get_future().share();
+    std::atomic<int> computes{0};
+    std::atomic<int> thrown{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t) {
+        threads.emplace_back([&] {
+            try {
+                cache.getOrCompute(
+                    9,
+                    [&]() -> int {
+                        ++computes;
+                        gate.wait();
+                        throw std::runtime_error("boom");
+                    },
+                    [](const int &) {});
+            } catch (const std::runtime_error &) {
+                ++thrown;
+            }
+        });
     }
-    EXPECT_EQ(computes, 50);
+    awaitRequests(cache, callers);
+    open.set_value();
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(computes.load(), 1);
+    EXPECT_EQ(thrown.load(), callers);
+    EXPECT_EQ(cache.stats().entries, 0);
+
+    // The failure was not cached: the next request computes afresh.
+    int again = 0;
+    EXPECT_EQ(cachedSquare(cache, 9, again), 81);
+    EXPECT_EQ(again, 1);
     const SingleFlightStats s = cache.stats();
-    EXPECT_EQ(s.requests, 150);
-    EXPECT_EQ(s.computes, 50);
-    EXPECT_EQ(s.entries, 50);
-    EXPECT_EQ(s.evictions, 0);
+    EXPECT_EQ(s.requests, callers + 1);
+    EXPECT_EQ(s.computes, 2);
+    EXPECT_EQ(s.entries, 1);
 }
 
-TEST(StripedSingleFlight, FailedComputationsRetryAndDoNotPoison)
+TEST(SingleFlight, StatsSnapshotIsConsistentUnderLoad)
 {
-    StripedSingleFlightCache<int, int> cache(8, 2);
-    int calls = 0;
-    const auto failing = [&]() -> int {
-        ++calls;
-        throw std::runtime_error("boom");
-    };
-    EXPECT_THROW(cache.getOrCompute(7, failing, [](const int &) {}),
-                 std::runtime_error);
-    int computes = 0;
-    EXPECT_EQ(stripedSquare(cache, 7, computes), 49);
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(computes, 1);
-}
-
-TEST(StripedSingleFlight, StatsSnapshotIsConsistentUnderLoad)
-{
-    // The satellite fix this guards: stats() takes every stripe lock
-    // in one acquisition, so a mid-run snapshot is a consistent cut,
-    // not a torn per-stripe read. Under TSan this test also exercises
-    // the shared-lock hit path against concurrent stats()/clear().
+    // stats() takes every stripe lock in one acquisition, so a mid-run
+    // snapshot is a consistent cut, not a torn per-stripe read. Under
+    // TSan this test also exercises the shared-lock hit path against
+    // concurrent stats().
     //
-    // Mid-run a cut may see computes < entries + evictions (an
-    // in-flight entry exists before its compute counter lands), never
-    // the reverse, and never computes > requests.
-    StripedSingleFlightCache<int, int> cache(32, 4);
+    // Mid-run a cut may see computes < entries (an in-flight entry
+    // exists before its compute counter lands), never the reverse, and
+    // never computes > requests.
+    SingleFlightCache<int, int> cache(4);
     std::atomic<bool> stop{false};
     std::vector<std::thread> workers;
     for (int w = 0; w < 4; ++w) {
@@ -411,7 +362,7 @@ TEST(StripedSingleFlight, StatsSnapshotIsConsistentUnderLoad)
             int computes = 0;
             int k = w * 17;
             while (!stop.load(std::memory_order_relaxed)) {
-                stripedSquare(cache, k % 96, computes);
+                cachedSquare(cache, k % 96, computes);
                 ++k;
             }
         });
@@ -422,87 +373,14 @@ TEST(StripedSingleFlight, StatsSnapshotIsConsistentUnderLoad)
         EXPECT_GE(s.requests, totalRequests); // Monotone across cuts.
         totalRequests = s.requests;
         EXPECT_LE(s.computes, s.requests);
-        EXPECT_LE(s.computes, s.entries + s.evictions);
-        // Eviction skips in-flight slots, so a cut can overshoot the
-        // cap by at most the number of concurrent computes.
-        EXPECT_LE(std::size_t(s.entries), cache.capacity() + 4u);
+        EXPECT_LE(s.computes, s.entries);
+        EXPECT_LE(s.entries, 96);
     }
     stop.store(true);
     for (std::thread &t : workers)
         t.join();
     const SingleFlightStats s = cache.stats();
-    EXPECT_EQ(s.computes, s.entries + s.evictions); // Exact at rest.
-    EXPECT_LE(std::size_t(s.entries), cache.capacity());
-}
-
-TEST(Arena, ResetRetainsBlocksAndStopsAllocating)
-{
-    Arena arena(256);
-    for (int job = 0; job < 5; ++job) {
-        arena.reset();
-        for (int i = 0; i < 8; ++i)
-            arena.allocate(64);
-    }
-    const Arena::Stats s = arena.stats();
-    // Every job needs 512 bytes -> two 256-byte blocks, sized by the
-    // first job and reused (not re-allocated) by the rest.
-    EXPECT_EQ(s.blocks, 2u);
-    EXPECT_EQ(s.blockBytes, 512u);
-    EXPECT_EQ(s.bytesInUse, 512u);
-    EXPECT_EQ(s.highWaterBytes, 512u);
-    EXPECT_EQ(s.allocations, 40u);
-    EXPECT_EQ(s.resets, 5u);
-}
-
-TEST(Arena, HighWaterSurvivesResetAndTracksTheLargestJob)
-{
-    Arena arena(128);
-    arena.allocate(100);
-    arena.reset();
-    EXPECT_EQ(arena.stats().bytesInUse, 0u);
-    EXPECT_EQ(arena.stats().highWaterBytes, 100u);
-    arena.allocate(300); // Oversized: gets a dedicated block.
-    EXPECT_EQ(arena.stats().highWaterBytes, 300u);
-    arena.reset();
-    arena.allocate(40);
-    EXPECT_EQ(arena.stats().highWaterBytes, 300u);
-}
-
-TEST(Arena, AllocationsAreAligned)
-{
-    Arena arena(256);
-    arena.allocate(1, 1); // Skew the bump cursor.
-    void *p8 = arena.allocate(8, 8);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8) % 8, 0u);
-    double *d = arena.allocate<double>(3);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-    d[0] = 1.5;
-    d[2] = -2.5; // Writable across the whole span.
-    EXPECT_EQ(d[0], 1.5);
-    EXPECT_EQ(d[2], -2.5);
-}
-
-TEST(Arena, ArenaVectorGrowsAndSurvivesReuse)
-{
-    Arena arena;
-    ArenaVector<int> v{ArenaAllocator<int>(arena)};
-    for (int i = 0; i < 1000; ++i)
-        v.push_back(i * 3);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(v[i], i * 3);
-    // Growth leaks superseded buffers into the arena by design
-    // (deallocate is a no-op); clear + refill reuses the final buffer.
-    v.clear();
-    for (int i = 0; i < 500; ++i)
-        v.push_back(i);
-    EXPECT_EQ(v.back(), 499);
-    EXPECT_GT(arena.stats().highWaterBytes, 1000u * sizeof(int));
-
-    ArenaVector<int> w{ArenaAllocator<int>(arena)};
-    EXPECT_TRUE(v.get_allocator() == w.get_allocator());
-    Arena other;
-    ArenaVector<int> x{ArenaAllocator<int>(other)};
-    EXPECT_TRUE(v.get_allocator() != x.get_allocator());
+    EXPECT_EQ(s.computes, s.entries); // Exact at rest.
 }
 
 TEST(Strutil, JsonQuoteEscapes)
