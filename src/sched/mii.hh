@@ -17,6 +17,7 @@
 #define SWP_SCHED_MII_HH
 
 #include <memory>
+#include <vector>
 
 #include "ir/ddg.hh"
 #include "machine/machine.hh"
@@ -63,13 +64,26 @@ class RecurrenceCache
   private:
     friend bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m,
                                          int ii, RecurrenceCache &cache);
+    friend int recMiiOfComponent(const Ddg &g, const Machine &m,
+                                 const std::vector<NodeId> &nodes,
+                                 RecurrenceCache &cache);
     struct Impl;
+    Impl &impl();
     std::unique_ptr<Impl> impl_;
 };
 
 /** iiFeasibleForRecurrences with the decomposition reused via `cache`. */
 bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
                               RecurrenceCache &cache);
+
+/**
+ * recMiiOfComponent on the region and Bellman-Ford storage of `cache`,
+ * recycled from call to call. The subset is never cached: only the
+ * storage is reused, so the answer is always recomputed.
+ */
+int recMiiOfComponent(const Ddg &g, const Machine &m,
+                      const std::vector<NodeId> &nodes,
+                      RecurrenceCache &cache);
 
 } // namespace swp
 

@@ -52,7 +52,7 @@ groupsInternallyFeasible(const Ddg &g, const Machine &m,
         const int lat = m.latency(g.node(edge.src).op);
         const int gap =
             groups.offsetOf(edge.dst) - groups.offsetOf(edge.src);
-        if (gap < lat - ii * edge.distance)
+        if (gap < lat - long(ii) * edge.distance)
             return false;
         if (edge.nonSpillable && gap != fusedDelayOf(g, m, edge))
             return false;

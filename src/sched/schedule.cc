@@ -1,7 +1,6 @@
 #include "sched/schedule.hh"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "sched/groups.hh"
@@ -91,16 +90,18 @@ validateSchedule(const Ddg &g, const Machine &m, const Schedule &s,
 
     const int ii = s.ii();
 
-    // Dependence constraints.
+    // Dependence constraints. The carried bound is computed in long:
+    // II * distance can exceed int for legal inputs.
     for (EdgeId e = 0; e < g.numEdges(); ++e) {
         const Edge &edge = g.edge(e);
         if (!edge.alive)
             continue;
         const int lat = m.latency(g.node(edge.src).op);
-        const int earliest = s.time(edge.src) + lat - ii * edge.distance;
+        const long earliest =
+            long(s.time(edge.src)) + lat - long(ii) * edge.distance;
         if (s.time(edge.dst) < earliest) {
             return fail(strprintf(
-                "dependence %s -> %s violated: t=%d < %d",
+                "dependence %s -> %s violated: t=%d < %ld",
                 g.node(edge.src).name.c_str(), g.node(edge.dst).name.c_str(),
                 s.time(edge.dst), earliest));
         }
@@ -116,8 +117,14 @@ validateSchedule(const Ddg &g, const Machine &m, const Schedule &s,
     }
 
     // Resource constraints: each (class, unit, kernel row) has at most
-    // one occupant, counting non-pipelined occupancy.
-    std::map<std::tuple<int, int, int>, NodeId> slots;
+    // one occupant, counting non-pipelined occupancy. The owner table
+    // has Mrt's layout: class base + unit * II + row.
+    std::vector<int> classBase(std::size_t(m.numClasses()) + 1, 0);
+    for (int cls = 0; cls < m.numClasses(); ++cls) {
+        classBase[std::size_t(cls) + 1] =
+            classBase[std::size_t(cls)] + m.unitsInClass(cls) * ii;
+    }
+    std::vector<NodeId> owner(std::size_t(classBase.back()), invalidNode);
     for (NodeId n = 0; n < g.numNodes(); ++n) {
         const Opcode op = g.node(n).op;
         const int cls = m.classOf(op);
@@ -132,17 +139,19 @@ validateSchedule(const Ddg &g, const Machine &m, const Schedule &s,
                 "node %s occupies its unit %d cycles > II=%d",
                 g.node(n).name.c_str(), occ, ii));
         }
+        const int base = classBase[std::size_t(cls)] + u * ii;
+        int row = Schedule::floorMod(s.time(n), ii);
         for (int c = 0; c < occ; ++c) {
-            const int row = Schedule::floorMod(s.time(n) + c, ii);
-            const auto key = std::make_tuple(cls, u, row);
-            const auto [it, inserted] = slots.emplace(key, n);
-            if (!inserted) {
+            NodeId &slot = owner[std::size_t(base + row)];
+            if (slot != invalidNode) {
                 return fail(strprintf(
                     "resource conflict on %s unit %d row %d: %s vs %s",
                     m.className(cls).c_str(), u, row,
-                    g.node(it->second).name.c_str(),
-                    g.node(n).name.c_str()));
+                    g.node(slot).name.c_str(), g.node(n).name.c_str()));
             }
+            slot = n;
+            if (++row == ii)
+                row = 0;
         }
     }
     return true;

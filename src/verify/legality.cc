@@ -209,13 +209,13 @@ verifySchedule(const Ddg &g, const Machine &m, const Schedule &s)
         if (!edge.alive)
             continue;
         const int lat = m.latency(g.node(edge.src).op);
-        const int earliest =
-            s.time(edge.src) + lat - ii * edge.distance;
+        const long earliest =
+            long(s.time(edge.src)) + lat - long(ii) * edge.distance;
         if (s.time(edge.dst) < earliest) {
             addViolation(
                 report, ViolationKind::Dependence, edge.dst, e,
                 strprintf("edge e%d %s(n%d)->%s(n%d) dist=%d lat=%d: "
-                          "t(dst)=%d < t(src)+lat-dist*II=%d",
+                          "t(dst)=%d < t(src)+lat-dist*II=%ld",
                           e, g.node(edge.src).name.c_str(), edge.src,
                           g.node(edge.dst).name.c_str(), edge.dst,
                           edge.distance, lat, s.time(edge.dst),

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 
@@ -116,9 +117,14 @@ parseDdgStream(std::istream &in)
                 SWP_FATAL("line ", lineNo,
                           ": expected 'edge <src> <dst> <kind> <dist>'");
             }
+            const long distance = parseLong(tok[4]);
+            if (distance < 0 || distance > std::numeric_limits<int>::max()) {
+                SWP_FATAL("line ", lineNo, ": edge distance ", distance,
+                          " outside [0, ", std::numeric_limits<int>::max(),
+                          "]");
+            }
             current.graph.addEdge(findNode(tok[1]), findNode(tok[2]),
-                                  parseDepKind(tok[3]),
-                                  int(parseLong(tok[4])));
+                                  parseDepKind(tok[3]), int(distance));
         } else if (tok[0] == "use") {
             needOpen("use");
             if (tok.size() != 3) {

@@ -8,6 +8,7 @@
 #include "ir/builder.hh"
 #include "machine/machine.hh"
 #include "sched/groups.hh"
+#include "sched/sched_util.hh"
 
 namespace swp
 {
@@ -42,6 +43,32 @@ TEST(Groups, PairOffsetsEqualProducerLatency)
     ASSERT_EQ(gi, groups.groupOf(mul));
     EXPECT_EQ(groups.offsetOf(ld), 0);
     EXPECT_EQ(groups.offsetOf(mul), m.latency(Opcode::Load));
+}
+
+TEST(Groups, InternalCarriedEdgeFeasibility)
+{
+    // ld is fused to mul at offset 2; the carried mul -> ld edge inside
+    // the group needs gap(-2) >= lat(mul)(4) - II * distance.
+    auto build = [](int distance) {
+        DdgBuilder b("inner");
+        const NodeId ld = b.load("ld");
+        const NodeId mul = b.mul("mul");
+        b.graph().addEdge(ld, mul, DepKind::RegFlow, 0, true);
+        b.graph().addEdge(mul, ld, DepKind::RegFlow, distance);
+        return b.take();
+    };
+    const Machine m = Machine::p2l4();
+
+    const Ddg near = build(1);
+    const GroupSet nearGroups(near, m);
+    EXPECT_FALSE(groupsInternallyFeasible(near, m, nearGroups, 5));
+    EXPECT_TRUE(groupsInternallyFeasible(near, m, nearGroups, 6));
+
+    // II * distance = 17 * 2^27 exceeds INT_MAX; computed wide, the
+    // bound is far below the gap.
+    const Ddg far = build(134217728);
+    const GroupSet farGroups(far, m);
+    EXPECT_TRUE(groupsInternallyFeasible(far, m, farGroups, 17));
 }
 
 TEST(Groups, ChainsMergeTransitively)

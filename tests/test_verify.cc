@@ -101,6 +101,28 @@ TEST(Verify, SpilledResultsVerifyAgainstTransformedGraph)
                              "spill path went untested";
 }
 
+TEST(Verify, CarriedBoundDoesNotOverflowInt)
+{
+    // II * distance = 17 * 2^27 exceeds INT_MAX; layer 1 must compute
+    // the carried bound wide and accept this legal schedule.
+    Ddg g("big3");
+    const NodeId a = g.addNode(Opcode::Div, "a");
+    const NodeId st = g.addNode(Opcode::Store, "s");
+    g.addEdge(a, a, DepKind::RegFlow, 134217728);
+    g.addEdge(a, st, DepKind::RegFlow, 0);
+    const Machine m = Machine::p2l4();
+
+    Schedule s(17, 2);
+    s.set(a, 0, 0);
+    s.set(st, 17, 0);
+    const VerifyReport ok = verifySchedule(g, m, s);
+    EXPECT_TRUE(ok.ok()) << ok.describe();
+
+    s.set(st, 16, 0);
+    const VerifyReport bad = verifySchedule(g, m, s);
+    EXPECT_EQ(bad.count(ViolationKind::Dependence), 1) << bad.describe();
+}
+
 // ---------------------------------------------------------------------------
 // Mutation classes. Each must be caught with the matching kind.
 // ---------------------------------------------------------------------------

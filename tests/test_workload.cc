@@ -227,5 +227,42 @@ TEST(DdgIo, RejectsMalformedInput)
                  FatalError);                             // Duplicate.
 }
 
+TEST(DdgIo, RejectsEdgeDistanceOutsideIntRange)
+{
+    // Distances used to be narrowed with int(): 2^32 + 1 became 1 (a
+    // different loop), 2^32 became 0 (a bogus zero-distance cycle), and
+    // -1 reached Ddg::addEdge's assertion.
+    auto errorFor = [](const std::string &distance) -> std::string {
+        std::istringstream in("loop big\n"
+                              "node b add\n"
+                              "node a add\n"
+                              "edge a b reg 0\n"
+                              "edge b a reg " + distance + "\n"
+                              "end\n");
+        try {
+            parseDdgStream(in);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(errorFor("4294967297").find(
+                  "line 5: edge distance 4294967297 outside [0, "
+                  "2147483647]"),
+              std::string::npos);
+    EXPECT_NE(errorFor("4294967296").find(
+                  "line 5: edge distance 4294967296 outside"),
+              std::string::npos);
+    EXPECT_NE(errorFor("2147483648").find(
+                  "line 5: edge distance 2147483648 outside"),
+              std::string::npos);
+    EXPECT_NE(errorFor("-1").find("line 5: edge distance -1 outside"),
+              std::string::npos);
+
+    // The bounds themselves parse.
+    EXPECT_EQ(errorFor("2147483647"), "");
+    EXPECT_EQ(errorFor("1"), "");
+}
+
 } // namespace
 } // namespace swp
