@@ -121,8 +121,9 @@ SuiteRunner::bounds(const Ddg &g, const Machine &m)
         key,
         [&]() {
             CachedBounds c;
-            c.b.mii = mii(g, m);
+            // mii() is max(resMii, recMii): decompose the graph once.
             c.b.recMii = recMii(g, m);
+            c.b.mii = std::max(resMii(g, m), c.b.recMii);
             if (kVerifyMemoKeys) {
                 c.graph = g;
                 c.machine = m;
