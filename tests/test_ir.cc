@@ -431,6 +431,64 @@ TEST(GraphAlgo, ReachabilityMatchesReferenceDfs)
     EXPECT_GT(selfEdges, 0);
 }
 
+TEST(GraphAlgo, CsrSccAndClosuresMatchReference)
+{
+    // The CSR path the schedulers use: successor and predecessor rows
+    // in edge-id order, Tarjan over the CSR (same numbering as the
+    // vector-of-rows overload fed the same rows), and the closures of
+    // both directions against the reference DFS.
+    Rng rng(0xc5a);
+    for (const int n : {0, 1, 63, 64, 65, 129}) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const Ddg g = randomGraph(rng, n);
+            auto forEachLive = [&](auto &&emit) {
+                for (EdgeId e = 0; e < g.numEdges(); ++e) {
+                    if (g.edge(e).alive)
+                        emit(g.edge(e).src, g.edge(e).dst);
+                }
+            };
+            CsrAdj succ, pred;
+            succ.build(n, forEachLive);
+            pred.build(n, [&](auto &&emit) {
+                forEachLive([&](int a, int b) { emit(b, a); });
+            });
+            std::vector<std::vector<int>> rows(static_cast<std::size_t>(n));
+            forEachLive([&](int a, int b) {
+                rows[std::size_t(a)].push_back(b);
+            });
+            for (NodeId v = 0; v < n; ++v) {
+                const CsrAdj::Row row = succ.row(v);
+                ASSERT_EQ(std::vector<int>(row.begin(), row.end()),
+                          rows[std::size_t(v)]);
+            }
+
+            AdjScc scc;
+            SccScratch scratch;
+            stronglyConnectedComponents(
+                n, [&](int v) { return succ.row(v); }, scc, scratch);
+            const AdjScc ref = stronglyConnectedComponents(rows);
+            ASSERT_EQ(scc.compOf, ref.compOf);
+            ASSERT_EQ(scc.nodes, ref.nodes);
+
+            BitMatrix down, up;
+            transitiveClosure(
+                scc, [&](int v) { return succ.row(v); }, false, down);
+            transitiveClosure(
+                scc, [&](int v) { return pred.row(v); }, true, up);
+            const auto reach = refReachability(g);
+            for (NodeId u = 0; u < n; ++u) {
+                for (NodeId v = 0; v < n; ++v) {
+                    const bool r = reach[std::size_t(u)][std::size_t(v)];
+                    ASSERT_EQ(down.test(u, v), r)
+                        << "n " << n << " trial " << trial;
+                    ASSERT_EQ(up.test(v, u), r)
+                        << "n " << n << " trial " << trial;
+                }
+            }
+        }
+    }
+}
+
 TEST(Verify, AcceptsPaperExample)
 {
     std::string why;
