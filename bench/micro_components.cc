@@ -3,8 +3,9 @@
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
  * at MII, rotating register allocation (the packing alone and a whole
- * allocateLoop), one full constrained-pipeline run, suite generation,
- * and the cycle-accurate simulator. These time individual layers
+ * allocateLoop), one full constrained-pipeline run, the spilling suite
+ * loops under best-of-all, suite generation, and the cycle-accurate
+ * simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
  */
@@ -193,6 +194,39 @@ BM_ConstrainedPipeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConstrainedPipeline)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
+
+void
+BM_SpillSuiteJobs(benchmark::State &state)
+{
+    // Best-of-all at R=32 (the CLI's accelerated spilling) over the
+    // suite loops whose spill run inserts spill code: the longest jobs
+    // of a best-of-all suite run, where every spill round and every
+    // re-probe of the original loop meets a schedule over the budget.
+    const Machine m = benchutil::benchMachine();
+    PipelinerOptions opts;
+    opts.registers = 32;
+    opts.multiSelect = true;
+    opts.reuseLastIi = true;
+    static const std::vector<const Ddg *> spilling = [&] {
+        std::vector<const Ddg *> loops;
+        for (const SuiteLoop &loop : benchutil::evaluationSuite()) {
+            if (spillStrategy(loop.graph, m, opts).spilledLifetimes > 0)
+                loops.push_back(&loop.graph);
+        }
+        return loops;
+    }();
+    for (auto _ : state) {
+        for (const Ddg *g : spilling) {
+            benchmark::DoNotOptimize(
+                pipelineLoop(*g, m, Strategy::BestOfAll, opts));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * long(spilling.size()));
+    state.SetLabel(std::to_string(spilling.size()) + " loops");
+}
+BENCHMARK(BM_SpillSuiteJobs)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void
 BM_SuiteRunnerBatch(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "liferange/lifetimes.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/diag.hh"
 
@@ -37,16 +38,25 @@ analyzeLifetimes(const Ddg &g, const Schedule &sched)
         lt.secondEnd = lt.start;
         for (EdgeId e : uses) {
             const Edge &edge = g.edge(e);
-            const int useAt =
-                sched.time(edge.dst) + ii * edge.distance;
+            // II * distance is formed in long: a lifetime whose end or
+            // length leaves the int cycle range is an input limit, not
+            // a value to wrap.
+            const long dist = long(ii) * edge.distance;
+            const long useAt = sched.time(edge.dst) + dist;
+            if (useAt > std::numeric_limits<int>::max() ||
+                useAt - lt.start > std::numeric_limits<int>::max()) {
+                SWP_FATAL("loop '", g.name(), "': value n", u,
+                          " is live until cycle ", useAt, " at II ", ii,
+                          ", beyond the int cycle range");
+            }
             if (useAt > lt.end) {
                 lt.secondEnd = lt.end;
-                lt.end = useAt;
+                lt.end = int(useAt);
                 lt.lastUse = e;
                 lt.schedComponent = sched.time(edge.dst) - lt.start;
-                lt.distComponent = ii * edge.distance;
+                lt.distComponent = int(dist);
             } else if (useAt > lt.secondEnd) {
-                lt.secondEnd = useAt;
+                lt.secondEnd = int(useAt);
             }
         }
 

@@ -13,7 +13,7 @@ namespace swp
 namespace
 {
 
-/** Schedule the original loop at exactly ii and allocate. */
+/** Schedule the original loop at exactly ii; keep it if it fits. */
 struct Attempt
 {
     Schedule sched;
@@ -28,12 +28,11 @@ tryOriginalAt(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     auto sched = scheduler.scheduleAt(g, m, ii);
     if (!sched)
         return std::nullopt;
-    Attempt a;
-    a.alloc = allocateLoop(g, *sched, opts.registers, opts.fit);
-    a.sched = std::move(*sched);
-    if (!a.alloc.fits)
+    auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
+                                      opts.registers, opts.fit);
+    if (!alloc)
         return std::nullopt;
-    return a;
+    return Attempt{std::move(*sched), std::move(*alloc)};
 }
 
 } // namespace

@@ -34,12 +34,12 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
         auto sched = scheduler.scheduleAt(g, m, ii);
         if (!sched)
             continue;
-        AllocationOutcome alloc =
-            allocateLoop(g, *sched, opts.registers, opts.fit);
-        if (alloc.fits) {
+        auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
+                                          opts.registers, opts.fit);
+        if (alloc) {
             result.success = true;
             result.sched = std::move(*sched);
-            result.alloc = std::move(alloc);
+            result.alloc = std::move(*alloc);
             return result;
         }
     }

@@ -1,7 +1,6 @@
 #include "pipeliner/spill_pipeline.hh"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -29,25 +28,40 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     Ddg work = g;
     int prevIi = 0;
 
-    // Per-round candidate/pick scratch, hoisted out of the round loop
-    // so later rounds reuse its capacity.
+    // Per-round candidate scratch, hoisted out of the round loop so
+    // later rounds reuse its capacity.
     std::vector<SpillCandidate> candidates;
-    std::vector<SpillCandidate> picks;
 
-    // Best over-budget schedule seen so far (lowest register
-    // requirement). Kept so that exhausting the rounds or the
-    // candidates does not discard valid scheduling work. A null graph
-    // snapshot means the schedule refers to the untransformed input
-    // (round 1, before any spill), avoiding a pointless Ddg copy.
-    struct BestSoFar
+    // Rewrite `graph` with the spill code of one round's picks.
+    const auto applySpills = [&](Ddg &graph,
+                                 const std::vector<SpillCandidate> &picks) {
+        for (const SpillCandidate &pick : picks)
+            insertSpill(graph, m, pick);
+        if (!opts.fuseSpillOps) {
+            // Ablation: drop the complex-operation constraint; spill
+            // code is scheduled like any other operation.
+            for (EdgeId e = 0; e < graph.numEdges(); ++e) {
+                if (graph.edge(e).alive)
+                    graph.edge(e).nonSpillable = false;
+            }
+        }
+    };
+
+    // Every over-budget round, kept so that exhausting the rounds or
+    // the candidates does not discard valid scheduling work. Only the
+    // fit test runs per round; the exact register counts that pick the
+    // best of them are computed only if the iteration ends unfit. A
+    // round keeps the picks spilled after it rather than a snapshot of
+    // its graph: the graphs are rebuilt from the input only in that
+    // case, so a run that ends fitting copies no graph.
+    struct OverBudgetRound
     {
-        std::shared_ptr<const Ddg> graph;
         Schedule sched;
-        AllocationOutcome alloc;
         int mii = 0;
         int spilled = 0;
+        std::vector<SpillCandidate> picks;
     };
-    std::optional<BestSoFar> best;
+    std::vector<OverBudgetRound> overBudget;
 
     for (int round = 1; round <= opts.maxSpillRounds; ++round) {
         const int curMii =
@@ -75,43 +89,42 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
 
         Schedule sched = std::move(*search.sched);
         prevIi = sched.ii();
-        AllocationOutcome alloc =
-            allocateLoop(work, sched, opts.registers, opts.fit);
+        // One lifetime analysis serves the fit test and spill selection.
+        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
+        std::optional<AllocationOutcome> alloc =
+            allocateWithinBudget(lifetimes, opts.registers, opts.fit);
 
         if (observer) {
             SpillRoundInfo info;
             info.round = round;
             info.ii = sched.ii();
             info.mii = curMii;
-            info.regsRequired = alloc.regsRequired;
+            info.regsRequired =
+                alloc ? alloc->regsRequired
+                      : allocateLoop(lifetimes, opts.registers, opts.fit)
+                            .regsRequired;
             info.memOps = work.numMemOps();
             info.spilledSoFar = result.spilledLifetimes;
             observer(info);
         }
 
-        if (alloc.fits) {
+        if (alloc) {
             result.success = true;
             if (result.spilledLifetimes == 0)
                 result.bindInputGraph(g);  // `work` is still the input.
             else
                 result.adoptGraph(std::move(work));
             result.sched = std::move(sched);
-            result.alloc = std::move(alloc);
+            result.alloc = std::move(*alloc);
             result.mii = curMii;
             return result;
         }
 
-        if (!best || alloc.regsRequired < best->alloc.regsRequired) {
-            best.emplace();
-            if (result.spilledLifetimes > 0)
-                best->graph = std::make_shared<const Ddg>(work);
-            best->sched = sched;
-            best->alloc = alloc;
-            best->mii = curMii;
-            best->spilled = result.spilledLifetimes;
-        }
+        OverBudgetRound &kept = overBudget.emplace_back();
+        kept.sched = std::move(sched);
+        kept.mii = curMii;
+        kept.spilled = result.spilledLifetimes;
 
-        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
         spillCandidates(work, lifetimes, opts.spillUses, candidates);
         if (candidates.empty()) {
             // Nothing left to spill: every lifetime is already a spill
@@ -119,42 +132,48 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             break;
         }
 
-        picks.clear();
         if (opts.multiSelect) {
             selectMultiple(candidates, opts.heuristic, lifetimes,
-                           opts.registers, picks);
+                           opts.registers, kept.picks);
         } else if (auto one = selectOne(candidates, opts.heuristic)) {
-            picks.push_back(*one);
+            kept.picks.push_back(*one);
         }
-        SWP_ASSERT(!picks.empty(), "spill selection returned nothing");
-        for (const SpillCandidate &pick : picks) {
-            insertSpill(work, m, pick);
-            ++result.spilledLifetimes;
-        }
-        if (!opts.fuseSpillOps) {
-            // Ablation: drop the complex-operation constraint; spill
-            // code is scheduled like any other operation.
-            for (EdgeId e = 0; e < work.numEdges(); ++e) {
-                if (work.edge(e).alive)
-                    work.edge(e).nonSpillable = false;
-            }
-        }
+        SWP_ASSERT(!kept.picks.empty(), "spill selection returned nothing");
+        applySpills(work, kept.picks);
+        result.spilledLifetimes += int(kept.picks.size());
     }
 
     // The iteration ended over budget. Local scheduling of the original
     // loop (the Cydra 5 compiler's last resort) is used only when it
     // actually fits the budget or when no modulo schedule exists at
-    // all; otherwise the best over-budget modulo schedule is kept.
+    // all; otherwise the over-budget modulo schedule with the lowest
+    // register requirement (the earliest on ties) is kept.
     Schedule acyclicSched = scheduleAcyclic(g, m);
     AllocationOutcome acyclicAlloc =
         allocateLoop(g, acyclicSched, opts.registers, opts.fit);
-    if (best && !acyclicAlloc.fits) {
-        if (best->graph)
-            result.adoptGraph(std::move(best->graph));
-        else
+    if (!overBudget.empty() && !acyclicAlloc.fits) {
+        // Rebuild each round's graph by replaying the earlier rounds'
+        // spills on the input, and allocate its schedule exactly.
+        Ddg replay = g;
+        OverBudgetRound *best = nullptr;
+        std::optional<Ddg> bestGraph;
+        AllocationOutcome bestAlloc;
+        for (OverBudgetRound &r : overBudget) {
+            AllocationOutcome alloc =
+                allocateLoop(replay, r.sched, opts.registers, opts.fit);
+            if (!best || alloc.regsRequired < bestAlloc.regsRequired) {
+                best = &r;
+                bestGraph = replay;
+                bestAlloc = std::move(alloc);
+            }
+            applySpills(replay, r.picks);
+        }
+        if (best->spilled == 0)
             result.bindInputGraph(g);
+        else
+            result.adoptGraph(std::move(*bestGraph));
         result.sched = std::move(best->sched);
-        result.alloc = std::move(best->alloc);
+        result.alloc = std::move(bestAlloc);
         result.mii = best->mii;
         result.spilledLifetimes = best->spilled;
         return result;

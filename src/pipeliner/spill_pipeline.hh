@@ -49,6 +49,15 @@ using SpillRoundObserver = std::function<void(const SpillRoundInfo &)>;
  * only when no modulo schedule exists at all, or when the acyclic
  * schedule actually fits the budget (a valid result beats an
  * over-budget one).
+ *
+ * Each round's schedule is only tested against the budget (the
+ * budget-bounded allocateWithinBudget); the over-budget rounds are
+ * allocated exactly only when the iteration ends unfit and one of them
+ * must be chosen. Their graphs are then rebuilt by replaying the
+ * recorded spills on the input, so no round copies its graph while the
+ * iteration runs. An observer still sees every round's exact register
+ * requirement: for it alone, an over-budget round is allocated exactly
+ * as it happens.
  */
 PipelineResult spillStrategy(const Ddg &g, const Machine &m,
                              const PipelinerOptions &opts,

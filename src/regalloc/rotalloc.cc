@@ -222,6 +222,54 @@ searchRegs(const LifetimeInfo &lifetimes,
     return cap + 1;
 }
 
+/**
+ * allocateLoop's search with each order's register count also capped at
+ * `limit`. Adjacency stops at its first fit, and descending length only
+ * searches [MaxLive, adjacency - 1]; a limit below the adjacency count
+ * just shrinks that range to [MaxLive, limit]. Descending length tries
+ * the counts in ascending order either way, so its first fit in the
+ * shrunken range is the exact search's first fit. Hence whenever the
+ * exact count is at most `limit`, the outcome — offsets included — is
+ * the exact one, and otherwise `rotating` is limit + 1.
+ */
+AllocationOutcome
+allocateUpTo(const LifetimeInfo &info, int budget, FitStrategy strategy,
+             int limit)
+{
+    AllocationOutcome outcome;
+    outcome.maxLive = info.maxLive;
+    outcome.invariants = info.invariantCount;
+
+    // Both orderings are cheap next to scheduling; take whichever packs
+    // tighter (adjacency is Rau's reference ordering, descending length
+    // often wins on fan-out-heavy lifetimes).
+    // budget * 4 would overflow for the effectively unlimited budget of
+    // ideal runs (INT_MAX / 2); such budgets never bind the search —
+    // maxLive + 64 keeps it viable — so the term applies only when
+    // representable.
+    const int maxScalableBudget = std::numeric_limits<int>::max() / 4;
+    const int cap = std::min(
+        limit, budget > maxScalableBudget
+                   ? std::max(info.maxLive + 64, 64)
+                   : std::max({budget * 4, info.maxLive + 64, 64}));
+    // Each order is sorted once and one occupancy row serves every
+    // attempt. Descending length only wins with strictly fewer registers
+    // than adjacency, so its search stops below adjacency's count, and
+    // the winning search's allocation is kept rather than recomputed.
+    BitRow row;
+    RotAllocResult attempt;
+    outcome.rotating =
+        searchRegs(info, orderedValues(info, AllocOrder::Adjacency),
+                   strategy, cap, row, attempt, outcome.rotAlloc);
+    const int byLength = searchRegs(
+        info, orderedValues(info, AllocOrder::DescendingLength), strategy,
+        outcome.rotating - 1, row, attempt, outcome.rotAlloc);
+    outcome.rotating = std::min(outcome.rotating, byLength);
+    outcome.regsRequired = outcome.rotating + outcome.invariants;
+    outcome.fits = outcome.regsRequired <= budget;
+    return outcome;
+}
+
 } // namespace
 
 const char *
@@ -257,42 +305,30 @@ minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
 }
 
 AllocationOutcome
+allocateLoop(const LifetimeInfo &info, int budget, FitStrategy strategy)
+{
+    return allocateUpTo(info, budget, strategy,
+                        std::numeric_limits<int>::max());
+}
+
+AllocationOutcome
 allocateLoop(const Ddg &g, const Schedule &sched, int budget,
              FitStrategy strategy)
 {
-    const LifetimeInfo info = analyzeLifetimes(g, sched);
+    return allocateLoop(analyzeLifetimes(g, sched), budget, strategy);
+}
 
-    AllocationOutcome outcome;
-    outcome.maxLive = info.maxLive;
-    outcome.invariants = info.invariantCount;
-
-    // Both orderings are cheap next to scheduling; take whichever packs
-    // tighter (adjacency is Rau's reference ordering, descending length
-    // often wins on fan-out-heavy lifetimes).
-    // budget * 4 would overflow for the effectively unlimited budget of
-    // ideal runs (INT_MAX / 2); such budgets never bind the search —
-    // maxLive + 64 keeps it viable — so the term applies only when
-    // representable.
-    const int maxScalableBudget = std::numeric_limits<int>::max() / 4;
-    const int cap =
-        budget > maxScalableBudget
-            ? std::max(info.maxLive + 64, 64)
-            : std::max({budget * 4, info.maxLive + 64, 64});
-    // Each order is sorted once and one occupancy row serves every
-    // attempt. Descending length only wins with strictly fewer registers
-    // than adjacency, so its search stops below adjacency's count, and
-    // the winning search's allocation is kept rather than recomputed.
-    BitRow row;
-    RotAllocResult attempt;
-    outcome.rotating =
-        searchRegs(info, orderedValues(info, AllocOrder::Adjacency),
-                   strategy, cap, row, attempt, outcome.rotAlloc);
-    const int byLength = searchRegs(
-        info, orderedValues(info, AllocOrder::DescendingLength), strategy,
-        outcome.rotating - 1, row, attempt, outcome.rotAlloc);
-    outcome.rotating = std::min(outcome.rotating, byLength);
-    outcome.regsRequired = outcome.rotating + outcome.invariants;
-    outcome.fits = outcome.regsRequired <= budget;
+std::optional<AllocationOutcome>
+allocateWithinBudget(const LifetimeInfo &info, int budget,
+                     FitStrategy strategy)
+{
+    // Every allocation needs at least MaxLive rotating registers.
+    if (long(info.maxLive) + info.invariantCount > budget)
+        return std::nullopt;
+    AllocationOutcome outcome =
+        allocateUpTo(info, budget, strategy, budget - info.invariantCount);
+    if (!outcome.fits)
+        return std::nullopt;
     return outcome;
 }
 

@@ -23,6 +23,15 @@
  * jumps to it. allocateLoop sorts each order once, reuses one row for
  * every register count it tries, and keeps the winning allocation.
  *
+ * Callers that reject an over-budget schedule only need to know that it
+ * does not fit, not by how much. allocateWithinBudget answers that with
+ * the same search bounded by the budget: it packs nothing when MaxLive
+ * plus the invariants already exceed the budget, and otherwise stops
+ * both orders at budget - invariants rotating registers. The search
+ * tries register counts upward from MaxLive, so a fit at or below that
+ * limit is the exact search's fit: whenever the loop fits, the outcome
+ * (offsets included) equals allocateLoop's.
+ *
  * The paper reports that the "wands-only" strategy using end-fit with
  * adjacency ordering almost never needs more than MaxLive + 1 registers;
  * end-fit with start-time (adjacency) ordering is our default, with
@@ -34,6 +43,7 @@
 #ifndef SWP_REGALLOC_ROTALLOC_HH
 #define SWP_REGALLOC_ROTALLOC_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +117,19 @@ struct AllocationOutcome
 AllocationOutcome allocateLoop(const Ddg &g, const Schedule &sched,
                                int budget,
                                FitStrategy strategy = FitStrategy::EndFit);
+
+/** allocateLoop on lifetimes the caller has already analysed. */
+AllocationOutcome allocateLoop(const LifetimeInfo &lifetimes, int budget,
+                               FitStrategy strategy = FitStrategy::EndFit);
+
+/**
+ * allocateLoop's outcome if the loop fits `budget`, nullopt otherwise.
+ * The search stops at the budget, so a schedule far over it costs no
+ * more than one that just misses.
+ */
+std::optional<AllocationOutcome>
+allocateWithinBudget(const LifetimeInfo &lifetimes, int budget,
+                     FitStrategy strategy = FitStrategy::EndFit);
 
 /**
  * Verify an allocation: no two lifetimes' arcs overlap (the conflict

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/builder.hh"
 #include "liferange/lifetimes.hh"
 #include "machine/machine.hh"
 #include "sched/schedule.hh"
+#include "support/diag.hh"
 
 namespace swp
 {
@@ -152,6 +155,47 @@ TEST(Lifetimes, MultiUseTakesTheLastConsumer)
     EXPECT_EQ(info.of(ld).end, 6);
     EXPECT_EQ(info.of(ld).schedComponent, 6);
     EXPECT_EQ(info.of(ld).distComponent, 0);
+}
+
+/** Self-loop carried over `distance` iterations, scheduled at II 17. */
+LifetimeInfo
+analyzeCarriedSelfLoop(int distance)
+{
+    Ddg g("big3");
+    const NodeId a = g.addNode(Opcode::Div, "a");
+    const NodeId st = g.addNode(Opcode::Store, "s");
+    g.addEdge(a, a, DepKind::RegFlow, distance);
+    g.addEdge(a, st, DepKind::RegFlow, 0);
+    Schedule s(17, 2);
+    s.set(a, 0, 0);
+    s.set(st, 17, 0);
+    return analyzeLifetimes(g, s);
+}
+
+TEST(Lifetimes, CarriedEndAtTheIntLimitIsExact)
+{
+    // 17 * 126322567 = 2147483639 <= INT_MAX: analysed exactly.
+    const LifetimeInfo info = analyzeCarriedSelfLoop(126322567);
+    EXPECT_EQ(info.of(0).end, 2147483639);
+    EXPECT_EQ(info.of(0).distComponent, 2147483639);
+    EXPECT_EQ(info.maxLive, 126322567);
+}
+
+TEST(Lifetimes, CarriedEndBeyondIntIsFatal)
+{
+    // 17 * 2^27 exceeds INT_MAX. Multiplied in int, the carried use
+    // wrapped to a negative cycle and was ignored, so the value looked
+    // live for one II and needed a single register.
+    try {
+        analyzeCarriedSelfLoop(134217728);
+        FAIL() << "an out-of-range lifetime was accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("loop 'big3': value n0 is live until cycle "
+                           "2281701376 at II 17"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 } // namespace

@@ -268,6 +268,92 @@ TEST(Pipeliner, SpillKeepsBestScheduleWhenRoundsRunOut)
     EXPECT_TRUE(validateSchedule(r.graph(), m, r.sched, &why)) << why;
 }
 
+/** Expect two spill results to keep the same schedule and graph. */
+void
+expectSameSpillResult(const PipelineResult &got, const PipelineResult &want)
+{
+    EXPECT_EQ(got.success, want.success);
+    EXPECT_EQ(got.usedFallback, want.usedFallback);
+    EXPECT_EQ(got.ii(), want.ii());
+    EXPECT_EQ(got.mii, want.mii);
+    EXPECT_EQ(got.alloc.regsRequired, want.alloc.regsRequired);
+    EXPECT_EQ(got.alloc.rotAlloc.offset, want.alloc.rotAlloc.offset);
+    EXPECT_EQ(got.spilledLifetimes, want.spilledLifetimes);
+    EXPECT_EQ(graphFingerprint(got.graph()), graphFingerprint(want.graph()));
+}
+
+TEST(Pipeliner, SpillKeepsTheSameBestWithoutAnObserver)
+{
+    // An observer makes every over-budget round's exact register count
+    // known as it happens; without one, the driver allocates the
+    // over-budget rounds exactly only when the iteration ends unfit.
+    // Both must keep the same schedule.
+    const Machine m = Machine::p2l4();
+    const auto observed = [&](const Ddg &g, const PipelinerOptions &opts) {
+        return spillStrategy(g, m, opts, [](const SpillRoundInfo &) {});
+    };
+
+    const Ddg apsi = buildApsi47Analogue();
+    PipelinerOptions opts;
+    opts.registers = 2;
+    opts.heuristic = SpillHeuristic::MaxLT;
+    opts.maxSpillRounds = 3;
+    {
+        SCOPED_TRACE(apsi.name());
+        const PipelineResult plain = spillStrategy(apsi, m, opts);
+        ASSERT_FALSE(plain.success);
+        ASSERT_FALSE(plain.usedFallback);
+        expectSameSpillResult(plain, observed(apsi, opts));
+    }
+
+    SuiteParams params;
+    params.numLoops = 80;
+    opts = PipelinerOptions{};
+    opts.registers = 4;
+    opts.multiSelect = true;
+    opts.reuseLastIi = true;
+    int keptUnfit = 0;
+    for (const SuiteLoop &loop : generateSuite(params)) {
+        SCOPED_TRACE(loop.graph.name());
+        const PipelineResult plain = spillStrategy(loop.graph, m, opts);
+        expectSameSpillResult(plain, observed(loop.graph, opts));
+        keptUnfit += !plain.success && !plain.usedFallback;
+    }
+    EXPECT_GT(keptUnfit, 40);
+}
+
+TEST(Pipeliner, TightBudgetRowsArePinnedOnSuitePrefix)
+{
+    // The golden fingerprint runs at budget 32, where few schedules are
+    // rejected. This pins the CLI's row fields (loop, fits, II, regs,
+    // spills, mem ops) for the first 300 suite loops at budgets that
+    // reject most schedules: spill at R=4 and increase-II at R=8, with
+    // the CLI's Section 4.5 accelerators.
+    SuiteParams params;
+    params.numLoops = 300;
+    const std::vector<SuiteLoop> suite = generateSuite(params);
+    const Machine m = Machine::p2l4();
+    Fingerprint fp;
+    for (const auto &[strategy, registers] :
+         {std::pair{Strategy::Spill, 4}, std::pair{Strategy::IncreaseII, 8}}) {
+        PipelinerOptions opts;
+        opts.registers = registers;
+        opts.multiSelect = true;
+        opts.reuseLastIi = true;
+        for (const SuiteLoop &loop : suite) {
+            const PipelineResult r =
+                pipelineLoop(loop.graph, m, strategy, opts);
+            fp.mix(loop.graph.name());
+            fp.mix(std::uint64_t(r.success));
+            fp.mix(std::uint64_t(r.ii()));
+            fp.mix(std::uint64_t(r.alloc.regsRequired));
+            fp.mix(std::uint64_t(r.spilledLifetimes));
+            fp.mix(std::uint64_t(r.memOpsPerIteration()));
+        }
+    }
+    EXPECT_EQ(fp.value(), 0xd16c1e26d9a71923ull);
+}
+
 TEST(Pipeliner, SpillFallsBackOnlyWhenAcyclicFits)
 {
     // With a budget the acyclic schedule of the original loop can

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
@@ -537,6 +538,54 @@ TEST(RotAlloc, AllocateLoopMatchesNaiveSearchOnSuiteSchedules)
     EXPECT_GT(compared, 2000);
     EXPECT_GT(fitting, 0);
     EXPECT_LT(fitting, compared);
+}
+
+TEST(RotAlloc, WithinBudgetMatchesAllocateLoopOnSuiteSchedules)
+{
+    // The budget-bounded search must answer exactly when the exact one
+    // fits, with the exact outcome, offsets included. Budgets straddle
+    // MaxLive and MaxLive + invariants, where the bound starts to cut.
+    const Machine m = Machine::p2l4();
+    HrmsScheduler hrms;
+    int fitting = 0, unfit = 0, searchedUnfit = 0;
+    for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
+        const auto s = hrms.scheduleAt(loop.graph, m, mii(loop.graph, m));
+        if (!s)
+            continue;
+        const LifetimeInfo info = analyzeLifetimes(loop.graph, *s);
+        const int ml = info.maxLive;
+        for (const int budget :
+             {0, 1, ml - 1, ml, ml + 1, ml + info.invariantCount, 32, 64,
+              std::numeric_limits<int>::max() / 2}) {
+            for (const FitStrategy fit : kFits) {
+                const AllocationOutcome want =
+                    allocateLoop(loop.graph, *s, budget, fit);
+                const std::optional<AllocationOutcome> got =
+                    allocateWithinBudget(info, budget, fit);
+                SCOPED_TRACE(::testing::Message()
+                             << loop.graph.name() << " budget=" << budget
+                             << " fit=" << fitStrategyName(fit));
+                ASSERT_EQ(got.has_value(), want.fits);
+                if (!got) {
+                    ++unfit;
+                    searchedUnfit += info.totalRegisterBound() <= budget;
+                    continue;
+                }
+                EXPECT_TRUE(got->fits);
+                EXPECT_EQ(got->rotating, want.rotating);
+                EXPECT_EQ(got->regsRequired, want.regsRequired);
+                EXPECT_EQ(got->maxLive, want.maxLive);
+                EXPECT_EQ(got->invariants, want.invariants);
+                expectSameAllocation(got->rotAlloc, want.rotAlloc);
+                ++fitting;
+            }
+        }
+    }
+    EXPECT_GT(fitting, 14000);
+    EXPECT_GT(unfit, 18000);
+    // Over budget although MaxLive + invariants fit: the bounded
+    // search itself, not the MaxLive test, rejected these.
+    EXPECT_GT(searchedUnfit, 1000);
 }
 
 } // namespace
