@@ -44,12 +44,8 @@ runAblation(benchmark::State &state)
         const auto results =
             runner.run(suite, m, jobs, benchRunOptions());
 
-        // Sharded runs analyze (and below, count) only their own
-        // loops' lifetimes.
         std::vector<LifetimeInfo> infos(suite.size());
         runner.parallelFor(suite.size(), [&](std::size_t i) {
-            if (!ownsJob(i))
-                return;
             infos[i] = analyzeLifetimes(suite[i].graph, results[i].sched);
         });
 
@@ -62,10 +58,7 @@ runAblation(benchmark::State &state)
                  {AllocOrder::Adjacency, AllocOrder::DescendingLength}) {
                 int exact = 0, plus1 = 0, plus2 = 0, more = 0;
                 long extra = 0;
-                for (std::size_t i = 0; i < infos.size(); ++i) {
-                    if (!ownsJob(i))
-                        continue;
-                    const LifetimeInfo &info = infos[i];
+                for (const LifetimeInfo &info : infos) {
                     const int regs = minRotatingRegs(info, fit, order);
                     const int gap = regs - info.maxLive;
                     exact += gap == 0;
@@ -87,18 +80,14 @@ runAblation(benchmark::State &state)
         }
         std::cout << "\nAblation (1): rotating allocation vs the "
                      "MaxLive bound over " << suite.size()
-                  << " unconstrained schedules (P2L4"
-                  << shardSuffix() << ")\n";
+                  << " unconstrained schedules (P2L4)\n";
         strat.print(std::cout);
         recordTable("packing_vs_maxlive", strat);
 
         // MVE vs rotating.
         long rotTotal = 0, mveTotal = 0, mveWorse = 0;
         int maxGap = 0;
-        for (std::size_t i = 0; i < infos.size(); ++i) {
-            if (!ownsJob(i))
-                continue;
-            const LifetimeInfo &info = infos[i];
+        for (const LifetimeInfo &info : infos) {
             const int rot = minRotatingRegs(info);
             const int mve = allocateMve(info).registers;
             rotTotal += rot;
@@ -108,8 +97,8 @@ runAblation(benchmark::State &state)
         }
         std::cout << "\nAblation (2): rotating file vs modulo variable "
                      "expansion\n";
-        // rotTotal is 0 when this shard owns no loops; print +0.0%
-        // rather than a 0/0 NaN.
+        // rotTotal is 0 on an empty suite; print +0.0% rather than a
+        // 0/0 NaN.
         std::cout << strprintf(
             "total rotating regs: %ld, total MVE regs: %ld (+%.1f%%); "
             "MVE needs more on %ld loops (worst gap %d regs)\n",

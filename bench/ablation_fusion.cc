@@ -47,19 +47,16 @@ run(const std::vector<SuiteLoop> &suite, const Machine &m,
     proto.options.fuseSpillOps = fuse;
     proto.options.maxSpillRounds = 48;  // Bound the divergent cases.
 
-    const auto results = benchEvaluate(
+    const auto results = suiteRunner().run(
         suite, m, protoJobs(suite.size(), proto), benchRunOptions());
 
-    // Sharded runs tally only their own loops' cells.
     Cell cell;
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (!results[i].evaluated)
-            continue;
-        const JobSummary &r = results[i];
+        const PipelineResult &r = results[i];
         cell.converged += r.success && !r.usedFallback;
-        cell.cycles += double(r.ii) * double(suite[i].iterations);
+        cell.cycles += double(r.ii()) * double(suite[i].iterations);
         cell.rounds += r.rounds;
-        cell.spills += r.spills;
+        cell.spills += r.spilledLifetimes;
     }
     return cell;
 }
@@ -93,7 +90,7 @@ runAblation(benchmark::State &state)
         }
         std::cout << "\nAblation: complex-operation fusion "
                      "(P2L4, 32 registers, " << suite.size()
-                  << "-loop subset" << shardSuffix() << ")\n";
+                  << "-loop subset)\n";
         table.print(std::cout);
         std::cout << "expected: without fusion, convergence drops and "
                      "rounds/spills inflate, especially under the "

@@ -43,12 +43,9 @@ runAblation(benchmark::State &state)
             bool hrmsAtMii = false, imsAtMii = false;
             int mlHrms = 0, mlIms = 0, mlImsStaged = 0;
         };
-        // Sharded runs schedule (and tally) only the loops they own;
-        // unowned records keep counted == false.
+        // Loops either scheduler fails on keep counted == false.
         std::vector<Record> records(suite.size());
         runner.parallelFor(suite.size(), [&](std::size_t i) {
-            if (!ownsJob(i))
-                return;
             const SuiteLoop &loop = suite[i];
             const int lower = runner.bounds(loop.graph, m).mii;
             auto hrms = makeScheduler(SchedulerKind::Hrms);
@@ -105,8 +102,7 @@ runAblation(benchmark::State &state)
             .add(mlImsStaged);
 
         std::cout << "\nAblation: scheduler register sensitivity ("
-                  << counted << " loops, P2L4, unconstrained"
-                  << shardSuffix() << ")\n";
+                  << counted << " loops, P2L4, unconstrained)\n";
         table.print(std::cout);
         recordTable("register_sensitivity", table);
 
@@ -122,7 +118,7 @@ runAblation(benchmark::State &state)
                 proto.options.scheduler = kind;
                 proto.options.multiSelect = true;
                 proto.options.reuseLastIi = true;
-                const auto results = benchEvaluate(
+                const auto results = runner.run(
                     suite, m, protoJobs(suite.size(), proto),
                     benchRunOptions());
 
@@ -130,11 +126,9 @@ runAblation(benchmark::State &state)
                 long spills = 0;
                 int unfit = 0;
                 for (std::size_t i = 0; i < suite.size(); ++i) {
-                    if (!results[i].evaluated)
-                        continue;
-                    const JobSummary &r = results[i];
-                    cycles += double(r.ii) * double(suite[i].iterations);
-                    spills += r.spills;
+                    const PipelineResult &r = results[i];
+                    cycles += double(r.ii()) * double(suite[i].iterations);
+                    spills += r.spilledLifetimes;
                     unfit += !r.success;
                 }
                 end.row()

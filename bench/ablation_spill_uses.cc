@@ -28,13 +28,9 @@ runAblation(benchmark::State &state)
     const auto &suite = evaluationSuite();
 
     for (auto _ : state) {
-        // How many values even have several uses? (Per-shard counts
-        // when sharded, matching the evaluated subset below.)
+        // How many values even have several uses?
         long values = 0, multiUse = 0;
-        for (std::size_t li = 0; li < suite.size(); ++li) {
-            if (!ownsJob(li))
-                continue;
-            const SuiteLoop &loop = suite[li];
+        for (const SuiteLoop &loop : suite) {
             for (NodeId n = 0; n < loop.graph.numNodes(); ++n) {
                 if (!producesValue(loop.graph.node(n).op))
                     continue;
@@ -43,10 +39,9 @@ runAblation(benchmark::State &state)
                 multiUse += uses > 1;
             }
         }
-        std::cout << "\nAblation: use-granularity spilling"
-                  << shardSuffix() << "\n";
-        // values can be 0 when this shard owns no loops; print 0%
-        // rather than a 0/0 NaN.
+        std::cout << "\nAblation: use-granularity spilling\n";
+        // values can be 0 on a suite without values; print 0% rather
+        // than a 0/0 NaN.
         std::cout << "suite values with >1 use: " << multiUse << " of "
                   << values << " ("
                   << (values ? 100.0 * double(multiUse) / double(values)
@@ -65,7 +60,7 @@ runAblation(benchmark::State &state)
                     proto.options.multiSelect = true;
                     proto.options.reuseLastIi = true;
                     proto.options.spillUses = uses;
-                    const auto results = benchEvaluate(
+                    const auto results = suiteRunner().run(
                         suite, m, protoJobs(suite.size(), proto),
                         benchRunOptions());
 
@@ -73,14 +68,12 @@ runAblation(benchmark::State &state)
                     long spills = 0;
                     int unfit = 0;
                     for (std::size_t i = 0; i < suite.size(); ++i) {
-                        if (!results[i].evaluated)
-                            continue;
-                        const JobSummary &r = results[i];
+                        const PipelineResult &r = results[i];
                         cycles +=
-                            double(r.ii) * double(suite[i].iterations);
-                        refs += double(r.memOps) *
+                            double(r.ii()) * double(suite[i].iterations);
+                        refs += double(r.memOpsPerIteration()) *
                                 double(suite[i].iterations);
-                        spills += r.spills;
+                        spills += r.spilledLifetimes;
                         unfit += !r.success;
                     }
                     table.row()

@@ -7,10 +7,8 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 
 #include "machine/machdesc.hh"
-#include "sched/fingerprint.hh"
 #include "support/diag.hh"
 #include "support/stats.hh"
 #include "support/strutil.hh"
@@ -108,107 +106,6 @@ jsonCell(const std::string &cell)
     return isJsonNumber(cell) ? cell : jsonQuote(cell);
 }
 
-/** Record/replay store for --orch-record / --orchestrate. */
-struct OrchState
-{
-    /** Parent mode: replay benchEvaluate from byKey, never evaluate. */
-    bool replay = false;
-
-    /** Merged fleet records, keyed for replay lookups. */
-    std::map<std::string, BenchJobRecord> byKey;
-
-    /** Worker mode: jobs recorded so far, in first-evaluation order. */
-    std::vector<BenchJobRecord> recorded;
-    std::map<std::string, std::size_t> recordedIndex;
-};
-
-OrchState &
-orchState()
-{
-    static OrchState state;
-    return state;
-}
-
-/**
- * Everything a per-job record's validity depends on that is not in the
- * job key itself: the build, the harness, the suite, and the machine
- * selection. Fleet shard files must agree on this to merge.
- */
-std::string
-benchConfigFingerprint()
-{
-    const BenchOptions &opts = benchOptions();
-    Fingerprint fp;
-    fp.mix(std::string(__VERSION__));
-#ifdef NDEBUG
-    fp.mix(std::uint64_t(1));
-#else
-    fp.mix(std::uint64_t(0));
-#endif
-    fp.mix(opts.benchName);
-    fp.mix(opts.suite.seed);
-    fp.mix(std::uint64_t(opts.suite.numLoops));
-    fp.mix(opts.machineSpec);
-    return strprintf("%016llx",
-                     static_cast<unsigned long long>(fp.value()));
-}
-
-std::string
-benchConfigSummary()
-{
-    const BenchOptions &opts = benchOptions();
-    return "bench=" + opts.benchName + " seed=" +
-           std::to_string(opts.suite.seed) + " loops=" +
-           std::to_string(opts.suite.numLoops) + " machine=" +
-           (opts.machineSpec.empty() ? "(default)" : opts.machineSpec);
-}
-
-/**
- * Content key of one grid job: pipeline results are pure functions of
- * (graph, machine, job options), so this key identifies a job across
- * processes regardless of grid shape or job index.
- */
-std::string
-jobKey(const Ddg &g, const Machine &m, const BatchJob &job)
-{
-    Fingerprint fp;
-    fp.mix(graphFingerprint(g));
-    fp.mix(machineFingerprint(m));
-    fp.mix(std::uint64_t(job.ideal));
-    fp.mix(std::uint64_t(int(job.strategy)));
-    fp.mix(std::uint64_t(int(job.options.scheduler)));
-    fp.mix(std::uint64_t(job.options.registers));
-    fp.mix(std::uint64_t(int(job.options.heuristic)));
-    fp.mix(std::uint64_t(job.options.multiSelect));
-    fp.mix(std::uint64_t(job.options.spillUses));
-    fp.mix(std::uint64_t(job.options.reuseLastIi));
-    fp.mix(std::uint64_t(int(job.options.fit)));
-    fp.mix(std::uint64_t(job.options.maxSpillRounds));
-    fp.mix(std::uint64_t(job.options.fuseSpillOps));
-    return strprintf("%016llx",
-                     static_cast<unsigned long long>(fp.value()));
-}
-
-void
-recordBenchJob(const std::string &key, const JobSummary &s)
-{
-    OrchState &state = orchState();
-    if (state.recordedIndex.count(key))
-        return; // Pure job re-evaluated (e.g. a timing rerun).
-    BenchJobRecord rec;
-    rec.key = key;
-    rec.success = s.success;
-    rec.usedFallback = s.usedFallback;
-    rec.ii = s.ii;
-    rec.regs = s.regs;
-    rec.spills = s.spills;
-    rec.rounds = s.rounds;
-    rec.attempts = s.attempts;
-    rec.memOps = s.memOps;
-    state.recordedIndex.emplace(key, state.recorded.size());
-    state.recorded.push_back(std::move(rec));
-}
-
 } // namespace
 
 const char *
@@ -295,135 +192,14 @@ suiteRunner()
     return runner;
 }
 
-const ShardSpec &
-benchShard()
-{
-    return benchOptions().shard;
-}
-
-bool
-ownsJob(std::size_t i)
-{
-    return benchShard().owns(i);
-}
-
 RunOptions
 benchRunOptions()
 {
     RunOptions opts;
-    opts.shard = benchOptions().shard;
     opts.chunk = benchOptions().chunk;
     opts.verify = benchOptions().verify;
     opts.certify = benchOptions().certify;
     return opts;
-}
-
-RunOptions
-benchChunkOptions()
-{
-    RunOptions opts;
-    opts.chunk = benchOptions().chunk;
-    opts.verify = benchOptions().verify;
-    opts.certify = benchOptions().certify;
-    return opts;
-}
-
-std::string
-shardSuffix()
-{
-    return benchShard().active()
-               ? " [shard " + formatShardSpec(benchShard()) + "]"
-               : "";
-}
-
-std::vector<JobSummary>
-benchEvaluate(const std::vector<SuiteLoop> &suite, const Machine &m,
-              const std::vector<BatchJob> &jobs, const RunOptions &opts)
-{
-    std::vector<JobSummary> out(jobs.size());
-    OrchState &state = orchState();
-
-    if (state.replay) {
-        // Orchestrated parent: every job was evaluated by the shard
-        // fleet; look its summary up by content key. Jobs are pure
-        // functions of the key, so this reproduces evaluation exactly.
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!opts.shard.owns(i))
-                continue;
-            const Ddg &g = suite[std::size_t(jobs[i].loop)].graph;
-            const std::string key = jobKey(g, m, jobs[i]);
-            const auto it = state.byKey.find(key);
-            if (it == state.byKey.end()) {
-                SWP_FATAL("orchestrate: no recorded result for job key ",
-                          key, " (loop ", jobs[i].loop, " '", g.name(),
-                          "' on ", m.name(), "); the shard fleet and "
-                          "this process do not run the same grids");
-            }
-            const BenchJobRecord &rec = it->second;
-            JobSummary &s = out[i];
-            s.evaluated = true;
-            s.success = rec.success;
-            s.usedFallback = rec.usedFallback;
-            s.ii = rec.ii;
-            s.regs = rec.regs;
-            s.spills = rec.spills;
-            s.rounds = rec.rounds;
-            s.attempts = rec.attempts;
-            s.memOps = rec.memOps;
-        }
-        return out;
-    }
-
-    const std::vector<PipelineResult> results =
-        suiteRunner().run(suite, m, jobs, opts);
-    const bool record = !benchOptions().orchRecordPath.empty();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!opts.shard.owns(i))
-            continue;
-        const PipelineResult &r = results[i];
-        JobSummary &s = out[i];
-        s.evaluated = true;
-        s.success = r.success;
-        s.usedFallback = r.usedFallback;
-        s.ii = r.ii();
-        s.regs = r.alloc.regsRequired;
-        s.spills = r.spilledLifetimes;
-        s.rounds = r.rounds;
-        s.attempts = r.attempts;
-        s.memOps = r.memOpsPerIteration();
-        if (record) {
-            recordBenchJob(
-                jobKey(suite[std::size_t(jobs[i].loop)].graph, m,
-                       jobs[i]),
-                s);
-        }
-    }
-    return out;
-}
-
-void
-writeOrchRecord()
-{
-    const BenchOptions &opts = benchOptions();
-    if (opts.orchRecordPath.empty())
-        return;
-    ShardDoc doc;
-    doc.tool = "bench:" + opts.benchName;
-    doc.config = benchConfigFingerprint();
-    doc.configSummary = benchConfigSummary();
-    if (suiteConsumed()) {
-        doc.suiteSeed = std::to_string(opts.suite.seed);
-        doc.suiteLoops = opts.suite.numLoops;
-    }
-    doc.shard = opts.shard;
-    doc.benchJobs = orchState().recorded;
-    // Fault hook for orchestrator tests, as in swpipe_cli's shard mode.
-    if (maybeInjectFault(opts.orchRecordPath))
-        return;
-    writeShardFile(opts.orchRecordPath, doc);
-    std::cerr << "orch record: " << doc.benchJobs.size()
-              << " job records written to " << opts.orchRecordPath
-              << "\n";
 }
 
 SuiteTotals
@@ -437,23 +213,21 @@ runSuite(const std::vector<SuiteLoop> &suite, const Machine &m,
 
     SuiteTotals totals;
     Stopwatch sw;
-    const std::vector<JobSummary> results =
-        benchEvaluate(suite, m, jobs, benchRunOptions());
+    const std::vector<PipelineResult> results =
+        suiteRunner().run(suite, m, jobs, benchRunOptions());
     totals.seconds = sw.seconds();
 
     // Serial accumulation in loop order keeps the floating-point sums
     // (and thus the emitted JSON) bit-identical at any thread count.
-    // Sharded runs accumulate only the jobs this shard evaluated.
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const JobSummary &r = results[i];
-        if (!r.evaluated)
-            continue;
-        totals.cycles += double(r.ii) * double(suite[i].iterations);
-        totals.memRefs += double(r.memOps) * double(suite[i].iterations);
+        const PipelineResult &r = results[i];
+        totals.cycles += double(r.ii()) * double(suite[i].iterations);
+        totals.memRefs +=
+            double(r.memOpsPerIteration()) * double(suite[i].iterations);
         totals.attempts += r.attempts;
         totals.unfit += !r.success;
         totals.fallbacks += r.usedFallback;
-        totals.spills += r.spills;
+        totals.spills += r.spilledLifetimes;
     }
     return totals;
 }
@@ -461,17 +235,15 @@ runSuite(const std::vector<SuiteLoop> &suite, const Machine &m,
 std::vector<Machine>
 evaluationMachines()
 {
-    if (!benchOptions().machineSpec.empty())
-        return {machineFromSpec(benchOptions().machineSpec)};
+    if (benchOptions().machine)
+        return {*benchOptions().machine};
     return {Machine::p1l4(), Machine::p2l4(), Machine::p2l6()};
 }
 
 Machine
 benchMachine(const Machine &fallback)
 {
-    if (!benchOptions().machineSpec.empty())
-        return machineFromSpec(benchOptions().machineSpec);
-    return fallback;
+    return benchOptions().machine.value_or(fallback);
 }
 
 const std::vector<SuiteLoop> &
@@ -491,19 +263,14 @@ benchOptions()
 }
 
 void
-initBenchArgs(int *argc, char ***argv, const std::string &benchName,
-              bool nativeJson)
+initBenchArgs(int *argc, char ***argv, bool nativeJson)
 {
     BenchOptions &opts = benchOptions();
     opts.nativeJson = nativeJson;
-    opts.benchName = benchName;
 
     // Rebuilt argv storage must outlive main's use of it.
     static std::vector<std::string> forwarded;
     static std::vector<char *> keep;
-
-    bool shardSeen = false;
-    std::vector<std::string> workerArgs;
 
     keep.push_back((*argv)[0]);
     const auto next = [&](int &i, const char *flag) -> const char * {
@@ -512,13 +279,8 @@ initBenchArgs(int *argc, char ***argv, const std::string &benchName,
         return (*argv)[i];
     };
     for (int i = 1; i < *argc; ++i) {
-        const int argStart = i;
-        // Orchestration flags and --json stay with this process;
-        // everything else is forwarded verbatim to shard workers.
-        bool forward = true;
         char *arg = (*argv)[i];
         if (!std::strcmp(arg, "--json")) {
-            forward = false;
             opts.jsonPath = next(i, arg);
         } else if (!std::strcmp(arg, "--seed")) {
             const char *text = next(i, arg);
@@ -542,103 +304,21 @@ initBenchArgs(int *argc, char ***argv, const std::string &benchName,
             const char *text = next(i, arg);
             if (!parseChunkPolicy(text, opts.chunk))
                 flagError(std::string("bad --chunk policy ") + text);
-        } else if (!std::strcmp(arg, "--shard")) {
-            const char *text = next(i, arg);
-            if (!parseShardSpec(text, opts.shard))
-                flagError(std::string("bad --shard spec ") + text +
-                          " (want i/N with 0 <= i < N)");
-            shardSeen = true;
         } else if (!std::strcmp(arg, "--verify")) {
             opts.verify = true;
         } else if (!std::strcmp(arg, "--certify")) {
             opts.certify = true;
         } else if (!std::strcmp(arg, "--machine")) {
-            opts.machineSpec = next(i, arg);
-        } else if (!std::strcmp(arg, "--orchestrate")) {
-            forward = false;
-            const char *text = next(i, arg);
-            if (!parseIntInRange(text, 1, 4096, opts.orchestrate))
-                flagError(std::string("bad --orchestrate count ") + text);
-        } else if (!std::strcmp(arg, "--orch-dir")) {
-            forward = false;
-            opts.orchDir = next(i, arg);
-            if (opts.orchDir.empty())
-                flagError("--orch-dir needs a directory");
-        } else if (!std::strcmp(arg, "--orch-timeout")) {
-            forward = false;
-            const char *text = next(i, arg);
-            if (!parseIntInRange(text, 0, 1000000, opts.orchTimeout))
-                flagError(std::string("bad --orch-timeout seconds ") +
-                          text);
-        } else if (!std::strcmp(arg, "--orch-retries")) {
-            forward = false;
-            const char *text = next(i, arg);
-            if (!parseIntInRange(text, 0, 1000, opts.orchRetries))
-                flagError(std::string("bad --orch-retries count ") + text);
-        } else if (!std::strcmp(arg, "--orch-backoff")) {
-            forward = false;
-            const char *text = next(i, arg);
-            if (!parseIntInRange(text, 0, 600000, opts.orchBackoffMs))
-                flagError(std::string("bad --orch-backoff ms ") + text);
-        } else if (!std::strcmp(arg, "--no-resume")) {
-            forward = false;
-            opts.orchResume = false;
-        } else if (!std::strcmp(arg, "--inject-fail")) {
-            forward = false;
-            const char *text = next(i, arg);
-            if (!parseInjectSpec(text, opts.inject))
-                flagError(std::string("bad --inject-fail spec ") + text +
-                          " (want shard:attempt:crash|hang|corrupt"
-                          "[,...])");
-        } else if (!std::strcmp(arg, "--orch-record")) {
-            forward = false;
-            opts.orchRecordPath = next(i, arg);
+            // Resolved here, once, so a bad spec exits before any
+            // benchmark runs.
+            const char *spec = next(i, arg);
+            try {
+                opts.machine = machineFromSpec(spec);
+            } catch (const FatalError &err) {
+                flagError(err.what());
+            }
         } else {
             keep.push_back(arg);
-        }
-        if (forward) {
-            for (int k = argStart; k <= i && k < *argc; ++k)
-                workerArgs.push_back((*argv)[k]);
-        }
-    }
-    if (opts.orchestrate > 0) {
-        if (shardSeen) {
-            flagError("--orchestrate cannot be combined with --shard "
-                      "(the orchestrator launches the shard workers "
-                      "itself)");
-        }
-        if (!opts.orchRecordPath.empty())
-            flagError("--orchestrate cannot be combined with "
-                      "--orch-record");
-        // Run the worker fleet now, before any benchmark executes, and
-        // load the merged per-job records: every benchEvaluate() below
-        // replays from them instead of evaluating.
-        OrchestrateOptions orch;
-        orch.shards = opts.orchestrate;
-        orch.dir = opts.orchDir.empty() ? "swp_orch_" + benchName
-                                        : opts.orchDir;
-        orch.shardOutFlag = "--orch-record";
-        orch.maxAttempts = opts.orchRetries + 1;
-        orch.timeoutSeconds = opts.orchTimeout;
-        orch.backoffSeconds = opts.orchBackoffMs / 1000.0;
-        orch.resume = opts.orchResume;
-        orch.inject = opts.inject;
-        orch.expectTool = "bench:" + benchName;
-        orch.expectConfig = benchConfigFingerprint();
-        try {
-            const OrchestrateResult fleet = orchestrateShards(
-                selfExecutablePath((*argv)[0]), workerArgs, orch);
-            OrchState &state = orchState();
-            for (BenchJobRecord &rec : mergeBenchRecords(fleet.docs)) {
-                const std::string key = rec.key;
-                state.byKey.emplace(key, std::move(rec));
-            }
-            state.replay = true;
-            std::cerr << "orchestrate: replaying " << state.byKey.size()
-                      << " recorded jobs from " << orch.dir << "\n";
-        } catch (const FatalError &err) {
-            std::cerr << err.what() << "\n";
-            std::exit(2);
         }
     }
     // Fail before the (potentially long) run, not after it; append mode
@@ -714,13 +394,6 @@ writeBenchJson(const std::string &benchName)
     if (suiteConsumed()) {
         out << "  \"suite\": {\"seed\": \"" << opts.suite.seed
             << "\", \"loops\": " << opts.suite.numLoops << "},\n";
-    }
-    // The shard stanza appears only when --shard is active, so default
-    // runs stay byte-comparable across thread counts and memo on/off
-    // (the CI determinism diffs rely on that).
-    if (opts.shard.active()) {
-        out << "  \"shard\": {\"index\": " << opts.shard.index
-            << ", \"count\": " << opts.shard.count << "},\n";
     }
 
     out << "  \"metrics\": {";

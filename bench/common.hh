@@ -17,13 +17,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "driver/orchestrate.hh"
 #include "driver/suite_runner.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
+#include "support/diag.hh"
 #include "support/table.hh"
 #include "workload/suitegen.hh"
 
@@ -48,14 +50,6 @@ namespace swp::benchutil
  *   --chunk <auto|fixed>  job ordering/chunking policy (default auto
  *                    = heaviest loops first). Results are
  *                    byte-identical either way.
- *   --shard <i/N>    evaluate only shard i of N of every grid
- *                    (0-based; grid job j belongs to shard j mod N).
- *                    Each shard's tables and totals cover its own
- *                    jobs, so N shard processes split a grid across
- *                    machines; the per-shard JSON says which shard it
- *                    is. (Byte-exact cross-process merging is the
- *                    CLI's --shard/--merge-shards workflow, whose
- *                    shard files carry rendered per-job records.)
  *   --verify         check every evaluated result with the independent
  *                    legality verifier (src/verify); any violation
  *                    aborts the harness with a diagnostic naming the
@@ -74,22 +68,12 @@ namespace swp::benchutil
  *                    universal) or the path of a machine-description
  *                    file (machine/machdesc format). Grids that sweep
  *                    the Section 5 configurations collapse to the one
- *                    specified machine.
- *   --orchestrate <n>  run the harness's pipeline-evaluation grids as
- *                    n shard worker processes of this binary (the
- *                    orchestrator in src/driver/orchestrate, with
- *                    timeout/retry/resume), then replay the tables from
- *                    the merged per-job records — the written tables
- *                    match the serial run (wall-clock columns aside).
- *                    Grids that consume full schedules (lifetime
- *                    analyses, kernel validation, micro-timing) still
- *                    evaluate in-process.
- *   --orch-dir/--orch-timeout/--orch-retries/--orch-backoff/
- *   --no-resume/--inject-fail   as in swpipe_cli --orchestrate.
- *   --orch-record <path>  (worker-internal; appended by the
- *                    orchestrator) record every evaluated job into a
- *                    swp-shard-v1 file at <path> instead of expecting
- *                    to be a standalone run.
+ *                    specified machine. A spec that does not resolve
+ *                    exits with status 2 before any benchmark runs.
+ *
+ * A FatalError raised while the benchmarks run (a --verify or
+ * --certify violation, say) prints its message and exits with
+ * status 2.
  */
 struct BenchOptions
 {
@@ -98,32 +82,15 @@ struct BenchOptions
     int threads = 1;
     bool memo = true;
     ChunkPolicy chunk = ChunkPolicy::Auto;
-    ShardSpec shard;
     bool verify = false;
     bool certify = false;
-    /** --machine spec (preset name or description file); empty = the
-        harness's default machine(s). */
-    std::string machineSpec;
+    /** The resolved --machine; empty = the harness's default
+        machine(s). */
+    std::optional<Machine> machine;
 
     /** google-benchmark's own JSON reporter writes jsonPath itself
         (adaptive micro-benchmarks) instead of the table recorder. */
     bool nativeJson = false;
-
-    /** --orchestrate n: run the grids as n shard worker processes. */
-    int orchestrate = 0;
-    std::string orchDir;
-    int orchTimeout = 600;
-    int orchRetries = 2;
-    int orchBackoffMs = 100;
-    bool orchResume = true;
-    std::vector<FaultInjection> inject;
-
-    /** --orch-record: write evaluated jobs to this shard file (worker
-        mode; appended to workers by the orchestrator). */
-    std::string orchRecordPath;
-
-    /** Harness name (set by initBenchArgs; labels shard files). */
-    std::string benchName;
 };
 
 /** The process-wide options (mutated once by initBenchArgs). */
@@ -133,47 +100,8 @@ BenchOptions &benchOptions();
  * Strip the swp flags from argv. Call before benchmark::Initialize;
  * with nativeJson, --json is forwarded as google-benchmark's
  * --benchmark_out so the adaptive timing results land in the file.
- * Under --orchestrate this is also where the worker fleet runs: the
- * call returns with the merged per-job record store loaded, and every
- * subsequent benchEvaluate() replays from it instead of evaluating.
  */
-void initBenchArgs(int *argc, char ***argv, const std::string &benchName,
-                   bool nativeJson = false);
-
-/**
- * Scalar outcome of one grid job — everything the converted bench
- * tables are computed from, reproducible from a shard fleet's records.
- */
-struct JobSummary
-{
-    /** False for jobs outside this process's shard (slot untouched). */
-    bool evaluated = false;
-    bool success = false;
-    bool usedFallback = false;
-    int ii = 0;       ///< Achieved initiation interval.
-    int regs = 0;     ///< Registers required by the allocation.
-    int spills = 0;   ///< Spilled lifetimes.
-    int rounds = 0;   ///< Spill rounds taken.
-    int attempts = 0; ///< Scheduling attempts.
-    int memOps = 0;   ///< Memory operations per iteration.
-};
-
-/**
- * Evaluate a job grid and summarize each owned job. Normally runs the
- * grid on suiteRunner(); under --orch-record it additionally records
- * every evaluated job keyed by (machine, graph, options); under
- * --orchestrate it replays the summaries from the merged fleet records
- * without evaluating (a missing key is fatal — the fleet and this
- * process must run the same grids). Jobs are pure functions of their
- * key, so replayed summaries equal evaluated ones exactly.
- */
-std::vector<JobSummary> benchEvaluate(const std::vector<SuiteLoop> &suite,
-                                      const Machine &m,
-                                      const std::vector<BatchJob> &jobs,
-                                      const RunOptions &opts);
-
-/** Write the --orch-record shard file (no-op outside worker mode). */
-void writeOrchRecord();
+void initBenchArgs(int *argc, char ***argv, bool nativeJson = false);
 
 /** Queue a finished table for --json emission. */
 void recordTable(const std::string &name, const Table &table);
@@ -215,28 +143,8 @@ std::vector<BatchJob> protoJobs(std::size_t n, const BatchJob &proto);
  */
 SuiteRunner &suiteRunner();
 
-/** The process-wide shard spec (inactive by default). */
-const ShardSpec &benchShard();
-
-/**
- * Whether grid index i belongs to this process's shard. Every harness
- * guards its result accumulation with this so a sharded run reports
- * exactly the jobs it evaluated.
- */
-bool ownsJob(std::size_t i);
-
-/** Run options carrying the process-wide shard spec + chunk policy. */
+/** Run options carrying the --chunk, --verify and --certify flags. */
 RunOptions benchRunOptions();
-
-/**
- * Chunk policy only — for grids whose jobs were already filtered to
- * this shard (e.g. a stage-2 subset built from stage-1's owned
- * results); sharding such a grid again would drop jobs.
- */
-RunOptions benchChunkOptions();
-
-/** " [shard i/N]" when sharded, "" otherwise — for report headlines. */
-std::string shardSuffix();
 
 /** Whole-suite totals for one (machine, registers, variant) cell. */
 struct SuiteTotals
@@ -273,15 +181,18 @@ const std::vector<SuiteLoop> &evaluationSuite();
 #define SWP_BENCH_MAIN_IMPL(benchName, nativeJson)                      \
     int main(int argc, char **argv)                                     \
     {                                                                   \
-        swp::benchutil::initBenchArgs(&argc, &argv, benchName,          \
-                                      nativeJson);                      \
+        swp::benchutil::initBenchArgs(&argc, &argv, nativeJson);        \
         ::benchmark::Initialize(&argc, argv);                           \
         if (::benchmark::ReportUnrecognizedArguments(argc, argv))       \
             return 1;                                                   \
-        ::benchmark::RunSpecifiedBenchmarks();                          \
+        try {                                                           \
+            ::benchmark::RunSpecifiedBenchmarks();                      \
+        } catch (const swp::FatalError &e) {                            \
+            std::cerr << e.what() << "\n";                              \
+            return 2;                                                   \
+        }                                                               \
         ::benchmark::Shutdown();                                        \
         swp::benchutil::writeBenchJson(benchName);                      \
-        swp::benchutil::writeOrchRecord();                              \
         return 0;                                                       \
     }
 

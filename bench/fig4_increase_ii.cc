@@ -33,14 +33,9 @@ sweep(const Ddg &g, const Machine &m, int max_extra, Table &table)
 
     // Every II point is independent; sweep them across the pool and
     // emit the rows serially so the table is thread-count invariant.
-    // The II points are this figure's grid, so a sharded run sweeps
-    // only the points it owns (unowned ones keep the "no schedule"
-    // sentinel and are skipped below).
     std::vector<int> regsAt(std::size_t(max_extra) + 1, -1);
     benchutil::suiteRunner().parallelFor(
         regsAt.size(), [&](std::size_t k) {
-            if (!benchutil::ownsJob(k))
-                return;
             regsAt[k] = registersAtIi(g, m, lower + int(k), opts);
         });
 
@@ -70,8 +65,7 @@ runFig4(benchmark::State &state)
 {
     const Machine m = benchutil::benchMachine();
     for (auto _ : state) {
-        std::cout << "\nFigure 4: register requirement vs II (P2L4"
-                  << benchutil::shardSuffix() << ")\n";
+        std::cout << "\nFigure 4: register requirement vs II (P2L4)\n";
         Table table({"loop", "II", "registers"});
         sweep(buildApsi47Analogue(), m, 60, table);
         sweep(buildApsi50Analogue(), m, 60, table);

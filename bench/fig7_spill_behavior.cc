@@ -75,8 +75,7 @@ runFig7(benchmark::State &state)
     const Machine m = benchutil::benchMachine();
     for (auto _ : state) {
         std::cout << "\nFigure 7: spilling one lifetime per round, "
-                     "Max(LT), P2L4" << benchutil::shardSuffix()
-                  << "\n";
+                     "Max(LT), P2L4\n";
         const struct
         {
             const char *loop;
@@ -87,12 +86,8 @@ runFig7(benchmark::State &state)
 
         // The four traces are independent; each collects its own rows,
         // which are then stitched together in fixed order so the table
-        // is identical at any thread count. The traces are this
-        // figure's grid: a sharded run traces only the (loop, budget)
-        // cases it owns, whose outputs stay empty otherwise.
+        // is identical at any thread count.
         benchutil::suiteRunner().parallelFor(4, [&](std::size_t k) {
-            if (!benchutil::ownsJob(k))
-                return;
             const Ddg g = std::string(cases[k].loop) == "apsi47"
                               ? buildApsi47Analogue()
                               : buildApsi50Analogue();

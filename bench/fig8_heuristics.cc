@@ -58,11 +58,8 @@ runFig8(benchmark::State &state)
                 }
             }
         }
-        // Sharding flows through runSuite: each cell's totals cover
-        // this shard's loops only.
         std::cout << "\nFigure 8: spilling heuristics over the "
-                  << suite.size() << "-loop suite" << shardSuffix()
-                  << "\n";
+                  << suite.size() << "-loop suite\n";
         table.print(std::cout);
         recordTable("heuristics", table);
     }

@@ -41,17 +41,12 @@ runFig9(benchmark::State &state)
                 for (std::size_t i = 0; i < suite.size(); ++i)
                     incrJobs.push_back(variantJob(
                         int(i), Variant::IncreaseIi, registers));
-                const auto incr =
-                    benchEvaluate(suite, m, incrJobs, benchRunOptions());
+                const auto incr = suiteRunner().run(
+                    suite, m, incrJobs, benchRunOptions());
 
-                // A sharded run draws its candidates from the loops it
-                // owns; the later stages' grids are already
-                // shard-filtered through them (chunk policy only).
                 std::vector<int> candidates;
                 for (std::size_t i = 0; i < suite.size(); ++i) {
-                    if (!incr[i].evaluated)
-                        continue;
-                    const JobSummary &r = incr[i];
+                    const PipelineResult &r = incr[i];
                     if (!r.usedFallback && r.success && r.rounds > 1)
                         candidates.push_back(int(i));
                 }
@@ -61,9 +56,8 @@ runFig9(benchmark::State &state)
                 for (const int i : candidates)
                     spillJobs.push_back(variantJob(
                         i, Variant::MaxLtTrafMultiLastIi, registers));
-                const auto spills =
-                    benchEvaluate(suite, m, spillJobs,
-                                  benchChunkOptions());
+                const auto spills = suiteRunner().run(
+                    suite, m, spillJobs, benchRunOptions());
 
                 // Stage 3: best-of-all where spilling also converged.
                 std::vector<int> members;
@@ -75,26 +69,25 @@ runFig9(benchmark::State &state)
                     bestJobs.push_back(variantJob(
                         candidates[k], Variant::BestOfAll, registers));
                 }
-                const auto bests =
-                    benchEvaluate(suite, m, bestJobs,
-                                  benchChunkOptions());
+                const auto bests = suiteRunner().run(
+                    suite, m, bestJobs, benchRunOptions());
 
                 double cyclesIi = 0, cyclesSpill = 0, cyclesBest = 0;
                 int subset = 0, spillWins = 0, iiWins = 0;
                 for (std::size_t j = 0; j < members.size(); ++j) {
                     const int k = members[j];
                     const int loopIdx = candidates[std::size_t(k)];
-                    const JobSummary &ri = incr[std::size_t(loopIdx)];
-                    const JobSummary &rs = spills[std::size_t(k)];
-                    const JobSummary &rb = bests[j];
+                    const int ii = incr[std::size_t(loopIdx)].ii();
+                    const int is = spills[std::size_t(k)].ii();
+                    const int ib = bests[j].ii();
                     ++subset;
                     const double w =
                         double(suite[std::size_t(loopIdx)].iterations);
-                    cyclesIi += double(ri.ii) * w;
-                    cyclesSpill += double(rs.ii) * w;
-                    cyclesBest += double(rb.ii) * w;
-                    spillWins += rs.ii < ri.ii;
-                    iiWins += ri.ii < rs.ii;
+                    cyclesIi += double(ii) * w;
+                    cyclesSpill += double(is) * w;
+                    cyclesBest += double(ib) * w;
+                    spillWins += is < ii;
+                    iiWins += ii < is;
                 }
                 table.row()
                     .add(m.name())
@@ -108,8 +101,7 @@ runFig9(benchmark::State &state)
             }
         }
         std::cout << "\nFigure 9: increase-II vs spill vs best-of-all "
-                     "(converging subset only" << shardSuffix()
-                  << ")\n";
+                     "(converging subset only)\n";
         table.print(std::cout);
         recordTable("strategies", table);
     }

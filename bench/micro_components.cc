@@ -242,18 +242,12 @@ BM_SuiteRunnerBatch(benchmark::State &state)
         jobs.push_back(benchutil::variantJob(
             int(i), benchutil::Variant::MaxLtTrafMultiLastIi, 32));
     }
-    // Honours --shard/--chunk too, so a sharded process times exactly
-    // the slice of the grid it would evaluate in a cluster run.
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             runner.run(suite, m, jobs, benchutil::benchRunOptions()));
     }
-    std::size_t owned = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        owned += benchutil::ownsJob(i);
-    state.SetItemsProcessed(state.iterations() * long(owned));
-    state.SetLabel(std::to_string(runner.threads()) + " thread(s)" +
-                   benchutil::shardSuffix());
+    state.SetItemsProcessed(state.iterations() * long(jobs.size()));
+    state.SetLabel(std::to_string(runner.threads()) + " thread(s)");
 }
 BENCHMARK(BM_SuiteRunnerBatch)
     ->Unit(benchmark::kMillisecond)

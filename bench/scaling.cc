@@ -63,7 +63,7 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<SuiteLoop> &suite = benchutil::evaluationSuite();
     const Machine m = benchutil::benchMachine();
     const std::vector<BatchJob> jobs = scalingGrid(suite.size());
-    const RunOptions ropts = benchutil::benchChunkOptions();
+    const RunOptions ropts = benchutil::benchRunOptions();
 
     SuiteRunner runner(threads, benchutil::benchOptions().memo);
     runner.run(suite, m, jobs, ropts); // Warm the memos once, untimed.

@@ -45,9 +45,8 @@ const std::vector<Machine> &
 machineFamily()
 {
     static const std::vector<Machine> family = [] {
-        if (!benchutil::benchOptions().machineSpec.empty())
-            return std::vector<Machine>{
-                machineFromSpec(benchutil::benchOptions().machineSpec)};
+        if (benchutil::benchOptions().machine)
+            return std::vector<Machine>{*benchutil::benchOptions().machine};
         std::vector<Machine> f = {Machine::p1l4(), Machine::p2l4(),
                                   Machine::p2l6()};
         for (const char *file :
@@ -108,8 +107,6 @@ BM_MachineFamilyValidation(benchmark::State &state)
             const std::vector<PipelineResult> results = runner.run(
                 suite, m, jobs, benchutil::benchRunOptions());
             for (std::size_t i = 0; i < results.size(); ++i) {
-                if (!benchutil::ownsJob(i))
-                    continue;
                 const PipelineResult &r = results[i];
                 if (!r.alloc.rotAlloc.ok)
                     continue;  // No allocation to execute under.
@@ -130,7 +127,7 @@ BM_MachineFamilyValidation(benchmark::State &state)
     }
     state.SetLabel(std::to_string(machineFamily().size()) +
                    " machines, " + std::to_string(simulated) +
-                   " kernels executed" + benchutil::shardSuffix());
+                   " kernels executed");
     state.SetItemsProcessed(long(machineFamily().size()) *
                             long(suite.size()));
 }

@@ -42,24 +42,16 @@ runSweep(benchmark::State &state)
             table.row()
                 .add(registers)
                 .add(spill.cycles / 1e9, 4)
-                // ideal.cycles is 0 when this shard owns no loops;
-                // report +0.0% rather than a 0/0 NaN cell.
-                .add(strprintf(
-                    "%+.1f%%",
-                    ideal.cycles > 0
-                        ? 100.0 * (spill.cycles - ideal.cycles) /
-                              ideal.cycles
-                        : 0.0))
+                .add(strprintf("%+.1f%%",
+                               100.0 * (spill.cycles - ideal.cycles) /
+                                   ideal.cycles))
                 .add(spill.memRefs / 1e9, 4)
                 .add(spill.spills)
                 .add(incr.cycles / 1e9, 4)
                 .add(incr.fallbacks);
         }
-        // Sharding flows through runSuite: every row covers this
-        // shard's loops only (including the ideal normalization).
         std::cout << "\nRegister-file sweep (P2L4, ideal = "
-                  << ideal.cycles / 1e9 << "e9 cycles"
-                  << shardSuffix() << ")\n";
+                  << ideal.cycles / 1e9 << "e9 cycles)\n";
         table.print(std::cout);
         recordTable("register_sweep", table);
         recordMetric("ideal_cycles", ideal.cycles);

@@ -44,27 +44,23 @@ sweepLoop(const Ddg &g, const Machine &m, int registers, Table &table)
     proto.options.registers = registers;
     proto.options.multiSelect = true;
     proto.options.reuseLastIi = true;
-    // The unroll factors are this sweep's grid: a sharded run
-    // evaluates and prints only the factors it owns.
-    const auto results = benchEvaluate(
+    const auto results = suiteRunner().run(
         unrolled, m, protoJobs(unrolled.size(), proto),
         benchRunOptions());
 
     for (std::size_t i = 0; i < unrolled.size(); ++i) {
-        if (!results[i].evaluated)
-            continue;
         const int factor = factors[i];
-        const JobSummary &r = results[i];
+        const PipelineResult &r = results[i];
         table.row()
             .add(g.name())
             .add(factor)
             .add(mii(unrolled[i].graph, m))
             .add(r.success ? (r.usedFallback ? "fallback" : "yes")
                            : "NO")
-            .add(r.ii)
-            .add(double(r.ii) / factor, 2)
-            .add(r.regs)
-            .add(r.spills);
+            .add(r.ii())
+            .add(double(r.ii()) / factor, 2)
+            .add(r.alloc.regsRequired)
+            .add(r.spilledLifetimes);
     }
 }
 
@@ -80,7 +76,7 @@ runSweep(benchmark::State &state)
         sweepLoop(buildApsi47Analogue(), m, 32, table);
         sweepLoop(buildApsi50Analogue(), m, 32, table);
         std::cout << "\nUnroll sweep on the case-study loops "
-                     "(P2L4, 32 registers" << shardSuffix() << ")\n";
+                     "(P2L4, 32 registers)\n";
         table.print(std::cout);
         recordTable("case_study", table);
 
@@ -89,12 +85,9 @@ runSweep(benchmark::State &state)
         Table agg({"unroll", "cycles/orig-iter (sum)", "spills",
                    "unfit"});
         for (const int factor : {1, 2, 3}) {
-            // Unroll (and evaluate) only the loops this shard owns.
             std::vector<SuiteLoop> unrolled(subset);
-            benchutil::suiteRunner().parallelFor(
+            suiteRunner().parallelFor(
                 subset, [&](std::size_t i) {
-                    if (!benchutil::ownsJob(i))
-                        return;
                     unrolled[i] = {unrollLoop(full[i].graph, factor),
                                    full[i].iterations};
                 });
@@ -104,19 +97,15 @@ runSweep(benchmark::State &state)
             proto.options.registers = 32;
             proto.options.multiSelect = true;
             proto.options.reuseLastIi = true;
-            const auto results = benchEvaluate(
-                unrolled, m, benchutil::protoJobs(subset, proto),
-                benchutil::benchRunOptions());
+            const auto results = suiteRunner().run(
+                unrolled, m, protoJobs(subset, proto), benchRunOptions());
 
             double perIter = 0;
             long spills = 0;
             int unfit = 0;
-            for (std::size_t i = 0; i < subset; ++i) {
-                if (!results[i].evaluated)
-                    continue;
-                const JobSummary &r = results[i];
-                perIter += double(r.ii) / factor;
-                spills += r.spills;
+            for (const PipelineResult &r : results) {
+                perIter += double(r.ii()) / factor;
+                spills += r.spilledLifetimes;
                 unfit += !r.success;
             }
             agg.row()
@@ -126,8 +115,7 @@ runSweep(benchmark::State &state)
                 .add(unfit);
         }
         std::cout << "\nUnroll sweep over " << subset
-                  << " suite loops (P2L4, 32 registers"
-                  << shardSuffix() << ")\n";
+                  << " suite loops (P2L4, 32 registers)\n";
         agg.print(std::cout);
         recordTable("suite_subset", agg);
     }

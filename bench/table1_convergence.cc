@@ -41,22 +41,16 @@ runTable1(benchmark::State &state)
             for (std::size_t i = 0; i < suite.size(); ++i)
                 idealJobs.push_back(
                     variantJob(int(i), Variant::Ideal, 0));
-            const auto ideal =
-                benchEvaluate(suite, m, idealJobs, benchRunOptions());
+            const auto ideal = suiteRunner().run(suite, m, idealJobs,
+                                                 benchRunOptions());
 
-            // Sharded runs normalize by their own jobs' cycles: the %
-            // columns are per-shard views of per-shard counts.
             std::vector<double> idealCycles(suite.size(), 0.0);
             double totalCycles = 0;
-            std::size_t ownedLoops = 0;
             for (std::size_t i = 0; i < suite.size(); ++i) {
-                if (!ideal[i].evaluated)
-                    continue;
-                const double c = double(ideal[i].ii) *
+                const double c = double(ideal[i].ii()) *
                                  double(suite[i].iterations);
                 idealCycles[i] = c;
                 totalCycles += c;
-                ++ownedLoops;
             }
 
             for (const int registers : {64, 32}) {
@@ -64,14 +58,12 @@ runTable1(benchmark::State &state)
                 for (std::size_t i = 0; i < suite.size(); ++i)
                     jobs.push_back(variantJob(
                         int(i), Variant::IncreaseIi, registers));
-                const auto results =
-                    benchEvaluate(suite, m, jobs, benchRunOptions());
+                const auto results = suiteRunner().run(
+                    suite, m, jobs, benchRunOptions());
 
                 int diverged = 0;
                 double divergedCycles = 0;
                 for (std::size_t i = 0; i < suite.size(); ++i) {
-                    if (!results[i].evaluated)
-                        continue;
                     if (results[i].usedFallback) {
                         ++diverged;
                         divergedCycles += idealCycles[i];
@@ -79,26 +71,17 @@ runTable1(benchmark::State &state)
                             .insert(int(i));
                     }
                 }
-                // A shard can own zero loops (more shards than
-                // loops); report 0% rather than 0/0 = NaN cells.
                 table.row()
                     .add(m.name())
                     .add(registers)
                     .add(diverged)
-                    .add(ownedLoops
-                             ? 100.0 * diverged / double(ownedLoops)
-                             : 0.0,
-                         2)
-                    .add(totalCycles > 0
-                             ? 100.0 * divergedCycles / totalCycles
-                             : 0.0,
-                         1);
+                    .add(100.0 * diverged / double(suite.size()), 2)
+                    .add(100.0 * divergedCycles / totalCycles, 1);
             }
         }
 
         std::cout << "\nTable 1: loops that never converge under "
-                     "increase-II (" << suite.size() << " loops"
-                  << shardSuffix() << ")\n";
+                     "increase-II (" << suite.size() << " loops)\n";
         table.print(std::cout);
         std::cout << "distinct failing loops @32 across configs: "
                   << failing32.size() << ", @64: " << failing64.size()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <queue>
 
 #include "sched/fingerprint.hh"
@@ -440,27 +441,18 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
                           const std::vector<BatchJob> &jobs,
                           const RunOptions &opts)
 {
-    SWP_ASSERT(opts.shard.count >= 1 && opts.shard.index >= 0 &&
-                   opts.shard.index < opts.shard.count,
-               "malformed shard spec ", opts.shard.index, "/",
-               opts.shard.count);
-
-    std::vector<std::size_t> order;
-    order.reserve(jobs.size() / std::size_t(opts.shard.count) + 1);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (opts.shard.owns(i))
-            order.push_back(i);
-    }
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
     if (opts.chunk == ChunkPolicy::Auto) {
-        // The ranking needs every owned loop's MII; warm the bounds
-        // memo across the pool first so a cold large suite does not
+        // The ranking needs every loop's MII; warm the bounds memo
+        // across the pool first so a cold large suite does not
         // serialize that phase on this thread (the memo is
         // single-flight and deterministic, so this only moves work).
         std::vector<std::size_t> distinctLoops;
         {
             std::vector<bool> seen(suite.size(), false);
-            for (const std::size_t i : order) {
-                const std::size_t loop = std::size_t(jobs[i].loop);
+            for (const BatchJob &job : jobs) {
+                const std::size_t loop = std::size_t(job.loop);
                 if (!seen[loop]) {
                     seen[loop] = true;
                     distinctLoops.push_back(loop);

@@ -27,14 +27,6 @@
  * none of them changes results: output is byte-identical with the
  * memos on or off.
  *
- * Beyond the thread pool, a batch can be split *across processes*: a
- * RunOptions::shard spec assigns job index j to shard j mod N, and a
- * sharded run() evaluates only its own jobs (the others' result slots
- * are left default-constructed). Because every job is a pure function
- * of its inputs, the union of N sharded runs equals the unsharded run
- * slot for slot — src/driver/shard_merge provides the file format and
- * validating merge the CLI builds on.
- *
  * Within a run, jobs are claimed in a work-size-aware order: under the
  * default ChunkPolicy::Auto the grid is walked heaviest-first, ranked
  * by a cheap cost estimate (node count x candidate-II span), so a
@@ -46,8 +38,7 @@
  * cheapest to migrate) — so no claim ever touches a shared counter and
  * the tail of a batch self-balances. Ordering, chunking and stealing
  * only change *when* a job runs, never its result or its slot, so
- * output stays byte-identical at any thread count, shard spec, and
- * chunk policy.
+ * output stays byte-identical at any thread count and chunk policy.
  */
 
 #ifndef SWP_DRIVER_SUITE_RUNNER_HH
@@ -63,11 +54,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "driver/shard_merge.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
 #include "sched/sched_memo.hh"
@@ -144,9 +135,6 @@ struct WorkerPerf
 /** Per-run evaluation options; the defaults reproduce run(3 args). */
 struct RunOptions
 {
-    /** Evaluate only this shard's jobs (j mod count == index). */
-    ShardSpec shard;
-
     ChunkPolicy chunk = ChunkPolicy::Auto;
 
     /**
@@ -173,10 +161,9 @@ struct RunOptions
 
     /**
      * When set (implies certify), resized to jobs.size() and slot i
-     * filled with job i's certificate summary; sharded-out slots stay
-     * invalid. Summaries are a pure function of the job, so the filled
-     * slots are identical at any thread count, shard spec, and chunk
-     * policy.
+     * filled with job i's certificate summary. Summaries are a pure
+     * function of the job, so the slots are identical at any thread
+     * count and chunk policy.
      */
     std::vector<CertSummary> *certificates = nullptr;
 };
@@ -258,16 +245,11 @@ class SuiteRunner
 
     /**
      * Evaluate all jobs. results[i] corresponds to jobs[i]; the result
-     * vector is bit-identical at any thread count, shard spec, and
-     * chunk policy. Each result's graph() references the suite entry
+     * vector is bit-identical at any thread count and chunk policy.
+     * Each result's graph() references the suite entry
      * it was built from unless spilling transformed the loop, so the
      * suite must outlive the returned results. Exceptions thrown by a
      * job are rethrown here.
-     *
-     * With an active opts.shard, only jobs owned by the shard are
-     * evaluated; the other slots are left default-constructed (their
-     * graph() must not be queried). The evaluated slots are
-     * bit-identical to the same slots of an unsharded run.
      */
     std::vector<PipelineResult> run(const std::vector<SuiteLoop> &suite,
                                     const Machine &m,
@@ -293,8 +275,8 @@ class SuiteRunner
                    const BatchJob &job);
 
     /**
-     * The evaluation order run() uses: the indices of the jobs the
-     * shard owns, ranked heaviest-first under ChunkPolicy::Auto and in
+     * The evaluation order run() uses: every job index, ranked
+     * heaviest-first under ChunkPolicy::Auto and in
      * grid order under ChunkPolicy::Fixed. Deterministic for a given
      * (suite, machine, jobs, opts); exposed for the property tests.
      */

@@ -63,7 +63,7 @@ std::string describeMachine(const Machine &m);
  * Content fingerprint over everything describeMachine emits (name,
  * classes, per-opcode binding and latency). Machines compare equal
  * iff their descriptions match, so this is the machine component of
- * memo keys and shard-file config fingerprints.
+ * memo keys.
  */
 std::uint64_t machineContentFingerprint(const Machine &m);
 

@@ -45,8 +45,8 @@ graphFingerprint(const Ddg &g)
 std::uint64_t
 machineFingerprint(const Machine &m)
 {
-    // The machine layer owns its content hash (it also keys shard-file
-    // config fingerprints); memo keys reuse it unchanged.
+    // The machine layer owns its content hash; memo keys reuse it
+    // unchanged.
     return machineContentFingerprint(m);
 }
 

@@ -600,7 +600,6 @@ CertSummary
 summarizeCertificate(const Certificate &cert, const PipelineResult &result)
 {
     CertSummary s;
-    s.valid = true;
     s.loop = result.graph().name();
     s.achievedIi = result.sched.ii();
     s.achievedRegs = result.alloc.regsRequired;
@@ -630,8 +629,6 @@ summarizeGaps(const std::vector<CertSummary> &summaries)
 {
     GapReport r;
     for (const CertSummary &s : summaries) {
-        if (!s.valid)
-            continue;
         ++r.jobs;
         const int gap = s.gap();
         if (gap == 0)

@@ -178,7 +178,6 @@ CertReport checkCertificateAgainstResult(const Certificate &cert,
 /** Compact per-job certificate outcome, for reports and JSON lines. */
 struct CertSummary
 {
-    bool valid = false;  ///< False for unevaluated (sharded-out) slots.
     std::string loop;
     int achievedIi = 0;
     int achievedRegs = 0;
@@ -202,16 +201,14 @@ CertSummary summarizeCertificate(const Certificate &cert,
 
 /**
  * Canonical one-line JSON rendering of one job's summary. Byte-stable
- * across thread counts and shard splits (pure function of the job
- * index and summary), so sharded certificate files merge into exactly
- * the unsharded bytes.
+ * across thread counts (pure function of the job index and summary).
  */
 std::string certSummaryJson(int job, const CertSummary &s);
 
 /** Suite-wide optimality-gap aggregate. */
 struct GapReport
 {
-    int jobs = 0;       ///< Valid summaries aggregated.
+    int jobs = 0;       ///< Summaries aggregated.
     int optimal = 0;    ///< gap == 0: II proven optimal.
     int gapOne = 0;     ///< gap == 1.
     int unproven = 0;   ///< gap >= 2.
@@ -219,7 +216,7 @@ struct GapReport
     int regExact = 0;   ///< regGap == 0: register floor met exactly.
 };
 
-/** Aggregate the valid summaries (invalid slots are skipped). */
+/** Aggregate the summaries. */
 GapReport summarizeGaps(const std::vector<CertSummary> &summaries);
 
 /** One-line human-readable gap report. */

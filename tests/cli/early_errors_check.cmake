@@ -1,0 +1,85 @@
+# CTest script: bad output paths and machine specs are refused before
+# any work is done, with a diagnostic and exit status 2.
+#
+#  1. A bench harness given a --machine spec that does not resolve exits
+#     2 with the machine-description message, before any benchmark runs
+#     (no "Running" banner, no abort).
+#  2. swpipe_cli --certify-out on an unwritable path exits 2 naming the
+#     file before it schedules anything: with a loop whose scheduling
+#     itself fails, the certificate-file diagnostic must come first.
+#  3. The --certify-out probe leaves no file behind when it created
+#     one, and leaves an existing file untouched when the run fails.
+#
+# Invoked as:
+#   cmake -DCLI=<swpipe_cli> -DBENCH=<table1_convergence> -DWORK=<scratch dir>
+#         -P early_errors_check.cmake
+
+if(NOT CLI OR NOT BENCH OR NOT WORK)
+    message(FATAL_ERROR "usage: cmake -DCLI=... -DBENCH=... -DWORK=... -P early_errors_check.cmake")
+endif()
+
+# 1. Bench harness, unknown machine.
+execute_process(COMMAND ${BENCH} --machine nosuch --loops 4
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "bench --machine nosuch exited '${rc}', want 2: ${err}")
+endif()
+if(NOT err MATCHES "cannot read machine description file 'nosuch'")
+    message(FATAL_ERROR "bench --machine nosuch without the machdesc diagnostic: ${err}")
+endif()
+if(out MATCHES "Running" OR err MATCHES "Running")
+    message(FATAL_ERROR "bench started its benchmarks before refusing --machine: ${out}${err}")
+endif()
+
+# A loop whose scheduling fails with its own diagnostic (a carried
+# lifetime beyond the int cycle range; see lifetime_limit_check.cmake).
+set(ddg ${WORK}/early_errors_big3.ddg)
+file(WRITE ${ddg} "loop big3
+iterations 10
+node a div
+node s st
+edge a a reg 134217728
+edge a s reg 0
+end
+")
+
+# 2. Unwritable --certify-out is refused before scheduling.
+set(bad ${WORK}/early_errors_no_such_dir/certs.jsonl)
+execute_process(COMMAND ${CLI} ${ddg} --certify-out ${bad}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "swpipe_cli --certify-out ${bad} exited '${rc}', want 2: ${err}")
+endif()
+string(FIND "${err}" "cannot write certificate file ${bad}" at)
+if(at EQUAL -1)
+    message(FATAL_ERROR "swpipe_cli scheduled before probing --certify-out: ${err}")
+endif()
+
+# 3. The probe removes a file it created, and keeps an existing one.
+set(fresh ${WORK}/early_errors_fresh.jsonl)
+file(REMOVE ${fresh})
+execute_process(COMMAND ${CLI} ${ddg} --certify-out ${fresh}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_QUIET)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "swpipe_cli accepted the overflowing loop")
+endif()
+if(EXISTS ${fresh})
+    file(REMOVE ${fresh})
+    message(FATAL_ERROR "the --certify-out probe left ${fresh} behind")
+endif()
+
+set(kept ${WORK}/early_errors_kept.jsonl)
+file(WRITE ${kept} "previous results\n")
+execute_process(COMMAND ${CLI} ${ddg} --certify-out ${kept}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_QUIET)
+file(READ ${kept} content)
+file(REMOVE ${kept} ${ddg})
+if(NOT content STREQUAL "previous results\n")
+    message(FATAL_ERROR "the --certify-out probe changed an existing file: '${content}'")
+endif()

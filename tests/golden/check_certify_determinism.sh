@@ -1,18 +1,19 @@
 #!/bin/sh
-# Byte-identity guard for the certificate JSON stream.
+# Byte-identity guard for the certificate JSON stream and for stdout
+# across execution configurations.
 #
 # The --certify-out JSONL file is specified to be a pure function of the
-# job list: identical at any worker-thread count, and the union of N
-# sharded runs' lines (reordered by job index) must equal the unsharded
-# file byte for byte. This script pins all three properties on a
+# job list, and stdout a pure function of the options that name the
+# work, never of how it is executed. This script pins both on a
 # 120-loop pinned-seed suite:
 #
 #   1. --threads 1 vs --threads 8 produce identical JSONL bytes;
-#   2. shard 0/2 + shard 1/2, merged by job index, reproduce the
-#      unsharded JSONL exactly;
-#   3. stdout (the CSV the fingerprint guards) is byte-identical with
+#   2. stdout (the CSV the fingerprint guards) is byte-identical with
 #      and without --certify, so certification observes without
-#      perturbing.
+#      perturbing;
+#   3. the spill strategy at 16 registers prints identical stdout at
+#      --threads 1, at --threads 4 --chunk fixed and at --threads 4
+#      --memo 0.
 #
 # Usage: check_certify_determinism.sh /path/to/swpipe_cli
 set -eu
@@ -38,24 +39,21 @@ if ! cmp -s "$tmp/t1.jsonl" "$tmp/t8.jsonl"; then
     exit 1
 fi
 
-"$cli" --suite 120 --csv --shard 0/2 --shard-out "$tmp/s0.bin" \
-    --certify-out "$tmp/s0.jsonl" > /dev/null 2>/dev/null
-"$cli" --suite 120 --csv --shard 1/2 --shard-out "$tmp/s1.bin" \
-    --certify-out "$tmp/s1.jsonl" > /dev/null 2>/dev/null
+"$cli" --suite 120 --csv --strategy spill --registers 16 --threads 1 \
+    > "$tmp/spill_t1.csv" 2>/dev/null
+"$cli" --suite 120 --csv --strategy spill --registers 16 --threads 4 \
+    --chunk fixed > "$tmp/spill_fixed.csv" 2>/dev/null
+"$cli" --suite 120 --csv --strategy spill --registers 16 --threads 4 \
+    --memo 0 > "$tmp/spill_nomemo.csv" 2>/dev/null
 
-# Merge the shard lines back into job order, preserving each line's
-# bytes (sorted on the parsed "job" field only).
-cat "$tmp/s0.jsonl" "$tmp/s1.jsonl" | python3 -c '
-import json
-import sys
-
-lines = sys.stdin.readlines()
-lines.sort(key=lambda line: json.loads(line)["job"])
-sys.stdout.write("".join(lines))
-' > "$tmp/merged.jsonl"
-
-if ! cmp -s "$tmp/t1.jsonl" "$tmp/merged.jsonl"; then
-    echo "merged shard certificate JSONL differs from unsharded run" >&2
+if ! cmp -s "$tmp/spill_t1.csv" "$tmp/spill_fixed.csv"; then
+    echo "spill stdout differs between --threads 1 and" \
+         "--threads 4 --chunk fixed" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/spill_t1.csv" "$tmp/spill_nomemo.csv"; then
+    echo "spill stdout differs between --threads 1 and" \
+         "--threads 4 --memo 0" >&2
     exit 1
 fi
 
@@ -64,4 +62,4 @@ if [ "$lines" -ne 120 ]; then
     echo "expected 120 certificate lines, got $lines" >&2
     exit 1
 fi
-echo "certify determinism OK (120 jobs; threads + shard merge identical)"
+echo "certify determinism OK (120 jobs; threads, chunk and memo identical)"

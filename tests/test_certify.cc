@@ -15,8 +15,8 @@
  *    the checker must reject the mutant with a diagnostic of the
  *    matching CertKind;
  *  - integration: SuiteRunner fills the per-job summary vector
- *    identically at any thread count, sharded-out slots stay invalid,
- *    and the JSON rendering is byte-stable.
+ *    identically at any thread count, and the JSON rendering is
+ *    byte-stable.
  */
 
 #include <gtest/gtest.h>
@@ -319,22 +319,21 @@ suiteJobs(int n)
 }
 
 std::vector<std::string>
-runCertified(int threads, int n, const ShardSpec &shard = ShardSpec{})
+runCertified(int threads, int n)
 {
     const std::vector<SuiteLoop> suite = smallSuite(n);
     const Machine m = Machine::p2l4();
     SuiteRunner runner(threads);
     RunOptions opts;
-    opts.shard = shard;
     std::vector<CertSummary> certs;
     opts.certificates = &certs;
     runner.run(suite, m, suiteJobs(n), opts);
     EXPECT_EQ(certs.size(), std::size_t(n));
     std::vector<std::string> lines;
-    for (std::size_t i = 0; i < certs.size(); ++i)
-        lines.push_back(certs[i].valid
-                            ? certSummaryJson(int(i), certs[i])
-                            : std::string());
+    for (std::size_t i = 0; i < certs.size(); ++i) {
+        EXPECT_GT(certs[i].achievedIi, 0) << "job " << i << " not filled";
+        lines.push_back(certSummaryJson(int(i), certs[i]));
+    }
     return lines;
 }
 
@@ -343,47 +342,28 @@ TEST(CertifySuiteRunner, SummariesIdenticalAcrossThreadCounts)
     const std::vector<std::string> one = runCertified(1, 24);
     const std::vector<std::string> four = runCertified(4, 24);
     EXPECT_EQ(one, four);
-    for (const std::string &line : one)
-        EXPECT_FALSE(line.empty());
-}
-
-TEST(CertifySuiteRunner, ShardedSlotsMatchUnshardedRun)
-{
-    const std::vector<std::string> full = runCertified(2, 24);
-    ShardSpec shard;
-    shard.index = 1;
-    shard.count = 3;
-    const std::vector<std::string> part = runCertified(2, 24, shard);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-        if (shard.owns(i))
-            EXPECT_EQ(part[i], full[i]) << "job " << i;
-        else
-            EXPECT_TRUE(part[i].empty()) << "job " << i;
-    }
 }
 
 TEST(CertifyReport, GapAggregationCountsKinds)
 {
-    std::vector<CertSummary> summaries(5);
-    summaries[0].valid = true;  // gap 0, regGap 0.
+    std::vector<CertSummary> summaries(4);
+    // gap 0, regGap 0.
     summaries[0].achievedIi = summaries[0].iiBound = 3;
     summaries[0].achievedRegs = summaries[0].regBound = 7;
-    summaries[1].valid = true;  // gap 1, regGap 1.
+    // gap 1, regGap 1.
     summaries[1].achievedIi = 4;
     summaries[1].iiBound = 3;
     summaries[1].achievedRegs = 5;
     summaries[1].regBound = 4;
-    summaries[2].valid = true;  // gap 2 (unproven), regGap 2.
+    // gap 2 (unproven), regGap 2.
     summaries[2].achievedIi = 5;
     summaries[2].iiBound = 3;
     summaries[2].achievedRegs = 6;
     summaries[2].regBound = 4;
-    summaries[3].valid = false;  // Sharded out: skipped entirely.
-    summaries[3].achievedIi = 100;
-    summaries[4].valid = true;  // gap 0, regGap != 0.
-    summaries[4].achievedIi = summaries[4].iiBound = 2;
-    summaries[4].achievedRegs = 9;
-    summaries[4].regBound = 8;
+    // gap 0, regGap != 0.
+    summaries[3].achievedIi = summaries[3].iiBound = 2;
+    summaries[3].achievedRegs = 9;
+    summaries[3].regBound = 8;
 
     const GapReport r = summarizeGaps(summaries);
     EXPECT_EQ(r.jobs, 4);
@@ -398,7 +378,6 @@ TEST(CertifyReport, GapAggregationCountsKinds)
 TEST(CertifyReport, JsonRenderingIsByteStable)
 {
     CertSummary s;
-    s.valid = true;
     s.loop = "loop0042";
     s.achievedIi = 7;
     s.achievedRegs = 19;

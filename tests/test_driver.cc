@@ -351,11 +351,11 @@ TEST(SuiteRunner, ZeroThreadsSelectsHardwareConcurrency)
     EXPECT_GE(runner.threads(), 1);
 }
 
-TEST(SuiteRunner, ChunkPoliciesShardsAndThreadsAllAgree)
+TEST(SuiteRunner, ChunkPoliciesAndThreadsAllAgree)
 {
-    // Ordering, chunking, and sharding change when (and where) a job
-    // runs — never its result: every combination agrees slot for slot
-    // with the serial baseline on the slots it evaluated.
+    // Ordering and chunking change when (and where) a job runs — never
+    // its result: every combination agrees slot for slot with the
+    // serial baseline.
     const std::vector<SuiteLoop> suite = testSuite(10);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
@@ -366,22 +366,13 @@ TEST(SuiteRunner, ChunkPoliciesShardsAndThreadsAllAgree)
     for (const ChunkPolicy chunk :
          {ChunkPolicy::Auto, ChunkPolicy::Fixed}) {
         for (const int threads : {1, 4}) {
-            for (const int shards : {1, 3}) {
-                for (int s = 0; s < shards; ++s) {
-                    SuiteRunner runner(threads);
-                    RunOptions opts;
-                    opts.shard = ShardSpec{s, shards};
-                    opts.chunk = chunk;
-                    const auto results =
-                        runner.run(suite, m, jobs, opts);
-                    ASSERT_EQ(results.size(), jobs.size());
-                    for (std::size_t i = 0; i < jobs.size(); ++i) {
-                        if (opts.shard.owns(i))
-                            expectIdenticalResults(baseline[i],
-                                                   results[i], i);
-                    }
-                }
-            }
+            SuiteRunner runner(threads);
+            RunOptions opts;
+            opts.chunk = chunk;
+            const auto results = runner.run(suite, m, jobs, opts);
+            ASSERT_EQ(results.size(), jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i)
+                expectIdenticalResults(baseline[i], results[i], i);
         }
     }
 }
@@ -393,7 +384,7 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
     SuiteRunner runner(1);
 
-    RunOptions opts;  // Auto policy, no shard.
+    RunOptions opts;  // Auto policy.
     const std::vector<std::size_t> order =
         runner.planJobOrder(suite, m, jobs, opts);
     ASSERT_EQ(order.size(), jobs.size());
@@ -408,16 +399,9 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
         prev = cost;
     }
 
-    // The plan is deterministic, sharded plans partition it, and the
-    // fixed policy preserves grid order.
+    // The plan is deterministic, and the fixed policy preserves grid
+    // order.
     EXPECT_EQ(order, runner.planJobOrder(suite, m, jobs, opts));
-    for (int s = 0; s < 3; ++s) {
-        RunOptions sharded;
-        sharded.shard = ShardSpec{s, 3};
-        for (const std::size_t i :
-             runner.planJobOrder(suite, m, jobs, sharded))
-            EXPECT_TRUE(sharded.shard.owns(i));
-    }
     RunOptions fixed;
     fixed.chunk = ChunkPolicy::Fixed;
     const std::vector<std::size_t> gridOrder =
