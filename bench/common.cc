@@ -1,14 +1,12 @@
 #include "common.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 
-#include "machine/machdesc.hh"
 #include "support/diag.hh"
 #include "support/stats.hh"
 #include "support/strutil.hh"
@@ -187,19 +185,15 @@ protoJobs(std::size_t n, const BatchJob &proto)
 SuiteRunner &
 suiteRunner()
 {
-    static SuiteRunner runner(benchOptions().threads,
-                              benchOptions().memo);
+    static SuiteRunner runner(benchOptions().run.threads,
+                              benchOptions().run.memo);
     return runner;
 }
 
 RunOptions
 benchRunOptions()
 {
-    RunOptions opts;
-    opts.chunk = benchOptions().chunk;
-    opts.verify = benchOptions().verify;
-    opts.certify = benchOptions().certify;
-    return opts;
+    return benchOptions().run.runOptions();
 }
 
 SuiteTotals
@@ -235,15 +229,15 @@ runSuite(const std::vector<SuiteLoop> &suite, const Machine &m,
 std::vector<Machine>
 evaluationMachines()
 {
-    if (benchOptions().machine)
-        return {*benchOptions().machine};
+    if (benchOptions().run.machine)
+        return {*benchOptions().run.machine};
     return {Machine::p1l4(), Machine::p2l4(), Machine::p2l6()};
 }
 
 Machine
 benchMachine(const Machine &fallback)
 {
-    return benchOptions().machine.value_or(fallback);
+    return benchOptions().run.machine.value_or(fallback);
 }
 
 const std::vector<SuiteLoop> &
@@ -280,59 +274,25 @@ initBenchArgs(int *argc, char ***argv, bool nativeJson)
     };
     for (int i = 1; i < *argc; ++i) {
         char *arg = (*argv)[i];
-        if (!std::strcmp(arg, "--json")) {
+        std::string error;
+        if (parseRunFlag(*argc, *argv, i, opts.run, error)) {
+            if (!error.empty())
+                flagError(error);
+        } else if (!std::strcmp(arg, "--json")) {
             opts.jsonPath = next(i, arg);
-        } else if (!std::strcmp(arg, "--seed")) {
-            const char *text = next(i, arg);
-            if (!parseUint64(text, opts.suite.seed))
-                flagError(std::string("bad --seed value ") + text);
         } else if (!std::strcmp(arg, "--loops")) {
             const char *text = next(i, arg);
             if (!parseIntInRange(text, 1, 1000000, opts.suite.numLoops))
                 flagError(std::string("bad --loops count ") + text);
-        } else if (!std::strcmp(arg, "--threads")) {
-            const char *text = next(i, arg);
-            if (!parseThreadsArg(text, opts.threads))
-                flagError(std::string("bad --threads count ") + text);
-        } else if (!std::strcmp(arg, "--memo")) {
-            const char *text = next(i, arg);
-            int memo = 1;
-            if (!parseIntInRange(text, 0, 1, memo))
-                flagError(std::string("bad --memo value ") + text);
-            opts.memo = memo != 0;
-        } else if (!std::strcmp(arg, "--chunk")) {
-            const char *text = next(i, arg);
-            if (!parseChunkPolicy(text, opts.chunk))
-                flagError(std::string("bad --chunk policy ") + text);
-        } else if (!std::strcmp(arg, "--verify")) {
-            opts.verify = true;
-        } else if (!std::strcmp(arg, "--certify")) {
-            opts.certify = true;
-        } else if (!std::strcmp(arg, "--machine")) {
-            // Resolved here, once, so a bad spec exits before any
-            // benchmark runs.
-            const char *spec = next(i, arg);
-            try {
-                opts.machine = machineFromSpec(spec);
-            } catch (const FatalError &err) {
-                flagError(err.what());
-            }
         } else {
             keep.push_back(arg);
         }
     }
-    // Fail before the (potentially long) run, not after it; append mode
-    // probes writability without clobbering a previous results file, and
-    // a probe-created empty file is removed so an interrupted run leaves
-    // no unparsable zero-byte output behind.
-    if (!opts.jsonPath.empty()) {
-        const bool existed =
-            static_cast<bool>(std::ifstream(opts.jsonPath));
-        if (!std::ofstream(opts.jsonPath, std::ios::app))
-            flagError("cannot write " + opts.jsonPath);
-        if (!existed)
-            std::remove(opts.jsonPath.c_str());
-    }
+    if (opts.run.seed)
+        opts.suite.seed = *opts.run.seed;
+    // Fail before the (potentially long) run, not after it.
+    if (!opts.jsonPath.empty() && !probeWritable(opts.jsonPath))
+        flagError("cannot write " + opts.jsonPath);
     if (nativeJson && !opts.jsonPath.empty()) {
         forwarded.push_back("--benchmark_out=" + opts.jsonPath);
         forwarded.push_back("--benchmark_out_format=json");

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses that regenerate the
- * paper's tables and figures: strategy variants, whole-suite execution
- * totals, and cycle/traffic accounting.
+ * paper's tables and figures: the harness flag layer (on top of the
+ * run flags shared with swpipe_cli, driver/run_flags.hh), strategy
+ * variants, whole-suite execution totals, and cycle/traffic accounting.
  *
  * Accounting follows the paper:
  *  - execution cycles of a loop = final II x trip count (the paper's
@@ -18,10 +19,10 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "driver/run_flags.hh"
 #include "driver/suite_runner.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
@@ -34,59 +35,25 @@ namespace swp::benchutil
 
 /**
  * Harness-level options, parsed from argv before google-benchmark sees
- * it. Every harness accepts:
+ * it. Every harness accepts the shared run flags of driver/run_flags.hh
+ * (--threads, --memo, --seed, --verify, --certify, --machine) plus its
+ * own:
  *
- *   --json <path>    write machine-readable results to <path>
- *   --seed <n>       override the suite generator seed (default pinned
- *                    to kDefaultSuiteSeed for reproducibility)
+ *   --json <path>    write machine-readable results to <path>; an
+ *                    unwritable path exits with status 2 before any
+ *                    benchmark runs
  *   --loops <n>      generate an <n>-loop suite (default 1258)
- *   --threads <n>    evaluation worker threads (default 1; 0 or "auto"
- *                    = all hardware threads). Results are deterministic:
- *                    output is byte-identical at any thread count.
- *   --memo <0|1>     schedule memoization (default 1). Results are
- *                    byte-identical either way; 0 re-schedules every
- *                    (graph, machine, II) probe, for measuring the
- *                    memo's effect and for CI's determinism diff.
- *   --chunk <auto|fixed>  job ordering/chunking policy (default auto
- *                    = heaviest loops first). Results are
- *                    byte-identical either way.
- *   --verify         check every evaluated result with the independent
- *                    legality verifier (src/verify); any violation
- *                    aborts the harness with a diagnostic naming the
- *                    violated edge/slot/range. Results and recorded
- *                    numbers are unchanged by the flag.
- *   --certify        generate and independently check an optimality
- *                    certificate (verify/certify: critical-cycle,
- *                    pigeonhole, and register-floor lower bounds) for
- *                    every evaluated result, and cross-check it against
- *                    the achieved II/register count; a rejected
- *                    certificate or a contradiction aborts the harness.
- *                    Results and recorded numbers are unchanged by the
- *                    flag.
- *   --machine <spec> evaluate on one machine instead of the harness's
- *                    defaults: a preset name (p1l4, p2l4, p2l6,
- *                    universal) or the path of a machine-description
- *                    file (machine/machdesc format). Grids that sweep
- *                    the Section 5 configurations collapse to the one
- *                    specified machine. A spec that does not resolve
- *                    exits with status 2 before any benchmark runs.
  *
- * A FatalError raised while the benchmarks run (a --verify or
- * --certify violation, say) prints its message and exits with
- * status 2.
+ * --machine makes grids that sweep the Section 5 configurations
+ * collapse to the one specified machine. A bad flag value, like a
+ * FatalError raised while the benchmarks run (a --verify or --certify
+ * violation, say), prints its message and exits with status 2.
  */
 struct BenchOptions
 {
-    SuiteParams suite;
+    SuiteParams suite;  ///< --loops, and --seed once parsed.
     std::string jsonPath;
-    int threads = 1;
-    bool memo = true;
-    ChunkPolicy chunk = ChunkPolicy::Auto;
-    bool verify = false;
-    bool certify = false;
-    /** The resolved --machine; empty = the harness's default
-        machine(s). */
-    std::optional<Machine> machine;
+    RunFlags run;
 
     /** google-benchmark's own JSON reporter writes jsonPath itself
         (adaptive micro-benchmarks) instead of the table recorder. */
@@ -137,13 +104,13 @@ BatchJob variantJob(int loopIndex, Variant v, int registers);
 std::vector<BatchJob> protoJobs(std::size_t n, const BatchJob &proto);
 
 /**
- * The process-wide batch runner, built from --threads/--memo
- * on first use. All harness grids funnel through it so the whole
+ * The process-wide batch runner, built from --threads/--memo on first
+ * use. All harness grids funnel through it so the whole
  * experiment shares one evaluation path (and one MII/RecMII memo).
  */
 SuiteRunner &suiteRunner();
 
-/** Run options carrying the --chunk, --verify and --certify flags. */
+/** Run options carrying the --verify and --certify flags. */
 RunOptions benchRunOptions();
 
 /** Whole-suite totals for one (machine, registers, variant) cell. */

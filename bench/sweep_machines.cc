@@ -45,8 +45,8 @@ const std::vector<Machine> &
 machineFamily()
 {
     static const std::vector<Machine> family = [] {
-        if (benchutil::benchOptions().machine)
-            return std::vector<Machine>{*benchutil::benchOptions().machine};
+        if (benchutil::benchOptions().run.machine)
+            return std::vector<Machine>{*benchutil::benchOptions().run.machine};
         std::vector<Machine> f = {Machine::p1l4(), Machine::p2l4(),
                                   Machine::p2l6()};
         for (const char *file :

@@ -9,12 +9,9 @@
  * Usage:
  *   swpipe_cli [options] [file.ddg ...]
  *
- * Options:
- *   --machine SPEC                machine configuration: a preset name
- *                                 (p1l4, p2l4, p2l6, universal) or the
- *                                 path of a machine-description file
- *                                 (machine/machdesc format; see
- *                                 examples/machines/). Default p2l4.
+ * Besides the run flags every bench harness shares (--threads, --memo,
+ * --seed, --verify, --certify, --machine; see driver/run_flags.hh),
+ * the options are:
  *   --registers N                 register budget (default 32)
  *   --strategy ideal|increase-ii|spill|best   (default best)
  *   --scheduler hrms|ims          core scheduler (default hrms)
@@ -25,21 +22,6 @@
  *   --kernel                      print the kernel listing
  *   --mve                         print the MVE form
  *   --simulate N                  execute N iterations and verify
- *   --verify                      check every result with the
- *                                 independent legality verifier
- *                                 (src/verify); any violation aborts
- *                                 with a diagnostic on stderr and exit
- *                                 code 2. Stdout bytes are unchanged.
- *   --certify                     generate an optimality certificate
- *                                 (II/register lower bounds with
- *                                 explicit witnesses) for every result,
- *                                 validate it with the independent
- *                                 checker, and cross-check it against
- *                                 the achieved II/register count; a
- *                                 rejected certificate or contradiction
- *                                 aborts with exit code 2. Prints the
- *                                 suite-wide optimality-gap report to
- *                                 stderr; stdout bytes are unchanged.
  *   --certify-out FILE            also write one JSON line per job
  *                                 (ascending job index) with the
  *                                 certificate summary. Byte-stable
@@ -50,20 +32,13 @@
  *   --example                     use the paper's Figure 2 loop
  *   --apsi                        use the APSI 47/50 analogues
  *   --suite N                     use the first N generated suite loops
- *   --seed S                      suite generator seed (default: the
- *                                 pinned kDefaultSuiteSeed)
- *   --threads N|auto              evaluation worker threads (default 1;
- *                                 0 or "auto" = all hardware threads).
- *                                 Output is byte-identical at any
- *                                 thread count.
- *   --memo 0|1                    schedule memoization (default 1);
- *                                 output is byte-identical either way
- *   --chunk auto|fixed            job ordering/chunking policy (default
- *                                 auto = heaviest loops first); output
- *                                 is byte-identical either way
+ *                                 (the only loops --seed applies to)
+ *
+ * The default machine is p2l4. --verify and --certify report on stderr
+ * (--certify adds the suite-wide optimality-gap report); stdout bytes
+ * never change.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -71,9 +46,9 @@
 #include <vector>
 
 #include "codegen/kernel.hh"
+#include "driver/run_flags.hh"
 #include "driver/suite_runner.hh"
 #include "ir/builder.hh"
-#include "machine/machdesc.hh"
 #include "pipeliner/pipeliner.hh"
 #include "sched/mii.hh"
 #include "sim/vliw.hh"
@@ -98,13 +73,9 @@ struct CliOptions
     bool kernel = false;
     bool mve = false;
     long simulate = 0;
-    bool verify = false;
-    bool certify = false;
+    RunFlags run;
     std::string certifyOut;
     bool csv = false;
-    int threads = 1;
-    bool memo = true;
-    ChunkPolicy chunk = ChunkPolicy::Auto;
     std::vector<SuiteLoop> loops;
 };
 
@@ -130,15 +101,15 @@ parseArgs(int argc, char **argv)
     CliOptions opts;
     opts.pipeline.multiSelect = true;
     opts.pipeline.reuseLastIi = true;
-    SuiteParams suiteParams;
     int suiteCount = 0;
-    bool seedSet = false;
     std::vector<std::string> positional;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (!std::strcmp(arg, "--machine")) {
-            opts.machine = machineFromSpec(nextArg(argc, argv, i, arg));
+        std::string error;
+        if (parseRunFlag(argc, argv, i, opts.run, error)) {
+            if (!error.empty())
+                usageError(error);
         } else if (!std::strcmp(arg, "--registers")) {
             const char *text = nextArg(argc, argv, i, arg);
             if (!parseIntInRange(text, 1, 1 << 20,
@@ -191,13 +162,9 @@ parseArgs(int argc, char **argv)
                 usageError(std::string("bad --simulate count ") + text +
                            " (want a positive iteration count)");
             opts.simulate = long(iterations);
-        } else if (!std::strcmp(arg, "--verify")) {
-            opts.verify = true;
-        } else if (!std::strcmp(arg, "--certify")) {
-            opts.certify = true;
         } else if (!std::strcmp(arg, "--certify-out")) {
             opts.certifyOut = nextArg(argc, argv, i, arg);
-            opts.certify = true;
+            opts.run.certify = true;
         } else if (!std::strcmp(arg, "--csv")) {
             opts.csv = true;
         } else if (!std::strcmp(arg, "--example")) {
@@ -209,25 +176,6 @@ parseArgs(int argc, char **argv)
             const char *text = nextArg(argc, argv, i, arg);
             if (!parseIntInRange(text, 1, 1000000, suiteCount))
                 usageError(std::string("bad --suite count ") + text);
-        } else if (!std::strcmp(arg, "--seed")) {
-            const char *text = nextArg(argc, argv, i, arg);
-            if (!parseUint64(text, suiteParams.seed))
-                usageError(std::string("bad --seed value ") + text);
-            seedSet = true;
-        } else if (!std::strcmp(arg, "--threads")) {
-            const char *text = nextArg(argc, argv, i, arg);
-            if (!parseThreadsArg(text, opts.threads))
-                usageError(std::string("bad --threads count ") + text);
-        } else if (!std::strcmp(arg, "--memo")) {
-            const char *text = nextArg(argc, argv, i, arg);
-            int memo = 1;
-            if (!parseIntInRange(text, 0, 1, memo))
-                usageError(std::string("bad --memo value ") + text);
-            opts.memo = memo != 0;
-        } else if (!std::strcmp(arg, "--chunk")) {
-            const char *text = nextArg(argc, argv, i, arg);
-            if (!parseChunkPolicy(text, opts.chunk))
-                usageError(std::string("bad --chunk policy ") + text);
         } else if (arg[0] == '-') {
             usageError(std::string("unknown option ") + arg);
         } else {
@@ -236,23 +184,19 @@ parseArgs(int argc, char **argv)
             positional.push_back(arg);
         }
     }
-    if (seedSet && suiteCount == 0)
+    if (opts.run.seed && suiteCount == 0)
         usageError("--seed only applies to --suite loops");
-    if (!opts.certifyOut.empty()) {
-        // Fail before the run, not after it. Append mode probes
-        // without clobbering an existing file, and a file the probe
-        // created is removed again.
-        const bool existed =
-            static_cast<bool>(std::ifstream(opts.certifyOut));
-        if (!std::ofstream(opts.certifyOut, std::ios::app))
-            SWP_FATAL("cannot write certificate file ", opts.certifyOut);
-        if (!existed)
-            std::remove(opts.certifyOut.c_str());
-    }
+    if (opts.run.machine)
+        opts.machine = *opts.run.machine;
+    // Fail before the run, not after it.
+    if (!opts.certifyOut.empty() && !probeWritable(opts.certifyOut))
+        SWP_FATAL("cannot write certificate file ", opts.certifyOut);
     for (const std::string &path : positional) {
         for (SuiteLoop &loop : parseDdgFile(path))
             opts.loops.push_back(std::move(loop));
     }
+    SuiteParams suiteParams;
+    suiteParams.seed = opts.run.seed.value_or(kDefaultSuiteSeed);
     for (int i = 0; i < suiteCount; ++i)
         opts.loops.push_back(generateSuiteLoop(suiteParams, i));
     if (opts.loops.empty())
@@ -299,7 +243,7 @@ reportLoop(const CliOptions &opts, const SuiteLoop &loop,
     if (opts.mve) {
         const LifetimeInfo info = analyzeLifetimes(r.graph(), r.sched);
         out << formatMveKernel(r.graph(), r.sched, info);
-        if (opts.verify) {
+        if (opts.run.verify) {
             // The MVE layer lives outside PipelineResult, so the
             // per-job verification cannot see it; check it here, where
             // the allocation is actually produced and printed.
@@ -338,8 +282,8 @@ main(int argc, char **argv)
 
         // Evaluate all loops as one batch on the worker pool, then
         // report serially in input order — the output is byte-identical
-        // at any --threads count, --chunk policy and --memo setting.
-        SuiteRunner runner(opts.threads, opts.memo);
+        // at any --threads count and --memo setting.
+        SuiteRunner runner(opts.run.threads, opts.run.memo);
         std::vector<BatchJob> jobs(opts.loops.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             jobs[i].loop = int(i);
@@ -347,16 +291,13 @@ main(int argc, char **argv)
             jobs[i].strategy = opts.strategy;
             jobs[i].options = opts.pipeline;
         }
-        RunOptions ropts;
-        ropts.chunk = opts.chunk;
-        ropts.verify = opts.verify;
-        ropts.certify = opts.certify;
+        RunOptions ropts = opts.run.runOptions();
         std::vector<CertSummary> certs;
-        if (opts.certify)
+        if (opts.run.certify)
             ropts.certificates = &certs;
         const std::vector<swp::PipelineResult> results =
             runner.run(opts.loops, opts.machine, jobs, ropts);
-        if (opts.certify) {
+        if (opts.run.certify) {
             // run() threw on any rejected certificate or contradiction,
             // so every summary here is checker-approved. All output is
             // stderr or the JSON file: --certify must never change the
@@ -373,7 +314,7 @@ main(int argc, char **argv)
             }
             std::cerr << describeGapReport(summarizeGaps(certs)) << "\n";
         }
-        if (opts.verify) {
+        if (opts.run.verify) {
             // run() threw on any violation, so reaching here means the
             // whole batch is legal. Stderr only: --verify must never
             // change the fingerprinted stdout bytes.

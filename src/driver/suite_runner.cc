@@ -9,45 +9,10 @@
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
 #include "support/diag.hh"
-#include "support/strutil.hh"
 #include "verify/legality.hh"
 
 namespace swp
 {
-
-const char *
-chunkPolicyName(ChunkPolicy policy)
-{
-    switch (policy) {
-      case ChunkPolicy::Auto: return "auto";
-      case ChunkPolicy::Fixed: return "fixed";
-    }
-    SWP_PANIC("unknown chunk policy ", int(policy));
-}
-
-bool
-parseChunkPolicy(const std::string &text, ChunkPolicy &out)
-{
-    if (text == "auto") {
-        out = ChunkPolicy::Auto;
-        return true;
-    }
-    if (text == "fixed") {
-        out = ChunkPolicy::Fixed;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseThreadsArg(const std::string &text, int &out)
-{
-    if (text == "auto") {
-        out = 0;
-        return true;
-    }
-    return parseIntInRange(text, 0, 4096, out);
-}
 
 namespace
 {
@@ -161,14 +126,14 @@ SuiteRunner::ensurePool() const
 }
 
 /**
- * Take the next chunk for worker `self`: own deque front first
+ * Take the next job index for worker `self`: own deque front first
  * (heaviest remaining of its share), then the back of the next
- * non-empty victim, scanning from self+1. Chunks are never re-inserted
+ * non-empty victim, scanning from self+1. Indices are never re-inserted
  * after seeding, so a fully-empty scan means the batch is claimed and
  * the worker can retire. The whole hunt is billed to perf.stealSeconds.
  */
 bool
-SuiteRunner::claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
+SuiteRunner::claim(PoolTask &t, std::size_t self, std::size_t &out,
                    WorkerPerf &perf) const
 {
     const auto start = std::chrono::steady_clock::now();
@@ -191,18 +156,18 @@ SuiteRunner::claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
     {
         PoolTask::Queue &own = t.queues[self];
         std::lock_guard<std::mutex> lock(own.m);
-        if (!own.chunks.empty()) {
-            out = own.chunks.front();
-            own.chunks.pop_front();
+        if (!own.indices.empty()) {
+            out = own.indices.front();
+            own.indices.pop_front();
             ok = true;
         }
     }
     for (std::size_t k = 1; !ok && k < t.queueCount; ++k) {
         PoolTask::Queue &victim = t.queues[(self + k) % t.queueCount];
         std::lock_guard<std::mutex> lock(victim.m);
-        if (!victim.chunks.empty()) {
-            out = victim.chunks.back();
-            victim.chunks.pop_back();
+        if (!victim.indices.empty()) {
+            out = victim.indices.back();
+            victim.indices.pop_back();
             ok = stolen = true;
         }
     }
@@ -219,7 +184,7 @@ SuiteRunner::claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
 /**
  * Body run by every thread participating in a task (pool threads and
  * the dispatching caller alike): take a worker slot, build per-thread
- * state, then consume chunks from the work-stealing deques until they
+ * state, then consume indices from the work-stealing deques until they
  * run dry or a job fails.
  */
 void
@@ -236,16 +201,16 @@ SuiteRunner::runTask(PoolTask &t) const
         t.nextSlot.fetch_add(1, std::memory_order_relaxed) % t.queueCount;
 
     WorkerPerf perf;
-    PoolTask::Range r;
-    // Claim a chunk before building any per-thread state. This bounds
-    // the participants to the chunk count (a pool thread waking for a
+    std::size_t i = 0;
+    // Claim an index before building any per-thread state. This bounds
+    // the participants to the index count (a pool thread waking for a
     // batch smaller than the pool backs out after one empty hunt
     // instead of constructing scheduler objects it will never use), and
-    // it protects makeWorker's lifetime: a thread that cannot claim a
-    // chunk never touches makeWorker — whose captures are locals of the
+    // it protects makeWorker's lifetime: a thread that cannot claim an
+    // index never touches makeWorker — whose captures are locals of the
     // dispatching caller, which only returns once it has observed
     // every deque drained and activeWorkers_ == 0.
-    if (!claim(t, self, r, perf)) {
+    if (!claim(t, self, i, perf)) {
         flushPerf(self, perf);
         return;
     }
@@ -260,28 +225,22 @@ SuiteRunner::runTask(PoolTask &t) const
         t.fail();
         return;
     }
-    bool aborted = false;
     do {
-        for (std::size_t i = r.first; i < r.second; ++i) {
-            if (t.abort.load(std::memory_order_relaxed)) {
-                aborted = true;
-                break;
-            }
-            const double wait0 = singleFlightWaitSeconds();
-            const auto start = std::chrono::steady_clock::now();
-            try {
-                fn(i);
-            } catch (...) {
-                t.fail();
-            }
-            const double elapsed = secondsSince(start);
-            const double waited = singleFlightWaitSeconds() - wait0;
-            perf.memoWaitSeconds += waited;
-            perf.scheduleSeconds +=
-                elapsed > waited ? elapsed - waited : 0.0;
-            ++perf.jobs;
+        if (t.abort.load(std::memory_order_relaxed))
+            break;
+        const double wait0 = singleFlightWaitSeconds();
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            fn(i);
+        } catch (...) {
+            t.fail();
         }
-    } while (!aborted && claim(t, self, r, perf));
+        const double elapsed = secondsSince(start);
+        const double waited = singleFlightWaitSeconds() - wait0;
+        perf.memoWaitSeconds += waited;
+        perf.scheduleSeconds += elapsed > waited ? elapsed - waited : 0.0;
+        ++perf.jobs;
+    } while (claim(t, self, i, perf));
     flushPerf(self, perf);
 }
 
@@ -336,8 +295,7 @@ SuiteRunner::poolMain() const
 
 void
 SuiteRunner::dispatch(std::size_t count,
-                      const std::function<Worker()> &makeWorker,
-                      std::size_t chunk) const
+                      const std::function<Worker()> &makeWorker) const
 {
     if (count == 0)
         return;
@@ -376,24 +334,16 @@ SuiteRunner::dispatch(std::size_t count,
     ensurePool();
 
     auto task = std::make_shared<PoolTask>();
-    task->count = count;
-    task->chunk = chunk ? chunk : 1;
     task->makeWorker = &makeWorker;
-    // Deal the chunks round-robin across one deque per worker, in plan
-    // order: fronts get the heaviest work (planJobOrder ranks the index
-    // space heaviest-first under ChunkPolicy::Auto), backs the light
-    // tail that thieves migrate. Seeding happens before the task is
-    // published, so no lock is needed yet.
+    // Deal the indices round-robin across one deque per worker, in
+    // index order: fronts get the heaviest work (run() indexes its
+    // heaviest-first plan), backs the light tail that thieves migrate.
+    // Seeding happens before the task is published, so no lock is
+    // needed yet.
     task->queueCount = std::size_t(threads_);
     task->queues.reset(new PoolTask::Queue[task->queueCount]);
-    {
-        std::size_t q = 0;
-        for (std::size_t base = 0; base < count; base += task->chunk) {
-            task->queues[q].chunks.push_back(
-                {base, std::min(base + task->chunk, count)});
-            q = (q + 1) % task->queueCount;
-        }
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        task->queues[i % task->queueCount].indices.push_back(i);
     {
         std::lock_guard<std::mutex> lock(poolMutex_);
         task_ = task;
@@ -438,42 +388,39 @@ SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
 std::vector<std::size_t>
 SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
                           const Machine &m,
-                          const std::vector<BatchJob> &jobs,
-                          const RunOptions &opts)
+                          const std::vector<BatchJob> &jobs)
 {
-    std::vector<std::size_t> order(jobs.size());
-    std::iota(order.begin(), order.end(), std::size_t(0));
-    if (opts.chunk == ChunkPolicy::Auto) {
-        // The ranking needs every loop's MII; warm the bounds memo
-        // across the pool first so a cold large suite does not
-        // serialize that phase on this thread (the memo is
-        // single-flight and deterministic, so this only moves work).
-        std::vector<std::size_t> distinctLoops;
-        {
-            std::vector<bool> seen(suite.size(), false);
-            for (const BatchJob &job : jobs) {
-                const std::size_t loop = std::size_t(job.loop);
-                if (!seen[loop]) {
-                    seen[loop] = true;
-                    distinctLoops.push_back(loop);
-                }
+    // The ranking needs every loop's MII; warm the bounds memo across
+    // the pool first so a cold large suite does not serialize that
+    // phase on this thread (the memo is single-flight and
+    // deterministic, so this only moves work).
+    std::vector<std::size_t> distinctLoops;
+    {
+        std::vector<bool> seen(suite.size(), false);
+        for (const BatchJob &job : jobs) {
+            const std::size_t loop = std::size_t(job.loop);
+            if (!seen[loop]) {
+                seen[loop] = true;
+                distinctLoops.push_back(loop);
             }
         }
-        parallelFor(distinctLoops.size(), [&](std::size_t k) {
-            (void)bounds(suite[distinctLoops[k]].graph, m);
-        });
-
-        // Heaviest-first. The costs are deterministic, and the sort is
-        // stable with index-order tie-breaking, so the plan — like the
-        // results — is identical at any thread count.
-        std::vector<double> cost(jobs.size(), 0.0);
-        for (const std::size_t i : order)
-            cost[i] = jobCost(suite, m, jobs[i]);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return cost[a] > cost[b];
-                         });
     }
+    parallelFor(distinctLoops.size(), [&](std::size_t k) {
+        (void)bounds(suite[distinctLoops[k]].graph, m);
+    });
+
+    // Heaviest-first. The costs are deterministic, and the sort is
+    // stable with index-order tie-breaking, so the plan — like the
+    // results — is identical at any thread count.
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::vector<double> cost(jobs.size(), 0.0);
+    for (const std::size_t i : order)
+        cost[i] = jobCost(suite, m, jobs[i]);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
     return order;
 }
 
@@ -488,17 +435,7 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                    " outside the ", suite.size(), "-loop suite");
     }
 
-    const std::vector<std::size_t> order =
-        planJobOrder(suite, m, jobs, opts);
-
-    // Heaviest-first ordering balances by starting long jobs early, so
-    // it wants the finest claiming grain; fixed-policy batches trade
-    // balance for fewer deque claims.
-    const std::size_t chunk =
-        opts.chunk == ChunkPolicy::Auto
-            ? 1
-            : std::max<std::size_t>(
-                  1, order.size() / (std::size_t(threads_) * 8));
+    const std::vector<std::size_t> order = planJobOrder(suite, m, jobs);
 
     const bool verify = opts.verify || kAlwaysVerifyResults;
     const bool certify = opts.certify || opts.certificates != nullptr;
@@ -575,34 +512,24 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                     }
                 }
             };
-        },
-        chunk);
+        });
     return results;
 }
 
 std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,
                             const std::vector<std::size_t> &order,
-                            int workers, std::size_t chunk)
+                            int workers)
 {
     SWP_ASSERT(workers >= 1,
                "simulateWorkerLoadsStealing needs >= 1 worker");
-    SWP_ASSERT(chunk >= 1,
-               "simulateWorkerLoadsStealing needs chunk >= 1");
     const std::size_t w = std::size_t(workers);
 
-    // Seed exactly like dispatch(): round-robin chunk ranges, fronts
+    // Seed exactly like dispatch(): round-robin plan positions, fronts
     // heaviest (plan order), backs the light tail.
-    using Range = std::pair<std::size_t, std::size_t>;
-    std::vector<std::deque<Range>> queues(w);
-    {
-        std::size_t q = 0;
-        for (std::size_t base = 0; base < order.size(); base += chunk) {
-            queues[q].push_back(
-                {base, std::min(base + chunk, order.size())});
-            q = (q + 1) % w;
-        }
-    }
+    std::vector<std::deque<std::size_t>> queues(w);
+    for (std::size_t k = 0; k < order.size(); ++k)
+        queues[k % w].push_back(k);
 
     std::vector<double> load(w, 0.0);
     // Event model: the earliest-free worker claims next (ties broken by
@@ -615,28 +542,26 @@ simulateWorkerLoadsStealing(const std::vector<double> &costs,
         const Slot slot = free.top();
         free.pop();
         const std::size_t self = std::size_t(slot.second);
-        Range r{0, 0};
+        std::size_t k = 0;
         bool ok = false;
         if (!queues[self].empty()) {
-            r = queues[self].front();
+            k = queues[self].front();
             queues[self].pop_front();
             ok = true;
         }
-        for (std::size_t k = 1; !ok && k < w; ++k) {
-            std::deque<Range> &victim = queues[(self + k) % w];
+        for (std::size_t v = 1; !ok && v < w; ++v) {
+            std::deque<std::size_t> &victim = queues[(self + v) % w];
             if (!victim.empty()) {
-                r = victim.back();
+                k = victim.back();
                 victim.pop_back();
                 ok = true;
             }
         }
         if (!ok)
-            continue; // Retire: chunks are never re-inserted.
-        double sum = 0;
-        for (std::size_t k = r.first; k < r.second; ++k)
-            sum += costs[order[k]];
-        load[self] += sum;
-        free.push({slot.first + sum, slot.second});
+            continue; // Retire: indices are never re-inserted.
+        const double cost = costs[order[k]];
+        load[self] += cost;
+        free.push({slot.first + cost, slot.second});
     }
     return load;
 }

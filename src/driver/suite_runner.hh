@@ -27,18 +27,18 @@
  * none of them changes results: output is byte-identical with the
  * memos on or off.
  *
- * Within a run, jobs are claimed in a work-size-aware order: under the
- * default ChunkPolicy::Auto the grid is walked heaviest-first, ranked
- * by a cheap cost estimate (node count x candidate-II span), so a
- * heavy loop starts early instead of serializing one worker at the
- * batch's tail. Claiming is work-stealing: the planned order is dealt
- * round-robin into per-worker chunk deques, each worker pops its own
- * deque from the front (heaviest first) and an idle worker steals from
- * the *back* of a victim's deque (the lightest remaining work, the
- * cheapest to migrate) — so no claim ever touches a shared counter and
- * the tail of a batch self-balances. Ordering, chunking and stealing
- * only change *when* a job runs, never its result or its slot, so
- * output stays byte-identical at any thread count and chunk policy.
+ * Within a run, jobs are claimed in a work-size-aware order: the grid
+ * is walked heaviest-first, ranked by a cheap cost estimate (node count
+ * x candidate-II span), so a heavy loop starts early instead of
+ * serializing one worker at the batch's tail. Claiming is
+ * work-stealing, one job per claim: the planned order is dealt
+ * round-robin into per-worker deques, each worker pops its own deque
+ * from the front (heaviest first) and an idle worker steals from the
+ * *back* of a victim's deque (the lightest remaining job, the cheapest
+ * to migrate) — so no claim ever touches a shared counter and the tail
+ * of a batch self-balances. Ordering and stealing only change *when* a
+ * job runs, never its result or its slot, so output stays
+ * byte-identical at any thread count.
  */
 
 #ifndef SWP_DRIVER_SUITE_RUNNER_HH
@@ -54,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -82,38 +81,6 @@ struct BatchJob
     PipelinerOptions options;
 };
 
-/** How a batch's jobs are ordered and claimed by the workers. */
-enum class ChunkPolicy
-{
-    /**
-     * Work-size-aware: jobs are walked heaviest-first (by the cost
-     * estimate) and claimed one at a time, so the longest jobs start
-     * earliest and the short tail balances the workers.
-     */
-    Auto,
-
-    /**
-     * Grid order, claimed in fixed contiguous chunks — fewer claims,
-     * no cost ranking. The historical behavior with chunk size 1.
-     */
-    Fixed,
-};
-
-/** "auto" / "fixed". */
-const char *chunkPolicyName(ChunkPolicy policy);
-
-/** Parse "auto" or "fixed"; false (out untouched) otherwise. */
-bool parseChunkPolicy(const std::string &text, ChunkPolicy &out);
-
-/**
- * Parse a --threads value: "auto" resolves to all hardware threads
- * (SuiteRunner's threads == 0 convention) and an integer in [0, 4096]
- * is taken literally. False (out untouched) otherwise. Shared by
- * swpipe_cli and every bench harness so "auto" means the same thing
- * everywhere.
- */
-bool parseThreadsArg(const std::string &text, int &out);
-
 /**
  * Per-worker wall-time breakdown, maintained by the pool from
  * monotonic-clock deltas. scheduleSeconds is time inside jobs minus
@@ -128,15 +95,13 @@ struct WorkerPerf
     double memoWaitSeconds = 0;  ///< Blocked on another worker's compute.
     double stealSeconds = 0;     ///< Claiming work (own pops and steals).
     long jobs = 0;               ///< Jobs executed.
-    long claims = 0;             ///< Chunks claimed (own + stolen).
-    long steals = 0;             ///< Chunks taken from a victim's deque.
+    long claims = 0;             ///< Jobs claimed (own + stolen).
+    long steals = 0;             ///< Jobs taken from a victim's deque.
 };
 
 /** Per-run evaluation options; the defaults reproduce run(3 args). */
 struct RunOptions
 {
-    ChunkPolicy chunk = ChunkPolicy::Auto;
-
     /**
      * Check every result with the independent legality verifier
      * (verify/legality) as the job completes; any violation makes run()
@@ -163,7 +128,7 @@ struct RunOptions
      * When set (implies certify), resized to jobs.size() and slot i
      * filled with job i's certificate summary. Summaries are a pure
      * function of the job, so the slots are identical at any thread
-     * count and chunk policy.
+     * count.
      */
     std::vector<CertSummary> *certificates = nullptr;
 };
@@ -236,7 +201,7 @@ class SuiteRunner
     void resetWorkerPerf();
 
     /**
-     * Test-only: when seed != 0 every chunk claim spins a small
+     * Test-only: when seed != 0 every claim spins a small
      * pseudo-random amount first, perturbing the steal interleaving so
      * determinism tests can explore many schedules. Global (affects
      * every runner); reset to 0 after use.
@@ -245,11 +210,10 @@ class SuiteRunner
 
     /**
      * Evaluate all jobs. results[i] corresponds to jobs[i]; the result
-     * vector is bit-identical at any thread count and chunk policy.
-     * Each result's graph() references the suite entry
-     * it was built from unless spilling transformed the loop, so the
-     * suite must outlive the returned results. Exceptions thrown by a
-     * job are rethrown here.
+     * vector is bit-identical at any thread count. Each result's
+     * graph() references the suite entry it was built from unless
+     * spilling transformed the loop, so the suite must outlive the
+     * returned results. Exceptions thrown by a job are rethrown here.
      */
     std::vector<PipelineResult> run(const std::vector<SuiteLoop> &suite,
                                     const Machine &m,
@@ -276,14 +240,13 @@ class SuiteRunner
 
     /**
      * The evaluation order run() uses: every job index, ranked
-     * heaviest-first under ChunkPolicy::Auto and in
-     * grid order under ChunkPolicy::Fixed. Deterministic for a given
-     * (suite, machine, jobs, opts); exposed for the property tests.
+     * heaviest-first by jobCost with ties in grid order. Deterministic
+     * for a given (suite, machine, jobs); exposed for the property
+     * tests.
      */
     std::vector<std::size_t>
     planJobOrder(const std::vector<SuiteLoop> &suite, const Machine &m,
-                 const std::vector<BatchJob> &jobs,
-                 const RunOptions &opts = {});
+                 const std::vector<BatchJob> &jobs);
 
     /**
      * Deterministic parallel-for: fn(i) for every i in [0, count), in
@@ -306,26 +269,21 @@ class SuiteRunner
     /** One batch in flight on the persistent pool. */
     struct PoolTask
     {
-        /** One claimed span of job indices: [first, second). */
-        using Range = std::pair<std::size_t, std::size_t>;
-
-        /** One worker's chunk deque: the owner pops the front, idle
-            thieves pop the back. Chunks are only ever removed after
-            seeding, so "every deque empty" means the batch is fully
-            claimed. */
+        /** One worker's deque of indices: the owner pops the front,
+            idle thieves pop the back. Indices are only ever removed
+            after seeding, so "every deque empty" means the batch is
+            fully claimed. */
         struct Queue
         {
             std::mutex m;
-            std::deque<Range> chunks;
+            std::deque<std::size_t> indices;
         };
 
-        std::size_t count = 0;
-        std::size_t chunk = 1;
         /** Owned by the dispatching caller; valid while it waits. */
         const std::function<Worker()> *makeWorker = nullptr;
-        /** Per-worker deques, seeded round-robin in plan order before
-            the task is published (so the k-heaviest chunks sit at the
-            fronts and the light tail at the backs). */
+        /** Per-worker deques, seeded round-robin in index order before
+            the task is published (so the heaviest planned jobs sit at
+            the fronts and the light tail at the backs). */
         std::unique_ptr<Queue[]> queues;
         std::size_t queueCount = 0;
         /** Arrival-order worker slots (deque ownership + perf slot). */
@@ -347,12 +305,11 @@ class SuiteRunner
     };
 
     void dispatch(std::size_t count,
-                  const std::function<Worker()> &makeWorker,
-                  std::size_t chunk = 1) const;
+                  const std::function<Worker()> &makeWorker) const;
     void ensurePool() const;
     void poolMain() const;
     void runTask(PoolTask &t) const;
-    bool claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
+    bool claim(PoolTask &t, std::size_t self, std::size_t &out,
                WorkerPerf &perf) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
 
@@ -397,7 +354,7 @@ class SuiteRunner
 };
 
 /**
- * Simulate the pool's work-stealing discipline: chunks of `order`
+ * Simulate the pool's work-stealing discipline: the jobs of `order`
  * (job k costing costs[order[k]]) are dealt round-robin into
  * per-worker deques, each worker pops its own front and an idle worker
  * steals the back of the next non-empty victim (scanning from its own
@@ -409,7 +366,7 @@ class SuiteRunner
 std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,
                             const std::vector<std::size_t> &order,
-                            int workers, std::size_t chunk);
+                            int workers);
 
 } // namespace swp
 

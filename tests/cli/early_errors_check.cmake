@@ -4,11 +4,16 @@
 #  1. A bench harness given a --machine spec that does not resolve exits
 #     2 with the machine-description message, before any benchmark runs
 #     (no "Running" banner, no abort).
-#  2. swpipe_cli --certify-out on an unwritable path exits 2 naming the
+#  2. A bench harness given an unwritable --json path exits 2 with
+#     "cannot write", before any benchmark runs; a --json file the
+#     probe created is removed again when no result is written.
+#  3. swpipe_cli --certify-out on an unwritable path exits 2 naming the
 #     file before it schedules anything: with a loop whose scheduling
 #     itself fails, the certificate-file diagnostic must come first.
-#  3. The --certify-out probe leaves no file behind when it created
+#  4. The --certify-out probe leaves no file behind when it created
 #     one, and leaves an existing file untouched when the run fails.
+#
+# Both front ends probe through the one helper in driver/run_flags.
 #
 # Invoked as:
 #   cmake -DCLI=<swpipe_cli> -DBENCH=<table1_convergence> -DWORK=<scratch dir>
@@ -33,6 +38,38 @@ if(out MATCHES "Running" OR err MATCHES "Running")
     message(FATAL_ERROR "bench started its benchmarks before refusing --machine: ${out}${err}")
 endif()
 
+# 2. Bench harness, unwritable --json; then a probe-created file that
+#    no result is written to.
+set(bad ${WORK}/early_errors_no_such_dir/x.json)
+execute_process(COMMAND ${BENCH} --json ${bad} --loops 4
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "bench --json ${bad} exited '${rc}', want 2: ${err}")
+endif()
+string(FIND "${err}" "cannot write ${bad}" at)
+if(at EQUAL -1)
+    message(FATAL_ERROR "bench --json ${bad} without the 'cannot write' diagnostic: ${err}")
+endif()
+if(out MATCHES "Running" OR err MATCHES "Running")
+    message(FATAL_ERROR "bench started its benchmarks before refusing --json: ${out}${err}")
+endif()
+
+set(fresh ${WORK}/early_errors_fresh.json)
+file(REMOVE ${fresh})
+execute_process(COMMAND ${BENCH} --json ${fresh} --loops 4
+        --benchmark_filter=NoSuchBenchmark
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench --json ${fresh} with no matching benchmark exited '${rc}', want 0")
+endif()
+if(EXISTS ${fresh})
+    file(REMOVE ${fresh})
+    message(FATAL_ERROR "the --json probe left ${fresh} behind")
+endif()
+
 # A loop whose scheduling fails with its own diagnostic (a carried
 # lifetime beyond the int cycle range; see lifetime_limit_check.cmake).
 set(ddg ${WORK}/early_errors_big3.ddg)
@@ -45,7 +82,7 @@ edge a s reg 0
 end
 ")
 
-# 2. Unwritable --certify-out is refused before scheduling.
+# 3. Unwritable --certify-out is refused before scheduling.
 set(bad ${WORK}/early_errors_no_such_dir/certs.jsonl)
 execute_process(COMMAND ${CLI} ${ddg} --certify-out ${bad}
     RESULT_VARIABLE rc
@@ -59,7 +96,7 @@ if(at EQUAL -1)
     message(FATAL_ERROR "swpipe_cli scheduled before probing --certify-out: ${err}")
 endif()
 
-# 3. The probe removes a file it created, and keeps an existing one.
+# 4. The probe removes a file it created, and keeps an existing one.
 set(fresh ${WORK}/early_errors_fresh.jsonl)
 file(REMOVE ${fresh})
 execute_process(COMMAND ${CLI} ${ddg} --certify-out ${fresh}

@@ -3,7 +3,7 @@
  * Batch driver tests: deterministic results at any thread count on the
  * pinned-seed suite — with the schedule memo on or off — the
  * single-flight MII/RecMII and schedule memos, the persistent worker
- * pool, and the parallel-for primitive.
+ * pool, the parallel-for primitive, and the shared run flags.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,11 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "driver/run_flags.hh"
 #include "driver/suite_runner.hh"
 #include "sched/fingerprint.hh"
 #include "sched/mii.hh"
@@ -351,11 +355,11 @@ TEST(SuiteRunner, ZeroThreadsSelectsHardwareConcurrency)
     EXPECT_GE(runner.threads(), 1);
 }
 
-TEST(SuiteRunner, ChunkPoliciesAndThreadsAllAgree)
+TEST(SuiteRunner, HeaviestFirstPlanAgreesWithTheSerialRun)
 {
-    // Ordering and chunking change when (and where) a job runs — never
-    // its result: every combination agrees slot for slot with the
-    // serial baseline.
+    // The heaviest-first plan changes when (and where) a job runs —
+    // never its result: every thread count agrees slot for slot with
+    // the serial baseline.
     const std::vector<SuiteLoop> suite = testSuite(10);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
@@ -363,17 +367,12 @@ TEST(SuiteRunner, ChunkPoliciesAndThreadsAllAgree)
     SuiteRunner serial(1);
     const auto baseline = serial.run(suite, m, jobs);
 
-    for (const ChunkPolicy chunk :
-         {ChunkPolicy::Auto, ChunkPolicy::Fixed}) {
-        for (const int threads : {1, 4}) {
-            SuiteRunner runner(threads);
-            RunOptions opts;
-            opts.chunk = chunk;
-            const auto results = runner.run(suite, m, jobs, opts);
-            ASSERT_EQ(results.size(), jobs.size());
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                expectIdenticalResults(baseline[i], results[i], i);
-        }
+    for (const int threads : {1, 4}) {
+        SuiteRunner runner(threads);
+        const auto results = runner.run(suite, m, jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdenticalResults(baseline[i], results[i], i);
     }
 }
 
@@ -384,9 +383,8 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
     SuiteRunner runner(1);
 
-    RunOptions opts;  // Auto policy.
     const std::vector<std::size_t> order =
-        runner.planJobOrder(suite, m, jobs, opts);
+        runner.planJobOrder(suite, m, jobs);
     ASSERT_EQ(order.size(), jobs.size());
     std::vector<bool> seen(jobs.size(), false);
     double prev = std::numeric_limits<double>::infinity();
@@ -399,22 +397,15 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
         prev = cost;
     }
 
-    // The plan is deterministic, and the fixed policy preserves grid
-    // order.
-    EXPECT_EQ(order, runner.planJobOrder(suite, m, jobs, opts));
-    RunOptions fixed;
-    fixed.chunk = ChunkPolicy::Fixed;
-    const std::vector<std::size_t> gridOrder =
-        runner.planJobOrder(suite, m, jobs, fixed);
-    for (std::size_t k = 0; k < gridOrder.size(); ++k)
-        EXPECT_EQ(gridOrder[k], k);
+    // The plan is deterministic.
+    EXPECT_EQ(order, runner.planJobOrder(suite, m, jobs));
 }
 
-TEST(SuiteRunner, ChunkingNeverReordersResultsOnRandomGrids)
+TEST(SuiteRunner, PlanNeverReordersResultsOnRandomGrids)
 {
     // Property/fuzz over seeded random DDG suites: whatever the cost
     // model decides, results stay slot-addressed and byte-identical
-    // across policies and thread counts.
+    // across thread counts.
     for (const std::uint64_t seed : {1ull, 99ull, 0xdecafull}) {
         SuiteParams params;
         params.seed = seed;
@@ -425,25 +416,20 @@ TEST(SuiteRunner, ChunkingNeverReordersResultsOnRandomGrids)
 
         SuiteRunner serial(1);
         const auto baseline = serial.run(suite, m, jobs);
-        for (const ChunkPolicy chunk :
-             {ChunkPolicy::Auto, ChunkPolicy::Fixed}) {
-            SuiteRunner pooled(4);
-            RunOptions opts;
-            opts.chunk = chunk;
-            const auto results = pooled.run(suite, m, jobs, opts);
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                expectIdenticalResults(baseline[i], results[i], i);
-        }
+        SuiteRunner pooled(4);
+        const auto results = pooled.run(suite, m, jobs);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdenticalResults(baseline[i], results[i], i);
     }
 }
 
 TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
 {
-    // The load-balance claim behind ChunkPolicy::Auto, asserted on the
-    // pool's work-stealing model at run()'s claiming grain (one job per
-    // claim): the heaviest-first plan of a real grid never yields a
-    // worse simulated makespan than grid order. The toy heavy-tail case
-    // is covered by StealingModelBeatsStaticPartitionAndConservesWork.
+    // The load-balance claim behind the heaviest-first plan, asserted on
+    // the pool's work-stealing model (one job per claim): the plan of a
+    // real grid never yields a worse simulated makespan than grid order.
+    // The toy heavy-tail case is covered by
+    // StealingModelBeatsStaticPartitionAndConservesWork.
     const int workers = 4;
     const auto makespan = [](const std::vector<double> &loads) {
         return *std::max_element(loads.begin(), loads.end());
@@ -460,8 +446,8 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
     const std::vector<std::size_t> planned =
         runner.planJobOrder(suite, m, jobs);
     EXPECT_LE(
-        makespan(simulateWorkerLoadsStealing(gridCosts, planned, workers, 1)),
-        makespan(simulateWorkerLoadsStealing(gridCosts, byIndex, workers, 1)));
+        makespan(simulateWorkerLoadsStealing(gridCosts, planned, workers)),
+        makespan(simulateWorkerLoadsStealing(gridCosts, byIndex, workers)));
 }
 
 TEST(SuiteRunner, StripedMemosStayByteIdenticalAcrossThreadCounts)
@@ -498,7 +484,7 @@ TEST(SuiteRunner, StripedMemosStayByteIdenticalAcrossThreadCounts)
 TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
 {
     // Results must not depend on which worker claims or steals which
-    // chunk. The jitter hook perturbs every claim with a seeded spin,
+    // job. The jitter hook perturbs every claim with a seeded spin,
     // forcing 20 different steal interleavings; all must match the
     // serial run byte-for-byte.
     const std::vector<SuiteLoop> suite = testSuite(10);
@@ -522,13 +508,13 @@ TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
 TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
 {
     // The load-balance claim behind work-stealing, on a heavy-tailed
-    // grid: with the heavy chunk seeded to one worker's deque, the idle
-    // workers
-    // drain its remaining chunks from the back, so the makespan drops
-    // to the heavy chunk itself instead of a whole static partition.
+    // grid: with the heavy jobs at the fronts of two workers' deques,
+    // the idle workers drain the rest of those deques from the back, so
+    // the makespan drops to a heavy job itself instead of a whole
+    // static partition.
     const int workers = 4;
     std::vector<double> costs(64, 1.0);
-    for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t i = 0; i < 2; ++i)
         costs[i] = 40.0; // Heavy head (plan order is heaviest-first).
 
     std::vector<std::size_t> heavyFirst(costs.size());
@@ -549,34 +535,25 @@ TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
         staticLoads[k / block] += costs[heavyLast[k]];
 
     const std::vector<double> stealing =
-        simulateWorkerLoadsStealing(costs, heavyFirst, workers, 4);
+        simulateWorkerLoadsStealing(costs, heavyFirst, workers);
     EXPECT_LT(makespan(stealing), makespan(staticLoads));
 
-    // Heaviest-first seeding matters for stealing too: a heavy chunk
+    // Heaviest-first seeding matters for stealing too: a heavy job
     // buried at the back of its owner's deque is claimed too late for
-    // anyone to help with it.
+    // anyone to help with the rest.
     const std::vector<double> buried =
-        simulateWorkerLoadsStealing(costs, heavyLast, workers, 4);
+        simulateWorkerLoadsStealing(costs, heavyLast, workers);
     EXPECT_LT(makespan(stealing), makespan(buried));
 
-    // Stealing executes all the work exactly once, at any worker count
-    // and chunking grain.
+    // Stealing executes all the work exactly once, at any worker count.
     for (const int w : {1, 2, 4, 7}) {
-        for (const std::size_t chunk : {std::size_t(1), std::size_t(3),
-                                        std::size_t(16), block}) {
-            const std::vector<double> loads =
-                simulateWorkerLoadsStealing(costs, heavyFirst, w, chunk);
-            EXPECT_DOUBLE_EQ(
-                std::accumulate(loads.begin(), loads.end(), 0.0), total)
-                << "workers " << w << " chunk " << chunk;
-        }
+        const std::vector<double> loads =
+            simulateWorkerLoadsStealing(costs, heavyFirst, w);
+        ASSERT_EQ(loads.size(), std::size_t(w));
+        EXPECT_DOUBLE_EQ(std::accumulate(loads.begin(), loads.end(), 0.0),
+                         total)
+            << "workers " << w;
     }
-
-    // One worker degenerates to the serial sum.
-    const std::vector<double> solo =
-        simulateWorkerLoadsStealing(costs, heavyFirst, 1, 4);
-    ASSERT_EQ(solo.size(), 1u);
-    EXPECT_DOUBLE_EQ(solo[0], total);
 }
 
 TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
@@ -586,7 +563,7 @@ TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
 
     // Perf counts every dispatched work item: the grid's jobs plus
-    // the chunk planner's per-distinct-loop bounds prefetch.
+    // the planner's per-distinct-loop bounds prefetch.
     const long expected = long(jobs.size()) + long(suite.size());
 
     SuiteRunner pooled(4);
@@ -601,7 +578,7 @@ TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
         EXPECT_GE(w.stealSeconds, 0.0);
     }
     EXPECT_EQ(jobsSeen, expected);
-    EXPECT_GE(claims, 1);
+    EXPECT_EQ(claims, jobsSeen) << "a pooled claim takes exactly one job";
     EXPECT_GT(schedule, 0.0);
 
     pooled.resetWorkerPerf();
@@ -620,22 +597,90 @@ TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
     EXPECT_EQ(sp[0].steals, 0);
 }
 
-TEST(SuiteRunner, ParseThreadsArgAcceptsAutoAndChecksRange)
+/**
+ * Offer args[0] to parseRunFlag as argv[i] of a command line; renders
+ * whether it was taken, the index i was left on, the flags that moved
+ * off their defaults, and the diagnostic.
+ */
+std::string
+parseFlag(const std::vector<std::string> &args)
 {
-    int out = -1;
-    EXPECT_TRUE(parseThreadsArg("auto", out));
-    EXPECT_EQ(out, 0); // 0 resolves to hardware_concurrency.
-    EXPECT_TRUE(parseThreadsArg("0", out));
-    EXPECT_EQ(out, 0);
-    EXPECT_TRUE(parseThreadsArg("8", out));
-    EXPECT_EQ(out, 8);
-    out = 99;
-    EXPECT_FALSE(parseThreadsArg("", out));
-    EXPECT_FALSE(parseThreadsArg("eight", out));
-    EXPECT_FALSE(parseThreadsArg("-1", out));
-    EXPECT_FALSE(parseThreadsArg("8x", out));
-    EXPECT_FALSE(parseThreadsArg("1000000", out));
-    EXPECT_EQ(out, 99); // Failed parses leave the value untouched.
+    std::vector<const char *> argv;
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    RunFlags f;
+    int i = 0;
+    std::string error;
+    const bool mine = parseRunFlag(int(argv.size()), argv.data(), i, f,
+                                   error);
+    std::string out = std::string(mine ? "mine" : "not mine") + " @" +
+                      std::to_string(i);
+    if (f.threads != 1)
+        out += " threads=" + std::to_string(f.threads);
+    if (!f.memo)
+        out += " memo=0";
+    if (f.seed)
+        out += " seed=" + std::to_string(*f.seed);
+    if (f.verify)
+        out += " verify";
+    if (f.certify)
+        out += " certify";
+    if (f.machine)
+        out += " machine=" + f.machine->name();
+    return error.empty() ? out : out + ": " + error;
+}
+
+TEST(RunFlags, EveryFlagAcceptsItsGrammarAndRejectsTheRest)
+{
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"--threads", "auto"}, "mine @1 threads=0"},
+            {{"--threads", "0"}, "mine @1 threads=0"},
+            {{"--threads", "8"}, "mine @1 threads=8"},
+            {{"--threads", "4096"}, "mine @1 threads=4096"},
+            {{"--threads"}, "mine @0: missing argument for --threads"},
+            {{"--threads", ""}, "mine @1: bad --threads count "},
+            {{"--threads", "eight"}, "mine @1: bad --threads count eight"},
+            {{"--threads", "-1"}, "mine @1: bad --threads count -1"},
+            {{"--threads", "8x"}, "mine @1: bad --threads count 8x"},
+            {{"--threads", "4097"}, "mine @1: bad --threads count 4097"},
+            {{"--threads", "AUTO"}, "mine @1: bad --threads count AUTO"},
+            {{"--memo", "0"}, "mine @1 memo=0"},
+            {{"--memo", "1"}, "mine @1"},
+            {{"--memo"}, "mine @0: missing argument for --memo"},
+            {{"--memo", "2"}, "mine @1: bad --memo value 2"},
+            {{"--memo", "on"}, "mine @1: bad --memo value on"},
+            {{"--seed", "0"}, "mine @1 seed=0"},
+            {{"--seed", "0x5eedDECADE"}, "mine @1 seed=407717726942"},
+            {{"--seed", "18446744073709551615"},
+             "mine @1 seed=18446744073709551615"},
+            {{"--seed"}, "mine @0: missing argument for --seed"},
+            {{"--seed", "-1"}, "mine @1: bad --seed value -1"},
+            {{"--seed", "12x"}, "mine @1: bad --seed value 12x"},
+            {{"--seed", "18446744073709551616"},
+             "mine @1: bad --seed value 18446744073709551616"},
+            {{"--verify"}, "mine @0 verify"},
+            {{"--certify"}, "mine @0 certify"},
+            {{"--machine", "p1l4"}, "mine @1 machine=P1L4"},
+            {{"--machine", "p2l4"}, "mine @1 machine=P2L4"},
+            {{"--machine", "p2l6"}, "mine @1 machine=P2L6"},
+            {{"--machine", "universal"}, "mine @1 machine=universal"},
+            {{"--machine"}, "mine @0: missing argument for --machine"},
+            // The front ends' own flags are left to them, untouched.
+            {{"--json", "x.json"}, "not mine @0"},
+            {{"--registers", "16"}, "not mine @0"},
+            {{"--threads=4"}, "not mine @0"},
+            {{"threads"}, "not mine @0"},
+        };
+    for (const auto &[args, want] : cases)
+        EXPECT_EQ(parseFlag(args), want);
+
+    // A spec that does not resolve carries machdesc's own diagnostic.
+    EXPECT_NE(parseFlag({"--machine", "nosuch"})
+                  .find("mine @1: fatal: cannot read machine description "
+                        "file 'nosuch' (presets: p1l4, p2l4, p2l6, "
+                        "universal)"),
+              std::string::npos);
 }
 
 TEST(SuiteRunner, ResultsReferenceSuiteGraphsUnlessTransformed)
