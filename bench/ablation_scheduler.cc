@@ -47,7 +47,7 @@ runAblation(benchmark::State &state)
         std::vector<Record> records(suite.size());
         runner.parallelFor(suite.size(), [&](std::size_t i) {
             const SuiteLoop &loop = suite[i];
-            const int lower = runner.bounds(loop.graph, m).mii;
+            const int lower = runner.mii(loop.graph, m);
             auto hrms = makeScheduler(SchedulerKind::Hrms);
             auto ims = makeScheduler(SchedulerKind::Ims);
             const IiSearchResult rh =

@@ -130,7 +130,7 @@ variantJob(int loopIndex, Variant v, int registers)
     job.options.registers = registers;
     switch (v) {
       case Variant::Ideal:
-        job.ideal = true;
+        job.strategy = Strategy::Ideal;
         return job;
       case Variant::MaxLt:
         job.strategy = Strategy::Spill;
@@ -164,15 +164,6 @@ variantJob(int loopIndex, Variant v, int registers)
     SWP_PANIC("unknown variant ", int(v));
 }
 
-PipelineResult
-runVariant(const Ddg &g, const Machine &m, int registers, Variant v)
-{
-    const BatchJob job = variantJob(0, v, registers);
-    return job.ideal
-               ? pipelineIdeal(g, m, job.options.scheduler)
-               : pipelineLoop(g, m, job.strategy, job.options);
-}
-
 std::vector<BatchJob>
 protoJobs(std::size_t n, const BatchJob &proto)
 {
@@ -185,8 +176,7 @@ protoJobs(std::size_t n, const BatchJob &proto)
 SuiteRunner &
 suiteRunner()
 {
-    static SuiteRunner runner(benchOptions().run.threads,
-                              benchOptions().run.memo);
+    static SuiteRunner runner(benchOptions().run.threads);
     return runner;
 }
 

@@ -36,7 +36,7 @@ namespace swp::benchutil
 /**
  * Harness-level options, parsed from argv before google-benchmark sees
  * it. Every harness accepts the shared run flags of driver/run_flags.hh
- * (--threads, --memo, --seed, --verify, --certify, --machine) plus its
+ * (--threads, --seed, --verify, --certify, --machine) plus its
  * own:
  *
  *   --json <path>    write machine-readable results to <path>; an
@@ -93,10 +93,6 @@ enum class Variant
 
 const char *variantName(Variant v);
 
-/** Run one variant on one loop. */
-PipelineResult runVariant(const Ddg &g, const Machine &m, int registers,
-                          Variant v);
-
 /** The grid job evaluating one variant on one suite loop. */
 BatchJob variantJob(int loopIndex, Variant v, int registers);
 
@@ -104,9 +100,9 @@ BatchJob variantJob(int loopIndex, Variant v, int registers);
 std::vector<BatchJob> protoJobs(std::size_t n, const BatchJob &proto);
 
 /**
- * The process-wide batch runner, built from --threads/--memo on first
- * use. All harness grids funnel through it so the whole
- * experiment shares one evaluation path (and one MII/RecMII memo).
+ * The process-wide batch runner, built from --threads on first use.
+ * All harness grids funnel through it so the whole experiment shares
+ * one evaluation path (and one MII memo).
  */
 SuiteRunner &suiteRunner();
 

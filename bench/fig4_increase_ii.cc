@@ -29,7 +29,7 @@ void
 sweep(const Ddg &g, const Machine &m, int max_extra, Table &table)
 {
     PipelinerOptions opts;
-    const int lower = benchutil::suiteRunner().bounds(g, m).mii;
+    const int lower = benchutil::suiteRunner().mii(g, m);
 
     // Every II point is independent; sweep them across the pool and
     // emit the rows serially so the table is thread-count invariant.

@@ -65,7 +65,7 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<BatchJob> jobs = scalingGrid(suite.size());
     const RunOptions ropts = benchutil::benchRunOptions();
 
-    SuiteRunner runner(threads, benchutil::benchOptions().run.memo);
+    SuiteRunner runner(threads);
     runner.run(suite, m, jobs, ropts); // Warm the memos once, untimed.
     runner.resetWorkerPerf();
 

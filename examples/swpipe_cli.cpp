@@ -9,9 +9,9 @@
  * Usage:
  *   swpipe_cli [options] [file.ddg ...]
  *
- * Besides the run flags every bench harness shares (--threads, --memo,
- * --seed, --verify, --certify, --machine; see driver/run_flags.hh),
- * the options are:
+ * Besides the run flags every bench harness shares (--threads, --seed,
+ * --verify, --certify, --machine; see driver/run_flags.hh), the options
+ * are:
  *   --registers N                 register budget (default 32)
  *   --strategy ideal|increase-ii|spill|best   (default best)
  *   --scheduler hrms|ims          core scheduler (default hrms)
@@ -50,7 +50,6 @@
 #include "driver/suite_runner.hh"
 #include "ir/builder.hh"
 #include "pipeliner/pipeliner.hh"
-#include "sched/mii.hh"
 #include "sim/vliw.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
@@ -69,7 +68,6 @@ struct CliOptions
     Machine machine = Machine::p2l4();
     Strategy strategy = Strategy::BestOfAll;
     PipelinerOptions pipeline;
-    bool ideal = false;
     bool kernel = false;
     bool mve = false;
     long simulate = 0;
@@ -119,7 +117,7 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--strategy")) {
             const char *name = nextArg(argc, argv, i, arg);
             if (!std::strcmp(name, "ideal"))
-                opts.ideal = true;
+                opts.strategy = Strategy::Ideal;
             else if (!std::strcmp(name, "increase-ii"))
                 opts.strategy = Strategy::IncreaseII;
             else if (!std::strcmp(name, "spill"))
@@ -205,23 +203,24 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Print one loop's report on stdout. Diagnostics (the
- * simulation-mismatch note) go to stderr; they reach the exit code
- * through the returned rc.
+ * Print one loop's report on stdout; its MII comes from the runner's
+ * bounds memo. Diagnostics (the simulation-mismatch note) go to
+ * stderr; they reach the exit code through the returned rc.
  */
 int
-reportLoop(const CliOptions &opts, const SuiteLoop &loop,
-           const PipelineResult &r)
+reportLoop(const CliOptions &opts, SuiteRunner &runner,
+           const SuiteLoop &loop, const PipelineResult &r)
 {
     std::ostream &out = std::cout;
     const Ddg &g = loop.graph;
     const Machine &m = opts.machine;
+    const int mii = runner.mii(g, m);
 
     if (opts.csv) {
         out << g.name() << "," << m.name() << ","
-            << (opts.ideal ? "ideal" : strategyName(opts.strategy))
-            << "," << opts.pipeline.registers << ","
-            << (r.success ? 1 : 0) << "," << mii(g, m) << ","
+            << strategyName(opts.strategy) << ","
+            << opts.pipeline.registers << ","
+            << (r.success ? 1 : 0) << "," << mii << ","
             << r.ii() << "," << r.alloc.regsRequired << ","
             << r.spilledLifetimes << ","
             << r.memOpsPerIteration() << "," << r.attempts
@@ -230,7 +229,7 @@ reportLoop(const CliOptions &opts, const SuiteLoop &loop,
         out << "loop '" << g.name() << "' on " << m.name()
             << ": " << (r.success ? "fits" : "DOES NOT FIT")
             << " budget " << opts.pipeline.registers << " — II="
-            << r.ii() << " (MII " << mii(g, m) << "), "
+            << r.ii() << " (MII " << mii << "), "
             << r.alloc.regsRequired << " regs, "
             << r.spilledLifetimes << " spills, "
             << r.memOpsPerIteration() << " mem ops/iter\n";
@@ -282,12 +281,11 @@ main(int argc, char **argv)
 
         // Evaluate all loops as one batch on the worker pool, then
         // report serially in input order — the output is byte-identical
-        // at any --threads count and --memo setting.
-        SuiteRunner runner(opts.run.threads, opts.run.memo);
+        // at any --threads count.
+        SuiteRunner runner(opts.run.threads);
         std::vector<BatchJob> jobs(opts.loops.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             jobs[i].loop = int(i);
-            jobs[i].ideal = opts.ideal;
             jobs[i].strategy = opts.strategy;
             jobs[i].options = opts.pipeline;
         }
@@ -328,7 +326,7 @@ main(int argc, char **argv)
         }
         int rc = 0;
         for (std::size_t i = 0; i < opts.loops.size(); ++i)
-            rc |= reportLoop(opts, opts.loops[i], results[i]);
+            rc |= reportLoop(opts, runner, opts.loops[i], results[i]);
         return rc;
     } catch (const swp::FatalError &e) {
         std::cerr << e.what() << "\n";

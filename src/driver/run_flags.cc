@@ -31,14 +31,6 @@ parseRunFlag(int argc, const char *const *argv, int &i, RunFlags &flags,
             else if (!parseIntInRange(text, 0, 4096, flags.threads))
                 error = std::string("bad --threads count ") + text;
         }
-    } else if (!std::strcmp(flag, "--memo")) {
-        if (const char *text = value()) {
-            int memo = 1;
-            if (parseIntInRange(text, 0, 1, memo))
-                flags.memo = memo != 0;
-            else
-                error = std::string("bad --memo value ") + text;
-        }
     } else if (!std::strcmp(flag, "--seed")) {
         if (const char *text = value()) {
             std::uint64_t seed = 0;

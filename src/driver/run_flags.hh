@@ -1,14 +1,11 @@
 /**
  * @file
  * The run flags that swpipe_cli and every bench harness share, each
- * defined once here. --threads, --memo, --verify and --certify never
- * change output bytes; --seed and --machine name the work.
+ * defined once here. --threads, --verify and --certify never change
+ * output bytes; --seed and --machine name the work.
  *
  *   --threads N|auto  worker threads (default 1; 0 or "auto" = all
  *                     hardware threads; at most 4096).
- *   --memo 0|1        schedule memoization (default 1); 0 re-schedules
- *                     every (graph, machine, II) probe, for measuring
- *                     the memo's effect and for CI's determinism diff.
  *   --seed S          suite generator seed, an unsigned 64-bit integer
  *                     (default: the pinned kDefaultSuiteSeed).
  *   --verify          check every result with the independent legality
@@ -46,7 +43,6 @@ namespace swp
 struct RunFlags
 {
     int threads = 1;  ///< SuiteRunner's convention: 0 = all hardware.
-    bool memo = true;
     std::optional<std::uint64_t> seed;  ///< Empty: the pinned seed.
     bool verify = false;
     bool certify = false;

@@ -58,9 +58,8 @@ SuiteRunner::setClaimJitterForTesting(unsigned seed)
     claimJitter_.store(seed, std::memory_order_relaxed);
 }
 
-SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
+SuiteRunner::SuiteRunner(int threads)
     : threads_(resolveThreadCount(threads)),
-      memoizeSchedules_(memoizeSchedules),
       boundsCache_(threads_),
       scheduleMemo_(kVerifyMemoKeys, threads_),
       perf_(std::size_t(threads_))
@@ -78,8 +77,8 @@ SuiteRunner::~SuiteRunner()
         t.join();
 }
 
-SuiteRunner::LoopBounds
-SuiteRunner::bounds(const Ddg &g, const Machine &m)
+int
+SuiteRunner::mii(const Ddg &g, const Machine &m)
 {
     const auto key =
         std::make_pair(graphFingerprint(g), machineFingerprint(m));
@@ -87,9 +86,7 @@ SuiteRunner::bounds(const Ddg &g, const Machine &m)
         key,
         [&]() {
             CachedBounds c;
-            // mii() is max(resMii, recMii): decompose the graph once.
-            c.b.recMii = recMii(g, m);
-            c.b.mii = std::max(resMii(g, m), c.b.recMii);
+            c.mii = swp::mii(g, m);
             if (kVerifyMemoKeys) {
                 c.graph = g;
                 c.machine = m;
@@ -110,7 +107,7 @@ SuiteRunner::bounds(const Ddg &g, const Machine &m)
                        m.name(),
                        "' hit an entry built from a different machine");
         });
-    return cached.b;
+    return cached.mii;
 }
 
 void
@@ -381,7 +378,7 @@ SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
 {
     const Ddg &g = suite[std::size_t(job.loop)].graph;
     const int span =
-        std::max(1, defaultMaxIi(g, m) - bounds(g, m).mii + 1);
+        std::max(1, defaultMaxIi(g, m) - mii(g, m) + 1);
     return double(g.numNodes()) * double(span);
 }
 
@@ -406,7 +403,7 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
         }
     }
     parallelFor(distinctLoops.size(), [&](std::size_t k) {
-        (void)bounds(suite[distinctLoops[k]].graph, m);
+        (void)mii(suite[distinctLoops[k]].graph, m);
     });
 
     // Heaviest-first. The costs are deterministic, and the sort is
@@ -459,20 +456,17 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                 const std::size_t i = order[k];
                 const BatchJob &job = jobs[i];
                 const Ddg &g = suite[std::size_t(job.loop)].graph;
-                const LoopBounds b = bounds(g, m);
 
                 EvalContext ctx;
-                const SchedulerKind kind = job.options.scheduler;
-                ctx.scheduler =
-                    kind == SchedulerKind::Ims ? ims.get() : hrms.get();
+                ctx.scheduler = job.options.scheduler == SchedulerKind::Ims
+                                    ? ims.get()
+                                    : hrms.get();
                 ctx.imsFallback = ims.get();
-                ctx.knownMii = b.mii;
-                ctx.memo = memoizeSchedules_ ? &scheduleMemo_ : nullptr;
+                ctx.knownMii = mii(g, m);
+                ctx.memo = &scheduleMemo_;
 
-                results[i] = job.ideal
-                                 ? pipelineIdeal(g, m, kind, &ctx)
-                                 : pipelineLoop(g, m, job.strategy,
-                                                job.options, &ctx);
+                results[i] =
+                    pipelineLoop(g, m, job.strategy, job.options, &ctx);
                 if (verify) {
                     const VerifyReport report =
                         verifyResult(g, m, results[i]);

@@ -17,15 +17,15 @@
  *    bench harnesses dispatch the same grid dozens of times);
  *  - scheduler objects are constructed once per worker thread and
  *    reused across all its jobs;
- *  - the MII/RecMII of each input loop is memoized per (graph content,
+ *  - the MII of each input loop is memoized per (graph content,
  *    machine) across batches;
  *  - every (graph, machine, II, scheduler) probe outcome — including
  *    "no schedule at this II" — is memoized in a ScheduleMemo shared
  *    by all workers, so best-of-all's binary search and the grid's
  *    repeated cells never schedule the same probe twice.
- * All memos are single-flight (two workers never compute one key) and
- * none of them changes results: output is byte-identical with the
- * memos on or off.
+ * Both memos are single-flight (two workers never compute one key),
+ * and neither changes results: every job's result equals the
+ * context-free pipelineLoop call on the same inputs.
  *
  * Within a run, jobs are claimed in a work-size-aware order: the grid
  * is walked heaviest-first, ranked by a cheap cost estimate (node count
@@ -73,9 +73,6 @@ struct BatchJob
 {
     /** Index into the suite passed to SuiteRunner::run. */
     int loop = 0;
-
-    /** Unlimited registers (pipelineIdeal); `strategy` is ignored. */
-    bool ideal = false;
 
     Strategy strategy = Strategy::Spill;
     PipelinerOptions options;
@@ -137,37 +134,24 @@ struct RunOptions
 class SuiteRunner
 {
   public:
-    /**
-     * threads == 0 selects the hardware concurrency; 1 runs inline.
-     * memoizeSchedules toggles the schedule memo (results are identical
-     * either way; off re-schedules every probe — useful for measuring
-     * the memo's effect and for CI's byte-identical diff).
-     */
-    explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true);
+    /** threads == 0 selects the hardware concurrency; 1 runs inline. */
+    explicit SuiteRunner(int threads = 1);
     ~SuiteRunner();
 
     SuiteRunner(const SuiteRunner &) = delete;
     SuiteRunner &operator=(const SuiteRunner &) = delete;
 
     int threads() const { return threads_; }
-    bool memoizesSchedules() const { return memoizeSchedules_; }
-
-    /** Memoized lower bounds of one loop under one machine. */
-    struct LoopBounds
-    {
-        int mii = 0;
-        int recMii = 0;
-    };
 
     /**
-     * MII/RecMII of a loop, memoized per (graph content, machine
+     * MII of a loop, memoized per (graph content, machine
      * configuration). Safe to call concurrently; both key halves are
      * structural fingerprints, so rebuilt or short-lived graphs and
      * same-named machines never alias stale entries, and the memo is
      * single-flight: concurrent workers asking for the same key wait
      * for one computation instead of repeating it.
      */
-    LoopBounds bounds(const Ddg &g, const Machine &m);
+    int mii(const Ddg &g, const Machine &m);
 
     /** The shared probe memo (for tests and observability). */
     ScheduleMemo &scheduleMemo() { return scheduleMemo_; }
@@ -314,13 +298,12 @@ class SuiteRunner
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
 
     int threads_ = 1;
-    bool memoizeSchedules_ = true;
 
     /** Bounds memo entry; the graph/machine copies (O(1), CoW) verify
         memo hits against fingerprint collisions in debug builds. */
     struct CachedBounds
     {
-        LoopBounds b;
+        int mii = 0;
         std::optional<Ddg> graph;
         std::optional<Machine> machine;
     };

@@ -201,6 +201,12 @@ class MachParser
                          "latency, got " + latTok);
             return;
         }
+        if (lat > kMaxMachineLatency) {
+            diag(lineNo, "opcode '" + mnemonic + "' exceeds the " +
+                             std::to_string(kMaxMachineLatency) +
+                             "-cycle latency limit, got " + latTok);
+            return;
+        }
         opBound_[op] = true;
         classOf_[op] = cls;
         latency_[op] = lat;

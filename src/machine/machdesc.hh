@@ -13,7 +13,8 @@
  * single tokens. Every one of the nine opcode mnemonics ("ld", "st",
  * "add", "mul", "div", "sqrt", "copy", "nop", "sel") must be bound to
  * a declared class exactly once. Unit counts are 1..64 (the scheduler
- * packs per-class rows into 64-bit busy masks); latencies are >= 1.
+ * packs per-class rows into 64-bit busy masks); latencies are
+ * 1..kMaxMachineLatency.
  * Class order in the text is the machine's class-index order.
  *
  * parseMachineDescription never throws on bad input: it collects
@@ -34,6 +35,14 @@
 
 namespace swp
 {
+
+/**
+ * Largest latency a description may give an opcode, in cycles. The II
+ * search, the register circle (R x II bits) and the spill rounds all
+ * grow with the latencies, so an unbounded value turns into an
+ * overflow panic or an hour-long run instead of a diagnostic.
+ */
+inline constexpr int kMaxMachineLatency = 4096;
 
 /** One parse diagnostic, anchored to a 1-based source line. */
 struct MachDiag

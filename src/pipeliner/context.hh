@@ -5,7 +5,7 @@
  * One (loop, strategy, options) evaluation is cheap to set up but the
  * experiment grids of the paper run hundreds of thousands of them, so
  * the batch driver (src/driver) amortizes the per-call costs: scheduler
- * objects are constructed once per worker thread, the MII/RecMII of
+ * objects are constructed once per worker thread, the MII of
  * each input loop is memoized per machine, and whole (graph, machine,
  * II, scheduler) probe outcomes are memoized in a ScheduleMemo. The
  * strategies accept an optional EvalContext carrying those shared

@@ -17,6 +17,7 @@ strategyName(Strategy s)
       case Strategy::IncreaseII: return "increase-II";
       case Strategy::Spill: return "spill";
       case Strategy::BestOfAll: return "best-of-all";
+      case Strategy::Ideal: return "ideal";
     }
     SWP_PANIC("unknown strategy ", int(s));
 }
@@ -32,6 +33,8 @@ pipelineLoop(const Ddg &g, const Machine &m, Strategy s,
         return spillStrategy(g, m, opts, {}, ctx);
       case Strategy::BestOfAll:
         return bestOfAllStrategy(g, m, opts, ctx);
+      case Strategy::Ideal:
+        return pipelineIdeal(g, m, opts.scheduler, ctx);
     }
     SWP_PANIC("unknown strategy ", int(s));
 }

@@ -26,6 +26,7 @@ enum class Strategy
     IncreaseII,  ///< Reschedule at larger IIs (Section 3).
     Spill,       ///< Iterative spill code insertion (Section 4).
     BestOfAll,   ///< Combination proposed in Section 5.
+    Ideal,       ///< Unlimited registers; `registers` is ignored.
 };
 
 const char *strategyName(Strategy s);
@@ -42,7 +43,8 @@ PipelineResult pipelineLoop(Ddg &&, const Machine &, Strategy,
 
 /**
  * Schedule with an unlimited register file (the paper's "ideal"
- * baseline): the plain II search from MII with no register constraint.
+ * baseline, Strategy::Ideal): the plain II search from MII with no
+ * register constraint.
  */
 PipelineResult pipelineIdeal(const Ddg &g, const Machine &m,
                              SchedulerKind kind = SchedulerKind::Hrms,

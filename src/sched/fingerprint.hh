@@ -2,8 +2,8 @@
  * @file
  * Structural fingerprints of the inputs scheduling depends on.
  *
- * The batch driver memoizes per-(loop, machine) results — MII/RecMII
- * bounds and whole (II, scheduler) probe outcomes — across hundreds of
+ * The batch driver memoizes per-(loop, machine) results — the MII
+ * bound and whole (II, scheduler) probe outcomes — across hundreds of
  * thousands of grid cells. Graphs are rebuilt or transformed between
  * cells and machine names are not unique, so the memo keys are
  * 64-bit FNV-1a fingerprints of the *content* both computations

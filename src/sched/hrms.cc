@@ -1,8 +1,6 @@
 #include "sched/hrms.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "ir/graph_algo.hh"
@@ -622,33 +620,8 @@ place(HrmsContext &ctx, const std::vector<int> &order)
                 }
             }
         }
-        if (!placed) {
-            // Read-only debug toggle; nothing in the process calls
-            // setenv, so the getenv race mt-unsafe guards against
-            // cannot arise.
-            if (std::getenv("SWP_HRMS_DEBUG")) {  // NOLINT(concurrency-mt-unsafe)
-                int placedCount = 0;
-                for (NodeId v = 0; v < ctx.g.numNodes(); ++v)
-                    placedCount += sched.scheduled(v);
-                std::fprintf(stderr,
-                             "HRMS fail ii=%d group=%d (%s) early=%ld "
-                             "late=%ld hasPred=%d hasSucc=%d placed=%d/%d"
-                             " members=%zu\n",
-                             ctx.ii, gi,
-                             ctx.g.node(grp.members[0]).name.c_str(),
-                             early, late, int(hasPred), int(hasSucc),
-                             placedCount, ctx.g.numNodes(),
-                             grp.members.size());
-                for (std::size_t i = 0; i < grp.members.size(); ++i) {
-                    std::fprintf(stderr, "  member %s off=%d op=%s\n",
-                                 ctx.g.node(grp.members[i]).name.c_str(),
-                                 grp.offsets[i],
-                                 opcodeName(ctx.g.node(
-                                     grp.members[i]).op));
-                }
-            }
+        if (!placed)
             return std::nullopt;
-        }
     }
 
     sched.normalize();

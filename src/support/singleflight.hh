@@ -3,7 +3,7 @@
  * A thread-safe, lock-striped memo cache with single-flight
  * computation.
  *
- * The batch driver's memos (MII/RecMII bounds, schedule probes) are hit
+ * The batch driver's memos (MII bounds, schedule probes) are hit
  * by every worker of the pool. A plain check-compute-insert memo lets
  * two workers race to compute the same key — both pay the (expensive)
  * computation and one insert silently wins. This cache arbitrates at

@@ -12,6 +12,12 @@
 #     itself fails, the certificate-file diagnostic must come first.
 #  4. The --certify-out probe leaves no file behind when it created
 #     one, and leaves an existing file untouched when the run fails.
+#  5. A machine description whose latency exceeds the 4096-cycle limit
+#     (examples/machines/scalar.mach with a 300000000-cycle div) is
+#     refused at parse time by both front ends, with the line-numbered
+#     limit diagnostic: exit 2, no panic, no "Running" banner.
+#  6. A removed run flag is an unknown option: swpipe_cli --memo 0
+#     exits 2.
 #
 # Both front ends probe through the one helper in driver/run_flags.
 #
@@ -119,4 +125,43 @@ file(READ ${kept} content)
 file(REMOVE ${kept} ${ddg})
 if(NOT content STREQUAL "previous results\n")
     message(FATAL_ERROR "the --certify-out probe changed an existing file: '${content}'")
+endif()
+
+# 5. Latency above the limit, in both front ends.
+file(READ ${CMAKE_CURRENT_LIST_DIR}/../../examples/machines/scalar.mach scalar)
+string(REPLACE "op div  alu 17" "op div  alu 300000000" slowdiv "${scalar}")
+if(slowdiv STREQUAL scalar)
+    message(FATAL_ERROR "scalar.mach no longer binds 'op div  alu 17'")
+endif()
+set(mach ${WORK}/early_errors_slowdiv.mach)
+file(WRITE ${mach} "${slowdiv}")
+set(want "line 13: opcode 'div' exceeds the 4096-cycle latency limit, got 300000000")
+foreach(cmd "${CLI};--suite;40" "${BENCH};--loops;40")
+    execute_process(COMMAND ${cmd} --machine ${mach}
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR "${cmd} with a 300000000-cycle div exited '${rc}', want 2: ${err}")
+    endif()
+    string(FIND "${err}" "${want}" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR "${cmd} with a 300000000-cycle div without the limit diagnostic: ${err}")
+    endif()
+    if(err MATCHES "panic" OR out MATCHES "Running" OR err MATCHES "Running")
+        message(FATAL_ERROR "${cmd} got past parsing the 300000000-cycle div: ${out}${err}")
+    endif()
+endforeach()
+file(REMOVE ${mach})
+
+# 6. --memo is gone.
+execute_process(COMMAND ${CLI} --memo 0
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "swpipe_cli --memo 0 exited '${rc}', want 2: ${err}")
+endif()
+if(NOT err MATCHES "unknown option --memo")
+    message(FATAL_ERROR "swpipe_cli --memo 0 without 'unknown option --memo': ${err}")
 endif()

@@ -1,9 +1,9 @@
 /**
  * @file
  * Batch driver tests: deterministic results at any thread count on the
- * pinned-seed suite — with the schedule memo on or off — the
- * single-flight MII/RecMII and schedule memos, the persistent worker
- * pool, the parallel-for primitive, and the shared run flags.
+ * pinned-seed suite, equal to the context-free pipelineLoop call, the
+ * single-flight MII and schedule memos, the persistent worker pool, the
+ * parallel-for primitive, and the shared run flags.
  */
 
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ mixedGrid(std::size_t loops)
 
         BatchJob ideal;
         ideal.loop = int(i);
-        ideal.ideal = true;
+        ideal.strategy = Strategy::Ideal;
         jobs.push_back(ideal);
 
         BatchJob best;
@@ -148,15 +148,10 @@ TEST(SuiteRunner, BoundsMatchDirectComputation)
     SuiteRunner runner(2);
     for (const Machine &m : {Machine::p1l4(), Machine::p2l6()}) {
         for (const SuiteLoop &loop : suite) {
-            const SuiteRunner::LoopBounds b = runner.bounds(loop.graph, m);
-            EXPECT_EQ(b.mii, mii(loop.graph, m)) << loop.graph.name();
-            EXPECT_EQ(b.recMii, recMii(loop.graph, m))
-                << loop.graph.name();
+            const int b = runner.mii(loop.graph, m);
+            EXPECT_EQ(b, mii(loop.graph, m)) << loop.graph.name();
             // Second lookup hits the memo and must agree.
-            const SuiteRunner::LoopBounds again =
-                runner.bounds(loop.graph, m);
-            EXPECT_EQ(again.mii, b.mii);
-            EXPECT_EQ(again.recMii, b.recMii);
+            EXPECT_EQ(runner.mii(loop.graph, m), b);
         }
     }
 }
@@ -170,42 +165,36 @@ TEST(SuiteRunner, BoundsDistinguishSameNamedMachines)
     const Machine wide = Machine::universal("m", 8, 2);
     const Machine narrow = Machine::universal("m", 1, 2);
     SuiteRunner runner(1);
-    EXPECT_EQ(runner.bounds(g, wide).mii, mii(g, wide));
-    EXPECT_EQ(runner.bounds(g, narrow).mii, mii(g, narrow));
-    EXPECT_GT(runner.bounds(g, narrow).mii, runner.bounds(g, wide).mii);
+    EXPECT_EQ(runner.mii(g, wide), mii(g, wide));
+    EXPECT_EQ(runner.mii(g, narrow), mii(g, narrow));
+    EXPECT_GT(runner.mii(g, narrow), runner.mii(g, wide));
 }
 
-TEST(SuiteRunner, ScheduleMemoOnOffAndThreadCountsAllAgree)
+TEST(SuiteRunner, MemoizedResultsEqualContextFreeCalls)
 {
-    // The schedule memo changes the work, never the answer: every
-    // combination of memo on/off and 1/N threads yields bit-identical
-    // results.
+    // The memos, the known MII, the reused schedulers and the
+    // heaviest-first plan change the work, never the answer: at 1 and N
+    // threads every result equals the context-free pipelineLoop call
+    // (no memo, no known MII, fresh schedulers) on the same job.
     const std::vector<SuiteLoop> suite = testSuite(16);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
 
-    SuiteRunner memoSerial(1, true);
-    SuiteRunner memoPooled(4, true);
-    SuiteRunner plainSerial(1, false);
-    SuiteRunner plainPooled(4, false);
-
-    const auto a = memoSerial.run(suite, m, jobs);
-    const auto b = memoPooled.run(suite, m, jobs);
-    const auto c = plainSerial.run(suite, m, jobs);
-    const auto d = plainPooled.run(suite, m, jobs);
-    ASSERT_EQ(a.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdenticalResults(a[i], b[i], i);
-        expectIdenticalResults(a[i], c[i], i);
-        expectIdenticalResults(a[i], d[i], i);
+    std::vector<PipelineResult> reference;
+    for (const BatchJob &job : jobs) {
+        reference.push_back(pipelineLoop(suite[std::size_t(job.loop)].graph,
+                                         m, job.strategy, job.options));
     }
 
-    // The memoized runners actually used the memo; the plain ones never
-    // touched it.
-    EXPECT_GT(memoSerial.memoStats().schedule.requests, 0);
-    EXPECT_GT(memoPooled.memoStats().schedule.requests, 0);
-    EXPECT_EQ(plainSerial.memoStats().schedule.requests, 0);
-    EXPECT_EQ(plainPooled.memoStats().schedule.requests, 0);
+    for (const int threads : {1, 4}) {
+        SuiteRunner runner(threads);
+        const auto results = runner.run(suite, m, jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdenticalResults(reference[i], results[i], i);
+        EXPECT_GT(runner.memoStats().schedule.requests, 0)
+            << threads << " threads";
+    }
 }
 
 TEST(SuiteRunner, ScheduleMemoEliminatesReworkAcrossBatches)
@@ -249,13 +238,13 @@ TEST(SuiteRunner, MemosAreSingleFlight)
     SuiteRunner runner(8);
 
     runner.parallelFor(48, [&](std::size_t i) {
-        (void)runner.bounds(suite[i % suite.size()].graph, m);
+        (void)runner.mii(suite[i % suite.size()].graph, m);
     });
     const SingleFlightStats bounds = runner.memoStats().bounds;
     EXPECT_EQ(bounds.requests, 48);
     EXPECT_EQ(bounds.entries, long(suite.size()));
     EXPECT_EQ(bounds.computes - bounds.entries, 0)
-        << "two workers raced to compute one key's MII/RecMII";
+        << "two workers raced to compute one key's MII";
 
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
     (void)runner.run(suite, m, jobs);
@@ -355,27 +344,6 @@ TEST(SuiteRunner, ZeroThreadsSelectsHardwareConcurrency)
     EXPECT_GE(runner.threads(), 1);
 }
 
-TEST(SuiteRunner, HeaviestFirstPlanAgreesWithTheSerialRun)
-{
-    // The heaviest-first plan changes when (and where) a job runs —
-    // never its result: every thread count agrees slot for slot with
-    // the serial baseline.
-    const std::vector<SuiteLoop> suite = testSuite(10);
-    const Machine m = Machine::p2l4();
-    const std::vector<BatchJob> jobs = mixedGrid(suite.size());
-
-    SuiteRunner serial(1);
-    const auto baseline = serial.run(suite, m, jobs);
-
-    for (const int threads : {1, 4}) {
-        SuiteRunner runner(threads);
-        const auto results = runner.run(suite, m, jobs);
-        ASSERT_EQ(results.size(), jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            expectIdenticalResults(baseline[i], results[i], i);
-    }
-}
-
 TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
 {
     const std::vector<SuiteLoop> suite = testSuite(24);
@@ -459,8 +427,8 @@ TEST(SuiteRunner, StripedMemosStayByteIdenticalAcrossThreadCounts)
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
 
-    SuiteRunner serial(1, true);
-    SuiteRunner pooled(8, true);
+    SuiteRunner serial(1);
+    SuiteRunner pooled(8);
 
     // next-pow2(2 x threads).
     EXPECT_EQ(serial.scheduleMemo().stripeCount(), 2u);
@@ -617,8 +585,6 @@ parseFlag(const std::vector<std::string> &args)
                       std::to_string(i);
     if (f.threads != 1)
         out += " threads=" + std::to_string(f.threads);
-    if (!f.memo)
-        out += " memo=0";
     if (f.seed)
         out += " seed=" + std::to_string(*f.seed);
     if (f.verify)
@@ -645,11 +611,6 @@ TEST(RunFlags, EveryFlagAcceptsItsGrammarAndRejectsTheRest)
             {{"--threads", "8x"}, "mine @1: bad --threads count 8x"},
             {{"--threads", "4097"}, "mine @1: bad --threads count 4097"},
             {{"--threads", "AUTO"}, "mine @1: bad --threads count AUTO"},
-            {{"--memo", "0"}, "mine @1 memo=0"},
-            {{"--memo", "1"}, "mine @1"},
-            {{"--memo"}, "mine @0: missing argument for --memo"},
-            {{"--memo", "2"}, "mine @1: bad --memo value 2"},
-            {{"--memo", "on"}, "mine @1: bad --memo value on"},
             {{"--seed", "0"}, "mine @1 seed=0"},
             {{"--seed", "0x5eedDECADE"}, "mine @1 seed=407717726942"},
             {{"--seed", "18446744073709551615"},
@@ -668,6 +629,7 @@ TEST(RunFlags, EveryFlagAcceptsItsGrammarAndRejectsTheRest)
             {{"--machine"}, "mine @0: missing argument for --machine"},
             // The front ends' own flags are left to them, untouched.
             {{"--json", "x.json"}, "not mine @0"},
+            {{"--memo", "0"}, "not mine @0"},
             {{"--registers", "16"}, "not mine @0"},
             {{"--threads=4"}, "not mine @0"},
             {{"threads"}, "not mine @0"},
@@ -693,7 +655,7 @@ TEST(SuiteRunner, ResultsReferenceSuiteGraphsUnlessTransformed)
     for (std::size_t i = 0; i < suite.size(); ++i) {
         BatchJob job;
         job.loop = int(i);
-        job.ideal = true;
+        job.strategy = Strategy::Ideal;
         jobs.push_back(job);
     }
     SuiteRunner runner(2);

@@ -120,6 +120,30 @@ TEST(MachDesc, RejectsMoreThan64Instances)
     EXPECT_TRUE(hasDiag(r, "exceeds 64 unit instances")) << diagDump(r);
 }
 
+TEST(MachDesc, RejectsLatencyAboveTheLimit)
+{
+    // kValid binds div on its line 8.
+    const auto withDivLatency = [](int latency) {
+        std::string text(kValid);
+        const std::string from = "op div alu 17";
+        text.replace(text.find(from), from.size(),
+                     "op div alu " + std::to_string(latency));
+        return parseMachineDescription(text);
+    };
+    const MachParseResult atLimit = withDivLatency(kMaxMachineLatency);
+    ASSERT_TRUE(atLimit.ok()) << diagDump(atLimit);
+    EXPECT_EQ(atLimit.machine->latency(Opcode::Div), 4096);
+
+    // The rejected binding also leaves div unbound (a second, line-0
+    // diagnostic), as every rejected op directive does.
+    const MachParseResult over = withDivLatency(kMaxMachineLatency + 1);
+    EXPECT_FALSE(over.ok());
+    ASSERT_FALSE(over.diags.empty());
+    EXPECT_EQ(over.diags[0].line, 8);
+    EXPECT_EQ(over.diags[0].message,
+              "opcode 'div' exceeds the 4096-cycle latency limit, got 4097");
+}
+
 TEST(MachDesc, RejectsMissingOpcodeBinding)
 {
     // Drop the sqrt binding from the valid description.

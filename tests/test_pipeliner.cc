@@ -39,6 +39,43 @@ TEST(Pipeliner, IdealScheduleOfPaperExample)
     EXPECT_EQ(r.alloc.maxLive, 11);
 }
 
+TEST(Pipeliner, IdealStrategyIsPipelineIdeal)
+{
+    // Strategy::Ideal runs pipelineIdeal with the options' scheduler and
+    // ignores the register budget.
+    EXPECT_STREQ(strategyName(Strategy::Ideal), "ideal");
+    const Machine m = Machine::p2l4();
+    for (const Ddg &g :
+         {buildPaperExampleLoop(), buildApsi47Analogue(),
+          buildApsi50Analogue()}) {
+        for (const SchedulerKind kind :
+             {SchedulerKind::Hrms, SchedulerKind::Ims}) {
+            PipelinerOptions opts;
+            opts.registers = 1;
+            opts.scheduler = kind;
+            const PipelineResult viaLoop =
+                pipelineLoop(g, m, Strategy::Ideal, opts);
+            const PipelineResult ideal = pipelineIdeal(g, m, kind);
+            EXPECT_EQ(viaLoop.strategy, "ideal") << g.name();
+            EXPECT_TRUE(viaLoop.success) << g.name();
+            EXPECT_EQ(viaLoop.mii, ideal.mii) << g.name();
+            EXPECT_EQ(viaLoop.attempts, ideal.attempts) << g.name();
+            EXPECT_EQ(viaLoop.ii(), ideal.ii()) << g.name();
+            EXPECT_EQ(viaLoop.alloc.regsRequired, ideal.alloc.regsRequired)
+                << g.name();
+            EXPECT_EQ(viaLoop.alloc.maxLive, ideal.alloc.maxLive)
+                << g.name();
+            EXPECT_EQ(viaLoop.spilledLifetimes, 0) << g.name();
+            for (NodeId n = 0; n < g.numNodes(); ++n) {
+                EXPECT_EQ(viaLoop.sched.time(n), ideal.sched.time(n))
+                    << g.name() << " node " << n;
+                EXPECT_EQ(viaLoop.sched.unit(n), ideal.sched.unit(n))
+                    << g.name() << " node " << n;
+            }
+        }
+    }
+}
+
 TEST(Pipeliner, IncreaseIiReachesSevenRegisters)
 {
     // Figure 3: at II=2 the example loop needs 7 registers (+1 inv).
