@@ -92,9 +92,8 @@ BM_HrmsIiSweep(benchmark::State &state)
 {
     // Eight consecutive scheduleAt probes of one loop against one
     // scheduler object — the shape of a spill driver's II search. This
-    // is the scheduleAt-dominated workload the reusable workspace and
-    // the recurrence-decomposition cache target: every probe after the
-    // first reuses the scratch buffers and the cached cyclic SCCs.
+    // is the scheduleAt-dominated workload the reusable workspace
+    // targets: every probe after the first reuses its scratch buffers.
     const SuiteLoop &loop = loopOfSize(int(state.range(0)));
     const Machine m = benchutil::benchMachine();
     const int lower = mii(loop.graph, m);
@@ -112,10 +111,8 @@ BM_HrmsSuiteProbes(benchmark::State &state)
 {
     // One scheduleAt at MII on each of 200 distinct suite loops through
     // one scheduler per iteration: the shape of a batch job stream,
-    // where every probe meets a new graph. Unlike the single-loop
-    // sweeps above, the recurrence cache misses on every probe, so the
-    // per-graph costs (recurrence regions, group graph, ordering,
-    // validation) all show.
+    // where every probe meets a new graph, so the per-graph costs (group
+    // graph, recurrence ranking, ordering, validation) all show.
     constexpr int numLoops = 200;
     const std::vector<SuiteLoop> &suite = benchutil::evaluationSuite();
     const Machine m = benchutil::benchMachine();

@@ -1,6 +1,5 @@
 #include "machine/machdesc.hh"
 
-#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -34,20 +33,19 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/** Parse a decimal integer token; false if the token is not a number. */
+/**
+ * Parse a decimal integer token; false if the token is not a number.
+ * A number beyond `long` saturates, so the caller's range checks (which
+ * quote the token) reject it as out of range, not as a non-number.
+ */
 bool
-parseInt(const std::string &tok, int &out)
+parseInt(const std::string &tok, long &out)
 {
     if (tok.empty())
         return false;
     char *end = nullptr;
-    long v = std::strtol(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size())
-        return false;
-    if (v < INT_MIN || v > INT_MAX)
-        return false;
-    out = int(v);
-    return true;
+    out = std::strtol(tok.c_str(), &end, 10);
+    return end == tok.c_str() + tok.size();
 }
 
 /** Accumulates directives and end-of-text consistency checks. */
@@ -141,7 +139,7 @@ class MachParser
             diag(lineNo, "duplicate class '" + name + "'");
             return;
         }
-        int count = 0;
+        long count = 0;
         if (!parseInt(countTok, count)) {
             diag(lineNo, "class '" + name + "': expected an integer unit "
                          "count, got '" + countTok + "'");
@@ -162,7 +160,7 @@ class MachParser
                          "'nonpipelined', got '" + flag + "'");
             return;
         }
-        classes_.push_back({name, count, flag == "pipelined"});
+        classes_.push_back({name, int(count), flag == "pipelined"});
     }
 
     void
@@ -170,46 +168,53 @@ class MachParser
     {
         std::string mnemonic, className, latTok, extra;
         toks >> mnemonic >> className >> latTok;
+        const int op = opcodeIndex(mnemonic);
+        // A rejected binding of a known opcode is reported here, with
+        // its line; finish() then does not also call the opcode unbound.
+        const auto reject = [&](const std::string &message) {
+            if (op >= 0)
+                opRejected_[op] = true;
+            diag(lineNo, message);
+        };
         if (mnemonic.empty() || className.empty() || latTok.empty() ||
             (toks >> extra)) {
-            diag(lineNo, "malformed op directive (expected: op <mnemonic> "
-                         "<class> <latency>)");
+            reject("malformed op directive (expected: op <mnemonic> "
+                   "<class> <latency>)");
             return;
         }
-        int op = opcodeIndex(mnemonic);
         if (op < 0) {
             diag(lineNo, "unknown opcode '" + mnemonic + "'");
             return;
         }
-        int cls = classIndex(className);
+        const int cls = classIndex(className);
         if (cls < 0) {
-            diag(lineNo, "unknown class '" + className + "'");
+            reject("unknown class '" + className + "'");
             return;
         }
         if (opBound_[op]) {
             diag(lineNo, "duplicate binding for opcode '" + mnemonic + "'");
             return;
         }
-        int lat = 0;
+        long lat = 0;
         if (!parseInt(latTok, lat)) {
-            diag(lineNo, "opcode '" + mnemonic + "': expected an integer "
-                         "latency, got '" + latTok + "'");
+            reject("opcode '" + mnemonic + "': expected an integer "
+                   "latency, got '" + latTok + "'");
             return;
         }
         if (lat <= 0) {
-            diag(lineNo, "opcode '" + mnemonic + "' needs a positive "
-                         "latency, got " + latTok);
+            reject("opcode '" + mnemonic + "' needs a positive latency, "
+                   "got " + latTok);
             return;
         }
         if (lat > kMaxMachineLatency) {
-            diag(lineNo, "opcode '" + mnemonic + "' exceeds the " +
-                             std::to_string(kMaxMachineLatency) +
-                             "-cycle latency limit, got " + latTok);
+            reject("opcode '" + mnemonic + "' exceeds the " +
+                   std::to_string(kMaxMachineLatency) +
+                   "-cycle latency limit, got " + latTok);
             return;
         }
         opBound_[op] = true;
         classOf_[op] = cls;
-        latency_[op] = lat;
+        latency_[op] = int(lat);
     }
 
     void
@@ -220,7 +225,7 @@ class MachParser
         if (classes_.empty())
             diag(0, "machine declares no unit classes");
         for (int op = 0; op < numOpcodes; ++op) {
-            if (!opBound_[op])
+            if (!opBound_[op] && !opRejected_[op])
                 diag(0, std::string("missing opcode binding for '") +
                             opcodeName(Opcode(op)) + "'");
         }
@@ -231,6 +236,8 @@ class MachParser
     std::string name_;
     std::vector<UnitClass> classes_;
     bool opBound_[numOpcodes] = {false};
+    /** Opcodes whose binding was rejected with a line number. */
+    bool opRejected_[numOpcodes] = {false};
     int classOf_[numOpcodes] = {0};
     int latency_[numOpcodes] = {1};
 };

@@ -29,7 +29,7 @@ tryOriginalAt(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     if (!sched)
         return std::nullopt;
     auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
-                                      opts.registers, opts.fit);
+                                      opts.registers);
     if (!alloc)
         return std::nullopt;
     return Attempt{std::move(*sched), std::move(*alloc)};

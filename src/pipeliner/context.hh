@@ -18,6 +18,7 @@
 
 #include <memory>
 
+#include "sched/ii_search.hh"
 #include "sched/mii.hh"
 #include "sched/sched_memo.hh"
 #include "sched/scheduler.hh"
@@ -94,12 +95,31 @@ resolveScheduler(const EvalContext *ctx, SchedulerKind kind,
                            storage);
 }
 
-/** The context's IMS fallback (memo-wrapped like resolveScheduler). */
-inline ModuloScheduler &
-resolveImsFallback(const EvalContext *ctx, SchedulerStorage &storage)
+/**
+ * searchIi from `startIi` to `maxIi` (0: searchIi's default bound) on
+ * `scheduler`, of algorithm `kind`. If that finds no schedule and
+ * `kind` is not IMS, the same search runs again on the context's IMS
+ * fallback, memo-wrapped like resolveScheduler: the drivers' safety
+ * net, as HRMS's non-backtracking placement can fail on pathological
+ * group topologies at every II, and IMS's eviction handles those at
+ * some register-quality cost. The attempts of both searches are summed.
+ */
+inline IiSearchResult
+searchIiWithImsFallback(ModuloScheduler &scheduler, SchedulerKind kind,
+                        const EvalContext *ctx, const Ddg &g,
+                        const Machine &m, int startIi, int maxIi = 0)
 {
-    return resolveWithMemo(ctx, ctx ? ctx->imsFallback : nullptr,
-                           SchedulerKind::Ims, storage);
+    IiSearchResult search = searchIi(scheduler, g, m, startIi, maxIi);
+    if (search.sched || kind == SchedulerKind::Ims)
+        return search;
+    SchedulerStorage imsStorage;
+    ModuloScheduler &ims =
+        resolveWithMemo(ctx, ctx ? ctx->imsFallback : nullptr,
+                        SchedulerKind::Ims, imsStorage);
+    const int coreAttempts = search.attempts;
+    search = searchIi(ims, g, m, startIi, maxIi);
+    search.attempts += coreAttempts;
+    return search;
 }
 
 /** The memoized MII of the input graph, or compute it. */

@@ -35,7 +35,7 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
         if (!sched)
             continue;
         auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
-                                          opts.registers, opts.fit);
+                                          opts.registers);
         if (alloc) {
             result.success = true;
             result.sched = std::move(*sched);
@@ -47,7 +47,7 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
     // Divergent: fall back to local (acyclic) scheduling.
     result.usedFallback = true;
     result.sched = acyclic;
-    result.alloc = allocateLoop(g, acyclic, opts.registers, opts.fit);
+    result.alloc = allocateLoop(g, acyclic, opts.registers);
     result.success = result.alloc.fits;
     return result;
 }
@@ -56,21 +56,16 @@ int
 registersAtIi(const Ddg &g, const Machine &m, int ii,
               const PipelinerOptions &opts, const EvalContext *ctx)
 {
-    SchedulerStorage schedStorage, imsStorage;
-    ModuloScheduler &scheduler =
-        resolveScheduler(ctx, opts.scheduler, schedStorage);
-    auto sched = scheduler.scheduleAt(g, m, ii);
-    if (!sched && opts.scheduler != SchedulerKind::Ims) {
-        // Same safety net as the strategy drivers: a non-backtracking
-        // scheduler can fail at IIs that IMS's eviction mechanism can
-        // place, and the sweep should report those points, not holes.
-        ModuloScheduler &ims = resolveImsFallback(ctx, imsStorage);
-        sched = ims.scheduleAt(g, m, ii);
-    }
-    if (!sched)
+    // The strategy drivers' IMS safety net at this one II, so the sweep
+    // reports the points HRMS cannot place rather than holes.
+    SchedulerStorage schedStorage;
+    const IiSearchResult search = searchIiWithImsFallback(
+        resolveScheduler(ctx, opts.scheduler, schedStorage), opts.scheduler,
+        ctx, g, m, ii, ii);
+    if (!search.sched)
         return -1;
     const AllocationOutcome alloc =
-        allocateLoop(g, *sched, opts.registers, opts.fit);
+        allocateLoop(g, *search.sched, opts.registers);
     return alloc.regsRequired;
 }
 

@@ -6,7 +6,6 @@
 #ifndef SWP_PIPELINER_OPTIONS_HH
 #define SWP_PIPELINER_OPTIONS_HH
 
-#include "regalloc/rotalloc.hh"
 #include "sched/scheduler.hh"
 #include "spill/select.hh"
 
@@ -45,9 +44,6 @@ struct PipelinerOptions
      * MII ("last II tried" pruning, Section 4.5).
      */
     bool reuseLastIi = false;
-
-    /** Register allocation placement rule. */
-    FitStrategy fit = FitStrategy::EndFit;
 
     /** Safety bound on spill/reschedule rounds. */
     int maxSpillRounds = 256;

@@ -48,24 +48,17 @@ pipelineIdeal(const Ddg &g, const Machine &m, SchedulerKind kind,
     result.bindInputGraph(g);
     result.mii = resolveMii(ctx, g, m);
 
-    SchedulerStorage schedStorage, imsStorage;
-    ModuloScheduler &scheduler = resolveScheduler(ctx, kind, schedStorage);
-    IiSearchResult search = searchIi(scheduler, g, m, result.mii);
+    SchedulerStorage schedStorage;
+    IiSearchResult search = searchIiWithImsFallback(
+        resolveScheduler(ctx, kind, schedStorage), kind, ctx, g, m,
+        result.mii);
     result.attempts = search.attempts;
-    if (!search.sched && kind != SchedulerKind::Ims) {
-        // Same safety net as the spilling driver: IMS backtracks
-        // through placements a non-backtracking order cannot finish.
-        ModuloScheduler &ims = resolveImsFallback(ctx, imsStorage);
-        search = searchIi(ims, g, m, result.mii);
-        result.attempts += search.attempts;
-    }
     SWP_ASSERT(search.sched.has_value(),
                "no schedule found for loop '", g.name(),
                "' at any II — scheduler bug");
     result.sched = std::move(*search.sched);
-    result.alloc = allocateLoop(g, result.sched,
-                                std::numeric_limits<int>::max() / 2,
-                                FitStrategy::EndFit);
+    result.alloc =
+        allocateLoop(g, result.sched, std::numeric_limits<int>::max() / 2);
     result.success = true;
     return result;
 }

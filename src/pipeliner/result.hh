@@ -83,14 +83,6 @@ struct PipelineResult
         input_ = nullptr;
     }
 
-    /** Adopt an already-shared transformed graph (no copy). */
-    void
-    adoptGraph(std::shared_ptr<const Ddg> g)
-    {
-        owned_ = std::move(g);
-        input_ = nullptr;
-    }
-
     int ii() const { return sched.ii(); }
 
     /** Memory operations executed per iteration. */

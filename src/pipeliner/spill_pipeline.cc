@@ -21,7 +21,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     PipelineResult result;
     result.strategy = "spill";
 
-    SchedulerStorage schedStorage, imsStorage;
+    SchedulerStorage schedStorage;
     ModuloScheduler &scheduler =
         resolveScheduler(ctx, opts.scheduler, schedStorage);
 
@@ -69,18 +69,10 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
         const int startIi =
             opts.reuseLastIi ? std::max(curMii, prevIi) : curMii;
 
-        IiSearchResult search = searchIi(scheduler, work, m, startIi);
+        IiSearchResult search = searchIiWithImsFallback(
+            scheduler, opts.scheduler, ctx, work, m, startIi);
         result.attempts += search.attempts;
         result.rounds = round;
-
-        if (!search.sched && opts.scheduler != SchedulerKind::Ims) {
-            // Safety net: HRMS's non-backtracking placement can fail on
-            // pathological group topologies at every II; IMS's eviction
-            // mechanism handles those, at some register-quality cost.
-            ModuloScheduler &ims = resolveImsFallback(ctx, imsStorage);
-            search = searchIi(ims, work, m, startIi);
-            result.attempts += search.attempts;
-        }
         if (!search.sched) {
             // No scheduler could place the transformed loop at any II;
             // keep the best earlier round (or fall back) below.
@@ -92,7 +84,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
         // One lifetime analysis serves the fit test and spill selection.
         const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
         std::optional<AllocationOutcome> alloc =
-            allocateWithinBudget(lifetimes, opts.registers, opts.fit);
+            allocateWithinBudget(lifetimes, opts.registers);
 
         if (observer) {
             SpillRoundInfo info;
@@ -101,8 +93,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             info.mii = curMii;
             info.regsRequired =
                 alloc ? alloc->regsRequired
-                      : allocateLoop(lifetimes, opts.registers, opts.fit)
-                            .regsRequired;
+                      : allocateLoop(lifetimes, opts.registers).regsRequired;
             info.memOps = work.numMemOps();
             info.spilledSoFar = result.spilledLifetimes;
             observer(info);
@@ -150,7 +141,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     // register requirement (the earliest on ties) is kept.
     Schedule acyclicSched = scheduleAcyclic(g, m);
     AllocationOutcome acyclicAlloc =
-        allocateLoop(g, acyclicSched, opts.registers, opts.fit);
+        allocateLoop(g, acyclicSched, opts.registers);
     if (!overBudget.empty() && !acyclicAlloc.fits) {
         // Rebuild each round's graph by replaying the earlier rounds'
         // spills on the input, and allocate its schedule exactly.
@@ -160,7 +151,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
         AllocationOutcome bestAlloc;
         for (OverBudgetRound &r : overBudget) {
             AllocationOutcome alloc =
-                allocateLoop(replay, r.sched, opts.registers, opts.fit);
+                allocateLoop(replay, r.sched, opts.registers);
             if (!best || alloc.regsRequired < bestAlloc.regsRequired) {
                 best = &r;
                 bestGraph = replay;

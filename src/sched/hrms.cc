@@ -232,7 +232,7 @@ class Ordering
             }
             const long crit =
                 recMiiOfComponent(ctx_.g, ctx_.m, ws_.recurrenceNodes,
-                                  ws_.recurrences);
+                                  ws_.recurrenceScratch);
             ws_.recurrenceRanks.emplace_back(crit, c);
         }
         if (!ws_.recurrenceRanks.empty())
@@ -634,8 +634,6 @@ std::optional<Schedule>
 HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 {
     if (g.numNodes() == 0)
-        return std::nullopt;
-    if (!iiFeasibleForRecurrences(g, m, ii, ws_.recurrences))
         return std::nullopt;
 
     HrmsContext ctx(g, m, ii, ws_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sched/groups.hh"
-#include "sched/mii.hh"
 #include "sched/mrt.hh"
 #include "sched/sched_util.hh"
 #include "support/diag.hh"
@@ -15,8 +14,6 @@ std::optional<Schedule>
 ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 {
     if (g.numNodes() == 0)
-        return std::nullopt;
-    if (!iiFeasibleForRecurrences(g, m, ii, ws_.recurrences))
         return std::nullopt;
 
     ws_.groups.reset(g, m);

@@ -1,11 +1,9 @@
 #include "sched/mii.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "ir/graph_algo.hh"
-#include "sched/fingerprint.hh"
 #include "support/diag.hh"
 
 namespace swp
@@ -275,32 +273,23 @@ subsetRegion(const Ddg &g, const Machine &m,
 
 } // namespace
 
-/** The cached decomposition, the recycled region storage and the
-    Bellman-Ford scratch. The Ddg and Machine copies (O(1),
-    copy-on-write) verify reuses against fingerprint collisions in
-    debug builds. */
-struct RecurrenceCache::Impl
+/** The recycled subset region and Bellman-Ford storage. */
+struct RecurrenceScratch::Impl
 {
-    bool valid = false;
-    std::uint64_t graphFp = 0;
-    std::uint64_t machineFp = 0;
-    CyclicRegions regions;
-    /** recMiiOfComponent's subset region (never cached). */
     CyclicRegions subset;
     RegionScratch scratch;
     std::vector<long> dist;
-    std::optional<Ddg> graph;
-    std::optional<Machine> machine;
 };
 
-RecurrenceCache::RecurrenceCache() = default;
-RecurrenceCache::~RecurrenceCache() = default;
-RecurrenceCache::RecurrenceCache(RecurrenceCache &&) noexcept = default;
-RecurrenceCache &
-RecurrenceCache::operator=(RecurrenceCache &&) noexcept = default;
+RecurrenceScratch::RecurrenceScratch() = default;
+RecurrenceScratch::~RecurrenceScratch() = default;
+RecurrenceScratch::RecurrenceScratch(RecurrenceScratch &&) noexcept =
+    default;
+RecurrenceScratch &
+RecurrenceScratch::operator=(RecurrenceScratch &&) noexcept = default;
 
-RecurrenceCache::Impl &
-RecurrenceCache::impl()
+RecurrenceScratch::Impl &
+RecurrenceScratch::impl()
 {
     if (!impl_)
         impl_ = std::make_unique<Impl>();
@@ -331,9 +320,10 @@ recMii(const Ddg &g, const Machine &m)
 
 int
 recMiiOfComponent(const Ddg &g, const Machine &m,
-                  const std::vector<NodeId> &nodes, RecurrenceCache &cache)
+                  const std::vector<NodeId> &nodes,
+                  RecurrenceScratch &scratch)
 {
-    RecurrenceCache::Impl &c = cache.impl();
+    RecurrenceScratch::Impl &c = scratch.impl();
     subsetRegion(g, m, nodes, c.scratch, c.subset);
     const RegionView r = c.subset.region(0);
     if (!hasPositiveCycle(r, 1, c.dist))
@@ -345,7 +335,7 @@ int
 recMiiOfComponent(const Ddg &g, const Machine &m,
                   const std::vector<NodeId> &nodes)
 {
-    RecurrenceCache scratch;
+    RecurrenceScratch scratch;
     return recMiiOfComponent(g, m, nodes, scratch);
 }
 
@@ -363,37 +353,6 @@ iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii)
     cyclicRegions(g, m, scratch, regions);
     std::vector<long> dist;
     return feasibleAt(regions, ii, dist);
-}
-
-bool
-iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
-                         RecurrenceCache &cache)
-{
-    RecurrenceCache::Impl &c = cache.impl();
-    const std::uint64_t gfp = graphFingerprint(g);
-    const std::uint64_t mfp = machineFingerprint(m);
-    if (!c.valid || c.graphFp != gfp || c.machineFp != mfp) {
-        cyclicRegions(g, m, c.scratch, c.regions);
-        c.graphFp = gfp;
-        c.machineFp = mfp;
-        c.valid = true;
-        if (kVerifyMemoKeys) {
-            c.graph = g;
-            c.machine = m;
-        }
-    } else if (kVerifyMemoKeys) {
-        SWP_ASSERT(c.graph && graphsFingerprintEquivalent(g, *c.graph),
-                   "recurrence cache fingerprint collision: graph '",
-                   g.name(),
-                   "' hit a decomposition of a different graph");
-        SWP_ASSERT(c.machine &&
-                       machinesFingerprintEquivalent(m, *c.machine),
-                   "recurrence cache fingerprint collision: machine '",
-                   m.name(),
-                   "' hit a decomposition of a different machine");
-    }
-
-    return feasibleAt(c.regions, ii, c.dist);
 }
 
 } // namespace swp

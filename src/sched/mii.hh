@@ -40,50 +40,39 @@ int mii(const Ddg &g, const Machine &m);
 
 /**
  * True if scheduling the graph at the given II admits no positive
- * dependence cycle, i.e. II >= RecMII. Exposed for tests.
+ * dependence cycle, i.e. II >= RecMII. The schedulers do not call it:
+ * their callers probe only IIs >= MII. Exposed as the tests' oracle
+ * for recMii.
  */
 bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii);
 
 /**
- * Cached cyclic-SCC decomposition of one (graph, machine) pair, keyed
- * by the structural fingerprints, so consecutive feasibility probes of
- * the same loop — an II search issues many — pay only the
- * component-local Bellman-Ford sweeps, not the decomposition. The
- * schedulers keep one in their workspace. Debug builds verify every
- * reuse structurally, so a fingerprint collision panics instead of
- * answering for another loop.
+ * The region and Bellman-Ford storage recMiiOfComponent builds its
+ * subset region in, recycled from call to call. HRMS keeps one in its
+ * workspace to rank recurrences on every probe. Nothing is cached: the
+ * answer is recomputed on every call.
  */
-class RecurrenceCache
+class RecurrenceScratch
 {
   public:
-    RecurrenceCache();
-    ~RecurrenceCache();
-    RecurrenceCache(RecurrenceCache &&) noexcept;
-    RecurrenceCache &operator=(RecurrenceCache &&) noexcept;
+    RecurrenceScratch();
+    ~RecurrenceScratch();
+    RecurrenceScratch(RecurrenceScratch &&) noexcept;
+    RecurrenceScratch &operator=(RecurrenceScratch &&) noexcept;
 
   private:
-    friend bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m,
-                                         int ii, RecurrenceCache &cache);
     friend int recMiiOfComponent(const Ddg &g, const Machine &m,
                                  const std::vector<NodeId> &nodes,
-                                 RecurrenceCache &cache);
+                                 RecurrenceScratch &scratch);
     struct Impl;
     Impl &impl();
     std::unique_ptr<Impl> impl_;
 };
 
-/** iiFeasibleForRecurrences with the decomposition reused via `cache`. */
-bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
-                              RecurrenceCache &cache);
-
-/**
- * recMiiOfComponent on the region and Bellman-Ford storage of `cache`,
- * recycled from call to call. The subset is never cached: only the
- * storage is reused, so the answer is always recomputed.
- */
+/** recMiiOfComponent on the storage of `scratch`. */
 int recMiiOfComponent(const Ddg &g, const Machine &m,
                       const std::vector<NodeId> &nodes,
-                      RecurrenceCache &cache);
+                      RecurrenceScratch &scratch);
 
 } // namespace swp
 

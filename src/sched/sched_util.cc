@@ -47,8 +47,6 @@ groupsInternallyFeasible(const Ddg &g, const Machine &m,
             continue;
         if (groups.groupOf(edge.src) != groups.groupOf(edge.dst))
             continue;
-        if (edge.src == edge.dst)
-            continue;
         const int lat = m.latency(g.node(edge.src).op);
         const int gap =
             groups.offsetOf(edge.dst) - groups.offsetOf(edge.src);

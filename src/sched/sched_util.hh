@@ -46,7 +46,9 @@ struct NodePriorities
  * Check dependence constraints between members of the same complex
  * group, whose relative offsets are fixed: every internal edge must be
  * satisfiable at this II, and fused edges must sit at their exact
- * offset. Self edges are excluded (covered by RecMII feasibility).
+ * offset. A self edge is an internal edge of its singleton group: it
+ * needs 0 >= latency - II * distance. Placement enforces the edges
+ * between groups, so a complete schedule satisfies every edge.
  */
 bool groupsInternallyFeasible(const Ddg &g, const Machine &m,
                               const GroupSet &groups, int ii);

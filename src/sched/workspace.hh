@@ -16,23 +16,19 @@
  *    predecessor rows, the SCC decomposition with its Tarjan scratch,
  *    and the bit-packed reachability matrices;
  *  - the HRMS pre-ordering: the ordered set and the cone rows grown
- *    with it, the recurrence ranks and member lists, the cone and
- *    absorb vectors with their merge-sort buffer, and the Kahn state
- *    (absorb positions, in-set wait counts, ready and remaining rows);
+ *    with it, the recurrence ranks, member lists and RecMII storage,
+ *    the cone and absorb vectors with their merge-sort buffer, and the
+ *    Kahn state (absorb positions, in-set wait counts, ready and
+ *    remaining rows);
  *  - the IMS eviction buffers.
  *
  * Once the buffers have grown to the largest loop seen, an HRMS probe
  * allocates only the Schedule it returns and validateSchedule's owner
- * table. With one exception the state carries no semantic information
- * across probes — every probe rebuilds its content from scratch, so
- * schedules are bit-identical to a freshly constructed scheduler's.
- * The exception is the RecurrenceCache, which reuses the cyclic-SCC
- * decomposition across probes keyed by the structural (graph, machine)
- * fingerprints: like the driver's memos it trusts the 64-bit hash in
- * release builds and structurally verifies every reuse in debug builds
- * (a collision panics instead of answering for another loop). Its
- * region storage also serves the ordering's per-recurrence RecMII,
- * which is recomputed every time, never cached.
+ * table. The state carries no semantic information across probes:
+ * every probe rebuilds its content from scratch, so schedules are
+ * bit-identical to a freshly constructed scheduler's. That includes
+ * the RecurrenceScratch the ordering ranks recurrences in; it recycles
+ * storage, never an answer.
  */
 
 #ifndef SWP_SCHED_WORKSPACE_HH
@@ -63,8 +59,6 @@ struct SchedWorkspace
     GroupSet groups;
     /** Anchor-relative group ASAP / height. */
     std::vector<long> gAsap, gHeight;
-    /** Cyclic-SCC decomposition, reused across same-loop II probes. */
-    RecurrenceCache recurrences;
     /// @}
 
     /** @name HRMS condensed group graph */
@@ -99,8 +93,10 @@ struct SchedWorkspace
     BitRow setMask, belowSet, aboveSet;
     /** Recurrences as (criticality, SCC index), in placement order. */
     std::vector<std::pair<long, int>> recurrenceRanks, rankBuf;
-    /** Member nodes of one recurrence, for its RecMII. */
+    /** Member nodes of one recurrence, and the region and
+        Bellman-Ford storage its RecMII is computed in. */
     std::vector<NodeId> recurrenceNodes;
+    RecurrenceScratch recurrenceScratch;
     /** Absorb sets: the cone (or recurrence) being appended, and the
         backward paths of a recurrence; sortBuf is their merge buffer. */
     std::vector<int> cone, backCone, sortBuf;

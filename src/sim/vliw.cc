@@ -153,17 +153,14 @@ simulatePipelined(const Ddg &g, const Machine &m, const Schedule &sched,
             }
             const int pr = physReg(off, inst, numRegs);
             const std::uint64_t got = regs[std::size_t(pr)];
-            if (cfg.checkReads) {
-                const std::uint64_t want = oracle.value(p, inst);
-                if (got != want) {
-                    result.error = strprintf(
-                        "iter %ld cycle %ld: %s read r%d expecting "
-                        "%s@%ld but found %s (clobbered)",
-                        i, issue.cycle, node.name.c_str(), pr,
-                        g.node(p).name.c_str(), inst,
-                        owner[std::size_t(pr)].c_str());
-                    return result;
-                }
+            if (got != oracle.value(p, inst)) {
+                result.error = strprintf(
+                    "iter %ld cycle %ld: %s read r%d expecting "
+                    "%s@%ld but found %s (clobbered)",
+                    i, issue.cycle, node.name.c_str(), pr,
+                    g.node(p).name.c_str(), inst,
+                    owner[std::size_t(pr)].c_str());
+                return result;
             }
             inputs.push_back(got);
         }

@@ -41,9 +41,6 @@ struct SimConfig
 {
     /** Loop trip count to execute. */
     long iterations = 32;
-
-    /** Check every register read against the oracle (recommended). */
-    bool checkReads = true;
 };
 
 /** Simulation outcome. */

@@ -9,8 +9,8 @@
  * explicit witnesses that no legal schedule of the same loop on the
  * same machine can beat a bound — generated and checked by code that
  * shares nothing with src/sched (no Mrt, no SCC decomposition, no
- * RecurrenceCache; its own Bellman–Ford, its own tallies, its own
- * floor arithmetic), so a bug in the optimized MII machinery cannot
+ * RecMII search; its own Bellman–Ford, its own tallies, its own floor
+ * arithmetic), so a bug in the optimized MII machinery cannot
  * hide inside the proof that vouches for it.
  *
  * Three certificate kinds:

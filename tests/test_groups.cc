@@ -69,6 +69,18 @@ TEST(Groups, InternalCarriedEdgeFeasibility)
     const Ddg far = build(134217728);
     const GroupSet farGroups(far, m);
     EXPECT_TRUE(groupsInternallyFeasible(far, m, farGroups, 17));
+
+    // A self edge is internal to its singleton group: the carried
+    // mul -> mul edge needs gap(0) >= lat(mul)(4) - II * 1.
+    DdgBuilder b("self");
+    const NodeId mul = b.mul("mul");
+    b.flow(mul, mul, 1);
+    b.flow(mul, b.store("st"));
+    const Ddg self = b.take();
+    const GroupSet selfGroups(self, m);
+    ASSERT_TRUE(selfGroups.group(selfGroups.groupOf(mul)).singleton());
+    EXPECT_FALSE(groupsInternallyFeasible(self, m, selfGroups, 3));
+    EXPECT_TRUE(groupsInternallyFeasible(self, m, selfGroups, 4));
 }
 
 TEST(Groups, ChainsMergeTransitively)

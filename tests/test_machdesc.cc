@@ -118,30 +118,56 @@ TEST(MachDesc, RejectsMoreThan64Instances)
         parseMachineDescription("machine X\nclass alu 65 pipelined\n");
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(hasDiag(r, "exceeds 64 unit instances")) << diagDump(r);
+
+    // A count beyond int (and long) is still a number, out of range.
+    const MachParseResult huge = parseMachineDescription(
+        "machine X\nclass alu 99999999999999999999 pipelined\n");
+    ASSERT_FALSE(huge.diags.empty());
+    EXPECT_EQ(huge.diags[0].line, 2);
+    EXPECT_EQ(huge.diags[0].message,
+              "class 'alu' exceeds 64 unit instances (busy masks are "
+              "64-bit), got 99999999999999999999");
+}
+
+/** kValid with its div binding (line 8) replaced by `directive`. */
+MachParseResult
+withDivDirective(const std::string &directive)
+{
+    std::string text(kValid);
+    const std::string from = "op div alu 17";
+    text.replace(text.find(from), from.size(), directive);
+    return parseMachineDescription(text);
 }
 
 TEST(MachDesc, RejectsLatencyAboveTheLimit)
 {
-    // kValid binds div on its line 8.
-    const auto withDivLatency = [](int latency) {
-        std::string text(kValid);
-        const std::string from = "op div alu 17";
-        text.replace(text.find(from), from.size(),
-                     "op div alu " + std::to_string(latency));
-        return parseMachineDescription(text);
-    };
-    const MachParseResult atLimit = withDivLatency(kMaxMachineLatency);
+    const MachParseResult atLimit = withDivDirective("op div alu 4096");
     ASSERT_TRUE(atLimit.ok()) << diagDump(atLimit);
-    EXPECT_EQ(atLimit.machine->latency(Opcode::Div), 4096);
+    EXPECT_EQ(atLimit.machine->latency(Opcode::Div), kMaxMachineLatency);
 
-    // The rejected binding also leaves div unbound (a second, line-0
-    // diagnostic), as every rejected op directive does.
-    const MachParseResult over = withDivLatency(kMaxMachineLatency + 1);
-    EXPECT_FALSE(over.ok());
-    ASSERT_FALSE(over.diags.empty());
-    EXPECT_EQ(over.diags[0].line, 8);
-    EXPECT_EQ(over.diags[0].message,
-              "opcode 'div' exceeds the 4096-cycle latency limit, got 4097");
+    // Exactly one diagnostic: div is not also reported unbound at the
+    // end of the text. A latency beyond int is still a number, out of
+    // range.
+    for (const std::string latency : {"4097", "3000000000"}) {
+        const MachParseResult over =
+            withDivDirective("op div alu " + latency);
+        ASSERT_EQ(over.diags.size(), 1u) << diagDump(over);
+        EXPECT_EQ(over.diags[0].line, 8);
+        EXPECT_EQ(over.diags[0].message,
+                  "opcode 'div' exceeds the 4096-cycle latency limit, got " +
+                      latency);
+    }
+}
+
+TEST(MachDesc, RejectedBindingIsNotAlsoReportedUnbound)
+{
+    for (const char *directive :
+         {"op div alu 0", "op div alu -5", "op div alu seventeen",
+          "op div fpu 17", "op div alu"}) {
+        const MachParseResult r = withDivDirective(directive);
+        ASSERT_EQ(r.diags.size(), 1u) << directive << "\n" << diagDump(r);
+        EXPECT_EQ(r.diags[0].line, 8) << directive;
+    }
 }
 
 TEST(MachDesc, RejectsMissingOpcodeBinding)

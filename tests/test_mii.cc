@@ -222,32 +222,6 @@ TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
     }
 }
 
-TEST(RecMii, CachedFeasibilityRebindsAcrossLoopsAndMachines)
-{
-    // The workspace-held RecurrenceCache keys its decomposition by the
-    // (graph, machine) fingerprints: alternating queries over different
-    // loops and machines must answer exactly like the uncached call.
-    SuiteParams params;
-    params.numLoops = 10;
-    const std::vector<SuiteLoop> suite = generateSuite(params);
-    const Machine machines[] = {Machine::p1l4(), Machine::p2l6()};
-    RecurrenceCache cache;
-    for (int round = 0; round < 2; ++round) {
-        for (const SuiteLoop &loop : suite) {
-            for (const Machine &m : machines) {
-                const int r = recMii(loop.graph, m);
-                for (int ii = std::max(1, r - 2); ii <= r + 1; ++ii) {
-                    EXPECT_EQ(
-                        iiFeasibleForRecurrences(loop.graph, m, ii, cache),
-                        iiFeasibleForRecurrences(loop.graph, m, ii))
-                        << loop.graph.name() << " on " << m.name()
-                        << " ii=" << ii;
-                }
-            }
-        }
-    }
-}
-
 TEST(Mii, TakesTheMaxOfBothBounds)
 {
     DdgBuilder b("both");

@@ -7,7 +7,10 @@
  *  - machine sweep: the full register-constrained pipeline must stay
  *    sound (valid schedules, budget respected, sequential equivalence)
  *    on machine shapes the paper never evaluated, including
- *    non-pipelined multipliers and long-latency memory.
+ *    non-pipelined multipliers and long-latency memory;
+ *  - below RecMII: the drivers never probe there, and the schedulers
+ *    do not re-check II >= RecMII, so both must still refuse every
+ *    such II on their own, without panicking.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,9 @@
 #include "pipeliner/pipeliner.hh"
 #include "regalloc/mvealloc.hh"
 #include "regalloc/rotalloc.hh"
+#include "sched/hrms.hh"
+#include "sched/ims.hh"
+#include "sched/mii.hh"
 #include "sim/vliw.hh"
 #include "support/rng.hh"
 #include "workload/suitegen.hh"
@@ -169,6 +175,37 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MachineCase> &info) {
         return info.param.label;
     });
+
+TEST(BelowRecMii, BothSchedulersRefuseEverySuiteLoop)
+{
+    // A complete schedule satisfies every edge: placement enforces the
+    // edges between groups and groupsInternallyFeasible those inside
+    // one, self edges included. So below RecMII each probe must come
+    // back empty, not reach validateSchedule's panic.
+    const std::vector<SuiteLoop> suite = generateSuite(SuiteParams{});
+    HrmsScheduler hrms;
+    ImsScheduler ims;
+    ModuloScheduler *const schedulers[] = {&hrms, &ims};
+    int probes = 0;
+    for (const Machine &m :
+         {Machine::p1l4(), Machine::p2l4(), Machine::p2l6()}) {
+        for (const SuiteLoop &loop : suite) {
+            const int r = recMii(loop.graph, m);
+            for (int ii = std::max(1, r - 3); ii < r; ++ii) {
+                SCOPED_TRACE(loop.graph.name() + " on " + m.name() +
+                             " at II " + std::to_string(ii));
+                for (ModuloScheduler *s : schedulers) {
+                    std::optional<Schedule> sched;
+                    EXPECT_NO_THROW(sched = s->scheduleAt(loop.graph, m, ii))
+                        << s->name();
+                    EXPECT_FALSE(sched.has_value()) << s->name();
+                }
+                ++probes;
+            }
+        }
+    }
+    EXPECT_GT(probes, 1000);
+}
 
 } // namespace
 } // namespace swp
