@@ -373,24 +373,31 @@ SuiteRunner::parallelFor(std::size_t count,
 }
 
 double
+SuiteRunner::costOf(const Ddg &g, const Machine &m, int loopMii)
+{
+    const int span = std::max(1, defaultMaxIi(g, m) - loopMii + 1);
+    return double(g.numNodes()) * double(span);
+}
+
+double
 SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
                      const Machine &m, const BatchJob &job)
 {
     const Ddg &g = suite[std::size_t(job.loop)].graph;
-    const int span =
-        std::max(1, defaultMaxIi(g, m) - mii(g, m) + 1);
-    return double(g.numNodes()) * double(span);
+    return costOf(g, m, mii(g, m));
 }
 
-std::vector<std::size_t>
-SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
-                          const Machine &m,
-                          const std::vector<BatchJob> &jobs)
+SuiteRunner::JobPlan
+SuiteRunner::planJobs(const std::vector<SuiteLoop> &suite,
+                      const Machine &m, const std::vector<BatchJob> &jobs)
 {
-    // The ranking needs every loop's MII; warm the bounds memo across
-    // the pool first so a cold large suite does not serialize that
-    // phase on this thread (the memo is single-flight and
-    // deterministic, so this only moves work).
+    // The ranking and the jobs need every loop's MII. Look each
+    // distinct loop up once, across the pool so a cold large suite does
+    // not serialize that phase on this thread, and keep the answers:
+    // the memo is single-flight and deterministic, so this only moves
+    // work.
+    JobPlan plan;
+    plan.loopMii.assign(suite.size(), 0);
     std::vector<std::size_t> distinctLoops;
     {
         std::vector<bool> seen(suite.size(), false);
@@ -403,22 +410,33 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
         }
     }
     parallelFor(distinctLoops.size(), [&](std::size_t k) {
-        (void)mii(suite[distinctLoops[k]].graph, m);
+        const std::size_t loop = distinctLoops[k];
+        plan.loopMii[loop] = mii(suite[loop].graph, m);
     });
 
     // Heaviest-first. The costs are deterministic, and the sort is
     // stable with index-order tie-breaking, so the plan — like the
     // results — is identical at any thread count.
-    std::vector<std::size_t> order(jobs.size());
-    std::iota(order.begin(), order.end(), std::size_t(0));
+    plan.order.resize(jobs.size());
+    std::iota(plan.order.begin(), plan.order.end(), std::size_t(0));
     std::vector<double> cost(jobs.size(), 0.0);
-    for (const std::size_t i : order)
-        cost[i] = jobCost(suite, m, jobs[i]);
-    std::stable_sort(order.begin(), order.end(),
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::size_t loop = std::size_t(jobs[i].loop);
+        cost[i] = costOf(suite[loop].graph, m, plan.loopMii[loop]);
+    }
+    std::stable_sort(plan.order.begin(), plan.order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return cost[a] > cost[b];
                      });
-    return order;
+    return plan;
+}
+
+std::vector<std::size_t>
+SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
+                          const Machine &m,
+                          const std::vector<BatchJob> &jobs)
+{
+    return planJobs(suite, m, jobs).order;
 }
 
 std::vector<PipelineResult>
@@ -432,7 +450,8 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                    " outside the ", suite.size(), "-loop suite");
     }
 
-    const std::vector<std::size_t> order = planJobOrder(suite, m, jobs);
+    const JobPlan plan = planJobs(suite, m, jobs);
+    const std::vector<std::size_t> &order = plan.order;
 
     const bool verify = opts.verify || kAlwaysVerifyResults;
     const bool certify = opts.certify || opts.certificates != nullptr;
@@ -451,8 +470,8 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                 makeScheduler(SchedulerKind::Hrms);
             std::shared_ptr<ModuloScheduler> ims =
                 makeScheduler(SchedulerKind::Ims);
-            return [this, &suite, &m, &jobs, &results, &order, verify,
-                    certify, certOut, hrms, ims](std::size_t k) {
+            return [this, &suite, &m, &jobs, &results, &order, &plan,
+                    verify, certify, certOut, hrms, ims](std::size_t k) {
                 const std::size_t i = order[k];
                 const BatchJob &job = jobs[i];
                 const Ddg &g = suite[std::size_t(job.loop)].graph;
@@ -462,7 +481,7 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                                     ? ims.get()
                                     : hrms.get();
                 ctx.imsFallback = ims.get();
-                ctx.knownMii = mii(g, m);
+                ctx.knownMii = plan.loopMii[std::size_t(job.loop)];
                 ctx.memo = &scheduleMemo_;
 
                 results[i] =

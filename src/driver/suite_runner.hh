@@ -18,7 +18,8 @@
  *  - scheduler objects are constructed once per worker thread and
  *    reused across all its jobs;
  *  - the MII of each input loop is memoized per (graph content,
- *    machine) across batches;
+ *    machine) across batches, and a run looks each distinct loop up
+ *    once, for both its cost rank and its jobs' known MII;
  *  - every (graph, machine, II, scheduler) probe outcome — including
  *    "no schedule at this II" — is memoized in a ScheduleMemo shared
  *    by all workers, so best-of-all's binary search and the grid's
@@ -296,6 +297,21 @@ class SuiteRunner
     bool claim(PoolTask &t, std::size_t self, std::size_t &out,
                WorkerPerf &perf) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
+
+    /** jobCost of a loop whose MII is known. */
+    static double costOf(const Ddg &g, const Machine &m, int loopMii);
+
+    /** planJobOrder's order plus the MII of every loop a job names
+        (slot per suite loop; 0 for loops no job names). Each distinct
+        loop makes one bounds-memo request; run() reads the jobs' MIIs
+        from here. */
+    struct JobPlan
+    {
+        std::vector<std::size_t> order;
+        std::vector<int> loopMii;
+    };
+    JobPlan planJobs(const std::vector<SuiteLoop> &suite, const Machine &m,
+                     const std::vector<BatchJob> &jobs);
 
     int threads_ = 1;
 

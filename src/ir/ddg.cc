@@ -105,8 +105,7 @@ Ddg::valueUses(NodeId n) const
 {
     std::vector<EdgeId> uses;
     for (EdgeId e : core_->out[std::size_t(n)]) {
-        const Edge &edge = core_->edges[std::size_t(e)];
-        if (edge.alive && edge.kind == DepKind::RegFlow)
+        if (core_->edges[std::size_t(e)].isValueUse())
             uses.push_back(e);
     }
     return uses;
@@ -117,8 +116,7 @@ Ddg::numValueUses(NodeId n) const
 {
     int count = 0;
     for (EdgeId e : core_->out[std::size_t(n)]) {
-        const Edge &edge = core_->edges[std::size_t(e)];
-        if (edge.alive && edge.kind == DepKind::RegFlow)
+        if (core_->edges[std::size_t(e)].isValueUse())
             ++count;
     }
     return count;

@@ -124,6 +124,9 @@ struct Edge
 
     /** Dead edges are skipped by all queries (removed by spilling). */
     bool alive = true;
+
+    /** A live register-flow edge: one use of src's value. */
+    bool isValueUse() const { return alive && kind == DepKind::RegFlow; }
 };
 
 /** A loop-invariant value (one register for the whole loop, Section 2.3). */

@@ -28,16 +28,18 @@ analyzeLifetimes(const Ddg &g, const Schedule &sched)
         if (!producesValue(g.node(u).op))
             continue;
 
-        const auto uses = g.valueUses(u);
-        if (uses.empty())
-            continue;
-
-        lt.live = true;
-        lt.start = sched.time(u);
-        lt.end = lt.start;
-        lt.secondEnd = lt.start;
-        for (EdgeId e : uses) {
+        // The value's uses, read in place in valueUses order: lastUse
+        // and the two ends break ties on it.
+        for (EdgeId e : g.outEdgeIds(u)) {
             const Edge &edge = g.edge(e);
+            if (!edge.isValueUse())
+                continue;
+            if (!lt.live) {
+                lt.live = true;
+                lt.start = sched.time(u);
+                lt.end = lt.start;
+                lt.secondEnd = lt.start;
+            }
             // II * distance is formed in long: a lifetime whose end or
             // length leaves the int cycle range is an input limit, not
             // a value to wrap.
@@ -59,6 +61,8 @@ analyzeLifetimes(const Ddg &g, const Schedule &sched)
                 lt.secondEnd = int(useAt);
             }
         }
+        if (!lt.live)
+            continue;
 
         // Fold the lifetime into the length-II pressure pattern: a
         // lifetime of length L adds floor(L/II) at every row plus one on

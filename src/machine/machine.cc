@@ -95,6 +95,7 @@ Machine::Machine(std::string name, std::vector<UnitClass> classes,
     for (const UnitClass &uc : classes_)
         SWP_ASSERT(uc.units > 0, "machine '", name_, "': class '", uc.name,
                    "' needs at least one unit");
+    fingerprint_ = machineContentFingerprint(*this);
 }
 
 Machine::Machine(std::string name, int mem_units, int adders, int mults,
@@ -121,6 +122,7 @@ Machine::Machine(std::string name, int mem_units, int adders, int mults,
     latency_[int(Opcode::Select)] = 1;
     for (int op = 0; op < numOpcodes; ++op)
         classOf_[op] = int(fuClassOf(Opcode(op)));
+    fingerprint_ = machineContentFingerprint(*this);
 }
 
 Machine
@@ -175,12 +177,14 @@ Machine::setLatency(Opcode op, int cycles)
 {
     SWP_ASSERT(cycles >= 1, "latency must be positive");
     latency_[int(op)] = cycles;
+    fingerprint_ = machineContentFingerprint(*this);
 }
 
 void
 Machine::setPipelined(FuClass fu, bool pipelined)
 {
     classes_[std::size_t(presetClassIndex(fu))].pipelined = pipelined;
+    fingerprint_ = machineContentFingerprint(*this);
 }
 
 int

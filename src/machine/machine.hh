@@ -28,6 +28,7 @@
 #ifndef SWP_MACHINE_MACHINE_HH
 #define SWP_MACHINE_MACHINE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,13 @@ class Machine
      */
     std::string describe() const;
 
+    /**
+     * machineContentFingerprint of this machine, computed when it is
+     * built and again by each mutator, so the memos key every request
+     * on it without re-hashing the tables.
+     */
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
     /** Equality over everything describe() emits: name, classes,
         per-opcode binding and latency. */
     bool operator==(const Machine &o) const;
@@ -174,6 +182,7 @@ class Machine
     std::vector<UnitClass> classes_;
     int classOf_[numOpcodes] = {0};
     int latency_[numOpcodes] = {0};
+    std::uint64_t fingerprint_ = 0;
 };
 
 } // namespace swp

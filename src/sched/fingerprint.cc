@@ -1,7 +1,5 @@
 #include "sched/fingerprint.hh"
 
-#include "machine/machdesc.hh"
-
 namespace swp
 {
 
@@ -45,9 +43,9 @@ graphFingerprint(const Ddg &g)
 std::uint64_t
 machineFingerprint(const Machine &m)
 {
-    // The machine layer owns its content hash; memo keys reuse it
-    // unchanged.
-    return machineContentFingerprint(m);
+    // The machine layer owns its content hash and keeps it current
+    // across mutations; memo keys reuse it unchanged.
+    return m.fingerprint();
 }
 
 bool

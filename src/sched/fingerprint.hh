@@ -74,7 +74,8 @@ std::uint64_t graphFingerprint(const Ddg &g);
 /**
  * Machine identity for the memos. Names are not unique (two Machines
  * can share one), so the resource description the schedulers and bound
- * computations actually depend on is hashed.
+ * computations actually depend on is hashed: this is the Machine's
+ * stored Machine::fingerprint(), an O(1) read per memo request.
  */
 std::uint64_t machineFingerprint(const Machine &m);
 

@@ -65,8 +65,34 @@ GroupSet::reset(const Ddg &g, const Machine &m)
         groups_[std::size_t(gi)].members.push_back(v);
     }
 
+    // Incident fused edges per node, as CSR lists in edge-id order
+    // (a fused self-edge is listed once), so the offset walk below
+    // visits only its own group's edges. Counts land in incStart_[v],
+    // the inclusive prefix sum turns them into list ends, and a reverse
+    // fill walks each end back to its list start.
+    incStart_.assign(std::size_t(n) + 1, 0);
+    for (EdgeId e : fused_) {
+        const Edge &edge = g.edge(e);
+        ++incStart_[std::size_t(edge.src)];
+        if (edge.dst != edge.src)
+            ++incStart_[std::size_t(edge.dst)];
+    }
+    for (int v = 0; v < n; ++v)
+        incStart_[std::size_t(v) + 1] += incStart_[std::size_t(v)];
+    incEdges_.resize(std::size_t(incStart_[std::size_t(n)]));
+    for (auto it = fused_.rbegin(); it != fused_.rend(); ++it) {
+        const Edge &edge = g.edge(*it);
+        incEdges_[std::size_t(--incStart_[std::size_t(edge.src)])] = *it;
+        if (edge.dst != edge.src)
+            incEdges_[std::size_t(--incStart_[std::size_t(edge.dst)])] = *it;
+    }
+
     // Solve offsets inside each group by propagating fused-edge
-    // constraints offset(dst) = offset(src) + latency(src).
+    // constraints offset(dst) = offset(src) + latency(src). Each member
+    // is queued once and scans its own incident edges, so the walk is
+    // O(nodes + fused edges) over all groups. Offsets are fixed by the
+    // constraints, whatever the visiting order; a second path that
+    // disagrees is found by the same per-edge check.
     known_.assign(std::size_t(n), 0);
     auto &known = known_;
     for (int gii = 0; gii < numGroups_; ++gii) {
@@ -79,43 +105,27 @@ GroupSet::reset(const Ddg &g, const Machine &m)
         // BFS from the first member.
         offsetOf_[std::size_t(grp.members[0])] = 0;
         known[std::size_t(grp.members[0])] = true;
-        frontier_.assign(1, grp.members[0]);
-        auto &frontier = frontier_;
-        while (!frontier.empty()) {
-            auto &next = next_;
-            next.clear();
-            for (EdgeId e : fused_) {
-                const Edge &edge = g.edge(e);
+        queue_.assign(1, grp.members[0]);
+        for (std::size_t head = 0; head < queue_.size(); ++head) {
+            const NodeId v = queue_[head];
+            for (int k = incStart_[std::size_t(v)];
+                 k < incStart_[std::size_t(v) + 1]; ++k) {
+                const Edge &edge = g.edge(incEdges_[std::size_t(k)]);
                 const int lat = fusedDelayOf(g, m, edge);
-                for (NodeId v : frontier) {
-                    if (edge.src == v) {
-                        const int off = offsetOf_[std::size_t(v)] + lat;
-                        if (!known[std::size_t(edge.dst)]) {
-                            known[std::size_t(edge.dst)] = true;
-                            offsetOf_[std::size_t(edge.dst)] = off;
-                            next.push_back(edge.dst);
-                        } else {
-                            SWP_ASSERT(
-                                offsetOf_[std::size_t(edge.dst)] == off,
-                                "inconsistent fused offsets at node ",
-                                g.node(edge.dst).name);
-                        }
-                    } else if (edge.dst == v) {
-                        const int off = offsetOf_[std::size_t(v)] - lat;
-                        if (!known[std::size_t(edge.src)]) {
-                            known[std::size_t(edge.src)] = true;
-                            offsetOf_[std::size_t(edge.src)] = off;
-                            next.push_back(edge.src);
-                        } else {
-                            SWP_ASSERT(
-                                offsetOf_[std::size_t(edge.src)] == off,
-                                "inconsistent fused offsets at node ",
-                                g.node(edge.src).name);
-                        }
-                    }
+                const bool forward = edge.src == v;
+                const NodeId w = forward ? edge.dst : edge.src;
+                const int off =
+                    offsetOf_[std::size_t(v)] + (forward ? lat : -lat);
+                if (!known[std::size_t(w)]) {
+                    known[std::size_t(w)] = true;
+                    offsetOf_[std::size_t(w)] = off;
+                    queue_.push_back(w);
+                } else {
+                    SWP_ASSERT(offsetOf_[std::size_t(w)] == off,
+                               "inconsistent fused offsets at node ",
+                               g.node(w).name);
                 }
             }
-            std::swap(frontier_, next_);
         }
 
         // Normalize: smallest offset becomes 0; sort members by offset.

@@ -45,6 +45,13 @@ struct ComplexGroup
  * Offsets are derived from fused-edge latencies; a consistency failure
  * (two fused paths implying different offsets, or a fused cycle) is a
  * spiller bug and panics.
+ *
+ * Cost: reset() is O(nodes + edges) plus the member sorts. The offset
+ * walk follows per-node lists of incident fused edges, so each fused
+ * edge is visited from its two endpoints only. Every probe of a spilled
+ * graph rebuilds the set; a walk that rescanned all fused edges for
+ * each visited member, O(groups x fused edges x members), would be the
+ * largest self cost of a register sweep over spilled loops.
  */
 class GroupSet
 {
@@ -56,9 +63,9 @@ class GroupSet
 
     /**
      * Rebind to a (graph, machine) pair. All storage — the groups,
-     * their member/offset vectors, and the union-find/BFS scratch — is
-     * recycled, so a workspace-resident GroupSet stops allocating once
-     * it has seen the largest loop of a batch.
+     * their member/offset vectors, and the union-find, incidence-list
+     * and BFS scratch — is recycled, so a workspace-resident GroupSet
+     * stops allocating once it has seen the largest loop of a batch.
      */
     void reset(const Ddg &g, const Machine &m);
 
@@ -85,7 +92,11 @@ class GroupSet
     std::vector<int> parent_, rootGroup_;
     std::vector<char> known_;
     std::vector<EdgeId> fused_;
-    std::vector<NodeId> frontier_, next_;
+    /** Incident fused edges of node v: incEdges_[incStart_[v] ..
+        incStart_[v + 1]), in edge-id order. */
+    std::vector<int> incStart_;
+    std::vector<EdgeId> incEdges_;
+    std::vector<NodeId> queue_;
     /// @}
 };
 

@@ -37,8 +37,8 @@ reusableStoreConsumer(const Ddg &g, EdgeId use)
     if (!consumer.invariantUses.empty())
         return false;
     int regInputs = 0;
-    for (EdgeId e : g.inEdges(edge.dst)) {
-        if (g.edge(e).kind == DepKind::RegFlow)
+    for (EdgeId e : g.inEdgeIds(edge.dst)) {
+        if (g.edge(e).isValueUse())
             ++regInputs;
     }
     return regInputs == 1;
@@ -49,31 +49,31 @@ reusableStoreConsumer(const Ddg &g, EdgeId use)
 int
 spillCost(const Ddg &g, NodeId producer)
 {
-    const auto uses = g.valueUses(producer);
-    if (uses.empty())
+    const int uses = g.numValueUses(producer);
+    if (uses == 0)
         return 0;
 
     if (g.node(producer).op == Opcode::Load) {
         // Re-load from the original location: one load per use, no store.
-        return int(uses.size());
+        return uses;
     }
-    for (EdgeId e : uses) {
-        if (reusableStoreConsumer(g, e)) {
+    for (EdgeId e : g.outEdgeIds(producer)) {
+        if (g.edge(e).isValueUse() && reusableStoreConsumer(g, e)) {
             // The existing store spills the value; every other use gets
             // a reload.
-            return int(uses.size()) - 1;
+            return uses - 1;
         }
     }
     // General case: one store plus one load per use.
-    return int(uses.size()) + 1;
+    return uses + 1;
 }
 
 NodeId
 existingSpillStore(const Ddg &g, NodeId producer)
 {
-    for (EdgeId e : g.valueUses(producer)) {
+    for (EdgeId e : g.outEdgeIds(producer)) {
         const Edge &edge = g.edge(e);
-        if (edge.nonSpillable &&
+        if (edge.isValueUse() && edge.nonSpillable &&
             g.node(edge.dst).origin == NodeOrigin::SpillStore) {
             return edge.dst;
         }
@@ -96,8 +96,7 @@ useCandidate(const Ddg &g, const LifetimeInfo &lifetimes, NodeId u)
     const Lifetime &lt = lifetimes.of(u);
     if (!lt.live || lt.lastUse < 0)
         return std::nullopt;
-    const auto uses = g.valueUses(u);
-    if (uses.size() < 2 || lt.end <= lt.secondEnd)
+    if (lt.end <= lt.secondEnd || g.numValueUses(u) < 2)
         return std::nullopt;
 
     const Edge &use = g.edge(lt.lastUse);

@@ -369,6 +369,29 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
     EXPECT_EQ(order, runner.planJobOrder(suite, m, jobs));
 }
 
+TEST(SuiteRunner, OneBoundsRequestPerDistinctLoop)
+{
+    // The plan looks up each distinct loop's MII once and hands it to
+    // both the cost ranking and the jobs: a run makes exactly one
+    // bounds-memo request per distinct loop, however many jobs name it.
+    const std::vector<SuiteLoop> suite = testSuite(20);
+    const Machine m = Machine::p2l4();
+    std::vector<BatchJob> jobs = mixedGrid(suite.size());
+    const std::vector<BatchJob> grid = jobs;
+    for (const BatchJob &job : grid) {
+        if (job.loop % 3 == 0)
+            jobs.push_back(job);  // Loops named by more jobs.
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        jobs[i].loop %= 15;  // Loops 15..19 are named by no job.
+
+    SuiteRunner runner(4);
+    (void)runner.run(suite, m, jobs);
+    const SingleFlightStats bounds = runner.memoStats().bounds;
+    EXPECT_EQ(bounds.requests, 15);
+    EXPECT_EQ(bounds.computes, 15);
+}
+
 TEST(SuiteRunner, PlanNeverReordersResultsOnRandomGrids)
 {
     // Property/fuzz over seeded random DDG suites: whatever the cost

@@ -120,6 +120,33 @@ TEST(Lifetimes, DeadValuesContributeNothing)
     EXPECT_EQ(info.of(ld).length(), 2);
 }
 
+TEST(Lifetimes, OnlyLiveRegisterFlowEdgesAreUses)
+{
+    // A memory edge and a killed flow edge out of the producer leave
+    // its lifetime alone: it ends at the one live register-flow use.
+    DdgBuilder b("kinds");
+    const NodeId ld = b.load("ld");
+    const NodeId a = b.add("a");
+    const NodeId st = b.store("st");
+    const NodeId late = b.add("late");
+    const EdgeId use = b.flow(ld, a);
+    b.flow(a, st);
+    b.mem(ld, st);
+    b.graph().killEdge(b.flow(ld, late));
+    const Ddg g = b.take();
+
+    Schedule s(3, 4);
+    s.set(ld, 0, 0);
+    s.set(a, 2, 0);
+    s.set(st, 8, 0);
+    s.set(late, 9, 0);
+    const LifetimeInfo info = analyzeLifetimes(g, s);
+    EXPECT_TRUE(info.of(ld).live);
+    EXPECT_EQ(info.of(ld).end, 2);
+    EXPECT_EQ(info.of(ld).lastUse, use);
+    EXPECT_EQ(info.of(ld).secondEnd, 0);
+}
+
 TEST(Lifetimes, PressurePatternSumsToTotalLifetime)
 {
     const Ddg g = buildPaperExampleLoop();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -285,6 +286,34 @@ TEST(MachDesc, FingerprintSeparatesTheConfigurations)
     Machine unpiped = Machine::p2l4();
     unpiped.setPipelined(FuClass::Adder, false);
     EXPECT_NE(machineContentFingerprint(unpiped), p2l4);
+}
+
+TEST(MachDesc, StoredFingerprintIsTheContentFingerprint)
+{
+    // Machine::fingerprint() is computed once at construction; it must
+    // be exactly the content hash, for every preset and every shipped
+    // description file.
+    std::vector<Machine> machines = {Machine::p1l4(), Machine::p2l4(),
+                                     Machine::p2l6(),
+                                     Machine("shape", 1, 2, 3, 1, 5)};
+    for (const char *preset : {"p1l4", "p2l4", "p2l6", "universal"})
+        machines.push_back(machineFromSpec(preset));
+    int files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(SWP_EXAMPLE_MACHINES_DIR)) {
+        if (entry.path().extension() != ".mach")
+            continue;
+        machines.push_back(machineFromSpec(entry.path().string()));
+        ++files;
+    }
+    EXPECT_GE(files, 4);
+    for (const Machine &m : machines) {
+        EXPECT_EQ(m.fingerprint(), machineContentFingerprint(m))
+            << m.name();
+        const MachParseResult r = parseMachineDescription(m.describe());
+        ASSERT_TRUE(r.ok()) << m.name() << ":\n" << diagDump(r);
+        EXPECT_EQ(r.machine->fingerprint(), m.fingerprint()) << m.name();
+    }
 }
 
 TEST(MachDesc, SpecResolvesPresetsAndFiles)

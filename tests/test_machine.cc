@@ -1,11 +1,20 @@
 /**
  * @file
- * Machine-model tests: the Section 5 configurations and occupancy rules.
+ * Machine-model tests: the Section 5 configurations, occupancy rules,
+ * and the stored content fingerprint.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
+#include "ir/builder.hh"
+#include "machine/machdesc.hh"
 #include "machine/machine.hh"
+#include "sched/fingerprint.hh"
+#include "sched/mii.hh"
+#include "sched/sched_memo.hh"
 
 namespace swp
 {
@@ -100,6 +109,47 @@ TEST(Machine, EqualityComparesContent)
     Machine m = Machine::p2l4();
     m.setLatency(Opcode::Add, 5);
     EXPECT_TRUE(m != Machine::p2l4());
+}
+
+TEST(Machine, StoredFingerprintFollowsMutations)
+{
+    // The memos key every request on the stored fingerprint, so each
+    // mutator must refresh it: a probe on the mutated machine is a new
+    // key, never a hit on the old machine's entry.
+    const Ddg g = buildPaperExampleLoop();
+    Machine m = Machine::p2l4();
+    const Machine copy = m;
+    EXPECT_EQ(machineFingerprint(copy), machineFingerprint(m));
+
+    ScheduleMemo memo(/*verifyKeys=*/true);
+    const std::unique_ptr<ModuloScheduler> hrms =
+        makeScheduler(SchedulerKind::Hrms);
+    const int ii = mii(g, m) + 2;
+    const auto probe = [&] {
+        (void)memo.scheduleAt(*hrms, SchedulerKind::Hrms, g, m, ii);
+        return memo.stats().computes;
+    };
+    EXPECT_EQ(probe(), 1);
+    EXPECT_EQ(probe(), 1);  // Same machine: a hit.
+
+    std::uint64_t before = machineFingerprint(m);
+    m.setLatency(Opcode::Add, 5);
+    EXPECT_NE(machineFingerprint(m), before);
+    EXPECT_EQ(machineFingerprint(m), machineContentFingerprint(m));
+    EXPECT_EQ(probe(), 2);
+
+    before = machineFingerprint(m);
+    m.setPipelined(FuClass::Mult, false);
+    EXPECT_NE(machineFingerprint(m), before);
+    EXPECT_EQ(machineFingerprint(m), machineContentFingerprint(m));
+    EXPECT_EQ(probe(), 3);
+
+    // Copies carry the mutated value; the source copy kept its own.
+    const Machine mutatedCopy = m;
+    EXPECT_EQ(machineFingerprint(mutatedCopy), machineFingerprint(m));
+    EXPECT_EQ(machineFingerprint(copy),
+              machineFingerprint(Machine::p2l4()));
+    EXPECT_NE(machineFingerprint(copy), machineFingerprint(m));
 }
 
 TEST(Machine, DescribeMentionsName)

@@ -69,6 +69,25 @@ TEST(SpillSelect, CostModelMatchesSection42)
     EXPECT_EQ(spillCost(g, 2), 0);
 }
 
+TEST(SpillSelect, CostCountsOnlyRegisterFlowUses)
+{
+    // v's one use is the multiply; the store it reaches by a memory
+    // edge stores q's value, so it cannot serve as v's spill store:
+    // one store plus one load.
+    DdgBuilder b("kinds");
+    const NodeId v = b.add("v");
+    const NodeId q = b.add("q");
+    const NodeId mul = b.mul("m");
+    const NodeId st = b.store("st");
+    b.flow(v, mul);
+    b.flow(mul, b.store());
+    b.flow(q, st);
+    b.mem(v, st);
+    const Ddg g = b.take();
+    EXPECT_EQ(spillCost(g, v), 2);
+    EXPECT_EQ(existingSpillStore(g, v), invalidNode);
+}
+
 TEST(SpillSelect, RatioHeuristicWeighsTraffic)
 {
     // Two values: one slightly longer but far more expensive to spill.
