@@ -39,6 +39,25 @@ secondsSince(const std::chrono::steady_clock::time_point &start)
         .count();
 }
 
+/**
+ * Run one job through `body` and charge it to `perf`: time spent
+ * waiting on another thread's single-flight memo computation goes to
+ * memoWaitSeconds, the rest to scheduleSeconds.
+ */
+template <typename Body>
+void
+timeJob(WorkerPerf &perf, Body &&body)
+{
+    const double wait0 = singleFlightWaitSeconds();
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    const double elapsed = secondsSince(start);
+    const double waited = singleFlightWaitSeconds() - wait0;
+    perf.memoWaitSeconds += waited;
+    perf.scheduleSeconds += elapsed > waited ? elapsed - waited : 0.0;
+    ++perf.jobs;
+}
+
 int
 resolveThreadCount(int threads)
 {
@@ -225,18 +244,13 @@ SuiteRunner::runTask(PoolTask &t) const
     do {
         if (t.abort.load(std::memory_order_relaxed))
             break;
-        const double wait0 = singleFlightWaitSeconds();
-        const auto start = std::chrono::steady_clock::now();
-        try {
-            fn(i);
-        } catch (...) {
-            t.fail();
-        }
-        const double elapsed = secondsSince(start);
-        const double waited = singleFlightWaitSeconds() - wait0;
-        perf.memoWaitSeconds += waited;
-        perf.scheduleSeconds += elapsed > waited ? elapsed - waited : 0.0;
-        ++perf.jobs;
+        timeJob(perf, [&] {
+            try {
+                fn(i);
+            } catch (...) {
+                t.fail();
+            }
+        });
     } while (claim(t, self, i, perf));
     flushPerf(self, perf);
 }
@@ -310,17 +324,8 @@ SuiteRunner::dispatch(std::size_t count,
             return;
         }
         WorkerPerf perf;
-        for (std::size_t i = 0; i < count; ++i) {
-            const double wait0 = singleFlightWaitSeconds();
-            const auto start = std::chrono::steady_clock::now();
-            fn(i);
-            const double elapsed = secondsSince(start);
-            const double waited = singleFlightWaitSeconds() - wait0;
-            perf.memoWaitSeconds += waited;
-            perf.scheduleSeconds +=
-                elapsed > waited ? elapsed - waited : 0.0;
-            ++perf.jobs;
-        }
+        for (std::size_t i = 0; i < count; ++i)
+            timeJob(perf, [&] { fn(i); });
         flushPerf(0, perf);
         return;
     }

@@ -1,5 +1,6 @@
 #include "ir/ddg.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/diag.hh"
@@ -75,37 +76,25 @@ void
 Ddg::killEdge(EdgeId e)
 {
     SWP_ASSERT(e >= 0 && e < numEdges(), "bad edge id ", e);
-    mut().edges[std::size_t(e)].alive = false;
-}
-
-std::vector<EdgeId>
-Ddg::outEdges(NodeId n) const
-{
-    std::vector<EdgeId> live;
-    for (EdgeId e : core_->out[std::size_t(n)]) {
-        if (core_->edges[std::size_t(e)].alive)
-            live.push_back(e);
-    }
-    return live;
-}
-
-std::vector<EdgeId>
-Ddg::inEdges(NodeId n) const
-{
-    std::vector<EdgeId> live;
-    for (EdgeId e : core_->in[std::size_t(n)]) {
-        if (core_->edges[std::size_t(e)].alive)
-            live.push_back(e);
-    }
-    return live;
+    SWP_ASSERT(core_->edges[std::size_t(e)].alive, "edge ", e,
+               " killed twice");
+    Core &core = mut();
+    Edge &dead = core.edges[std::size_t(e)];
+    dead.alive = false;
+    // Erasing keeps the other ids in order: the lists stay ascending.
+    const auto unlink = [e](std::vector<EdgeId> &list) {
+        list.erase(std::find(list.begin(), list.end(), e));
+    };
+    unlink(core.out[std::size_t(dead.src)]);
+    unlink(core.in[std::size_t(dead.dst)]);
 }
 
 std::vector<EdgeId>
 Ddg::valueUses(NodeId n) const
 {
     std::vector<EdgeId> uses;
-    for (EdgeId e : core_->out[std::size_t(n)]) {
-        if (core_->edges[std::size_t(e)].isValueUse())
+    for (EdgeId e : outEdges(n)) {
+        if (core_->edges[std::size_t(e)].kind == DepKind::RegFlow)
             uses.push_back(e);
     }
     return uses;
@@ -115,8 +104,8 @@ int
 Ddg::numValueUses(NodeId n) const
 {
     int count = 0;
-    for (EdgeId e : core_->out[std::size_t(n)]) {
-        if (core_->edges[std::size_t(e)].isValueUse())
+    for (EdgeId e : outEdges(n)) {
+        if (core_->edges[std::size_t(e)].kind == DepKind::RegFlow)
             ++count;
     }
     return count;

@@ -122,11 +122,12 @@ struct Edge
      */
     int fusedDelay = 0;
 
-    /** Dead edges are skipped by all queries (removed by spilling). */
+    /**
+     * Cleared by Ddg::killEdge (spilling), the only way an edge dies.
+     * A dead edge keeps its id and record but leaves both adjacency
+     * lists; scans over the whole edge table must skip it themselves.
+     */
     bool alive = true;
-
-    /** A live register-flow edge: one use of src's value. */
-    bool isValueUse() const { return alive && kind == DepKind::RegFlow; }
 };
 
 /** A loop-invariant value (one register for the whole loop, Section 2.3). */
@@ -143,7 +144,11 @@ struct Invariant
  * A mutable data dependence graph with copy-on-write storage.
  *
  * Node ids are dense and stable. Edges may be killed (spilling) and new
- * edges/nodes appended; adjacency lists are maintained incrementally.
+ * edges/nodes appended. The adjacency lists hold live edges only, in
+ * insertion (edge id) order: addEdge appends to them and killEdge, the
+ * only way an edge dies, unlinks it. Walking outEdges/inEdges therefore
+ * never meets a dead edge; the edge table (ids 0 .. numEdges()) keeps
+ * dead records, so ids stay stable and table scans test Edge::alive.
  *
  * Copying a Ddg is O(1): the copy shares the source's immutable storage
  * and the first mutation through either handle detaches it (clones the
@@ -203,7 +208,11 @@ class Ddg
     InvId addInvariant(std::string name = "");
     /** Record that node uses the given invariant. */
     void addInvariantUse(InvId inv, NodeId node);
-    /** Kill an edge; it disappears from all adjacency queries. */
+    /**
+     * Kill a live edge: clear Edge::alive and unlink it from its
+     * source's out-list and its destination's in-list. Killing a dead
+     * edge panics.
+     */
     void killEdge(EdgeId e);
     /// @}
 
@@ -224,28 +233,27 @@ class Ddg
         return core_->invariants[std::size_t(i)];
     }
 
-    /** Live out-edge ids of a node. */
-    std::vector<EdgeId> outEdges(NodeId n) const;
-    /** Live in-edge ids of a node. */
-    std::vector<EdgeId> inEdges(NodeId n) const;
-
-    /** @name Raw adjacency (dead edges included, no allocation).
-        The scheduler inner loops iterate these and test edge(e).alive
-        themselves instead of paying a filtered vector per query. */
+    /** @name Adjacency
+        Live edge ids of a node, in insertion (ascending id) order. The
+        reference is invalidated by the next addEdge/killEdge on the
+        same handle and, since a mutation may detach the storage, by
+        any non-const access through it. A loop that mutates the graph
+        iterates a snapshot it takes explicitly, e.g. valueUses(). */
     /// @{
     const std::vector<EdgeId> &
-    outEdgeIds(NodeId n) const
+    outEdges(NodeId n) const
     {
         return core_->out[std::size_t(n)];
     }
     const std::vector<EdgeId> &
-    inEdgeIds(NodeId n) const
+    inEdges(NodeId n) const
     {
         return core_->in[std::size_t(n)];
     }
     /// @}
 
-    /** Live register-flow out-edges: the uses of n's value. */
+    /** Live register-flow out-edges: the uses of n's value (a copy,
+        safe to iterate while mutating the graph). */
     std::vector<EdgeId> valueUses(NodeId n) const;
 
     /** Number of live register-flow out-edges. */
@@ -283,8 +291,8 @@ class Ddg
         std::vector<Node> nodes;
         std::vector<Edge> edges;
         std::vector<Invariant> invariants;
-        std::vector<std::vector<EdgeId>> out;  ///< Includes dead edges.
-        std::vector<std::vector<EdgeId>> in;   ///< Includes dead edges.
+        std::vector<std::vector<EdgeId>> out;  ///< Live edges, ascending.
+        std::vector<std::vector<EdgeId>> in;   ///< Live edges, ascending.
 
         /**
          * Memoized graphFingerprint of this core (0 = not computed).

@@ -118,7 +118,7 @@ struct SccScratch
  * Iterative Tarjan over nodes [0, n): succOf(v) returns v's successors
  * as a random-access range (a vector, a CsrAdj::Row). Parallel edges and
  * self-loops are allowed. This is the one Tarjan implementation in the
- * library — the DDG overload, recurrence regions and the schedulers'
+ * library — reachability(), recurrence regions and the schedulers'
  * condensed group graphs all decompose through it. Components are
  * numbered in reverse topological discovery order, visiting roots in
  * node order and successors in range order; `out` and `scratch` are
@@ -201,9 +201,6 @@ stronglyConnectedComponents(int n, SuccOf &&succOf, AdjScc &out,
     }
 }
 
-/** Tarjan over a vector-of-rows adjacency (all of succ). */
-AdjScc stronglyConnectedComponents(const std::vector<std::vector<int>> &succ);
-
 /**
  * Transitive closure from an SCC decomposition: row v of `out` gets
  * every node reachable from v by one or more arcs of succOf (so v
@@ -243,38 +240,11 @@ transitiveClosure(const AdjScc &scc, SuccOf &&succOf, bool transposed,
 }
 
 /**
- * Strongly connected components of the DDG (all live edges considered,
- * regardless of distance). Components with more than one node, or with a
- * self-edge, are recurrences.
- */
-struct SccResult
-{
-    /** Component index per node, in reverse topological discovery order. */
-    std::vector<int> compOf;
-    /** Nodes of each component. */
-    std::vector<std::vector<NodeId>> comps;
-
-    /** True if the component is a recurrence (cycle through it). */
-    std::vector<bool> isRecurrence;
-
-    int numComps() const { return int(comps.size()); }
-};
-
-/** Tarjan SCC over live edges. */
-SccResult stronglyConnectedComponents(const Ddg &g);
-
-/**
- * Topological order of the loop-independent subgraph: only edges with
- * distance zero are honoured. Single-iteration semantics require this
- * order to exist; verifyDdg() checks it.
- */
-std::vector<NodeId> topologicalOrderIntraIteration(const Ddg &g);
-
-/**
- * Kahn's walk over the live zero-distance edges, the one shared by
- * topologicalOrderIntraIteration() and verifyDdg(). Fills `order` with
- * the nodes in that order and returns true, or returns false when a
- * zero-distance cycle leaves nodes out of `order`.
+ * Topological order of the loop-independent subgraph: Kahn's walk over
+ * the live zero-distance edges. Single-iteration semantics require this
+ * order to exist; verifyDdg() checks it. Fills `order` with the nodes
+ * in that order and returns true, or returns false when a zero-distance
+ * cycle leaves nodes out of `order`.
  */
 bool intraIterationOrder(const Ddg &g, std::vector<NodeId> &order);
 

@@ -30,9 +30,9 @@ analyzeLifetimes(const Ddg &g, const Schedule &sched)
 
         // The value's uses, read in place in valueUses order: lastUse
         // and the two ends break ties on it.
-        for (EdgeId e : g.outEdgeIds(u)) {
+        for (EdgeId e : g.outEdges(u)) {
             const Edge &edge = g.edge(e);
-            if (!edge.isValueUse())
+            if (edge.kind != DepKind::RegFlow)
                 continue;
             if (!lt.live) {
                 lt.live = true;

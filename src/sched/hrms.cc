@@ -560,10 +560,9 @@ place(HrmsContext &ctx, const std::vector<int> &order)
         for (std::size_t i = 0; i < grp.members.size(); ++i) {
             const NodeId v = grp.members[i];
             const long off = grp.offsets[i];
-            for (EdgeId e : ctx.g.inEdgeIds(v)) {
+            for (EdgeId e : ctx.g.inEdges(v)) {
                 const Edge &edge = ctx.g.edge(e);
-                if (!edge.alive ||
-                    ctx.groups.groupOf(edge.src) == gi ||
+                if (ctx.groups.groupOf(edge.src) == gi ||
                     !sched.scheduled(edge.src)) {
                     continue;
                 }
@@ -573,10 +572,9 @@ place(HrmsContext &ctx, const std::vector<int> &order)
                                    long(ctx.ii) * edge.distance - off;
                 early = std::max(early, bound);
             }
-            for (EdgeId e : ctx.g.outEdgeIds(v)) {
+            for (EdgeId e : ctx.g.outEdges(v)) {
                 const Edge &edge = ctx.g.edge(e);
-                if (!edge.alive ||
-                    ctx.groups.groupOf(edge.dst) == gi ||
+                if (ctx.groups.groupOf(edge.dst) == gi ||
                     !sched.scheduled(edge.dst)) {
                     continue;
                 }

@@ -86,10 +86,9 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
         for (std::size_t i = 0; i < grp.members.size(); ++i) {
             const NodeId v = grp.members[i];
             const long off = grp.offsets[i];
-            for (EdgeId e : g.inEdgeIds(v)) {
+            for (EdgeId e : g.inEdges(v)) {
                 const Edge &edge = g.edge(e);
-                if (!edge.alive ||
-                    groups.groupOf(edge.src) == gi ||
+                if (groups.groupOf(edge.src) == gi ||
                     !sched.scheduled(edge.src)) {
                     continue;
                 }
@@ -148,10 +147,8 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
         for (std::size_t i = 0; i < grp.members.size(); ++i) {
             const NodeId v = grp.members[i];
             const long tv = chosen + grp.offsets[i];
-            for (EdgeId e : g.outEdgeIds(v)) {
+            for (EdgeId e : g.outEdges(v)) {
                 const Edge &edge = g.edge(e);
-                if (!edge.alive)
-                    continue;
                 const int dg = groups.groupOf(edge.dst);
                 if (dg == gi || !sched.scheduled(edge.dst))
                     continue;

@@ -225,7 +225,7 @@ simulatePipelined(const Ddg &g, const Machine &m, const Schedule &sched,
             ++result.memoryOps;
 
         // Write back when the result is ready, unless the value is dead.
-        if (hasOut && !g.valueUses(v).empty()) {
+        if (hasOut && g.numValueUses(v) > 0) {
             const int off = alloc.offset[std::size_t(v)];
             if (off < 0) {
                 result.error = strprintf("live value %s unallocated",

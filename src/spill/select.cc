@@ -37,8 +37,8 @@ reusableStoreConsumer(const Ddg &g, EdgeId use)
     if (!consumer.invariantUses.empty())
         return false;
     int regInputs = 0;
-    for (EdgeId e : g.inEdgeIds(edge.dst)) {
-        if (g.edge(e).isValueUse())
+    for (EdgeId e : g.inEdges(edge.dst)) {
+        if (g.edge(e).kind == DepKind::RegFlow)
             ++regInputs;
     }
     return regInputs == 1;
@@ -57,8 +57,9 @@ spillCost(const Ddg &g, NodeId producer)
         // Re-load from the original location: one load per use, no store.
         return uses;
     }
-    for (EdgeId e : g.outEdgeIds(producer)) {
-        if (g.edge(e).isValueUse() && reusableStoreConsumer(g, e)) {
+    for (EdgeId e : g.outEdges(producer)) {
+        if (g.edge(e).kind == DepKind::RegFlow &&
+            reusableStoreConsumer(g, e)) {
             // The existing store spills the value; every other use gets
             // a reload.
             return uses - 1;
@@ -71,9 +72,9 @@ spillCost(const Ddg &g, NodeId producer)
 NodeId
 existingSpillStore(const Ddg &g, NodeId producer)
 {
-    for (EdgeId e : g.outEdgeIds(producer)) {
+    for (EdgeId e : g.outEdges(producer)) {
         const Edge &edge = g.edge(e);
-        if (edge.isValueUse() && edge.nonSpillable &&
+        if (edge.kind == DepKind::RegFlow && edge.nonSpillable &&
             g.node(edge.dst).origin == NodeOrigin::SpillStore) {
             return edge.dst;
         }

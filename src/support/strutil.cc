@@ -58,13 +58,6 @@ splitWs(const std::string &s)
     return out;
 }
 
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
 long
 parseLong(const std::string &s)
 {

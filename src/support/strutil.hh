@@ -24,9 +24,6 @@ std::vector<std::string> split(const std::string &s, char delim);
 /** Split on arbitrary whitespace, dropping empty fields. */
 std::vector<std::string> splitWs(const std::string &s);
 
-/** True if s starts with the given prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
 /** Parse a non-negative integer; throws FatalError on garbage. */
 long parseLong(const std::string &s);
 

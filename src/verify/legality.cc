@@ -105,7 +105,7 @@ recomputeLiveRanges(const Ddg &g, const Schedule &s)
             continue;
         bool used = false;
         long end = 0;
-        for (EdgeId e : g.outEdgeIds(n)) {
+        for (EdgeId e : g.outEdges(n)) {
             const Edge &edge = g.edge(e);
             if (!edge.alive || edge.kind != DepKind::RegFlow)
                 continue;

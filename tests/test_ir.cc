@@ -12,6 +12,8 @@
 #include "ir/builder.hh"
 #include "ir/graph_algo.hh"
 #include "ir/verify.hh"
+#include "machine/machine.hh"
+#include "pipeliner/spill_pipeline.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
 #include "workload/suitegen.hh"
@@ -51,6 +53,25 @@ TEST(Ddg, KillEdgeHidesItEverywhere)
     EXPECT_TRUE(g.outEdges(ld).empty());
     EXPECT_TRUE(g.inEdges(st).empty());
     EXPECT_EQ(g.numValueUses(ld), 0);
+    // The record stays, dead, under its id.
+    ASSERT_EQ(g.numEdges(), 1);
+    EXPECT_FALSE(g.edge(e).alive);
+}
+
+TEST(Ddg, KillingADeadEdgePanics)
+{
+    DdgBuilder b("twice");
+    const NodeId ld = b.load();
+    const NodeId st = b.store();
+    const EdgeId e = b.flow(ld, st);
+    b.flow(ld, st, 1);
+    Ddg g = b.take();
+
+    g.killEdge(e);
+    EXPECT_THROW(g.killEdge(e), PanicError);
+    // The failed kill changed nothing.
+    EXPECT_EQ(g.outEdges(ld), std::vector<EdgeId>{1});
+    EXPECT_EQ(g.inEdges(st), std::vector<EdgeId>{1});
 }
 
 TEST(Ddg, CopyIsSharedUntilMutation)
@@ -163,6 +184,39 @@ TEST(Ddg, InvariantBookkeeping)
     EXPECT_EQ(g.numLiveInvariants(), 1);
 }
 
+/** Tarjan over the live out-lists, the way reachability() runs it. */
+AdjScc
+sccOf(const Ddg &g)
+{
+    CsrAdj succ;
+    succ.build(g.numNodes(), [&](auto &&emit) {
+        for (NodeId u = 0; u < g.numNodes(); ++u) {
+            for (EdgeId e : g.outEdges(u))
+                emit(u, g.edge(e).dst);
+        }
+    });
+    AdjScc scc;
+    SccScratch scratch;
+    stronglyConnectedComponents(
+        g.numNodes(), [&](int v) { return succ.row(v); }, scc, scratch);
+    return scc;
+}
+
+/** A component is a recurrence when it has several nodes or a
+    self-edge. */
+bool
+isRecurrence(const Ddg &g, const AdjScc &scc, int c)
+{
+    if (scc.compSize(c) > 1)
+        return true;
+    const NodeId v = scc.compNodes(c)[0];
+    for (EdgeId e : g.outEdges(v)) {
+        if (g.edge(e).dst == v)
+            return true;
+    }
+    return false;
+}
+
 TEST(GraphAlgo, SccFindsRecurrence)
 {
     DdgBuilder b("rec");
@@ -174,9 +228,9 @@ TEST(GraphAlgo, SccFindsRecurrence)
     b.flow(d, a, 1);  // Closes the cycle with distance 1.
     const Ddg g = b.take();
 
-    const SccResult scc = stronglyConnectedComponents(g);
+    const AdjScc scc = sccOf(g);
     EXPECT_EQ(scc.numComps(), 1);
-    EXPECT_TRUE(scc.isRecurrence[0]);
+    EXPECT_TRUE(isRecurrence(g, scc, 0));
 }
 
 TEST(GraphAlgo, SelfEdgeIsARecurrence)
@@ -185,9 +239,9 @@ TEST(GraphAlgo, SelfEdgeIsARecurrence)
     const NodeId a = b.add("a");
     b.flow(a, a, 2);
     const Ddg g = b.take();
-    const SccResult scc = stronglyConnectedComponents(g);
+    const AdjScc scc = sccOf(g);
     ASSERT_EQ(scc.numComps(), 1);
-    EXPECT_TRUE(scc.isRecurrence[0]);
+    EXPECT_TRUE(isRecurrence(g, scc, 0));
 }
 
 /** Test-local reachability by DFS over live edges (u itself only when
@@ -220,21 +274,21 @@ TEST(GraphAlgo, SccPartitionIsAPermutationAndComponentsAreMaximal)
     // Property test over the pinned-seed generated suite: the SCC
     // result is a partition (every node in exactly one component,
     // matching compOf), components are exactly the mutual-reachability
-    // classes (so they are maximal), the emission order is reverse
-    // topological, and the adjacency-list overload agrees with the DDG
-    // overload.
+    // classes (so they are maximal), and the emission order is reverse
+    // topological.
     SuiteParams params;
     params.numLoops = 40;
     const std::vector<SuiteLoop> suite = generateSuite(params);
     for (const SuiteLoop &loop : suite) {
         const Ddg &g = loop.graph;
         const int n = g.numNodes();
-        const SccResult scc = stronglyConnectedComponents(g);
+        const AdjScc scc = sccOf(g);
 
         // Partition: each node appears exactly once, where compOf says.
         std::vector<int> seen(std::size_t(n), 0);
         for (int c = 0; c < scc.numComps(); ++c) {
-            for (const NodeId v : scc.comps[std::size_t(c)]) {
+            for (int i = 0; i < scc.compSize(c); ++i) {
+                const NodeId v = scc.compNodes(c)[i];
                 ++seen[std::size_t(v)];
                 ASSERT_EQ(scc.compOf[std::size_t(v)], c);
             }
@@ -259,8 +313,8 @@ TEST(GraphAlgo, SccPartitionIsAPermutationAndComponentsAreMaximal)
 
         // isRecurrence(c) == some member lies on a cycle.
         for (int c = 0; c < scc.numComps(); ++c) {
-            const NodeId v = scc.comps[std::size_t(c)][0];
-            ASSERT_EQ(scc.isRecurrence[std::size_t(c)],
+            const NodeId v = scc.compNodes(c)[0];
+            ASSERT_EQ(isRecurrence(g, scc, c),
                       bool(reach[std::size_t(v)][std::size_t(v)]));
         }
 
@@ -275,25 +329,14 @@ TEST(GraphAlgo, SccPartitionIsAPermutationAndComponentsAreMaximal)
                 ASSERT_LT(cd, cs);
             }
         }
-
-        // The adjacency-list overload is the same Tarjan: identical
-        // partition and numbering when fed the same successor lists.
-        std::vector<std::vector<int>> adj;
-        adj.resize(std::size_t(n));
-        for (NodeId u = 0; u < n; ++u) {
-            for (EdgeId e : g.outEdges(u))
-                adj[std::size_t(u)].push_back(g.edge(e).dst);
-        }
-        const AdjScc flat = stronglyConnectedComponents(adj);
-        ASSERT_EQ(flat.numComps(), scc.numComps());
-        EXPECT_EQ(flat.compOf, scc.compOf);
     }
 }
 
 TEST(GraphAlgo, TopologicalOrderRespectsDag)
 {
     const Ddg g = buildPaperExampleLoop();
-    const auto order = topologicalOrderIntraIteration(g);
+    std::vector<NodeId> order;
+    ASSERT_TRUE(intraIterationOrder(g, order));
     ASSERT_EQ(order.size(), 4u);
     std::vector<int> pos(4);
     for (int i = 0; i < 4; ++i)
@@ -306,7 +349,7 @@ TEST(GraphAlgo, TopologicalOrderRespectsDag)
     }
 }
 
-TEST(GraphAlgo, ZeroDistanceCycleIsFatal)
+TEST(GraphAlgo, ZeroDistanceCycleHasNoOrder)
 {
     DdgBuilder b("cycle");
     const NodeId a = b.add("a");
@@ -314,7 +357,9 @@ TEST(GraphAlgo, ZeroDistanceCycleIsFatal)
     b.flow(a, c);
     b.flow(c, a);  // Distance 0 cycle: not executable.
     const Ddg g = b.take();
-    EXPECT_THROW(topologicalOrderIntraIteration(g), FatalError);
+    std::vector<NodeId> order;
+    EXPECT_FALSE(intraIterationOrder(g, order));
+    EXPECT_TRUE(order.empty());
     std::string why;
     EXPECT_FALSE(verifyDdg(g, &why));
     EXPECT_NE(why.find("cycle"), std::string::npos);
@@ -339,7 +384,8 @@ TEST(GraphAlgo, KilledEdgesDoNotOrderAnIteration)
 
     std::string why;
     EXPECT_TRUE(verifyDdg(g, &why)) << why;
-    const auto order = topologicalOrderIntraIteration(g);
+    std::vector<NodeId> order;
+    ASSERT_TRUE(intraIterationOrder(g, order));
     ASSERT_EQ(order.size(), 5u);
     std::vector<int> pos(5);
     for (int i = 0; i < 5; ++i)
@@ -397,6 +443,60 @@ randomGraph(Rng &rng, int n)
     return g;
 }
 
+/** Every node's out-list (in-list) is the ascending ids of the alive
+    edges leaving (entering) it; returns the number of dead edges. */
+int
+expectAdjacencyHoldsLiveEdges(const Ddg &g)
+{
+    const auto n = std::size_t(g.numNodes());
+    std::vector<std::vector<EdgeId>> out(n), in(n);
+    int dead = 0;
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (!edge.alive) {
+            ++dead;
+            continue;
+        }
+        out[std::size_t(edge.src)].push_back(e);
+        in[std::size_t(edge.dst)].push_back(e);
+    }
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        EXPECT_EQ(g.outEdges(v), out[std::size_t(v)])
+            << g.name() << " out-list of node " << v;
+        EXPECT_EQ(g.inEdges(v), in[std::size_t(v)])
+            << g.name() << " in-list of node " << v;
+    }
+    return dead;
+}
+
+TEST(Ddg, AdjacencyListsHoldExactlyTheLiveEdges)
+{
+    Rng rng(0xad1);
+    int dead = 0;
+    for (const int n : {1, 8, 65}) {
+        for (int trial = 0; trial < 8; ++trial)
+            dead += expectAdjacencyHoldsLiveEdges(randomGraph(rng, n));
+    }
+    EXPECT_GT(dead, 0);
+
+    // The graphs iterative spilling leaves behind: use edges killed,
+    // fused loads and stores appended, round after round.
+    SuiteParams params;
+    params.numLoops = 200;
+    const std::vector<SuiteLoop> suite = generateSuite(params);
+    const Machine m = Machine::p2l4();
+    int spilledDead = 0;
+    for (const int registers : {8, 16}) {
+        PipelinerOptions opts;
+        opts.registers = registers;
+        for (const SuiteLoop &loop : suite) {
+            const PipelineResult r = spillStrategy(loop.graph, m, opts);
+            spilledDead += expectAdjacencyHoldsLiveEdges(r.graph());
+        }
+    }
+    EXPECT_GT(spilledDead, 0);
+}
+
 TEST(GraphAlgo, ReachabilityMatchesReferenceDfs)
 {
     // Differential against refReachability on random graphs, across
@@ -406,9 +506,9 @@ TEST(GraphAlgo, ReachabilityMatchesReferenceDfs)
     for (const int n : {0, 1, 63, 64, 65, 128, 129}) {
         for (int trial = 0; trial < 12; ++trial) {
             const Ddg g = randomGraph(rng, n);
-            const SccResult scc = stronglyConnectedComponents(g);
-            for (const auto &comp : scc.comps)
-                multiNodeSccs += comp.size() > 1;
+            const AdjScc scc = sccOf(g);
+            for (int c = 0; c < scc.numComps(); ++c)
+                multiNodeSccs += scc.compSize(c) > 1;
             for (EdgeId e = 0; e < g.numEdges(); ++e) {
                 selfEdges += g.edge(e).alive &&
                              g.edge(e).src == g.edge(e).dst;
@@ -434,8 +534,8 @@ TEST(GraphAlgo, ReachabilityMatchesReferenceDfs)
 TEST(GraphAlgo, CsrSccAndClosuresMatchReference)
 {
     // The CSR path the schedulers use: successor and predecessor rows
-    // in edge-id order, Tarjan over the CSR (same numbering as the
-    // vector-of-rows overload fed the same rows), and the closures of
+    // in edge-id order, Tarjan over the CSR (same numbering as Tarjan
+    // over vector rows fed the same successors), and the closures of
     // both directions against the reference DFS.
     Rng rng(0xc5a);
     for (const int n : {0, 1, 63, 64, 65, 129}) {
@@ -462,11 +562,16 @@ TEST(GraphAlgo, CsrSccAndClosuresMatchReference)
                           rows[std::size_t(v)]);
             }
 
-            AdjScc scc;
+            AdjScc scc, ref;
             SccScratch scratch;
             stronglyConnectedComponents(
                 n, [&](int v) { return succ.row(v); }, scc, scratch);
-            const AdjScc ref = stronglyConnectedComponents(rows);
+            stronglyConnectedComponents(
+                n,
+                [&](int v) -> const std::vector<int> & {
+                    return rows[std::size_t(v)];
+                },
+                ref, scratch);
             ASSERT_EQ(scc.compOf, ref.compOf);
             ASSERT_EQ(scc.nodes, ref.nodes);
 
