@@ -14,7 +14,7 @@
  *
  * The paper's evaluation uses a register-sensitive scheduler (HRMS), so
  * stage scheduling mostly matters for register-insensitive schedulers
- * like IMS; the ablation_stagesched bench quantifies exactly that.
+ * like IMS; the ablation_scheduler bench quantifies exactly that.
  */
 
 #ifndef SWP_LIFERANGE_STAGESCHED_HH

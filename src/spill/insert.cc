@@ -1,6 +1,9 @@
 #include "spill/insert.hh"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/diag.hh"
 
@@ -46,31 +49,7 @@ addSpillLoad(Ddg &g, const Machine &m, NodeId consumer,
     return load;
 }
 
-/** Matches select.cc: a distance-0 single-input store of this value. */
-EdgeId
-findReusableStore(const Ddg &g, const std::vector<EdgeId> &uses)
-{
-    for (EdgeId e : uses) {
-        const Edge &edge = g.edge(e);
-        if (edge.distance != 0)
-            continue;
-        const Node &consumer = g.node(edge.dst);
-        if (consumer.op != Opcode::Store ||
-            !consumer.invariantUses.empty()) {
-            continue;
-        }
-        int regInputs = 0;
-        for (EdgeId in : g.inEdges(edge.dst)) {
-            if (g.edge(in).kind == DepKind::RegFlow)
-                ++regInputs;
-        }
-        if (regInputs == 1)
-            return e;
-    }
-    return -1;
-}
-
-SpillEdit
+void
 spillInvariant(Ddg &g, const Machine &m, InvId inv)
 {
     SWP_ASSERT(!g.invariant(inv).spilled, "invariant ",
@@ -80,7 +59,6 @@ spillInvariant(Ddg &g, const Machine &m, InvId inv)
     const std::string invName = g.invariant(inv).name;
     const std::vector<NodeId> consumers = g.invariant(inv).consumers;
 
-    SpillEdit edit;
     // The store that parks the invariant in memory executes before the
     // loop, so only the per-use reloads cost anything inside the kernel.
     for (NodeId consumer : consumers) {
@@ -88,7 +66,6 @@ spillInvariant(Ddg &g, const Machine &m, InvId inv)
         ref.kind = SpillRef::Kind::InvariantMem;
         ref.value = inv;
         addSpillLoad(g, m, consumer, ref, invName);
-        ++edit.loadsAdded;
 
         // The consumer now receives the value through a register; drop
         // one direct invariant use.
@@ -99,151 +76,108 @@ spillInvariant(Ddg &g, const Machine &m, InvId inv)
     }
     g.invariant(inv).consumers.clear();
     g.invariant(inv).spilled = true;
-    return edit;
-}
-
-SpillEdit
-spillVariant(Ddg &g, const Machine &m, NodeId producer)
-{
-    // Note: addNode() may reallocate the node table, so no Node&
-    // reference is held across insertions; the name is copied.
-    SWP_ASSERT(!g.node(producer).nonSpillableValue, "value of ",
-               g.node(producer).name, " is non-spillable");
-    const auto uses = g.valueUses(producer);
-    SWP_ASSERT(!uses.empty(), "spilling dead value of ",
-               g.node(producer).name);
-    const std::string prodName = g.node(producer).name;
-
-    SpillEdit edit;
-
-    if (g.node(producer).op == Opcode::Load) {
-        // Producer-is-load: the value already lives in memory; re-load
-        // it at each use with the use's own iteration shift. The
-        // original load keeps running (it may still feed other values
-        // in general graphs) but this value's register edges disappear.
-        for (EdgeId e : uses) {
-            const Edge edge = g.edge(e);
-            g.killEdge(e);
-            SpillRef ref;
-            ref.kind = SpillRef::Kind::ReloadStream;
-            ref.value = producer;
-            ref.shift = edge.distance;
-            addSpillLoad(g, m, edge.dst, ref, prodName);
-            ++edit.loadsAdded;
-        }
-        g.node(producer).nonSpillableValue = true;
-        return edit;
-    }
-
-    const EdgeId reusable = findReusableStore(g, uses);
-    NodeId store = invalidNode;
-    if (reusable >= 0) {
-        // Reuse the existing store; keep (and fuse) its incoming edge so
-        // the residual lifetime producer->store stays minimal.
-        store = g.edge(reusable).dst;
-        g.edge(reusable).nonSpillable = true;
-        g.edge(reusable).fusedDelay =
-            m.latency(g.node(producer).op) + countFusedInEdges(g, store);
-        edit.reusedStore = true;
-    } else {
-        store = g.addNode(Opcode::Store, "Ss_" + prodName,
-                          NodeOrigin::SpillStore);
-        const EdgeId e = g.addEdge(producer, store, DepKind::RegFlow, 0,
-                                   /*non_spillable=*/true);
-        g.edge(e).fusedDelay = m.latency(g.node(producer).op);
-        ++edit.storesAdded;
-    }
-
-    for (EdgeId e : uses) {
-        if (e == reusable)
-            continue;
-        const Edge edge = g.edge(e);
-        g.killEdge(e);
-        SpillRef ref;
-        ref.kind = SpillRef::Kind::StoreSlot;
-        ref.value = store;
-        ref.shift = edge.distance;
-        const NodeId load = addSpillLoad(g, m, edge.dst, ref, prodName);
-        g.addEdge(store, load, DepKind::Mem, edge.distance);
-        ++edit.loadsAdded;
-    }
-
-    // The residual producer->store lifetime must never be re-selected.
-    g.node(producer).nonSpillableValue = true;
-    return edit;
 }
 
 /**
- * Spill a single use (Section 6 extension): only the candidate's use
- * edge is served from memory; the value keeps its register for the
- * remaining consumers.
+ * The store that parks a computed value for its reloads. A value spill
+ * reuses a same-iteration store of the value when there is one: its
+ * edge stays, fused, and leaves `uses`. A use spill reuses the spill
+ * store an earlier use spill added. Otherwise a fresh spill store is
+ * fused after the producer.
  */
-SpillEdit
-spillUse(Ddg &g, const Machine &m, NodeId producer, EdgeId use)
+NodeId
+parkValue(Ddg &g, const Machine &m, NodeId producer, bool wholeValue,
+          std::vector<EdgeId> &uses)
 {
-    const Edge edge = g.edge(use);
-    SWP_ASSERT(edge.alive && edge.src == producer,
-               "stale use-spill candidate");
-    const std::string prodName = g.node(producer).name;
-
-    SpillEdit edit;
-
-    if (g.node(producer).op == Opcode::Load) {
-        g.killEdge(use);
-        SpillRef ref;
-        ref.kind = SpillRef::Kind::ReloadStream;
-        ref.value = producer;
-        ref.shift = edge.distance;
-        addSpillLoad(g, m, edge.dst, ref, prodName);
-        ++edit.loadsAdded;
-        return edit;
-    }
-
-    NodeId store = existingSpillStore(g, producer);
-    if (store == invalidNode) {
-        const EdgeId reusable = findReusableStore(g, g.valueUses(producer));
-        if (reusable >= 0 && reusable != use) {
-            store = g.edge(reusable).dst;
-            g.edge(reusable).nonSpillable = true;
-            g.edge(reusable).fusedDelay =
-                m.latency(g.node(producer).op) +
-                countFusedInEdges(g, store);
-            edit.reusedStore = true;
-        } else {
-            store = g.addNode(Opcode::Store, "Ss_" + prodName,
-                              NodeOrigin::SpillStore);
-            const EdgeId e = g.addEdge(producer, store, DepKind::RegFlow,
-                                       0, /*non_spillable=*/true);
-            g.edge(e).fusedDelay = m.latency(g.node(producer).op);
-            ++edit.storesAdded;
-            // The residual producer->store tie makes the value
-            // non-spillable at value granularity; further long uses can
-            // still be peeled off through the parked copy.
-            g.node(producer).nonSpillableValue = true;
+    const int latency = m.latency(g.node(producer).op);
+    if (wholeValue) {
+        const EdgeId reused = reusableStoreConsumer(g, producer);
+        if (reused >= 0) {
+            // The fused in-edges counted include this one, so the delay
+            // is one more than a fresh store's.
+            const NodeId store = g.edge(reused).dst;
+            g.edge(reused).nonSpillable = true;
+            g.edge(reused).fusedDelay =
+                latency + countFusedInEdges(g, store);
+            uses.erase(std::find(uses.begin(), uses.end(), reused));
+            return store;
         }
+    } else if (const NodeId parked = existingSpillStore(g, producer);
+               parked != invalidNode) {
+        return parked;
     }
+    const NodeId store = g.addNode(Opcode::Store,
+                                   "Ss_" + g.node(producer).name,
+                                   NodeOrigin::SpillStore);
+    const EdgeId e = g.addEdge(producer, store, DepKind::RegFlow, 0,
+                               /*non_spillable=*/true);
+    g.edge(e).fusedDelay = latency;
+    // The residual producer->store lifetime must never be re-selected;
+    // further long uses can still be peeled off through the parked copy.
+    g.node(producer).nonSpillableValue = true;
+    return store;
+}
 
-    g.killEdge(use);
+/**
+ * Serve `uses` of `producer` from memory: every use of the value
+ * (`wholeValue`) or the one use edge of a use spill. A load's value
+ * already lives in memory, so each use re-loads it with the use's own
+ * iteration shift; the original load keeps running but these register
+ * edges disappear. Any other value is parked (parkValue) and each use
+ * reloads the parked slot, tied to the store by a memory edge that
+ * carries the use's distance.
+ */
+void
+spillUses(Ddg &g, const Machine &m, NodeId producer,
+          std::vector<EdgeId> uses, bool wholeValue)
+{
+    // Note: addNode() may reallocate the node table, so no Node&
+    // reference is held across insertions; the name is copied.
+    const std::string prodName = g.node(producer).name;
     SpillRef ref;
-    ref.kind = SpillRef::Kind::StoreSlot;
-    ref.value = store;
-    ref.shift = edge.distance;
-    const NodeId load = addSpillLoad(g, m, edge.dst, ref, prodName);
-    g.addEdge(store, load, DepKind::Mem, edge.distance);
-    ++edit.loadsAdded;
-    return edit;
+    ref.kind = SpillRef::Kind::ReloadStream;
+    ref.value = producer;
+    if (g.node(producer).op != Opcode::Load) {
+        ref.kind = SpillRef::Kind::StoreSlot;
+        ref.value = parkValue(g, m, producer, wholeValue, uses);
+    }
+    for (EdgeId e : uses) {
+        const Edge edge = g.edge(e);
+        g.killEdge(e);
+        ref.shift = edge.distance;
+        const NodeId load = addSpillLoad(g, m, edge.dst, ref, prodName);
+        if (ref.kind == SpillRef::Kind::StoreSlot)
+            g.addEdge(ref.value, load, DepKind::Mem, edge.distance);
+    }
+    // What is left of a spilled value (a tie to its store, or nothing)
+    // must never be re-selected.
+    if (wholeValue)
+        g.node(producer).nonSpillableValue = true;
 }
 
 } // namespace
 
-SpillEdit
+void
 insertSpill(Ddg &g, const Machine &m, const SpillCandidate &cand)
 {
-    if (cand.isInvariant)
-        return spillInvariant(g, m, cand.inv);
-    if (cand.useEdge >= 0)
-        return spillUse(g, m, cand.node, cand.useEdge);
-    return spillVariant(g, m, cand.node);
+    if (cand.isInvariant) {
+        spillInvariant(g, m, cand.inv);
+        return;
+    }
+    const NodeId producer = cand.node;
+    if (cand.useEdge >= 0) {
+        const Edge &use = g.edge(cand.useEdge);
+        SWP_ASSERT(use.alive && use.src == producer,
+                   "stale use-spill candidate");
+        spillUses(g, m, producer, {cand.useEdge}, /*wholeValue=*/false);
+        return;
+    }
+    SWP_ASSERT(!g.node(producer).nonSpillableValue, "value of ",
+               g.node(producer).name, " is non-spillable");
+    std::vector<EdgeId> uses = g.valueUses(producer);
+    SWP_ASSERT(!uses.empty(), "spilling dead value of ",
+               g.node(producer).name);
+    spillUses(g, m, producer, std::move(uses), /*wholeValue=*/true);
 }
 
 } // namespace swp

@@ -12,6 +12,12 @@
  * serves as the spill store; loop invariants are stored before entering
  * the loop, so only loads are added.
  *
+ * A use spill (the Section 6 extension) serves one use edge the same
+ * way. Its value is parked in the spill store an earlier use spill of
+ * it added, or in a fresh one: a use spill never reuses an original
+ * store. So a candidate's `cost` (select.hh) is exactly the number of
+ * memory operations insertSpill adds for it.
+ *
  * Convergence guarantees: all lifetimes created by spill operations are
  * marked non-spillable, and the edges tying spill loads/stores to their
  * consumers/producers are marked for fusion into complex operations,
@@ -28,17 +34,6 @@
 namespace swp
 {
 
-/** Operations inserted by one spill. */
-struct SpillEdit
-{
-    int loadsAdded = 0;
-    int storesAdded = 0;
-    /** True if an existing store was reused as the spill store. */
-    bool reusedStore = false;
-
-    int total() const { return loadsAdded + storesAdded; }
-};
-
 /**
  * Apply one spill to the graph.
  *
@@ -49,8 +44,7 @@ struct SpillEdit
  * ...) so they never contend for one functional unit in one kernel row,
  * which would make the fused group unschedulable at any II.
  */
-SpillEdit insertSpill(Ddg &g, const Machine &m,
-                      const SpillCandidate &cand);
+void insertSpill(Ddg &g, const Machine &m, const SpillCandidate &cand);
 
 } // namespace swp
 

@@ -17,34 +17,28 @@ spillHeuristicName(SpillHeuristic h)
     SWP_PANIC("unknown spill heuristic ", int(h));
 }
 
-namespace
+EdgeId
+reusableStoreConsumer(const Ddg &g, NodeId producer)
 {
-
-/**
- * A store consumer can serve as the spill store when it stores exactly
- * this value (single register input, no invariant contribution) in the
- * same iteration it is produced (distance 0).
- */
-bool
-reusableStoreConsumer(const Ddg &g, EdgeId use)
-{
-    const Edge &edge = g.edge(use);
-    if (edge.distance != 0)
-        return false;
-    const Node &consumer = g.node(edge.dst);
-    if (consumer.op != Opcode::Store)
-        return false;
-    if (!consumer.invariantUses.empty())
-        return false;
-    int regInputs = 0;
-    for (EdgeId e : g.inEdges(edge.dst)) {
-        if (g.edge(e).kind == DepKind::RegFlow)
-            ++regInputs;
+    for (EdgeId e : g.outEdges(producer)) {
+        const Edge &edge = g.edge(e);
+        if (edge.kind != DepKind::RegFlow || edge.distance != 0)
+            continue;
+        const Node &consumer = g.node(edge.dst);
+        if (consumer.op != Opcode::Store ||
+            !consumer.invariantUses.empty()) {
+            continue;
+        }
+        int regInputs = 0;
+        for (EdgeId in : g.inEdges(edge.dst)) {
+            if (g.edge(in).kind == DepKind::RegFlow)
+                ++regInputs;
+        }
+        if (regInputs == 1)
+            return e;
     }
-    return regInputs == 1;
+    return -1;
 }
-
-} // namespace
 
 int
 spillCost(const Ddg &g, NodeId producer)
@@ -57,13 +51,10 @@ spillCost(const Ddg &g, NodeId producer)
         // Re-load from the original location: one load per use, no store.
         return uses;
     }
-    for (EdgeId e : g.outEdges(producer)) {
-        if (g.edge(e).kind == DepKind::RegFlow &&
-            reusableStoreConsumer(g, e)) {
-            // The existing store spills the value; every other use gets
-            // a reload.
-            return uses - 1;
-        }
+    if (reusableStoreConsumer(g, producer) >= 0) {
+        // The existing store spills the value; every other use gets a
+        // reload.
+        return uses - 1;
     }
     // General case: one store plus one load per use.
     return uses + 1;

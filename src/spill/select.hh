@@ -55,7 +55,13 @@ struct SpillCandidate
     EdgeId useEdge = -1;
 
     int lifetime = 0;           ///< LT in cycles (II for invariants).
-    int cost = 0;               ///< Memory operations the spill adds.
+    /**
+     * Memory operations the spill adds: exactly what insertSpill adds
+     * for this candidate. A use spill costs one reload, plus a fresh
+     * spill store unless the producer is a load or an earlier use spill
+     * already parked the value; it never reuses an original store.
+     */
+    int cost = 0;
 
     double
     ratio() const
@@ -87,6 +93,14 @@ void spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
  * use-granularity spill), or invalidNode.
  */
 NodeId existingSpillStore(const Ddg &g, NodeId producer);
+
+/**
+ * The Section 4.2 store-reuse rule: the first register-flow use of
+ * `producer` whose consumer can serve as the value's spill store, or -1.
+ * Such a store stores exactly this value (single register input, no
+ * invariant contribution) in the iteration it is produced (distance 0).
+ */
+EdgeId reusableStoreConsumer(const Ddg &g, NodeId producer);
 
 /**
  * Cost of spilling a loop-variant value: loads and stores that would be

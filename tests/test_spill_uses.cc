@@ -10,9 +10,13 @@
 #include "ir/builder.hh"
 #include "ir/verify.hh"
 #include "pipeliner/pipeliner.hh"
+#include "sched/hrms.hh"
+#include "sched/ii_search.hh"
+#include "sched/mii.hh"
 #include "sim/vliw.hh"
 #include "spill/insert.hh"
 #include "workload/paper_loops.hh"
+#include "workload/suitegen.hh"
 
 namespace swp
 {
@@ -46,6 +50,17 @@ twoUseSchedule(int ii)
     s.set(3, 6, 1);   // st1
     s.set(4, 7, 1);   // st2
     return s;
+}
+
+/** The use-spill candidate of `v` among `cands`, or nullptr. */
+const SpillCandidate *
+useCandidateOf(const std::vector<SpillCandidate> &cands, NodeId v)
+{
+    for (const SpillCandidate &c : cands) {
+        if (c.useEdge >= 0 && c.node == v)
+            return &c;
+    }
+    return nullptr;
 }
 
 TEST(SpillUses, CandidateTargetsTheCriticalUse)
@@ -85,9 +100,9 @@ TEST(SpillUses, RewriteKeepsTheOtherUseInRegisters)
     ASSERT_NE(useCand, nullptr);
 
     const Machine m = Machine::p2l4();
-    const SpillEdit edit = insertSpill(g, m, *useCand);
-    EXPECT_EQ(edit.loadsAdded, 1);
-    EXPECT_EQ(edit.storesAdded, 0);  // Producer is a load.
+    const int memOps = g.numMemOps();
+    insertSpill(g, m, *useCand);
+    EXPECT_EQ(g.numMemOps() - memOps, 1);  // Producer is a load: no store.
 
     std::string why;
     EXPECT_TRUE(verifyDdg(g, &why)) << why;
@@ -130,16 +145,13 @@ TEST(SpillUses, NonLoadProducerParksTheValueOnce)
     // Build lifetimes directly from the graph + schedule.
     const LifetimeInfo info = analyzeLifetimes(g, s);
 
-    auto cands = spillCandidates(g, info, true);
-    const SpillCandidate *useCand = nullptr;
-    for (const auto &c : cands) {
-        if (c.useEdge >= 0 && c.node == v)
-            useCand = &c;
-    }
+    const auto cands = spillCandidates(g, info, true);
+    const SpillCandidate *useCand = useCandidateOf(cands, v);
     ASSERT_NE(useCand, nullptr);
     EXPECT_EQ(useCand->cost, 2);  // Store + load the first time.
-    const SpillEdit first = insertSpill(g, m, *useCand);
-    EXPECT_EQ(first.storesAdded, 1);
+    const int memOps = g.numMemOps();
+    insertSpill(g, m, *useCand);
+    EXPECT_EQ(g.numMemOps() - memOps, 2);
     EXPECT_TRUE(g.node(v).nonSpillableValue);
     ASSERT_NE(existingSpillStore(g, v), invalidNode);
 
@@ -154,19 +166,133 @@ TEST(SpillUses, NonLoadProducerParksTheValueOnce)
     for (NodeId n = oldNodes; n < g.numNodes(); ++n)
         s2.set(n, s.time(v) + 4 * (n - oldNodes + 1), 1);
     const LifetimeInfo info2 = analyzeLifetimes(g, s2);
-    auto cands2 = spillCandidates(g, info2, true);
-    const SpillCandidate *useCand2 = nullptr;
-    for (const auto &c : cands2) {
-        if (c.useEdge >= 0 && c.node == v)
-            useCand2 = &c;
-    }
+    const auto cands2 = spillCandidates(g, info2, true);
+    const SpillCandidate *useCand2 = useCandidateOf(cands2, v);
     ASSERT_NE(useCand2, nullptr);
     EXPECT_EQ(useCand2->cost, 1);
-    const SpillEdit second = insertSpill(g, m, *useCand2);
-    EXPECT_EQ(second.storesAdded, 0);
-    EXPECT_EQ(second.loadsAdded, 1);
+    const int memOps2 = g.numMemOps();
+    insertSpill(g, m, *useCand2);
+    EXPECT_EQ(g.numMemOps() - memOps2, 1);  // No second store.
     std::string why;
     EXPECT_TRUE(verifyDdg(g, &why)) << why;
+}
+
+TEST(SpillUses, UseSpillBesideAnOriginalStoreAddsAFreshStore)
+{
+    // v feeds an original distance-0 store and two later uses. Use
+    // spills never reuse the original store: the first parks v in a
+    // fresh spill store and reloads it (cost 2), the second reloads the
+    // parked copy (cost 1).
+    DdgBuilder b("beside");
+    const NodeId ld = b.load("ld");
+    const NodeId v = b.mul("v");
+    b.flow(ld, v);
+    const NodeId st = b.store("st");
+    b.flow(v, st);
+    const NodeId u1 = b.add("u1");
+    b.flow(v, u1, 3);
+    const NodeId u2 = b.add("u2");
+    b.flow(v, u2, 5);
+    for (NodeId u : {u1, u2}) {
+        const NodeId out = b.store();
+        b.flow(u, out);
+    }
+    Ddg g = b.take();
+    const Machine m = Machine::p2l4();
+
+    Schedule s(2, g.numNodes());
+    int t = 0;
+    for (NodeId n = 0; n < g.numNodes(); ++n)
+        s.set(n, t += 4, 0);
+    const auto cands = spillCandidates(g, analyzeLifetimes(g, s), true);
+    const SpillCandidate *first = useCandidateOf(cands, v);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(g.edge(first->useEdge).dst, u2);
+    EXPECT_EQ(first->cost, 2);
+    const int nodes = g.numNodes();
+    const int memOps = g.numMemOps();
+    insertSpill(g, m, *first);
+    EXPECT_EQ(g.numMemOps() - memOps, first->cost);
+    ASSERT_EQ(g.node(nodes).origin, NodeOrigin::SpillStore);
+    EXPECT_EQ(existingSpillStore(g, v), nodes);
+    std::string why;
+    EXPECT_TRUE(verifyDdg(g, &why)) << why;
+
+    // Place the spill store and reload early so u1 is now the latest use.
+    Schedule s2(2, g.numNodes());
+    for (NodeId n = 0; n < nodes; ++n)
+        s2.set(n, s.time(n), s.unit(n));
+    for (NodeId n = nodes; n < g.numNodes(); ++n)
+        s2.set(n, s.time(v) + 4 * (n - nodes + 1), 1);
+    const auto cands2 =
+        spillCandidates(g, analyzeLifetimes(g, s2), true);
+    const SpillCandidate *second = useCandidateOf(cands2, v);
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(g.edge(second->useEdge).dst, u1);
+    EXPECT_EQ(second->cost, 1);
+    const int memOps2 = g.numMemOps();
+    insertSpill(g, m, *second);
+    EXPECT_EQ(g.numMemOps() - memOps2, second->cost);
+    EXPECT_TRUE(verifyDdg(g, &why)) << why;
+    // The original store still reads v through its register.
+    EXPECT_EQ(g.edge(g.inEdges(st)[0]).src, v);
+}
+
+TEST(SpillUses, CostIsTheRewriteOnSuiteLoops)
+{
+    // A candidate's cost is the number of memory operations insertSpill
+    // adds. For each loop and budget, a few spill rounds (HRMS at the
+    // lowest feasible II from MII, Max(LT/Traf) pick) apply every
+    // candidate of every round, value, use and invariant alike, to a
+    // copy of the graph and compare.
+    SuiteParams params;
+    params.numLoops = 200;
+    const std::vector<SuiteLoop> suite = generateSuite(params);
+    const Machine m = Machine::p2l4();
+    HrmsScheduler hrms;
+    int values = 0;
+    int uses = 0;
+    int invariants = 0;
+    for (const SuiteLoop &loop : suite) {
+        for (int registers : {8, 16}) {
+            Ddg work = loop.graph;
+            for (int round = 0; round < 4; ++round) {
+                const IiSearchResult found =
+                    searchIi(hrms, work, m, mii(work, m));
+                if (!found.sched)
+                    break;
+                const LifetimeInfo info =
+                    analyzeLifetimes(work, *found.sched);
+                if (info.totalRegisterBound() <= registers)
+                    break;
+                const auto cands = spillCandidates(work, info, true);
+                for (const SpillCandidate &cand : cands) {
+                    Ddg copy = work;
+                    insertSpill(copy, m, cand);
+                    ASSERT_EQ(copy.numMemOps() - work.numMemOps(),
+                              cand.cost)
+                        << loop.graph.name() << " R=" << registers
+                        << " round " << round << " node " << cand.node
+                        << " use " << cand.useEdge << " inv "
+                        << cand.inv;
+                    if (cand.isInvariant)
+                        ++invariants;
+                    else if (cand.useEdge >= 0)
+                        ++uses;
+                    else
+                        ++values;
+                }
+                const auto pick =
+                    selectOne(cands, SpillHeuristic::MaxLTOverTraf);
+                if (!pick)
+                    break;
+                insertSpill(work, m, *pick);
+            }
+        }
+    }
+    EXPECT_GT(values, 0);
+    EXPECT_GT(uses, 0);
+    EXPECT_GT(invariants, 0);
 }
 
 TEST(SpillUses, PipelineWithUseGranularityIsSoundAndCorrect)
