@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <queue>
 
 #include "sched/fingerprint.hh"
 #include "sched/ii_search.hh"
@@ -68,14 +67,6 @@ resolveThreadCount(int threads)
 }
 
 } // namespace
-
-std::atomic<unsigned> SuiteRunner::claimJitter_{0};
-
-void
-SuiteRunner::setClaimJitterForTesting(unsigned seed)
-{
-    claimJitter_.store(seed, std::memory_order_relaxed);
-}
 
 SuiteRunner::SuiteRunner(int threads)
     : threads_(resolveThreadCount(threads)),
@@ -153,19 +144,6 @@ SuiteRunner::claim(PoolTask &t, std::size_t self, std::size_t &out,
                    WorkerPerf &perf) const
 {
     const auto start = std::chrono::steady_clock::now();
-
-    // Test hook: perturb who wins each race so the determinism test
-    // can explore many interleavings (a no-op when unset).
-    const unsigned jitterSeed = claimJitter_.load(std::memory_order_relaxed);
-    if (jitterSeed != 0) {
-        thread_local unsigned state = 0;
-        state = state * 1664525u + 1013904223u + jitterSeed +
-                unsigned(self);
-        volatile unsigned sink = 0;
-        for (unsigned i = 0, n = state % 2048u; i < n; ++i)
-            sink += i;
-        (void)sink;
-    }
 
     bool ok = false;
     bool stolen = false;
@@ -384,14 +362,6 @@ SuiteRunner::costOf(const Ddg &g, const Machine &m, int loopMii)
     return double(g.numNodes()) * double(span);
 }
 
-double
-SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
-                     const Machine &m, const BatchJob &job)
-{
-    const Ddg &g = suite[std::size_t(job.loop)].graph;
-    return costOf(g, m, mii(g, m));
-}
-
 SuiteRunner::JobPlan
 SuiteRunner::planJobs(const std::vector<SuiteLoop> &suite,
                       const Machine &m, const std::vector<BatchJob> &jobs)
@@ -532,56 +502,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
             };
         });
     return results;
-}
-
-std::vector<double>
-simulateWorkerLoadsStealing(const std::vector<double> &costs,
-                            const std::vector<std::size_t> &order,
-                            int workers)
-{
-    SWP_ASSERT(workers >= 1,
-               "simulateWorkerLoadsStealing needs >= 1 worker");
-    const std::size_t w = std::size_t(workers);
-
-    // Seed exactly like dispatch(): round-robin plan positions, fronts
-    // heaviest (plan order), backs the light tail.
-    std::vector<std::deque<std::size_t>> queues(w);
-    for (std::size_t k = 0; k < order.size(); ++k)
-        queues[k % w].push_back(k);
-
-    std::vector<double> load(w, 0.0);
-    // Event model: the earliest-free worker claims next (ties broken by
-    // worker index); a worker that finds every deque empty retires.
-    using Slot = std::pair<double, int>;
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
-    for (int i = 0; i < workers; ++i)
-        free.push({0.0, i});
-    while (!free.empty()) {
-        const Slot slot = free.top();
-        free.pop();
-        const std::size_t self = std::size_t(slot.second);
-        std::size_t k = 0;
-        bool ok = false;
-        if (!queues[self].empty()) {
-            k = queues[self].front();
-            queues[self].pop_front();
-            ok = true;
-        }
-        for (std::size_t v = 1; !ok && v < w; ++v) {
-            std::deque<std::size_t> &victim = queues[(self + v) % w];
-            if (!victim.empty()) {
-                k = victim.back();
-                victim.pop_back();
-                ok = true;
-            }
-        }
-        if (!ok)
-            continue; // Retire: indices are never re-inserted.
-        const double cost = costs[order[k]];
-        load[self] += cost;
-        free.push({slot.first + cost, slot.second});
-    }
-    return load;
 }
 
 } // namespace swp

@@ -186,14 +186,6 @@ class SuiteRunner
     void resetWorkerPerf();
 
     /**
-     * Test-only: when seed != 0 every claim spins a small
-     * pseudo-random amount first, perturbing the steal interleaving so
-     * determinism tests can explore many schedules. Global (affects
-     * every runner); reset to 0 after use.
-     */
-    static void setClaimJitterForTesting(unsigned seed);
-
-    /**
      * Evaluate all jobs. results[i] corresponds to jobs[i]; the result
      * vector is bit-identical at any thread count. Each result's
      * graph() references the suite entry it was built from unless
@@ -213,21 +205,11 @@ class SuiteRunner
     }
 
     /**
-     * Cheap work-size estimate of one job: node count x candidate-II
-     * span (MII through the generous default II cap). It deliberately
-     * ignores the strategy — every strategy's cost is dominated by how
-     * many (II, schedule) probes of how large a graph it may have to
-     * run — and it never schedules anything; the MII comes from the
-     * bounds memo the jobs need anyway.
-     */
-    double jobCost(const std::vector<SuiteLoop> &suite, const Machine &m,
-                   const BatchJob &job);
-
-    /**
      * The evaluation order run() uses: every job index, ranked
-     * heaviest-first by jobCost with ties in grid order. Deterministic
-     * for a given (suite, machine, jobs); exposed for the property
-     * tests.
+     * heaviest-first by its loop's work-size estimate, node count x
+     * candidate-II span (MII through defaultMaxIi), with ties in grid
+     * order. Deterministic for a given (suite, machine, jobs); exposed
+     * for the property tests.
      */
     std::vector<std::size_t>
     planJobOrder(const std::vector<SuiteLoop> &suite, const Machine &m,
@@ -298,7 +280,13 @@ class SuiteRunner
                WorkerPerf &perf) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
 
-    /** jobCost of a loop whose MII is known. */
+    /**
+     * Cheap work-size estimate of a job on loop g whose MII is known:
+     * node count x candidate-II span. It deliberately ignores the
+     * strategy — every strategy's cost is dominated by how many (II,
+     * schedule) probes of how large a graph it may have to run — and
+     * it never schedules anything.
+     */
     static double costOf(const Ddg &g, const Machine &m, int loopMii);
 
     /** planJobOrder's order plus the MII of every loop a job names
@@ -333,9 +321,6 @@ class SuiteRunner
     mutable std::mutex perfMutex_;
     mutable std::vector<WorkerPerf> perf_;
 
-    /** Claim-path jitter for the determinism tests (0 = off). */
-    static std::atomic<unsigned> claimJitter_;
-
     /** @name Persistent worker pool (threads_ - 1 threads; the
         dispatching caller is the final worker). Spawned on first
         parallel dispatch, joined in the destructor. */
@@ -351,21 +336,6 @@ class SuiteRunner
     mutable bool shutdown_ = false;
     /// @}
 };
-
-/**
- * Simulate the pool's work-stealing discipline: the jobs of `order`
- * (job k costing costs[order[k]]) are dealt round-robin into
- * per-worker deques, each worker pops its own front and an idle worker
- * steals the back of the next non-empty victim (scanning from its own
- * slot). Returns each worker's total simulated busy time; same model
- * as runTask, so the load-balance properties ("heaviest-first ordering
- * shrinks the makespan of a heavy-tailed grid") can be asserted
- * deterministically, without racing real threads.
- */
-std::vector<double>
-simulateWorkerLoadsStealing(const std::vector<double> &costs,
-                            const std::vector<std::size_t> &order,
-                            int workers);
 
 } // namespace swp
 

@@ -123,17 +123,6 @@ Ddg::numLiveInvariants() const
 }
 
 int
-Ddg::countOrigin(NodeOrigin origin) const
-{
-    int count = 0;
-    for (const Node &n : core_->nodes) {
-        if (n.origin == origin)
-            ++count;
-    }
-    return count;
-}
-
-int
 Ddg::numMemOps() const
 {
     int count = 0;

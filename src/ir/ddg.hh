@@ -262,9 +262,6 @@ class Ddg
     /** Count of live (non-spilled) loop invariants. */
     int numLiveInvariants() const;
 
-    /** Count of nodes with a given origin. */
-    int countOrigin(NodeOrigin origin) const;
-
     /** Number of memory operations (loads + stores), for traffic stats. */
     int numMemOps() const;
     /// @}

@@ -149,17 +149,6 @@ searchRegionRecMii(const RegionView &r, long lo, std::vector<long> &dist)
     return hi;
 }
 
-/** No region admits a positive cycle at this II. */
-bool
-feasibleAt(const CyclicRegions &regions, long ii, std::vector<long> &dist)
-{
-    for (int i = 0; i < regions.size(); ++i) {
-        if (hasPositiveCycle(regions.region(i), ii, dist))
-            return false;
-    }
-    return true;
-}
-
 /**
  * Distribute the live edges whose endpoints share a region (by
  * regionOf) into out's per-region edge ranges, keeping edge-id order
@@ -332,27 +321,9 @@ recMiiOfComponent(const Ddg &g, const Machine &m,
 }
 
 int
-recMiiOfComponent(const Ddg &g, const Machine &m,
-                  const std::vector<NodeId> &nodes)
-{
-    RecurrenceScratch scratch;
-    return recMiiOfComponent(g, m, nodes, scratch);
-}
-
-int
 mii(const Ddg &g, const Machine &m)
 {
     return std::max(resMii(g, m), recMii(g, m));
-}
-
-bool
-iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii)
-{
-    RegionScratch scratch;
-    CyclicRegions regions;
-    cyclicRegions(g, m, scratch, regions);
-    std::vector<long> dist;
-    return feasibleAt(regions, ii, dist);
 }
 
 } // namespace swp

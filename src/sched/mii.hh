@@ -31,20 +31,8 @@ int resMii(const Ddg &g, const Machine &m);
 /** Recurrence-constrained lower bound on II (1 if the graph is acyclic). */
 int recMii(const Ddg &g, const Machine &m);
 
-/** RecMII restricted to a node subset (used to rank recurrences). */
-int recMiiOfComponent(const Ddg &g, const Machine &m,
-                      const std::vector<NodeId> &nodes);
-
 /** MII = max(ResMII, RecMII). */
 int mii(const Ddg &g, const Machine &m);
-
-/**
- * True if scheduling the graph at the given II admits no positive
- * dependence cycle, i.e. II >= RecMII. The schedulers do not call it:
- * their callers probe only IIs >= MII. Exposed as the tests' oracle
- * for recMii.
- */
-bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii);
 
 /**
  * The region and Bellman-Ford storage recMiiOfComponent builds its
@@ -69,7 +57,10 @@ class RecurrenceScratch
     std::unique_ptr<Impl> impl_;
 };
 
-/** recMiiOfComponent on the storage of `scratch`. */
+/**
+ * RecMII restricted to a node subset (used to rank recurrences),
+ * computed on the storage of `scratch`.
+ */
 int recMiiOfComponent(const Ddg &g, const Machine &m,
                       const std::vector<NodeId> &nodes,
                       RecurrenceScratch &scratch);

@@ -7,16 +7,6 @@
 namespace swp
 {
 
-const char *
-spillHeuristicName(SpillHeuristic h)
-{
-    switch (h) {
-      case SpillHeuristic::MaxLT: return "Max(LT)";
-      case SpillHeuristic::MaxLTOverTraf: return "Max(LT/Traf)";
-    }
-    SWP_PANIC("unknown spill heuristic ", int(h));
-}
-
 EdgeId
 reusableStoreConsumer(const Ddg &g, NodeId producer)
 {

@@ -37,8 +37,6 @@ enum class SpillHeuristic
     MaxLTOverTraf, ///< Largest lifetime / added memory operations.
 };
 
-const char *spillHeuristicName(SpillHeuristic h);
-
 /** A spillable lifetime (whole value, single use, or invariant). */
 struct SpillCandidate
 {

@@ -24,8 +24,8 @@
 #include "ir/builder.hh"
 #include "pipeliner/pipeliner.hh"
 #include "sched/mii.hh"
+#include "testkit/mutate.hh"
 #include "verify/certify.hh"
-#include "verify/mutate.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
 

@@ -20,7 +20,10 @@
 #include "driver/run_flags.hh"
 #include "driver/suite_runner.hh"
 #include "sched/fingerprint.hh"
+#include "sched/ii_search.hh"
 #include "sched/mii.hh"
+#include "support/rng.hh"
+#include "testkit/steal_model.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -70,6 +73,19 @@ mixedGrid(std::size_t loops)
         jobs.push_back(best);
     }
     return jobs;
+}
+
+/**
+ * Test-local reference for the plan's work-size estimate of one job:
+ * node count x candidate-II span (MII through defaultMaxIi).
+ */
+double
+referenceJobCost(const std::vector<SuiteLoop> &suite, const Machine &m,
+                 const BatchJob &job)
+{
+    const Ddg &g = suite[std::size_t(job.loop)].graph;
+    const int span = std::max(1, defaultMaxIi(g, m) - mii(g, m) + 1);
+    return double(g.numNodes()) * double(span);
 }
 
 void
@@ -360,7 +376,7 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
         ASSERT_LT(i, jobs.size());
         EXPECT_FALSE(seen[i]) << "index " << i << " planned twice";
         seen[i] = true;
-        const double cost = runner.jobCost(suite, m, jobs[i]);
+        const double cost = referenceJobCost(suite, m, jobs[i]);
         EXPECT_LE(cost, prev) << "order is not heaviest-first at " << i;
         prev = cost;
     }
@@ -433,7 +449,7 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
     std::vector<std::size_t> byIndex(jobs.size());
     std::iota(byIndex.begin(), byIndex.end(), 0);
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        gridCosts[i] = runner.jobCost(suite, m, jobs[i]);
+        gridCosts[i] = referenceJobCost(suite, m, jobs[i]);
     const std::vector<std::size_t> planned =
         runner.planJobOrder(suite, m, jobs);
     EXPECT_LE(
@@ -475,9 +491,11 @@ TEST(SuiteRunner, StripedMemosStayByteIdenticalAcrossThreadCounts)
 TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
 {
     // Results must not depend on which worker claims or steals which
-    // job. The jitter hook perturbs every claim with a seeded spin,
-    // forcing 20 different steal interleavings; all must match the
-    // serial run byte-for-byte.
+    // job. 20 seeded permutations of the job list, spread over 2, 3, 5
+    // and 8 threads, change the plan's tie order, how the jobs are
+    // dealt into the deques and how many workers race for them; every
+    // job's result must match the serial result of that same job
+    // byte-for-byte.
     const std::vector<SuiteLoop> suite = testSuite(10);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
@@ -485,15 +503,25 @@ TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
     SuiteRunner serial(1);
     const auto baseline = serial.run(suite, m, jobs);
 
-    for (unsigned seed = 1; seed <= 20; ++seed) {
-        SuiteRunner::setClaimJitterForTesting(seed);
-        SuiteRunner pooled(8);
-        const auto results = pooled.run(suite, m, jobs);
-        ASSERT_EQ(results.size(), baseline.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < results.size(); ++i)
-            expectIdenticalResults(baseline[i], results[i], i);
+    const int threadCounts[] = {2, 3, 5, 8};
+    Rng rng(0x57ea15ull);
+    std::vector<std::size_t> perm(jobs.size());
+    std::iota(perm.begin(), perm.end(), std::size_t(0));
+    for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = perm.size(); i > 1; --i) {
+            const int j = rng.range(0, int(i) - 1);
+            std::swap(perm[i - 1], perm[std::size_t(j)]);
+        }
+        std::vector<BatchJob> permuted;
+        for (const std::size_t i : perm)
+            permuted.push_back(jobs[i]);
+
+        SuiteRunner pooled(threadCounts[round % 4]);
+        const auto results = pooled.run(suite, m, permuted);
+        ASSERT_EQ(results.size(), jobs.size()) << "round " << round;
+        for (std::size_t k = 0; k < results.size(); ++k)
+            expectIdenticalResults(baseline[perm[k]], results[k], perm[k]);
     }
-    SuiteRunner::setClaimJitterForTesting(0);
 }
 
 TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)

@@ -174,8 +174,8 @@ TEST(RecMii, MultiNodeCycle)
 
     // Cycle latency 4+4=8 over distance 2 => RecMII 4 on P2L4.
     EXPECT_EQ(recMii(g, Machine::p2l4()), 4);
-    EXPECT_TRUE(iiFeasibleForRecurrences(g, Machine::p2l4(), 4));
-    EXPECT_FALSE(iiFeasibleForRecurrences(g, Machine::p2l4(), 3));
+    EXPECT_FALSE(refHasPositiveCycle(g, Machine::p2l4(), 4));
+    EXPECT_TRUE(refHasPositiveCycle(g, Machine::p2l4(), 3));
 }
 
 TEST(RecMii, TightestOfSeveralCyclesWins)
@@ -193,8 +193,9 @@ TEST(RecMii, TightestOfSeveralCyclesWins)
     EXPECT_EQ(recMii(g, Machine::p2l4()), 4);
 
     // Component-restricted RecMII separates them.
-    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {a}), 1);
-    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {m}), 4);
+    RecurrenceScratch scratch;
+    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {a}, scratch), 1);
+    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {m}, scratch), 4);
 }
 
 TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
@@ -213,10 +214,9 @@ TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
             ASSERT_EQ(r, refRecMii(loop.graph, m))
                 << loop.graph.name() << " on " << m.name();
             // Feasibility agrees with the bound on both sides.
-            EXPECT_TRUE(iiFeasibleForRecurrences(loop.graph, m, r));
+            EXPECT_FALSE(refHasPositiveCycle(loop.graph, m, r));
             if (r > 1) {
-                EXPECT_FALSE(
-                    iiFeasibleForRecurrences(loop.graph, m, r - 1));
+                EXPECT_TRUE(refHasPositiveCycle(loop.graph, m, r - 1));
             }
         }
     }

@@ -21,8 +21,8 @@
 #include "pipeliner/pipeliner.hh"
 #include "regalloc/mvealloc.hh"
 #include "sched/mii.hh"
+#include "testkit/mutate.hh"
 #include "verify/legality.hh"
-#include "verify/mutate.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
 
