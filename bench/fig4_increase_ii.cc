@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "common.hh"
-#include "pipeliner/increase_ii.hh"
+#include "pipeliner/pipeliner.hh"
 #include "sched/mii.hh"
 #include "support/table.hh"
 #include "workload/paper_loops.hh"

@@ -65,7 +65,7 @@ main(int argc, char **argv)
     const PipelineResult r =
         pipelineLoop(g, m, Strategy::BestOfAll, opts);
 
-    std::cout << "strategy " << r.strategy << ": "
+    std::cout << "strategy " << strategyName(Strategy::BestOfAll) << ": "
               << (r.success ? "fits" : "DOES NOT FIT") << " in "
               << r.alloc.regsRequired << " registers (II=" << r.ii()
               << ", " << r.spilledLifetimes << " lifetimes spilled)\n\n";

@@ -187,15 +187,6 @@ Machine::setPipelined(FuClass fu, bool pipelined)
     fingerprint_ = machineContentFingerprint(*this);
 }
 
-int
-Machine::totalUnits() const
-{
-    int total = 0;
-    for (const UnitClass &uc : classes_)
-        total += uc.units;
-    return total;
-}
-
 std::string
 Machine::describe() const
 {

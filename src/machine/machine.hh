@@ -153,9 +153,6 @@ class Machine
     /** Override the pipelining of one preset unit class. */
     void setPipelined(FuClass fu, bool pipelined);
 
-    /** Total number of functional units (issue width). */
-    int totalUnits() const;
-
     /**
      * The canonical machine-description text of this machine;
      * parseMachineDescription(describe()) reproduces it exactly

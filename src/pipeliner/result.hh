@@ -7,7 +7,6 @@
 #define SWP_PIPELINER_RESULT_HH
 
 #include <memory>
-#include <string>
 
 #include "ir/ddg.hh"
 #include "regalloc/rotalloc.hh"
@@ -52,9 +51,6 @@ struct PipelineResult
 
     /** Total (II, schedule) attempts, the compile-effort proxy. */
     int attempts = 0;
-
-    /** Strategy label for reports. */
-    std::string strategy;
 
     /** The (possibly spill-transformed) graph the schedule refers to. */
     const Ddg &

@@ -29,7 +29,6 @@ searchIi(ModuloScheduler &sched, const Ddg &g, const Machine &m,
     SWP_ASSERT(start_ii >= 1, "II search must start at a positive II");
 
     IiSearchResult result;
-    result.startIi = start_ii;
     for (int ii = start_ii; ii <= max_ii; ++ii) {
         ++result.attempts;
         if (auto s = sched.scheduleAt(g, m, ii)) {

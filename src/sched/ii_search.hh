@@ -22,8 +22,6 @@ struct IiSearchResult
     std::optional<Schedule> sched;
     /** Number of (II, schedule) attempts performed, failures included. */
     int attempts = 0;
-    /** First II tried. */
-    int startIi = 0;
 };
 
 /**

@@ -95,8 +95,8 @@ class ScheduleMemo
 
 /**
  * ModuloScheduler adapter routing every probe through a ScheduleMemo.
- * The strategy drivers build one around the context's scheduler (see
- * resolveScheduler), which is how the memo reaches every II search
+ * The strategy drivers (pipeliner/pipeliner.cc) wrap each scheduler of
+ * an evaluation in one, which is how the memo reaches every II search
  * without the search code knowing about it.
  */
 class MemoizedScheduler final : public ModuloScheduler

@@ -40,17 +40,6 @@ Schedule::stageCount() const
 }
 
 int
-Schedule::maxTime() const
-{
-    int best = INT32_MIN;
-    for (int t : time_) {
-        if (t != unset)
-            best = std::max(best, t);
-    }
-    return best;
-}
-
-int
 Schedule::minTime() const
 {
     int best = INT32_MAX;

@@ -64,8 +64,6 @@ class Schedule
     /** Number of stages (SC); schedule must be complete and normalized. */
     int stageCount() const;
 
-    /** Largest issue time over scheduled nodes. */
-    int maxTime() const;
     /** Smallest issue time over scheduled nodes. */
     int minTime() const;
 

@@ -91,20 +91,4 @@ Table::print(std::ostream &os) const
         emit(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << cells[c];
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace swp

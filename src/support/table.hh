@@ -52,9 +52,6 @@ class Table
     /** Render as aligned ASCII with a rule under the header. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV. */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;

@@ -11,11 +11,19 @@
 # portable PRNG and the CSV contains integers only, so the hash is
 # stable across compilers and platforms.
 #
+# A second hash, tests/golden/suite_fingerprint_tight.sha256, covers
+# tight register budgets, where the drivers' budget-exceeded paths run:
+# spill's over-budget replay, best-of-all's binary search over the
+# unspilled loop, increase-II's acyclic fallback, use spilling and the
+# no-fusion ablation. 134 of its 1200 rows do not fit the budget.
+#
 # Usage: check_suite_fingerprint.sh /path/to/swpipe_cli
 set -eu
 
 cli="$1"
-want=$(cat "$(dirname "$0")/suite_fingerprint.sha256")
+dir=$(dirname "$0")
+want=$(cat "$dir/suite_fingerprint.sha256")
+want_tight=$(cat "$dir/suite_fingerprint_tight.sha256")
 
 tmp="${TMPDIR:-/tmp}/swp_fingerprint_$$.csv"
 trap 'rm -f "$tmp"' EXIT
@@ -36,3 +44,20 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 echo "suite fingerprint OK ($got)"
+
+{
+    "$cli" --suite 400 --csv --registers 8
+    "$cli" --suite 400 --csv --strategy spill --registers 12 --uses
+    "$cli" --suite 200 --csv --machine p2l6 --strategy increase-ii --registers 16
+    "$cli" --suite 200 --csv --strategy spill --registers 16 --no-fusion --single
+} > "$tmp"
+
+got=$(sha256sum "$tmp" | cut -d' ' -f1)
+if [ "$got" != "$want_tight" ]; then
+    echo "tight-budget suite output fingerprint mismatch:" >&2
+    echo "  want $want_tight" >&2
+    echo "  got  $got" >&2
+    echo "tight-budget schedules are no longer byte-identical to the golden run" >&2
+    exit 1
+fi
+echo "tight-budget suite fingerprint OK ($got)"

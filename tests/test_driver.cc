@@ -98,7 +98,6 @@ expectIdenticalResults(const PipelineResult &a, const PipelineResult &b,
     EXPECT_EQ(a.rounds, b.rounds) << "job " << job;
     EXPECT_EQ(a.attempts, b.attempts) << "job " << job;
     EXPECT_EQ(a.spilledLifetimes, b.spilledLifetimes) << "job " << job;
-    EXPECT_EQ(a.strategy, b.strategy) << "job " << job;
     EXPECT_EQ(a.ii(), b.ii()) << "job " << job;
     EXPECT_EQ(a.alloc.regsRequired, b.alloc.regsRequired)
         << "job " << job;

@@ -16,8 +16,7 @@
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
-#include "pipeliner/context.hh"
-#include "pipeliner/spill_pipeline.hh"
+#include "pipeliner/pipeliner.hh"
 #include "sched/fingerprint.hh"
 #include "sched/groups.hh"
 #include "sched/sched_util.hh"

@@ -129,9 +129,10 @@ TEST(Hrms, IiSearchStopsAtFirstFeasible)
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::p2l4();
     HrmsScheduler hrms;
-    const IiSearchResult r = searchIi(hrms, g, m, mii(g, m));
+    const int start = mii(g, m);
+    const IiSearchResult r = searchIi(hrms, g, m, start);
     ASSERT_TRUE(r.sched.has_value());
-    EXPECT_EQ(r.attempts, r.sched->ii() - r.startIi + 1);
+    EXPECT_EQ(r.attempts, r.sched->ii() - start + 1);
 }
 
 /**

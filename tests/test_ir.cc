@@ -13,7 +13,7 @@
 #include "ir/graph_algo.hh"
 #include "ir/verify.hh"
 #include "machine/machine.hh"
-#include "pipeliner/spill_pipeline.hh"
+#include "pipeliner/pipeliner.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
 #include "workload/suitegen.hh"

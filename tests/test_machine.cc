@@ -30,7 +30,6 @@ TEST(Machine, P1L4Shape)
     EXPECT_EQ(m.unitsFor(FuClass::DivSqrt), 1);
     EXPECT_EQ(m.latency(Opcode::Add), 4);
     EXPECT_EQ(m.latency(Opcode::Mul), 4);
-    EXPECT_EQ(m.totalUnits(), 4);
 }
 
 TEST(Machine, CommonLatencies)
@@ -71,7 +70,6 @@ TEST(Machine, UniversalMachineForTheWorkedExample)
     EXPECT_EQ(m.unitsFor(FuClass::DivSqrt), 4);
     EXPECT_EQ(m.latency(Opcode::Mul), 2);
     EXPECT_EQ(m.occupancy(Opcode::Div), 1);  // Universal = pipelined.
-    EXPECT_EQ(m.totalUnits(), 4);
 }
 
 TEST(Machine, Overrides)

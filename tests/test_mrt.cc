@@ -159,7 +159,10 @@ TEST(Mrt, DifferentialAgainstNaiveReference)
     };
 
     for (const Machine &m : machines) {
-        Rng rng(0x5eedu + std::uint64_t(m.totalUnits()));
+        int totalUnits = 0;
+        for (int c = 0; c < m.numClasses(); ++c)
+            totalUnits += m.unitsInClass(c);
+        Rng rng(0x5eedu + std::uint64_t(totalUnits));
         for (int trial = 0; trial < 6; ++trial) {
             // IIs from 1 (everything wraps onto one row) up past the
             // non-pipelined occupancies (Div 17, Sqrt 30 fit partially).

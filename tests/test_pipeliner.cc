@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,7 +58,6 @@ TEST(Pipeliner, IdealStrategyIsPipelineIdeal)
             const PipelineResult viaLoop =
                 pipelineLoop(g, m, Strategy::Ideal, opts);
             const PipelineResult ideal = pipelineIdeal(g, m, kind);
-            EXPECT_EQ(viaLoop.strategy, "ideal") << g.name();
             EXPECT_TRUE(viaLoop.success) << g.name();
             EXPECT_EQ(viaLoop.mii, ideal.mii) << g.name();
             EXPECT_EQ(viaLoop.attempts, ideal.attempts) << g.name();
@@ -434,6 +435,92 @@ TEST(Pipeliner, RegistersAtIiUsesTheImsSafetyNet)
     EXPECT_GT(registersAtIi(g, m, lower, opts), 0);
 }
 
+/** A core scheduler that never places anything. */
+class FailingScheduler final : public ModuloScheduler
+{
+  public:
+    std::string name() const override { return "failing"; }
+
+    std::optional<Schedule>
+    scheduleAt(const Ddg &, const Machine &, int) override
+    {
+        return std::nullopt;
+    }
+};
+
+/** Expect two results to keep the same schedule, graph and allocation. */
+void
+expectSameSchedule(const PipelineResult &got, const PipelineResult &want)
+{
+    expectSameSpillResult(got, want);
+    EXPECT_EQ(got.rounds, want.rounds);
+    ASSERT_EQ(got.graph().numNodes(), want.graph().numNodes());
+    for (NodeId n = 0; n < got.graph().numNodes(); ++n) {
+        EXPECT_EQ(got.sched.time(n), want.sched.time(n)) << n;
+        EXPECT_EQ(got.sched.unit(n), want.sched.unit(n)) << n;
+    }
+}
+
+TEST(Pipeliner, ImsSafetyNetTakesOverWhenTheCoreAlwaysFails)
+{
+    // The pinned suite never needs the IMS safety net, so a core that
+    // fails at every II forces it: the searches that carry the net must
+    // then give exactly the IMS-scheduled result, and the single-II
+    // probes of the unspilled loop, which do not, must come up empty.
+    const Machine m = Machine::p2l4();
+    FailingScheduler failing;
+    const std::unique_ptr<ModuloScheduler> ims =
+        makeScheduler(SchedulerKind::Ims);
+    for (const bool withMemo : {false, true}) {
+        for (const Ddg &g :
+             {buildPaperExampleLoop(), buildApsi47Analogue(),
+              buildApsi50Analogue()}) {
+            for (const int registers : {32, 12}) {
+                SCOPED_TRACE(g.name() + " R=" + std::to_string(registers) +
+                             (withMemo ? " memo" : ""));
+                std::optional<ScheduleMemo> memo;
+                if (withMemo)
+                    memo.emplace(/*verifyKeys=*/true);
+                EvalContext ctx;
+                ctx.scheduler = &failing;
+                ctx.imsFallback = ims.get();
+                ctx.memo = memo ? &*memo : nullptr;
+                PipelinerOptions opts;
+                opts.registers = registers;
+                PipelinerOptions imsOpts = opts;
+                imsOpts.scheduler = SchedulerKind::Ims;
+
+                for (const Strategy s : {Strategy::Ideal, Strategy::Spill}) {
+                    SCOPED_TRACE(strategyName(s));
+                    const PipelineResult got =
+                        pipelineLoop(g, m, s, opts, &ctx);
+                    const PipelineResult want =
+                        pipelineLoop(g, m, s, imsOpts);
+                    expectSameSchedule(got, want);
+                    EXPECT_GT(got.attempts, want.attempts);
+                }
+
+                EXPECT_GT(registersAtIi(g, m, mii(g, m), opts, &ctx), 0);
+
+                EXPECT_TRUE(
+                    pipelineLoop(g, m, Strategy::IncreaseII, opts, &ctx)
+                        .usedFallback);
+
+                // Best-of-all's binary search probes the core alone, so
+                // it keeps its spill phase's schedule.
+                const PipelineResult spilled =
+                    pipelineLoop(g, m, Strategy::Spill, opts, &ctx);
+                const PipelineResult best =
+                    pipelineLoop(g, m, Strategy::BestOfAll, opts, &ctx);
+                expectSameSchedule(best, spilled);
+                EXPECT_EQ(best.attempts,
+                          spilled.attempts + (spilled.success &&
+                                              spilled.spilledLifetimes > 0));
+            }
+        }
+    }
+}
+
 /** A (loop, budget) whose best-of-all outcome is the *unspilled* loop
     found by the binary search, while the preceding spill run needed
     multiple rounds (pinned suite seed; verified by preconditions). */
@@ -516,7 +603,8 @@ TEST(Pipeliner, BestOfAllWithMemoNeverReschedulesAProbedIi)
     CountingScheduler plainSched(opts.scheduler);
     EvalContext plainCtx;
     plainCtx.scheduler = &plainSched;
-    const PipelineResult plain = bestOfAllStrategy(g, m, opts, &plainCtx);
+    const PipelineResult plain =
+        pipelineLoop(g, m, Strategy::BestOfAll, opts, &plainCtx);
     const auto countDuplicates =
         [](const std::vector<std::pair<std::uint64_t, int>> &probes) {
             std::set<std::pair<std::uint64_t, int>> seen;
@@ -535,7 +623,8 @@ TEST(Pipeliner, BestOfAllWithMemoNeverReschedulesAProbedIi)
     EvalContext ctx;
     ctx.scheduler = &memoSched;
     ctx.memo = &memo;
-    const PipelineResult r = bestOfAllStrategy(g, m, opts, &ctx);
+    const PipelineResult r =
+        pipelineLoop(g, m, Strategy::BestOfAll, opts, &ctx);
 
     EXPECT_EQ(countDuplicates(memoSched.probes), 0)
         << "the binary search re-scheduled a probe the spill rounds "
@@ -547,16 +636,7 @@ TEST(Pipeliner, BestOfAllWithMemoNeverReschedulesAProbedIi)
     // as does everything else about the result.
     EXPECT_EQ(r.attempts, plain.attempts);
     EXPECT_LT(int(memoSched.probes.size()), r.attempts);
-    EXPECT_EQ(r.success, plain.success);
-    EXPECT_EQ(r.ii(), plain.ii());
-    EXPECT_EQ(r.rounds, plain.rounds);
-    EXPECT_EQ(r.spilledLifetimes, plain.spilledLifetimes);
-    EXPECT_EQ(r.alloc.regsRequired, plain.alloc.regsRequired);
-    ASSERT_EQ(r.graph().numNodes(), plain.graph().numNodes());
-    for (NodeId n = 0; n < r.graph().numNodes(); ++n) {
-        EXPECT_EQ(r.sched.time(n), plain.sched.time(n)) << n;
-        EXPECT_EQ(r.sched.unit(n), plain.sched.unit(n)) << n;
-    }
+    expectSameSchedule(r, plain);
 }
 
 TEST(Pipeliner, SpillStrategyResultsIdenticalWithAndWithoutMemo)

@@ -33,7 +33,6 @@ TEST(Schedule, RowsStagesAndNormalization)
     EXPECT_EQ(s.row(0), 1);
     EXPECT_EQ(s.stage(0), -1);
     EXPECT_EQ(s.minTime(), -2);
-    EXPECT_EQ(s.maxTime(), 4);
     EXPECT_EQ(s.stageCount(), 3);  // Stages -1..1.
     s.normalize();
     EXPECT_EQ(s.time(0), 0);

@@ -154,15 +154,6 @@ TEST(Table, AlignsColumnsAndCountsRows)
     EXPECT_NE(text.find("bb"), std::string::npos);
 }
 
-TEST(Table, CsvOutput)
-{
-    Table t({"a", "b"});
-    t.row().add(1).add(2.5, 1);
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2.5\n");
-}
-
 TEST(Diag, FatalAndPanicThrowDistinctTypes)
 {
     EXPECT_THROW(SWP_FATAL("user error ", 1), FatalError);
