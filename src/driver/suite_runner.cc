@@ -95,27 +95,11 @@ SuiteRunner::mii(const Ddg &g, const Machine &m)
     const CachedBounds cached = boundsCache_.getOrCompute(
         key,
         [&]() {
-            CachedBounds c;
-            c.mii = swp::mii(g, m);
-            if (kVerifyMemoKeys) {
-                c.graph = g;
-                c.machine = m;
-            }
-            return c;
+            return CachedBounds{swp::mii(g, m),
+                                KeyWitness(kVerifyMemoKeys, g, m)};
         },
         [&](const CachedBounds &hit) {
-            if (!kVerifyMemoKeys)
-                return;
-            SWP_ASSERT(hit.graph &&
-                           graphsFingerprintEquivalent(g, *hit.graph),
-                       "bounds memo fingerprint collision: graph '",
-                       g.name(),
-                       "' hit an entry built from a different graph");
-            SWP_ASSERT(hit.machine &&
-                           machinesFingerprintEquivalent(m, *hit.machine),
-                       "bounds memo fingerprint collision: machine '",
-                       m.name(),
-                       "' hit an entry built from a different machine");
+            hit.witness.check("bounds memo", g, m);
         });
     return cached.mii;
 }

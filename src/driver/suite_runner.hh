@@ -54,13 +54,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
+#include "sched/fingerprint.hh"
 #include "sched/sched_memo.hh"
 #include "support/singleflight.hh"
 #include "verify/certify.hh"
@@ -303,13 +303,12 @@ class SuiteRunner
 
     int threads_ = 1;
 
-    /** Bounds memo entry; the graph/machine copies (O(1), CoW) verify
-        memo hits against fingerprint collisions in debug builds. */
+    /** Bounds memo entry; the witness verifies hits against
+        fingerprint collisions in debug builds. */
     struct CachedBounds
     {
         int mii = 0;
-        std::optional<Ddg> graph;
-        std::optional<Machine> machine;
+        KeyWitness witness;
     };
     SingleFlightCache<std::pair<std::uint64_t, std::uint64_t>, CachedBounds>
         boundsCache_;

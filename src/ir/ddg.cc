@@ -11,17 +11,17 @@ namespace swp
 NodeId
 Ddg::addNode(Opcode op, std::string name, NodeOrigin origin)
 {
-    Core &core = mut();
-    const NodeId id = NodeId(core.nodes.size());
+    fp_.clear();
+    const NodeId id = NodeId(nodes_.size());
     Node n;
     n.op = op;
     n.name = name.empty() ? std::string(opcodeName(op)) +
                                 std::to_string(id)
                           : std::move(name);
     n.origin = origin;
-    core.nodes.push_back(std::move(n));
-    core.out.emplace_back();
-    core.in.emplace_back();
+    nodes_.push_back(std::move(n));
+    out_.emplace_back();
+    in_.emplace_back();
     return id;
 }
 
@@ -33,32 +33,32 @@ Ddg::addEdge(NodeId src, NodeId dst, DepKind kind, int distance,
     SWP_ASSERT(dst >= 0 && dst < numNodes(), "bad edge target ", dst);
     SWP_ASSERT(distance >= 0, "negative dependence distance ", distance);
     if (kind == DepKind::RegFlow) {
-        SWP_ASSERT(producesValue(node(src).op),
-                   "register flow edge from non-producing node ",
-                   node(src).name);
+        const Node &from = nodes_[std::size_t(src)];
+        SWP_ASSERT(producesValue(from.op),
+                   "register flow edge from non-producing node ", from.name);
     }
-    Core &core = mut();
-    const EdgeId id = EdgeId(core.edges.size());
+    fp_.clear();
+    const EdgeId id = EdgeId(edges_.size());
     Edge e;
     e.src = src;
     e.dst = dst;
     e.kind = kind;
     e.distance = distance;
     e.nonSpillable = non_spillable;
-    core.edges.push_back(e);
-    core.out[std::size_t(src)].push_back(id);
-    core.in[std::size_t(dst)].push_back(id);
+    edges_.push_back(e);
+    out_[std::size_t(src)].push_back(id);
+    in_[std::size_t(dst)].push_back(id);
     return id;
 }
 
 InvId
 Ddg::addInvariant(std::string name)
 {
-    Core &core = mut();
-    const InvId id = InvId(core.invariants.size());
+    fp_.clear();
+    const InvId id = InvId(invariants_.size());
     Invariant inv;
     inv.name = name.empty() ? "inv" + std::to_string(id) : std::move(name);
-    core.invariants.push_back(std::move(inv));
+    invariants_.push_back(std::move(inv));
     return id;
 }
 
@@ -67,26 +67,25 @@ Ddg::addInvariantUse(InvId inv, NodeId node)
 {
     SWP_ASSERT(inv >= 0 && inv < numInvariants(), "bad invariant ", inv);
     SWP_ASSERT(node >= 0 && node < numNodes(), "bad node ", node);
-    Core &core = mut();
-    core.invariants[std::size_t(inv)].consumers.push_back(node);
-    core.nodes[std::size_t(node)].invariantUses.push_back(inv);
+    fp_.clear();
+    invariants_[std::size_t(inv)].consumers.push_back(node);
+    nodes_[std::size_t(node)].invariantUses.push_back(inv);
 }
 
 void
 Ddg::killEdge(EdgeId e)
 {
     SWP_ASSERT(e >= 0 && e < numEdges(), "bad edge id ", e);
-    SWP_ASSERT(core_->edges[std::size_t(e)].alive, "edge ", e,
-               " killed twice");
-    Core &core = mut();
-    Edge &dead = core.edges[std::size_t(e)];
+    SWP_ASSERT(edges_[std::size_t(e)].alive, "edge ", e, " killed twice");
+    fp_.clear();
+    Edge &dead = edges_[std::size_t(e)];
     dead.alive = false;
     // Erasing keeps the other ids in order: the lists stay ascending.
     const auto unlink = [e](std::vector<EdgeId> &list) {
         list.erase(std::find(list.begin(), list.end(), e));
     };
-    unlink(core.out[std::size_t(dead.src)]);
-    unlink(core.in[std::size_t(dead.dst)]);
+    unlink(out_[std::size_t(dead.src)]);
+    unlink(in_[std::size_t(dead.dst)]);
 }
 
 std::vector<EdgeId>
@@ -94,7 +93,7 @@ Ddg::valueUses(NodeId n) const
 {
     std::vector<EdgeId> uses;
     for (EdgeId e : outEdges(n)) {
-        if (core_->edges[std::size_t(e)].kind == DepKind::RegFlow)
+        if (edges_[std::size_t(e)].kind == DepKind::RegFlow)
             uses.push_back(e);
     }
     return uses;
@@ -105,7 +104,7 @@ Ddg::numValueUses(NodeId n) const
 {
     int count = 0;
     for (EdgeId e : outEdges(n)) {
-        if (core_->edges[std::size_t(e)].kind == DepKind::RegFlow)
+        if (edges_[std::size_t(e)].kind == DepKind::RegFlow)
             ++count;
     }
     return count;
@@ -115,7 +114,7 @@ int
 Ddg::numLiveInvariants() const
 {
     int count = 0;
-    for (const Invariant &inv : core_->invariants) {
+    for (const Invariant &inv : invariants_) {
         if (!inv.spilled)
             ++count;
     }
@@ -126,7 +125,7 @@ int
 Ddg::numMemOps() const
 {
     int count = 0;
-    for (const Node &n : core_->nodes) {
+    for (const Node &n : nodes_) {
         if (n.op == Opcode::Load || n.op == Opcode::Store)
             ++count;
     }
@@ -140,7 +139,7 @@ Ddg::dump() const
     os << "ddg " << name() << " (" << numNodes() << " nodes, "
        << numInvariants() << " invariants)\n";
     for (NodeId n = 0; n < numNodes(); ++n) {
-        const Node &node = core_->nodes[std::size_t(n)];
+        const Node &node = nodes_[std::size_t(n)];
         os << "  n" << n << " " << node.name << " ["
            << opcodeName(node.op) << "]";
         if (node.origin == NodeOrigin::SpillLoad)
@@ -151,7 +150,7 @@ Ddg::dump() const
             os << " (non-spillable)";
         os << "\n";
         for (EdgeId e : outEdges(n)) {
-            const Edge &edge = core_->edges[std::size_t(e)];
+            const Edge &edge = edges_[std::size_t(e)];
             os << "    -> n" << edge.dst << " ("
                << (edge.kind == DepKind::RegFlow
                        ? "reg"
@@ -161,7 +160,7 @@ Ddg::dump() const
         }
     }
     for (InvId i = 0; i < numInvariants(); ++i) {
-        const Invariant &inv = core_->invariants[std::size_t(i)];
+        const Invariant &inv = invariants_[std::size_t(i)];
         os << "  inv" << i << " " << inv.name << " uses="
            << inv.consumers.size() << (inv.spilled ? " (spilled)" : "")
            << "\n";

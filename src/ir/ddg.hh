@@ -20,12 +20,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ir/opcode.hh"
-#include "support/sanitize.hh"
 
 namespace swp
 {
@@ -141,7 +139,39 @@ struct Invariant
 };
 
 /**
- * A mutable data dependence graph with copy-on-write storage.
+ * Cache slot for a graph's fingerprint (0 = not computed). Atomic: the
+ * pool's workers fingerprint one shared suite graph concurrently. A
+ * copy or move target starts empty and a moved-from slot is cleared,
+ * so no slot outlives the content it was computed from.
+ */
+struct FingerprintSlot
+{
+    FingerprintSlot() = default;
+    FingerprintSlot(const FingerprintSlot &) {}
+    FingerprintSlot(FingerprintSlot &&o) noexcept { o.clear(); }
+
+    FingerprintSlot &
+    operator=(const FingerprintSlot &)
+    {
+        clear();
+        return *this;
+    }
+
+    FingerprintSlot &
+    operator=(FingerprintSlot &&o) noexcept
+    {
+        clear();
+        o.clear();
+        return *this;
+    }
+
+    void clear() { value.store(0, std::memory_order_relaxed); }
+
+    mutable std::atomic<std::uint64_t> value{0};
+};
+
+/**
+ * A mutable data dependence graph; an ordinary value type.
  *
  * Node ids are dense and stable. Edges may be killed (spilling) and new
  * edges/nodes appended. The adjacency lists hold live edges only, in
@@ -150,54 +180,25 @@ struct Invariant
  * never meets a dead edge; the edge table (ids 0 .. numEdges()) keeps
  * dead records, so ids stay stable and table scans test Edge::alive.
  *
- * Copying a Ddg is O(1): the copy shares the source's immutable storage
- * and the first mutation through either handle detaches it (clones the
- * storage). This makes the spill driver's working copy and result
- * snapshots free for the no-spill majority of evaluation jobs. The
- * usual copy-on-write contract applies: a shared core is never written
- * (so concurrent const access through distinct handles is safe, and
- * distinct handles may be mutated from distinct threads — each detaches
- * first), and references returned by the non-const accessors are
- * invalidated by the next copy-from or structural mutation, exactly
- * like vector iterators.
+ * Every mutator, the non-const accessors included, clears the cached
+ * fingerprint, so the memos' per-probe graphFingerprint is O(1) for an
+ * unchanged graph. Writing through a reference held across other Ddg
+ * calls bypasses this — don't. A copy is deep; the spill driver copies
+ * the loop only once spilling rewrites it.
  */
 class Ddg
 {
   public:
-    explicit Ddg(std::string name = "loop")
-        : core_(std::make_shared<Core>())
+    explicit Ddg(std::string name = "loop") : name_(std::move(name)) {}
+
+    const std::string &name() const { return name_; }
+
+    void
+    setName(std::string n)
     {
-        core_->name = std::move(name);
+        fp_.clear();
+        name_ = std::move(n);
     }
-
-    Ddg(const Ddg &) = default;
-    Ddg &operator=(const Ddg &) = default;
-
-    /** Moved-from graphs stay valid (empty), as before copy-on-write:
-        a null core would turn every accessor into a null dereference. */
-    Ddg(Ddg &&o) : core_(std::move(o.core_))
-    {
-        o.core_ = std::make_shared<Core>();
-    }
-
-    Ddg &
-    operator=(Ddg &&o)
-    {
-        if (this != &o) {
-            core_ = std::move(o.core_);
-            o.core_ = std::make_shared<Core>();
-        }
-        return *this;
-    }
-
-    const std::string &name() const { return core_->name; }
-    void setName(std::string n) { mut().name = std::move(n); }
-
-    /**
-     * True when both handles share one storage core (they compare equal
-     * and reads alias). Cleared by the first mutation on either side.
-     */
-    bool sharesStorageWith(const Ddg &o) const { return core_ == o.core_; }
 
     /** @name Construction */
     /// @{
@@ -218,37 +219,53 @@ class Ddg
 
     /** @name Accessors */
     /// @{
-    int numNodes() const { return int(core_->nodes.size()); }
-    int numEdges() const { return int(core_->edges.size()); }
-    int numInvariants() const { return int(core_->invariants.size()); }
+    int numNodes() const { return int(nodes_.size()); }
+    int numEdges() const { return int(edges_.size()); }
+    int numInvariants() const { return int(invariants_.size()); }
 
-    Node &node(NodeId n) { return mut().nodes[std::size_t(n)]; }
-    const Node &node(NodeId n) const { return core_->nodes[std::size_t(n)]; }
-    Edge &edge(EdgeId e) { return mut().edges[std::size_t(e)]; }
-    const Edge &edge(EdgeId e) const { return core_->edges[std::size_t(e)]; }
-    Invariant &invariant(InvId i) { return mut().invariants[std::size_t(i)]; }
+    Node &
+    node(NodeId n)
+    {
+        fp_.clear();
+        return nodes_[std::size_t(n)];
+    }
+    const Node &node(NodeId n) const { return nodes_[std::size_t(n)]; }
+
+    Edge &
+    edge(EdgeId e)
+    {
+        fp_.clear();
+        return edges_[std::size_t(e)];
+    }
+    const Edge &edge(EdgeId e) const { return edges_[std::size_t(e)]; }
+
+    Invariant &
+    invariant(InvId i)
+    {
+        fp_.clear();
+        return invariants_[std::size_t(i)];
+    }
     const Invariant &
     invariant(InvId i) const
     {
-        return core_->invariants[std::size_t(i)];
+        return invariants_[std::size_t(i)];
     }
 
     /** @name Adjacency
         Live edge ids of a node, in insertion (ascending id) order. The
-        reference is invalidated by the next addEdge/killEdge on the
-        same handle and, since a mutation may detach the storage, by
-        any non-const access through it. A loop that mutates the graph
-        iterates a snapshot it takes explicitly, e.g. valueUses(). */
+        reference is invalidated by the next addNode/addEdge/killEdge.
+        A loop that mutates the graph iterates a snapshot it takes
+        explicitly, e.g. valueUses(). */
     /// @{
     const std::vector<EdgeId> &
     outEdges(NodeId n) const
     {
-        return core_->out[std::size_t(n)];
+        return out_[std::size_t(n)];
     }
     const std::vector<EdgeId> &
     inEdges(NodeId n) const
     {
-        return core_->in[std::size_t(n)];
+        return in_[std::size_t(n)];
     }
     /// @}
 
@@ -270,70 +287,15 @@ class Ddg
     std::string dump() const;
 
   private:
-    /** The shared storage; immutable while more than one handle holds it. */
-    struct Core
-    {
-        Core() = default;
-        /** Clones carry the fingerprint: content-identical on copy
-            (mut() invalidates before the cloner's write lands). */
-        Core(const Core &o)
-            : name(o.name), nodes(o.nodes), edges(o.edges),
-              invariants(o.invariants), out(o.out), in(o.in),
-              cachedFp(o.cachedFp.load(std::memory_order_relaxed))
-        {
-        }
-        Core &operator=(const Core &) = delete;
-
-        std::string name;
-        std::vector<Node> nodes;
-        std::vector<Edge> edges;
-        std::vector<Invariant> invariants;
-        std::vector<std::vector<EdgeId>> out;  ///< Live edges, ascending.
-        std::vector<std::vector<EdgeId>> in;   ///< Live edges, ascending.
-
-        /**
-         * Memoized graphFingerprint of this core (0 = not computed).
-         * mut() intercepts every mutation and resets it, so the memos'
-         * per-probe fingerprinting is O(1) for an unchanged graph.
-         * Mutating through a reference held across other Ddg calls
-         * bypasses this (and the detach) — don't.
-         */
-        mutable std::atomic<std::uint64_t> cachedFp{0};
-    };
-
-    /** Detach-on-mutate: clone the core iff another handle shares it. */
-    Core &
-    mut()
-    {
-#if SWP_TSAN_ENABLED
-        // TSan neither models the standalone acquire fence below (gcc
-        // rejects it outright under -Werror=tsan) nor the relaxed
-        // use-count load it pairs through, so the sole-owner in-place
-        // mutation would surface as a false race against the previous
-        // owner's reads. Detach unconditionally instead: cloning only
-        // *reads* the old core (reads cannot race with reads), and the
-        // old core's destruction is ordered by shared_ptr's own
-        // acq_rel reference counting, which TSan does model. Same
-        // results, sole-owner fast path traded for a clone.
-        core_ = std::make_shared<Core>(*core_);
-#else
-        if (core_.use_count() > 1) {
-            core_ = std::make_shared<Core>(*core_);
-        } else {
-            // Pairs with the release decrement of the last other
-            // owner's shared_ptr: its reads of this core (e.g. the
-            // clone it took while detaching on another thread) happen
-            // before the in-place writes that follow.
-            std::atomic_thread_fence(std::memory_order_acquire);
-        }
-#endif
-        core_->cachedFp.store(0, std::memory_order_relaxed);
-        return *core_;
-    }
-
     friend std::uint64_t graphFingerprint(const Ddg &);
 
-    std::shared_ptr<Core> core_;
+    std::string name_;
+    std::vector<Node> nodes_;
+    std::vector<Edge> edges_;
+    std::vector<Invariant> invariants_;
+    std::vector<std::vector<EdgeId>> out_;  ///< Live edges, ascending.
+    std::vector<std::vector<EdgeId>> in_;   ///< Live edges, ascending.
+    FingerprintSlot fp_;
 };
 
 } // namespace swp

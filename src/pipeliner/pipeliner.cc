@@ -207,16 +207,22 @@ spill(Job &job, const PipelinerOptions &opts,
     const Machine &m = job.machine();
     PipelineResult result;
 
-    Ddg work = g;
+    // The loop as rewritten by the spills so far. It stays empty, and
+    // the rounds read the input, until the first picks are applied, so
+    // a job that fits unspilled copies no graph.
+    std::optional<Ddg> work;
+    const auto cur = [&]() -> const Ddg & { return work ? *work : g; };
     int prevIi = 0;
 
     // Per-round candidate scratch, hoisted out of the round loop so
     // later rounds reuse its capacity.
     std::vector<SpillCandidate> candidates;
 
-    // Rewrite `graph` with the spill code of one round's picks.
-    const auto applySpills = [&](Ddg &graph,
-                                 const std::vector<SpillCandidate> &picks) {
+    // Rewrite the working graph with the spill code of one round's picks.
+    const auto applySpills = [&](const std::vector<SpillCandidate> &picks) {
+        if (!work)
+            work.emplace(g);
+        Ddg &graph = *work;
         for (const SpillCandidate &pick : picks)
             insertSpill(graph, m, pick);
         if (!opts.fuseSpillOps) {
@@ -246,11 +252,11 @@ spill(Job &job, const PipelinerOptions &opts,
     std::vector<OverBudgetRound> overBudget;
 
     for (int round = 1; round <= opts.maxSpillRounds; ++round) {
-        const int curMii = round == 1 ? job.inputMii() : mii(work, m);
+        const int curMii = round == 1 ? job.inputMii() : mii(cur(), m);
         const int startIi =
             opts.reuseLastIi ? std::max(curMii, prevIi) : curMii;
 
-        IiSearchResult search = job.search(work, startIi);
+        IiSearchResult search = job.search(cur(), startIi);
         result.attempts += search.attempts;
         result.rounds = round;
         if (!search.sched) {
@@ -262,7 +268,7 @@ spill(Job &job, const PipelinerOptions &opts,
         Schedule sched = std::move(*search.sched);
         prevIi = sched.ii();
         // One lifetime analysis serves the fit test and spill selection.
-        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
+        const LifetimeInfo lifetimes = analyzeLifetimes(cur(), sched);
         std::optional<AllocationOutcome> alloc =
             allocateWithinBudget(lifetimes, opts.registers);
 
@@ -274,17 +280,17 @@ spill(Job &job, const PipelinerOptions &opts,
             info.regsRequired =
                 alloc ? alloc->regsRequired
                       : allocateLoop(lifetimes, opts.registers).regsRequired;
-            info.memOps = work.numMemOps();
+            info.memOps = cur().numMemOps();
             info.spilledSoFar = result.spilledLifetimes;
             observer(info);
         }
 
         if (alloc) {
             result.success = true;
-            if (result.spilledLifetimes == 0)
-                result.bindInputGraph(g);  // `work` is still the input.
+            if (work)
+                result.adoptGraph(std::move(*work));
             else
-                result.adoptGraph(std::move(work));
+                result.bindInputGraph(g);
             result.sched = std::move(sched);
             result.alloc = std::move(*alloc);
             result.mii = curMii;
@@ -296,7 +302,7 @@ spill(Job &job, const PipelinerOptions &opts,
         kept.mii = curMii;
         kept.spilled = result.spilledLifetimes;
 
-        spillCandidates(work, lifetimes, opts.spillUses, candidates);
+        spillCandidates(cur(), lifetimes, opts.spillUses, candidates);
         if (candidates.empty()) {
             // Nothing left to spill: every lifetime is already a spill
             // artifact. Keep the best schedule seen (below).
@@ -310,7 +316,7 @@ spill(Job &job, const PipelinerOptions &opts,
             kept.picks.push_back(*one);
         }
         SWP_ASSERT(!kept.picks.empty(), "spill selection returned nothing");
-        applySpills(work, kept.picks);
+        applySpills(kept.picks);
         result.spilledLifetimes += int(kept.picks.size());
     }
 
@@ -328,25 +334,27 @@ spill(Job &job, const PipelinerOptions &opts,
     }
 
     // Rebuild each round's graph by replaying the earlier rounds'
-    // spills on the input, and allocate its schedule exactly.
-    Ddg replay = g;
+    // spills on the input, and allocate its schedule exactly. No round
+    // reads the last round's picks, so they are not applied.
+    work.reset();
     OverBudgetRound *best = nullptr;
     std::optional<Ddg> bestGraph;
     AllocationOutcome bestAlloc;
     for (OverBudgetRound &r : overBudget) {
         AllocationOutcome alloc =
-            allocateLoop(replay, r.sched, opts.registers);
+            allocateLoop(cur(), r.sched, opts.registers);
         if (!best || alloc.regsRequired < bestAlloc.regsRequired) {
             best = &r;
-            bestGraph = replay;
+            bestGraph = work;
             bestAlloc = std::move(alloc);
         }
-        applySpills(replay, r.picks);
+        if (&r != &overBudget.back())
+            applySpills(r.picks);
     }
-    if (best->spilled == 0)
-        result.bindInputGraph(g);
-    else
+    if (bestGraph)
         result.adoptGraph(std::move(*bestGraph));
+    else
+        result.bindInputGraph(g);
     result.sched = std::move(best->sched);
     result.alloc = std::move(bestAlloc);
     result.mii = best->mii;

@@ -1,18 +1,18 @@
 #include "sched/fingerprint.hh"
 
+#include "support/diag.hh"
+
 namespace swp
 {
 
 std::uint64_t
 graphFingerprint(const Ddg &g)
 {
-    // One walk per graph *content*: the cache slot lives in the CoW
-    // core, and every mutation path resets it, so the per-probe calls
-    // of an II search all hit here. Concurrent computes for one shared
-    // core store the same value; 0 doubles as the "unset" sentinel
-    // (remapped below).
-    const std::uint64_t cached =
-        g.core_->cachedFp.load(std::memory_order_relaxed);
+    // One walk per graph content: every mutator clears the slot, so
+    // the per-probe calls of an II search all hit here. Concurrent
+    // computes for one shared graph store the same value; 0 doubles as
+    // the "unset" sentinel (remapped below).
+    const std::uint64_t cached = g.fp_.value.load(std::memory_order_relaxed);
     if (cached)
         return cached;
 
@@ -36,7 +36,7 @@ graphFingerprint(const Ddg &g)
         fp.mix(std::uint64_t(edge.fusedDelay));
     }
     const std::uint64_t value = fp.value() ? fp.value() : 1;
-    g.core_->cachedFp.store(value, std::memory_order_relaxed);
+    g.fp_.value.store(value, std::memory_order_relaxed);
     return value;
 }
 
@@ -51,8 +51,6 @@ machineFingerprint(const Machine &m)
 bool
 graphsFingerprintEquivalent(const Ddg &a, const Ddg &b)
 {
-    if (a.sharesStorageWith(b))
-        return true;
     if (a.name() != b.name() || a.numNodes() != b.numNodes() ||
         a.numEdges() != b.numEdges() ||
         a.numInvariants() != b.numInvariants())
@@ -81,6 +79,25 @@ bool
 machinesFingerprintEquivalent(const Machine &a, const Machine &b)
 {
     return a == b;
+}
+
+KeyWitness::KeyWitness(bool verify, const Ddg &g, const Machine &m)
+{
+    if (verify)
+        inputs_ = std::make_shared<const Inputs>(Inputs{g, m});
+}
+
+void
+KeyWitness::check(const char *memo, const Ddg &g, const Machine &m) const
+{
+    if (!inputs_)
+        return;
+    SWP_ASSERT(graphsFingerprintEquivalent(g, inputs_->graph), memo,
+               " fingerprint collision: graph '", g.name(),
+               "' hit an entry built from a different graph");
+    SWP_ASSERT(machinesFingerprintEquivalent(m, inputs_->machine), memo,
+               " fingerprint collision: machine '", m.name(),
+               "' hit an entry built from a different machine");
 }
 
 } // namespace swp

@@ -22,6 +22,7 @@
 #define SWP_SCHED_FINGERPRINT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "ir/ddg.hh"
@@ -81,13 +82,42 @@ std::uint64_t machineFingerprint(const Machine &m);
 
 /**
  * True when the two graphs agree on every field graphFingerprint
- * covers (so a memo entry for one is valid for the other). Shared
- * copy-on-write storage short-circuits to true.
+ * covers (so a memo entry for one is valid for the other).
  */
 bool graphsFingerprintEquivalent(const Ddg &a, const Ddg &b);
 
 /** Field-by-field counterpart of machineFingerprint. */
 bool machinesFingerprintEquivalent(const Machine &a, const Machine &b);
+
+/**
+ * The graph and machine a fingerprint-keyed memo entry was computed
+ * from, kept so that every hit can be checked against them. Only a
+ * memo that verifies its keys records one; otherwise the witness is an
+ * empty pointer. Shared, because every hit returns a copy of its entry.
+ */
+class KeyWitness
+{
+  public:
+    KeyWitness() = default;
+
+    /** Deep copies of g and m when verify is set; empty otherwise. */
+    KeyWitness(bool verify, const Ddg &g, const Machine &m);
+
+    /**
+     * Panic unless (g, m) is fingerprint-equivalent to the recorded
+     * pair; an empty witness checks nothing. `memo` names the cache
+     * in the message.
+     */
+    void check(const char *memo, const Ddg &g, const Machine &m) const;
+
+  private:
+    struct Inputs
+    {
+        Ddg graph;
+        Machine machine;
+    };
+    std::shared_ptr<const Inputs> inputs_;
+};
 
 } // namespace swp
 

@@ -1,8 +1,5 @@
 #include "sched/sched_memo.hh"
 
-#include "sched/fingerprint.hh"
-#include "support/diag.hh"
-
 namespace swp
 {
 
@@ -15,27 +12,11 @@ ScheduleMemo::scheduleAt(ModuloScheduler &inner, SchedulerKind kind,
     CachedProbe probe = cache_.getOrCompute(
         key,
         [&]() {
-            CachedProbe p;
-            p.sched = inner.scheduleAt(g, m, ii);
-            if (verifyKeys_) {
-                p.graph = g;
-                p.machine = m;
-            }
-            return p;
+            return CachedProbe{inner.scheduleAt(g, m, ii),
+                               KeyWitness(verifyKeys_, g, m)};
         },
         [&](const CachedProbe &hit) {
-            if (!verifyKeys_)
-                return;
-            SWP_ASSERT(hit.graph &&
-                           graphsFingerprintEquivalent(g, *hit.graph),
-                       "schedule memo fingerprint collision: graph '",
-                       g.name(), "' at II ", ii,
-                       " hit an entry built from a different graph");
-            SWP_ASSERT(hit.machine &&
-                           machinesFingerprintEquivalent(m, *hit.machine),
-                       "schedule memo fingerprint collision: machine '",
-                       m.name(), "' hit an entry built from a different",
-                       " machine");
+            hit.witness.check("schedule memo", g, m);
         });
     return std::move(probe.sched);
 }

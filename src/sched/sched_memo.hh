@@ -83,10 +83,7 @@ class ScheduleMemo
     struct CachedProbe
     {
         std::optional<Schedule> sched;
-        /** Key-verification payload (copy-on-write: the copies are O(1)
-            until the source graph is transformed by a later round). */
-        std::optional<Ddg> graph;
-        std::optional<Machine> machine;
+        KeyWitness witness;
     };
 
     bool verifyKeys_;

@@ -22,6 +22,7 @@
 #include "sched/fingerprint.hh"
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
+#include "support/diag.hh"
 #include "support/rng.hh"
 #include "testkit/steal_model.hh"
 #include "workload/suitegen.hh"
@@ -313,8 +314,7 @@ TEST(Fingerprint, EquivalenceMatchesFingerprintCoverage)
     EXPECT_TRUE(graphsFingerprintEquivalent(a, a));
 
     Ddg sameStructure = a;
-    sameStructure.node(0).name = "renamed";  // Detaches the CoW copy.
-    EXPECT_FALSE(sameStructure.sharesStorageWith(a));
+    sameStructure.node(0).name = "renamed";
     EXPECT_TRUE(graphsFingerprintEquivalent(a, sameStructure));
     EXPECT_EQ(graphFingerprint(a), graphFingerprint(sameStructure));
 
@@ -330,6 +330,20 @@ TEST(Fingerprint, EquivalenceMatchesFingerprintCoverage)
     EXPECT_FALSE(machinesFingerprintEquivalent(p2l4, Machine::p2l6()));
     EXPECT_FALSE(machinesFingerprintEquivalent(
         Machine::universal("m", 8, 2), Machine::universal("m", 1, 2)));
+}
+
+TEST(Fingerprint, KeyWitnessPanicsOnACollision)
+{
+    const std::vector<SuiteLoop> suite = testSuite(2);
+    const Ddg &a = suite[0].graph;
+    const Machine m = Machine::p2l4();
+    const KeyWitness witness(true, a, m);
+    witness.check("test memo", a, m);
+    EXPECT_THROW(witness.check("test memo", suite[1].graph, m), PanicError);
+    EXPECT_THROW(witness.check("test memo", a, Machine::p2l6()),
+                 PanicError);
+    // A memo that does not verify its keys records nothing to check.
+    KeyWitness(false, a, m).check("test memo", suite[1].graph, m);
 }
 
 TEST(SuiteRunner, ParallelForCoversEveryIndexOnce)

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/builder.hh"
@@ -14,6 +18,7 @@
 #include "ir/verify.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
+#include "sched/fingerprint.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
 #include "workload/suitegen.hh"
@@ -74,24 +79,6 @@ TEST(Ddg, KillingADeadEdgePanics)
     EXPECT_EQ(g.inEdges(st), std::vector<EdgeId>{1});
 }
 
-TEST(Ddg, CopyIsSharedUntilMutation)
-{
-    const Ddg a = buildPaperExampleLoop();
-    Ddg b = a;
-    EXPECT_TRUE(b.sharesStorageWith(a));
-
-    // Const queries never detach.
-    EXPECT_EQ(b.numNodes(), a.numNodes());
-    EXPECT_EQ(b.outEdges(0).size(), a.outEdges(0).size());
-    EXPECT_EQ(b.dump(), a.dump());
-    EXPECT_TRUE(b.sharesStorageWith(a));
-
-    // The first mutation detaches the copy.
-    b.node(0).name = "renamed";
-    EXPECT_FALSE(b.sharesStorageWith(a));
-    EXPECT_NE(a.node(0).name, "renamed");
-}
-
 TEST(Ddg, MutatingADetachedCopyNeverPerturbsTheOriginal)
 {
     const Ddg a = buildPaperExampleLoop();
@@ -104,7 +91,7 @@ TEST(Ddg, MutatingADetachedCopyNeverPerturbsTheOriginal)
     b.invariant(0).spilled = true;
     b.setName("mutant");
 
-    EXPECT_EQ(a.dump(), before) << "original aliased by a detached copy";
+    EXPECT_EQ(a.dump(), before) << "original aliased by a mutated copy";
     EXPECT_NE(b.dump(), before);
     EXPECT_EQ(a.numNodes() + 1, b.numNodes());
 
@@ -123,18 +110,21 @@ TEST(Ddg, MutatingTheOriginalLeavesTheCopyIntact)
     a.killEdge(0);
     a.addNode(Opcode::Mul);
 
-    EXPECT_FALSE(b.sharesStorageWith(a));
     EXPECT_EQ(b.dump(), before) << "copy aliased by the mutated source";
 }
 
 TEST(Ddg, MovedFromGraphIsValidAndEmpty)
 {
     Ddg a = buildPaperExampleLoop();
+    const std::uint64_t full = graphFingerprint(a);
     const Ddg b = std::move(a);
     EXPECT_EQ(a.numNodes(), 0);
     EXPECT_EQ(a.numEdges(), 0);
     EXPECT_EQ(a.numInvariants(), 0);
     EXPECT_GT(b.numNodes(), 0);
+    // Neither side keeps a fingerprint of the other's content.
+    EXPECT_EQ(graphFingerprint(a), graphFingerprint(Ddg(a)));
+    EXPECT_EQ(graphFingerprint(b), full);
 
     // A moved-from graph is reusable.
     a.addNode(Opcode::Add);
@@ -146,21 +136,35 @@ TEST(Ddg, MovedFromGraphIsValidAndEmpty)
     EXPECT_EQ(a.numNodes(), 0);
 }
 
-TEST(Ddg, UniquelyOwnedGraphMutatesInPlace)
+TEST(Ddg, FingerprintFollowsEveryMutator)
 {
+    // Every mutator must clear the cached fingerprint. After each one
+    // the graph's fingerprint must match a fresh copy's, whose cache
+    // starts empty and is therefore computed from the current content.
     Ddg g = buildPaperExampleLoop();
-    {
-        const Ddg copy = g;
-        EXPECT_TRUE(copy.sharesStorageWith(g));
+    const std::vector<std::pair<std::string, std::function<void()>>>
+        mutators = {
+            {"setName", [&] { g.setName("renamed"); }},
+            {"addNode", [&] { g.addNode(Opcode::Add); }},
+            {"addEdge",
+             [&] { g.addEdge(0, g.numNodes() - 1, DepKind::RegFlow, 1); }},
+            {"addInvariant", [&] { g.addInvariant(); }},
+            {"addInvariantUse",
+             [&] { g.addInvariantUse(g.numInvariants() - 1, 0); }},
+            {"killEdge", [&] { g.killEdge(g.outEdges(0).front()); }},
+            {"node()", [&] { g.node(g.numNodes() - 1).op = Opcode::Mul; }},
+            {"edge()", [&] { g.edge(g.outEdges(0).front()).distance += 1; }},
+        };
+    for (const auto &[name, mutate] : mutators) {
+        const std::uint64_t before = graphFingerprint(g);  // Fills the cache.
+        mutate();
+        const std::uint64_t after = graphFingerprint(g);
+        EXPECT_EQ(after, graphFingerprint(Ddg(g))) << name;
+        // Invariant uses are outside the fingerprint; the rest changes it.
+        if (name != "addInvariantUse") {
+            EXPECT_NE(after, before) << name;
+        }
     }
-    // The only other handle is gone: mutation must not clone. Observe
-    // via a self-copy taken before the write — after the scope above,
-    // use_count is back to one, so the write happens in place and a
-    // fresh copy shares again.
-    g.node(0).name = "inplace";
-    const Ddg after = g;
-    EXPECT_TRUE(after.sharesStorageWith(g));
-    EXPECT_EQ(after.node(0).name, "inplace");
 }
 
 TEST(Ddg, RegFlowFromStoreIsRejected)

@@ -153,20 +153,17 @@ TEST(SpillInsert, ProducerIsLoadGetsReloadsWithoutStore)
     // original distance as its stream shift.
     EXPECT_EQ(g.numValueUses(0), 0);
     EXPECT_TRUE(g.node(0).nonSpillableValue);
-    // Read through a const view: a non-const accessor may detach the
-    // storage under the references held by this loop.
-    const Ddg &spilled = g;
     int fused = 0;
     int shift3 = 0;
-    for (NodeId n = 4; n < spilled.numNodes(); ++n) {
-        const Node &node = spilled.node(n);
+    for (NodeId n = 4; n < g.numNodes(); ++n) {
+        const Node &node = g.node(n);
         ASSERT_EQ(node.origin, NodeOrigin::SpillLoad);
         EXPECT_EQ(node.spillRef.kind, SpillRef::Kind::ReloadStream);
         EXPECT_EQ(node.spillRef.value, 0);
         EXPECT_TRUE(node.nonSpillableValue);
         shift3 += node.spillRef.shift == 3;
-        for (EdgeId e : spilled.outEdges(n))
-            fused += spilled.edge(e).nonSpillable;
+        for (EdgeId e : g.outEdges(n))
+            fused += g.edge(e).nonSpillable;
     }
     EXPECT_EQ(fused, 2);
     EXPECT_EQ(shift3, 1);
@@ -194,11 +191,10 @@ TEST(SpillInsert, GeneralVariantGetsStorePlusLoads)
     EXPECT_EQ(g.node(ls).origin, NodeOrigin::SpillLoad);
     EXPECT_EQ(g.node(ls).spillRef.kind, SpillRef::Kind::StoreSlot);
     EXPECT_EQ(g.node(ls).spillRef.value, ss);
-    const Ddg &spilled = g;
     bool memEdge = false;
-    for (EdgeId e : spilled.outEdges(ss)) {
-        memEdge |= spilled.edge(e).kind == DepKind::Mem &&
-                   spilled.edge(e).dst == ls;
+    for (EdgeId e : g.outEdges(ss)) {
+        memEdge |= g.edge(e).kind == DepKind::Mem &&
+                   g.edge(e).dst == ls;
     }
     EXPECT_TRUE(memEdge);
     EXPECT_TRUE(g.node(1).nonSpillableValue);
@@ -238,11 +234,10 @@ TEST(SpillInsert, ReusesExistingStore)
     EXPECT_EQ(g.node(ls).spillRef.value, st);
     EXPECT_EQ(g.node(ls).spillRef.shift, 2);
     // The kept producer->store edge is now fused.
-    const Ddg &spilled = g;
     bool fusedToStore = false;
-    for (EdgeId e : spilled.outEdges(v)) {
-        if (spilled.edge(e).dst == st)
-            fusedToStore = spilled.edge(e).nonSpillable;
+    for (EdgeId e : g.outEdges(v)) {
+        if (g.edge(e).dst == st)
+            fusedToStore = g.edge(e).nonSpillable;
     }
     EXPECT_TRUE(fusedToStore);
 }
