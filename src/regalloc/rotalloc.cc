@@ -256,15 +256,19 @@ allocateUpTo(const LifetimeInfo &info, int budget, FitStrategy strategy,
     // attempt. Descending length only wins with strictly fewer registers
     // than adjacency, so its search stops below adjacency's count, and
     // the winning search's allocation is kept rather than recomputed.
+    // When that range [max(1, MaxLive), adjacency - 1] is empty the
+    // second order cannot win (with no live value both pack 0
+    // registers), so it is not even built.
     BitRow row;
     RotAllocResult attempt;
     outcome.rotating =
         searchRegs(info, orderedValues(info, AllocOrder::Adjacency),
                    strategy, cap, row, attempt, outcome.rotAlloc);
-    const int byLength = searchRegs(
-        info, orderedValues(info, AllocOrder::DescendingLength), strategy,
-        outcome.rotating - 1, row, attempt, outcome.rotAlloc);
-    outcome.rotating = std::min(outcome.rotating, byLength);
+    if (std::max(1, info.maxLive) <= outcome.rotating - 1) {
+        outcome.rotating = searchRegs(
+            info, orderedValues(info, AllocOrder::DescendingLength),
+            strategy, outcome.rotating - 1, row, attempt, outcome.rotAlloc);
+    }
     outcome.regsRequired = outcome.rotating + outcome.invariants;
     outcome.fits = outcome.regsRequired <= budget;
     return outcome;

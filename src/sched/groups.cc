@@ -18,8 +18,32 @@ void
 GroupSet::reset(const Ddg &g, const Machine &m)
 {
     const int n = g.numNodes();
-    groupOf_.assign(std::size_t(n), -1);
+    groupOf_.resize(std::size_t(n));
     offsetOf_.assign(std::size_t(n), 0);
+
+    fused_.clear();
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (edge.alive && edge.nonSpillable)
+            fused_.push_back(e);
+    }
+
+    // No fused edge (every unspilled loop): node v is group v, which is
+    // what the union-find below yields, without running it.
+    if (fused_.empty()) {
+        if (int(groups_.size()) < n)
+            groups_.resize(std::size_t(n));
+        for (NodeId v = 0; v < n; ++v) {
+            groupOf_[std::size_t(v)] = v;
+            ComplexGroup &grp = groups_[std::size_t(v)];
+            grp.members.resize(1);
+            grp.members[0] = v;
+            grp.offsets.resize(1);
+            grp.offsets[0] = 0;
+        }
+        numGroups_ = n;
+        return;
+    }
 
     // Union-find over fused edges.
     parent_.resize(std::size_t(n));
@@ -33,17 +57,12 @@ GroupSet::reset(const Ddg &g, const Machine &m)
         }
         return x;
     };
-
-    fused_.clear();
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    for (EdgeId e : fused_) {
         const Edge &edge = g.edge(e);
-        if (edge.alive && edge.nonSpillable) {
-            fused_.push_back(e);
-            const int a = find(edge.src);
-            const int b = find(edge.dst);
-            if (a != b)
-                parent_[std::size_t(a)] = b;
-        }
+        const int a = find(edge.src);
+        const int b = find(edge.dst);
+        if (a != b)
+            parent_[std::size_t(a)] = b;
     }
 
     // Gather members per root; recycled group slots keep the capacity

@@ -46,12 +46,14 @@ struct ComplexGroup
  * (two fused paths implying different offsets, or a fused cycle) is a
  * spiller bug and panics.
  *
- * Cost: reset() is O(nodes + edges) plus the member sorts. The offset
- * walk follows per-node lists of incident fused edges, so each fused
- * edge is visited from its two endpoints only. Every probe of a spilled
- * graph rebuilds the set; a walk that rescanned all fused edges for
- * each visited member, O(groups x fused edges x members), would be the
- * largest self cost of a register sweep over spilled loops.
+ * Cost: reset() is O(nodes + edges) plus the member sorts. A graph
+ * with no live fused edge (every loop before spilling) gets the
+ * identity partition directly: node v is group v, at offset 0. The
+ * offset walk follows per-node lists of incident fused edges, so each
+ * fused edge is visited from its two endpoints only. Every probe of a
+ * spilled graph rebuilds the set; a walk that rescanned all fused edges
+ * for each visited member, O(groups x fused edges x members), would be
+ * the largest self cost of a register sweep over spilled loops.
  */
 class GroupSet
 {

@@ -18,10 +18,11 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 
     ws_.groups.reset(g, m);
     const GroupSet &groups = ws_.groups;
-    if (!groupsInternallyFeasible(g, m, groups, ii))
+    ws_.arcs.build(g, m, groups, ii);
+    if (!groupsInternallyFeasible(ws_.arcs, groups))
         return std::nullopt;
 
-    ws_.prio.compute(g, m, ii);
+    ws_.prio.compute(ws_.arcs, g.numNodes());
     const NodePriorities &prio = ws_.prio;
     const int ng = groups.numGroups();
 
@@ -83,20 +84,9 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 
         // Earliest anchor time w.r.t. scheduled predecessors.
         long early = gAsap[std::size_t(gi)];
-        for (std::size_t i = 0; i < grp.members.size(); ++i) {
-            const NodeId v = grp.members[i];
-            const long off = grp.offsets[i];
-            for (EdgeId e : g.inEdges(v)) {
-                const Edge &edge = g.edge(e);
-                if (groups.groupOf(edge.src) == gi ||
-                    !sched.scheduled(edge.src)) {
-                    continue;
-                }
-                early = std::max(
-                    early, sched.time(edge.src) +
-                               m.latency(g.node(edge.src).op) -
-                               long(ii) * edge.distance - off);
-            }
+        for (const ArcTable::Bound &b : ws_.arcs.inArcs(gi)) {
+            if (sched.scheduled(b.node))
+                early = std::max(early, sched.time(b.node) + b.delta);
         }
 
         // Try the II-wide conflict-free window first.
@@ -143,19 +133,12 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
         --unplacedCount;
         lastTime[std::size_t(gi)] = chosen;
 
-        // Evict scheduled successors whose dependence is now violated.
-        for (std::size_t i = 0; i < grp.members.size(); ++i) {
-            const NodeId v = grp.members[i];
-            const long tv = chosen + grp.offsets[i];
-            for (EdgeId e : g.outEdges(v)) {
-                const Edge &edge = g.edge(e);
-                const int dg = groups.groupOf(edge.dst);
-                if (dg == gi || !sched.scheduled(edge.dst))
-                    continue;
-                const long bound = tv + m.latency(g.node(v).op) -
-                                   long(ii) * edge.distance;
-                if (sched.time(edge.dst) < bound)
-                    unplaceGroup(dg);
+        // Evict scheduled successors whose dependence is now violated:
+        // the anchor passed the latest one the successor allows.
+        for (const ArcTable::Bound &b : ws_.arcs.outArcs(gi)) {
+            if (sched.scheduled(b.node) &&
+                chosen > sched.time(b.node) + b.delta) {
+                unplaceGroup(groups.groupOf(b.node));
             }
         }
     }

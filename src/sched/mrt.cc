@@ -12,99 +12,97 @@ void
 Mrt::reset(const Machine &m, int ii)
 {
     SWP_ASSERT(ii >= 1, "MRT needs a positive II");
-    m_ = &m;
     ii_ = ii;
-    classBase_.resize(std::size_t(m.numClasses()) + 1);
-    int base = 0;
+    // Occupant cells are laid out class by class, then unit by unit,
+    // then row by row; busy masks class by class, then row by row.
+    int cells = 0;
     for (int cls = 0; cls < m.numClasses(); ++cls) {
-        classBase_[std::size_t(cls)] = base;
         const int units = m.unitsInClass(cls);
         SWP_ASSERT(units <= 64,
                    "MRT busy masks hold at most 64 units per class");
-        base += units * ii;
+        for (int op = 0; op < numOpcodes; ++op) {
+            if (m.classOf(Opcode(op)) == cls) {
+                slots_[op] = {m.occupancy(Opcode(op)), cls * ii, cells,
+                              lowBitsMask(units)};
+            }
+        }
+        cells += units * ii;
     }
-    classBase_[std::size_t(m.numClasses())] = base;
-    occupant_.assign(std::size_t(base), invalidNode);
+    occupant_.assign(std::size_t(cells), invalidNode);
     busy_.assign(std::size_t(m.numClasses() * ii), 0);
 }
 
-int
-Mrt::cell(int cls, int unit, int row) const
-{
-    return classBase_[std::size_t(cls)] + unit * ii_ + row;
-}
-
-int
-Mrt::maskBase(int cls) const
-{
-    return cls * ii_;
-}
-
 std::uint64_t
-Mrt::busyOver(const std::vector<std::uint64_t> &busy, int cls, int t,
-              int occ) const
+Mrt::busyOver(const std::vector<std::uint64_t> &busy, const OpSlots &o,
+              int row) const
 {
-    const int base = maskBase(cls);
-    int row = Schedule::floorMod(t, ii_);
     std::uint64_t mask = 0;
-    for (int c = 0; c < occ; ++c) {
-        mask |= busy[std::size_t(base + row)];
-        if (++row == ii_)
-            row = 0;
+    for (int c = 0; c < o.occ; ++c) {
+        mask |= busy[std::size_t(o.maskBase + row)];
+        row = nextRow(row);
     }
     return mask;
 }
 
 int
+Mrt::findUnitAtRow(const OpSlots &o, int row) const
+{
+    if (o.occ > ii_)
+        return -1;
+    const std::uint64_t free = ~busyOver(busy_, o, row) & o.units;
+    return free ? countTrailingZeros(free) : -1;
+}
+
+int
 Mrt::findUnit(Opcode op, int t) const
 {
-    const int cls = m_->classOf(op);
-    const int units = m_->unitsInClass(cls);
-    const int occ = m_->occupancy(op);
-    if (occ > ii_)
-        return -1;
-    const std::uint64_t free =
-        ~busyOver(busy_, cls, t, occ) & lowBitsMask(units);
-    return free ? countTrailingZeros(free) : -1;
+    return findUnitAtRow(slots(op), Schedule::floorMod(t, ii_));
+}
+
+void
+Mrt::reserve(const OpSlots &o, int row, int u, NodeId n)
+{
+    const std::uint64_t bit = std::uint64_t(1) << u;
+    for (int c = 0; c < o.occ; ++c) {
+        busy_[std::size_t(o.maskBase + row)] |= bit;
+        occupant_[std::size_t(o.cellBase + u * ii_ + row)] = n;
+        row = nextRow(row);
+    }
+}
+
+void
+Mrt::release(const OpSlots &o, int row, int u, NodeId n)
+{
+    const std::uint64_t bit = std::uint64_t(1) << u;
+    for (int c = 0; c < o.occ; ++c) {
+        const int idx = o.cellBase + u * ii_ + row;
+        SWP_ASSERT(occupant_[std::size_t(idx)] == n,
+                   "MRT remove of non-occupant node ", n);
+        occupant_[std::size_t(idx)] = invalidNode;
+        busy_[std::size_t(o.maskBase + row)] &= ~bit;
+        row = nextRow(row);
+    }
+}
+
+int
+Mrt::placeAtRow(const OpSlots &o, int row, NodeId n)
+{
+    const int u = findUnitAtRow(o, row);
+    if (u >= 0)
+        reserve(o, row, u, n);
+    return u;
 }
 
 int
 Mrt::place(Opcode op, int t, NodeId n)
 {
-    const int u = findUnit(op, t);
-    if (u < 0)
-        return -1;
-    const int cls = m_->classOf(op);
-    const int occ = m_->occupancy(op);
-    const int base = maskBase(cls);
-    const std::uint64_t bit = std::uint64_t(1) << u;
-    int row = Schedule::floorMod(t, ii_);
-    for (int c = 0; c < occ; ++c) {
-        busy_[std::size_t(base + row)] |= bit;
-        occupant_[std::size_t(cell(cls, u, row))] = n;
-        if (++row == ii_)
-            row = 0;
-    }
-    return u;
+    return placeAtRow(slots(op), Schedule::floorMod(t, ii_), n);
 }
 
 void
 Mrt::remove(Opcode op, int t, NodeId n, int u)
 {
-    const int cls = m_->classOf(op);
-    const int occ = m_->occupancy(op);
-    const int base = maskBase(cls);
-    const std::uint64_t bit = std::uint64_t(1) << u;
-    int row = Schedule::floorMod(t, ii_);
-    for (int c = 0; c < occ; ++c) {
-        const int idx = cell(cls, u, row);
-        SWP_ASSERT(occupant_[std::size_t(idx)] == n,
-                   "MRT remove of non-occupant node ", n);
-        occupant_[std::size_t(idx)] = invalidNode;
-        busy_[std::size_t(base + row)] &= ~bit;
-        if (++row == ii_)
-            row = 0;
-    }
+    release(slots(op), Schedule::floorMod(t, ii_), u, n);
 }
 
 bool
@@ -116,52 +114,74 @@ Mrt::canPlaceGroup(const Ddg &g, const ComplexGroup &grp, int t0) const
     // needed to answer yes/no, so only the masks are copied).
     groupScratch_.assign(busy_.begin(), busy_.end());
     for (std::size_t i = 0; i < grp.members.size(); ++i) {
-        const Opcode op = g.node(grp.members[i]).op;
-        const int t = t0 + grp.offsets[i];
-        const int cls = m_->classOf(op);
-        const int occ = m_->occupancy(op);
-        if (occ > ii_)
+        const OpSlots &o = slots(g.node(grp.members[i]).op);
+        const int row = Schedule::floorMod(t0 + grp.offsets[i], ii_);
+        if (o.occ > ii_)
             return false;
         const std::uint64_t free =
-            ~busyOver(groupScratch_, cls, t, occ) &
-            lowBitsMask(m_->unitsInClass(cls));
+            ~busyOver(groupScratch_, o, row) & o.units;
         if (!free)
             return false;
         const std::uint64_t bit =
             std::uint64_t(1) << countTrailingZeros(free);
-        const int base = maskBase(cls);
-        int row = Schedule::floorMod(t, ii_);
-        for (int c = 0; c < occ; ++c) {
-            groupScratch_[std::size_t(base + row)] |= bit;
-            if (++row == ii_)
-                row = 0;
-        }
+        for (int c = 0, r = row; c < o.occ; ++c, r = nextRow(r))
+            groupScratch_[std::size_t(o.maskBase + r)] |= bit;
     }
     return true;
 }
 
 bool
-Mrt::placeGroup(const Ddg &g, const ComplexGroup &grp, int t0,
-                Schedule &sched)
+Mrt::placeGroupFirstFit(const Ddg &g, const ComplexGroup &grp, int first,
+                        int last, Schedule &sched)
 {
-    unitScratch_.assign(grp.members.size(), -1);
-    for (std::size_t i = 0; i < grp.members.size(); ++i) {
-        const NodeId n = grp.members[i];
-        const int t = t0 + grp.offsets[i];
-        const int u = place(g.node(n).op, t, n);
-        if (u < 0) {
-            // Roll back the members placed so far.
-            for (std::size_t j = 0; j < i; ++j) {
-                remove(g.node(grp.members[j]).op, t0 + grp.offsets[j],
-                       grp.members[j], unitScratch_[j]);
+    const int step = last < first ? -1 : 1;
+    if (grp.singleton()) {
+        // One reservation attempt per anchor; nothing to roll back.
+        const NodeId n = grp.members[0];
+        const OpSlots &o = slots(g.node(n).op);
+        int row = Schedule::floorMod(first, ii_);
+        for (int t = first;; t += step) {
+            const int u = placeAtRow(o, row, n);
+            if (u >= 0) {
+                sched.set(n, t, u);
+                return true;
             }
-            return false;
+            if (t == last)
+                return false;
+            row = step > 0 ? nextRow(row) : prevRow(row);
         }
-        unitScratch_[i] = u;
     }
-    for (std::size_t i = 0; i < grp.members.size(); ++i)
-        sched.set(grp.members[i], t0 + grp.offsets[i], unitScratch_[i]);
-    return true;
+
+    const std::size_t k = grp.members.size();
+    unitScratch_.resize(k);
+    rowScratch_.resize(k);
+    for (std::size_t i = 0; i < k; ++i)
+        rowScratch_[i] = Schedule::floorMod(first + grp.offsets[i], ii_);
+    for (int t = first;; t += step) {
+        std::size_t i = 0;
+        for (; i < k; ++i) {
+            const NodeId n = grp.members[i];
+            unitScratch_[i] =
+                placeAtRow(slots(g.node(n).op), rowScratch_[i], n);
+            if (unitScratch_[i] < 0)
+                break;
+        }
+        if (i == k) {
+            for (std::size_t j = 0; j < k; ++j)
+                sched.set(grp.members[j], t + grp.offsets[j],
+                          unitScratch_[j]);
+            return true;
+        }
+        // Roll back the members placed at this anchor.
+        for (std::size_t j = 0; j < i; ++j) {
+            release(slots(g.node(grp.members[j]).op), rowScratch_[j],
+                    unitScratch_[j], grp.members[j]);
+        }
+        if (t == last)
+            return false;
+        for (int &row : rowScratch_)
+            row = step > 0 ? nextRow(row) : prevRow(row);
+    }
 }
 
 void
@@ -177,25 +197,24 @@ void
 Mrt::conflicts(Opcode op, int t, std::vector<NodeId> &out) const
 {
     out.clear();
-    const int occ = m_->occupancy(op);
-    if (occ > ii_) {
+    const OpSlots &o = slots(op);
+    if (o.occ > ii_) {
         // findUnit can never place this op at this II, no matter what
         // is evicted: reporting "blockers" here would send IMS chasing
         // nodes whose removal cannot help. Consistently report none.
         return;
     }
-    const int cls = m_->classOf(op);
-    const int units = m_->unitsInClass(cls);
+    const int units = popCount(o.units);
     for (int u = 0; u < units; ++u) {
         int row = Schedule::floorMod(t, ii_);
-        for (int c = 0; c < occ; ++c) {
-            const NodeId n = occupant_[std::size_t(cell(cls, u, row))];
+        for (int c = 0; c < o.occ; ++c) {
+            const NodeId n =
+                occupant_[std::size_t(o.cellBase + u * ii_ + row)];
             if (n != invalidNode &&
                 std::find(out.begin(), out.end(), n) == out.end()) {
                 out.push_back(n);
             }
-            if (++row == ii_)
-                row = 0;
+            row = nextRow(row);
         }
     }
 }

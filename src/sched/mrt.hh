@@ -81,8 +81,25 @@ class Mrt
      * member's time and unit into the schedule.
      * @return false (and leave the table untouched) if any member fails.
      */
-    bool placeGroup(const Ddg &g, const ComplexGroup &grp, int t0,
-                    Schedule &sched);
+    bool
+    placeGroup(const Ddg &g, const ComplexGroup &grp, int t0,
+               Schedule &sched)
+    {
+        return placeGroupFirstFit(g, grp, t0, t0, sched);
+    }
+
+    /**
+     * Place a complex group at the first anchor of first, first + 1,
+     * ..., last (first, first - 1, ..., last when last < first) where
+     * placeGroup would succeed, with the units it would choose there.
+     * The scan steps each member's kernel row along with the anchor
+     * instead of recomputing it, and a singleton group is one
+     * reservation per anchor tried. Every member time of every anchor
+     * in the range must be an int.
+     * @return false (and leave the table untouched) if no anchor fits.
+     */
+    bool placeGroupFirstFit(const Ddg &g, const ComplexGroup &grp,
+                            int first, int last, Schedule &sched);
 
     /** Release a previously placed group using the schedule's units. */
     void removeGroup(const Ddg &g, const ComplexGroup &grp,
@@ -108,24 +125,43 @@ class Mrt
     }
 
   private:
-    int cell(int cls, int unit, int row) const;
-    int maskBase(int cls) const;
-    /** OR of the busy masks over the op's occupancy rows. */
-    std::uint64_t busyOver(const std::vector<std::uint64_t> &busy, int cls,
-                           int t, int occ) const;
+    /** Where an opcode's reservations live, cached per opcode by
+        reset() so a placement reads one record. */
+    struct OpSlots
+    {
+        int occ;        ///< Rows occupied (machine occupancy).
+        int maskBase;   ///< First busy_ row of its class.
+        int cellBase;   ///< First occupant_ cell of its class.
+        std::uint64_t units;  ///< One bit per unit of its class.
+    };
 
-    const Machine *m_ = nullptr;
+    /** OR of the busy masks over occ rows from `row` on (wrapping). */
+    std::uint64_t busyOver(const std::vector<std::uint64_t> &busy,
+                           const OpSlots &o, int row) const;
+    /** Lowest unit free over o's occupancy from `row`, or -1 (also
+        when the occupancy exceeds II). */
+    int findUnitAtRow(const OpSlots &o, int row) const;
+    /** Reserve / release unit u for node n over o's rows from `row`. */
+    void reserve(const OpSlots &o, int row, int u, NodeId n);
+    void release(const OpSlots &o, int row, int u, NodeId n);
+    /** findUnitAtRow, then reserve the unit found; -1 if none. */
+    int placeAtRow(const OpSlots &o, int row, NodeId n);
+    const OpSlots &slots(Opcode op) const { return slots_[int(op)]; }
+    /** The row after / before `row`, wrapping at II. */
+    int nextRow(int row) const { return row + 1 == ii_ ? 0 : row + 1; }
+    int prevRow(int row) const { return row == 0 ? ii_ - 1 : row - 1; }
+
     int ii_ = 0;
+    OpSlots slots_[numOpcodes] = {};
     /** Occupant node per (class, unit, row); -1 when free. */
     std::vector<NodeId> occupant_;
     /** Busy units per (class, row); bit u set = unit u occupied. */
     std::vector<std::uint64_t> busy_;
-    /** Flattened occupant offsets per class (numClasses + 1 entries). */
-    std::vector<int> classBase_;
     /** Scratch copy of busy_ for the group self-competition check. */
     mutable std::vector<std::uint64_t> groupScratch_;
-    /** Unit indices while a group placement is in flight. */
-    std::vector<int> unitScratch_;
+    /** Unit and kernel row per member while a group placement is in
+        flight. */
+    std::vector<int> unitScratch_, rowScratch_;
 };
 
 } // namespace swp

@@ -6,29 +6,74 @@ namespace swp
 {
 
 void
-NodePriorities::compute(const Ddg &g, const Machine &m, int ii)
+ArcTable::build(const Ddg &g, const Machine &m, const GroupSet &groups,
+                int ii)
 {
-    asap.assign(std::size_t(g.numNodes()), 0);
-    height.assign(std::size_t(g.numNodes()), 0);
-    const int n = g.numNodes();
-    for (int iter = 0; iter < n; ++iter) {
+    // One walk of the edge table; boundary arcs are counted per group
+    // on the way (counts land in start[gi]).
+    const int ng = groups.numGroups();
+    arcs_.clear();
+    inStart_.assign(std::size_t(ng) + 1, 0);
+    outStart_.assign(std::size_t(ng) + 1, 0);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (!edge.alive)
+            continue;
+        const int a = groups.groupOf(edge.src);
+        const int b = groups.groupOf(edge.dst);
+        arcs_.push_back({edge.src, edge.dst, a, b, edge.distance,
+                         edge.nonSpillable ? fusedDelayOf(g, m, edge) : 0,
+                         m.latency(g.node(edge.src).op) -
+                             long(ii) * edge.distance});
+        if (a != b) {
+            ++outStart_[std::size_t(a)];
+            ++inStart_[std::size_t(b)];
+        }
+    }
+
+    // The inclusive prefix sums turn the counts into row ends, and a
+    // reverse fill walks each end back to its row start, leaving every
+    // row in edge-id order.
+    for (int gi = 0; gi < ng; ++gi) {
+        inStart_[std::size_t(gi) + 1] += inStart_[std::size_t(gi)];
+        outStart_[std::size_t(gi) + 1] += outStart_[std::size_t(gi)];
+    }
+    in_.resize(std::size_t(inStart_[std::size_t(ng)]));
+    out_.resize(std::size_t(outStart_[std::size_t(ng)]));
+    for (auto it = arcs_.rbegin(); it != arcs_.rend(); ++it) {
+        if (it->srcGroup == it->dstGroup)
+            continue;
+        in_[std::size_t(--inStart_[std::size_t(it->dstGroup)])] = {
+            it->src, it->distance, it->weight - groups.offsetOf(it->dst)};
+        out_[std::size_t(--outStart_[std::size_t(it->srcGroup)])] = {
+            it->dst, it->distance, -it->weight - groups.offsetOf(it->src)};
+    }
+}
+
+void
+NodePriorities::compute(const ArcTable &arcs, int numNodes)
+{
+    const std::vector<ArcTable::Arc> &all = arcs.arcs();
+    asap.assign(std::size_t(numNodes), 0);
+    height.assign(std::size_t(numNodes), 0);
+    for (int iter = 0; iter < numNodes; ++iter) {
         bool changed = false;
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            const Edge &edge = g.edge(e);
-            if (!edge.alive)
-                continue;
-            const long w = m.latency(g.node(edge.src).op) -
-                           long(ii) * edge.distance;
-            if (asap[std::size_t(edge.src)] + w >
-                asap[std::size_t(edge.dst)]) {
-                asap[std::size_t(edge.dst)] =
-                    asap[std::size_t(edge.src)] + w;
+        for (const ArcTable::Arc &a : all) {
+            const long t = asap[std::size_t(a.src)] + a.weight;
+            if (t > asap[std::size_t(a.dst)]) {
+                asap[std::size_t(a.dst)] = t;
                 changed = true;
             }
-            if (height[std::size_t(edge.dst)] + w >
-                height[std::size_t(edge.src)]) {
-                height[std::size_t(edge.src)] =
-                    height[std::size_t(edge.dst)] + w;
+        }
+        if (!changed)
+            break;
+    }
+    for (int iter = 0; iter < numNodes; ++iter) {
+        bool changed = false;
+        for (auto it = all.rbegin(); it != all.rend(); ++it) {
+            const long h = height[std::size_t(it->dst)] + it->weight;
+            if (h > height[std::size_t(it->src)]) {
+                height[std::size_t(it->src)] = h;
                 changed = true;
             }
         }
@@ -38,21 +83,15 @@ NodePriorities::compute(const Ddg &g, const Machine &m, int ii)
 }
 
 bool
-groupsInternallyFeasible(const Ddg &g, const Machine &m,
-                         const GroupSet &groups, int ii)
+groupsInternallyFeasible(const ArcTable &arcs, const GroupSet &groups)
 {
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (!edge.alive)
+    for (const ArcTable::Arc &a : arcs.arcs()) {
+        if (a.srcGroup != a.dstGroup)
             continue;
-        if (groups.groupOf(edge.src) != groups.groupOf(edge.dst))
-            continue;
-        const int lat = m.latency(g.node(edge.src).op);
-        const int gap =
-            groups.offsetOf(edge.dst) - groups.offsetOf(edge.src);
-        if (gap < lat - long(ii) * edge.distance)
+        const int gap = groups.offsetOf(a.dst) - groups.offsetOf(a.src);
+        if (gap < a.weight)
             return false;
-        if (edge.nonSpillable && gap != fusedDelayOf(g, m, edge))
+        if (a.fusedDelay > 0 && gap != a.fusedDelay)
             return false;
     }
     return true;

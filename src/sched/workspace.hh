@@ -12,11 +12,22 @@
  *
  *  - the MRT, the complex-group partition and the ASAP/height priority
  *    buffers;
- *  - the HRMS group graph: deduplicated arcs, CSR successor and
- *    predecessor rows, the SCC decomposition with its Tarjan scratch,
- *    and the bit-packed reachability matrices;
+ *  - the arc table (ArcTable in sched_util.hh): one walk of the live
+ *    edges per probe flattens each into its endpoints, their groups,
+ *    its distance, fused delay and II-adjusted weight latency(src) -
+ *    II * distance, plus per-group CSR lists of the arcs that cross the
+ *    group's boundary, each with the bound it puts on the group's
+ *    anchor. The priorities, the group-internal feasibility check, the
+ *    HRMS group graph and the HRMS and IMS placement windows all read
+ *    it instead of the Ddg; validateSchedule alone keeps reading the
+ *    Ddg, so it stays an independent check of the result;
+ *  - the HRMS group graph: successor and predecessor bit rows, the SCC
+ *    decomposition with its Tarjan scratch, and the zero-distance CSR
+ *    rows, SCCs and reachability matrix of graphs with several
+ *    recurrences;
  *  - the HRMS pre-ordering: the ordered set and the cone rows grown
- *    with it, the recurrence ranks, member lists and RecMII storage,
+ *    with it (and their search frontier), the recurrence ranks, member
+ *    lists and RecMII storage,
  *    the cone and absorb vectors with their merge-sort buffer, and the
  *    Kahn state (absorb positions, in-set wait counts, ready and
  *    remaining rows);
@@ -57,27 +68,26 @@ struct SchedWorkspace
     NodePriorities prio;
     /** Complex-group partition, rebuilt per probe on recycled storage. */
     GroupSet groups;
+    /** The probe's live edges over that partition at the probe's II. */
+    ArcTable arcs;
     /** Anchor-relative group ASAP / height. */
     std::vector<long> gAsap, gHeight;
     /// @}
 
     /** @name HRMS condensed group graph */
     /// @{
-    /** Deduplicated group arcs (from, to) in edge-id order: over all
-        distances, and over zero-distance edges only. */
-    std::vector<std::pair<int, int>> arcs, arcs0;
-    /** Successors and predecessors over arcs, successors over arcs0. */
-    CsrAdj succ, pred, succ0;
-    /** Group-pair dedup while collecting the arcs (all distances /
-        zero-distance only). */
-    BitMatrix edgeSeen, edgeSeen0;
-    /** SCCs of succ / succ0, and their Tarjan scratch. succ0, scc0 and
-        reach0 serve only the ordering of recurrences, so they are
-        built only for graphs that have one. */
+    /** Group successors and predecessors as bit rows (lists come
+        from the arc table's boundary arcs). */
+    BitMatrix succBits, predBits;
+    /** SCCs of the group graph and of its zero-distance subgraph, and
+        their Tarjan scratch. */
     AdjScc scc, scc0;
     SccScratch sccScratch;
-    /** Transitive reachability over succ / its transpose / succ0. */
-    BitMatrix reach, reachT, reach0;
+    /** Zero-distance successors and their transitive reachability:
+        they only order recurrences among each other, so they are built
+        only for graphs with several. */
+    CsrAdj succ0;
+    BitMatrix reach0;
     /// @}
 
     /** @name HRMS pre-ordering */
@@ -85,12 +95,14 @@ struct SchedWorkspace
     std::vector<int> order;
     BitRow orderedMask;
     /** Groups some ordered group reaches / that reach some ordered
-        group: the OR of the reach / reachT rows of the ordered set,
-        grown as groups are appended. */
+        group, grown as groups are appended. */
     BitRow belowOrdered, aboveOrdered;
     /** The recurrence being ordered: members, and the groups its
         members reach / that reach its members. */
     BitRow setMask, belowSet, aboveSet;
+    /** Groups added to one of those rows whose arcs are not yet
+        followed. */
+    BitRow frontier;
     /** Recurrences as (criticality, SCC index), in placement order. */
     std::vector<std::pair<long, int>> recurrenceRanks, rankBuf;
     /** Member nodes of one recurrence, and the region and

@@ -73,16 +73,20 @@ TEST(Groups, InternalCarriedEdgeFeasibility)
     };
     const Machine m = Machine::p2l4();
 
+    const auto feasible = [&](const Ddg &g, int ii) {
+        const GroupSet groups(g, m);
+        ArcTable arcs;
+        arcs.build(g, m, groups, ii);
+        return groupsInternallyFeasible(arcs, groups);
+    };
+
     const Ddg near = build(1);
-    const GroupSet nearGroups(near, m);
-    EXPECT_FALSE(groupsInternallyFeasible(near, m, nearGroups, 5));
-    EXPECT_TRUE(groupsInternallyFeasible(near, m, nearGroups, 6));
+    EXPECT_FALSE(feasible(near, 5));
+    EXPECT_TRUE(feasible(near, 6));
 
     // II * distance = 17 * 2^27 exceeds INT_MAX; computed wide, the
     // bound is far below the gap.
-    const Ddg far = build(134217728);
-    const GroupSet farGroups(far, m);
-    EXPECT_TRUE(groupsInternallyFeasible(far, m, farGroups, 17));
+    EXPECT_TRUE(feasible(build(134217728), 17));
 
     // A self edge is internal to its singleton group: the carried
     // mul -> mul edge needs gap(0) >= lat(mul)(4) - II * 1.
@@ -93,8 +97,8 @@ TEST(Groups, InternalCarriedEdgeFeasibility)
     const Ddg self = b.take();
     const GroupSet selfGroups(self, m);
     ASSERT_TRUE(selfGroups.group(selfGroups.groupOf(mul)).singleton());
-    EXPECT_FALSE(groupsInternallyFeasible(self, m, selfGroups, 3));
-    EXPECT_TRUE(groupsInternallyFeasible(self, m, selfGroups, 4));
+    EXPECT_FALSE(feasible(self, 3));
+    EXPECT_TRUE(feasible(self, 4));
 }
 
 TEST(Groups, ChainsMergeTransitively)
@@ -424,6 +428,45 @@ TEST(Groups, MatchesQuadraticReferenceOnSpilledLoops)
         ASSERT_EQ(got.offsets, want.offsets) << g.name();
         ASSERT_EQ(groups.numGroups(), trees) << g.name();
     }
+}
+
+TEST(Groups, UnfusedPartitionMatchesUnionFindOnRecycledStorage)
+{
+    // A graph with no fused edge takes the identity partition without
+    // running union-find. It must equal the reference even on a set
+    // whose group slots last held fused groups, and a fused graph reset
+    // right after it must still match.
+    const Machine m = Machine::p2l4();
+    Ddg fused("fused");
+    for (int i = 0; i < 40; ++i) {
+        const NodeId ld = fused.addNode(Opcode::Load);
+        const NodeId add = fused.addNode(Opcode::Add);
+        const NodeId st = fused.addNode(Opcode::Store);
+        fused.addEdge(ld, add, DepKind::RegFlow, 0, true);
+        fused.addEdge(add, st, DepKind::RegFlow, 0, true);
+    }
+    GroupSet groups;
+    auto expectReference = [&](const Ddg &g) {
+        groups.reset(g, m);
+        const GroupsView got = viewOf(groups, g.numNodes());
+        const GroupsView want = quadraticReference(g, m);
+        ASSERT_EQ(got.groupOf, want.groupOf) << g.name();
+        ASSERT_EQ(got.offsetOf, want.offsetOf) << g.name();
+        ASSERT_EQ(got.members, want.members) << g.name();
+        ASSERT_EQ(got.offsets, want.offsets) << g.name();
+    };
+    int unfused = 0;
+    for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
+        expectReference(fused);
+        ASSERT_EQ(groups.numGroups(), 40);
+        bool fusedEdge = false;
+        for (EdgeId e = 0; e < loop.graph.numEdges(); ++e)
+            fusedEdge |= loop.graph.edge(e).nonSpillable;
+        unfused += !fusedEdge;
+        expectReference(loop.graph);
+        ASSERT_EQ(groups.numGroups(), loop.graph.numNodes());
+    }
+    EXPECT_EQ(unfused, SuiteParams{}.numLoops);
 }
 
 TEST(Groups, InconsistentFusedOffsetsPanic)

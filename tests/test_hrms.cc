@@ -1,7 +1,8 @@
 /**
  * @file
  * HRMS scheduler tests: the worked example, recurrences, resource
- * saturation, group handling and the pre-ordering invariant.
+ * saturation, group handling and the pre-ordering invariant, plus the
+ * node priorities both schedulers order by.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "sched/hrms.hh"
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
+#include "sched/sched_util.hh"
 #include "spill/insert.hh"
+#include "spill/select.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
 
@@ -339,6 +342,95 @@ TEST(Hrms, PreOrderingIsPinnedOnSuitePrefix)
         }
     }
     EXPECT_EQ(fp.value(), 0x74c80fe270209bddull);
+}
+
+/**
+ * Reference priorities: longest paths by Bellman-Ford over every live
+ * edge of the graph in id order, ASAP and height relaxed in the same
+ * sweep, until neither changes (at most one sweep per node). Returns
+ * the number of sweeps.
+ */
+int
+naivePriorities(const Ddg &g, const Machine &m, int ii,
+                std::vector<long> &asap, std::vector<long> &height)
+{
+    asap.assign(std::size_t(g.numNodes()), 0);
+    height.assign(std::size_t(g.numNodes()), 0);
+    int iter = 0;
+    while (iter < g.numNodes()) {
+        ++iter;
+        bool changed = false;
+        for (EdgeId e = 0; e < g.numEdges(); ++e) {
+            const Edge &edge = g.edge(e);
+            if (!edge.alive)
+                continue;
+            const long w = m.latency(g.node(edge.src).op) -
+                           long(ii) * edge.distance;
+            if (asap[std::size_t(edge.src)] + w >
+                asap[std::size_t(edge.dst)]) {
+                asap[std::size_t(edge.dst)] =
+                    asap[std::size_t(edge.src)] + w;
+                changed = true;
+            }
+            if (height[std::size_t(edge.dst)] + w >
+                height[std::size_t(edge.src)]) {
+                height[std::size_t(edge.src)] =
+                    height[std::size_t(edge.dst)] + w;
+                changed = true;
+            }
+        }
+        if (!changed)
+            break;
+    }
+    return iter;
+}
+
+TEST(Priorities, MatchNaiveBellmanFordOnSuiteAndSpilledGraphs)
+{
+    // Every suite loop, then the graphs of up to three spill rounds of
+    // it (the value with the largest lifetime over traffic, spilled
+    // after scheduling at MII), each at II in [MII, MII + 3]: one
+    // workspace-style buffer set, as a scheduler reuses it.
+    const Machine m = Machine::p2l4();
+    HrmsScheduler hrms;
+    GroupSet groups;
+    ArcTable arcs;
+    NodePriorities prio;
+    std::vector<long> asap, height;
+    int spilled = 0;
+    int deep = 0;
+    auto check = [&](const Ddg &g) {
+        const int lower = mii(g, m);
+        groups.reset(g, m);
+        for (int ii = lower; ii <= lower + 3; ++ii) {
+            arcs.build(g, m, groups, ii);
+            prio.compute(arcs, g.numNodes());
+            deep += naivePriorities(g, m, ii, asap, height) > 3;
+            ASSERT_EQ(prio.asap, asap) << g.name() << " ii=" << ii;
+            ASSERT_EQ(prio.height, height) << g.name() << " ii=" << ii;
+        }
+    };
+    for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
+        Ddg g = loop.graph;
+        check(g);
+        for (int round = 1; round <= 3; ++round) {
+            const auto s = hrms.scheduleAt(g, m, mii(g, m));
+            if (!s)
+                break;
+            const auto pick =
+                selectOne(spillCandidates(g, analyzeLifetimes(g, *s)),
+                          SpillHeuristic::MaxLTOverTraf);
+            if (!pick)
+                break;
+            insertSpill(g, m, *pick);
+            check(g);
+            ++spilled;
+        }
+    }
+    EXPECT_GT(spilled, 2000);
+    // Graphs whose paths run against edge order, so that a sweep over
+    // the edges in id order settles them only after several passes.
+    EXPECT_GT(deep, 1000);
 }
 
 TEST(Hrms, EveryScheduleValidatesOnSuiteSample)

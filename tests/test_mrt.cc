@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -277,6 +278,120 @@ TEST(Mrt, DifferentialGroupPlacement)
             }
             expectTablesAgree(mrt, ref, ii);
         }
+    }
+}
+
+TEST(Mrt, FirstFitScanMatchesAnchorByAnchorPlacement)
+{
+    // placeGroupFirstFit steps kernel rows along with the anchor, and
+    // places a singleton with one reservation per anchor. It must pick
+    // the anchor, and reserve the units, that trying each anchor of the
+    // range in turn on the reference table picks: scanning up and
+    // down, across the wrap between row II - 1 and row 0, and for
+    // non-pipelined members whose occupancy spans several rows (or
+    // exceeds II), alone or inside a fused group.
+    DdgBuilder b("scan");
+    const NodeId div = b.div("div");
+    const NodeId ld = b.load("ld");
+    const NodeId l1 = b.load("l1");
+    const NodeId a1 = b.add("a1");
+    const NodeId d1 = b.div("d1");
+    const NodeId sq = b.sqrt("sq");
+    const NodeId st = b.store("st");
+    b.graph().addEdge(l1, a1, DepKind::RegFlow, 0, true);
+    b.graph().addEdge(a1, d1, DepKind::RegFlow, 0, true);
+    b.flow(d1, st);
+    b.flow(sq, st);
+    b.flow(div, st);
+    b.flow(ld, st);
+    const Ddg g = b.take();
+    constexpr Opcode pipelined[] = {Opcode::Load, Opcode::Store,
+                                    Opcode::Add, Opcode::Mul, Opcode::Copy};
+    const Machine machines[] = {Machine::p1l4(), Machine::p2l4()};
+
+    for (const Machine &m : machines) {
+        const GroupSet groups(g, m);
+        ASSERT_EQ(groups.group(groups.groupOf(l1)).members.size(), 3u);
+        Rng rng(0x5ca9u + std::uint64_t(m.unitsInClass(0)));
+        int singletons = 0, fused = 0, nonPipelined = 0, wrapped = 0;
+        NodeId noise = 100;
+        for (int trial = 0; trial < 120; ++trial) {
+            const int ii = rng.range(1, 40);
+            Mrt mrt(m, ii);
+            RefMrt ref(m, ii);
+            Schedule sched(ii, g.numNodes());
+            auto busy = [&](Opcode op, int t) {
+                ASSERT_EQ(mrt.place(op, t, noise), ref.place(op, t, noise));
+                ++noise;
+            };
+            for (int k = rng.range(0, 2 * ii); k > 0; --k)
+                busy(pipelined[rng.range(0, 4)], rng.range(-30, 60));
+            // Groups in a rotated order, so that each meets the divide
+            // unit free in some trials.
+            const int start = rng.range(0, groups.numGroups() - 1);
+            for (int k = 0; k < groups.numGroups(); ++k) {
+                const int gi = (start + k) % groups.numGroups();
+                const ComplexGroup &grp = groups.group(gi);
+                const bool up = rng.chance(0.5);
+                int first = rng.range(-50, 50);
+                if (rng.chance(0.5)) {
+                    // Start on the last row scanning up (the first row
+                    // scanning down) with that anchor's first member
+                    // blocked, so the scan must cross the wrap.
+                    first = ii * rng.range(-2, 2) + (up ? ii - 1 : 0);
+                    const Opcode op = g.node(grp.members[0]).op;
+                    if (m.occupancy(op) == 1) {
+                        for (int u = 0; u < m.unitsInClass(m.classOf(op));
+                             ++u) {
+                            busy(op, first);
+                        }
+                    }
+                }
+                const int span = rng.range(0, ii + 2);
+                const int last = up ? first + span : first - span;
+                // Reference: each anchor in scan order, all members or
+                // none, on a scratch copy of the reference table.
+                int want = INT32_MIN;
+                for (int t = first;; t += up ? 1 : -1) {
+                    RefMrt scratch(ref);
+                    bool fits = true;
+                    for (std::size_t i = 0; i < grp.members.size() && fits;
+                         ++i) {
+                        fits = scratch.place(g.node(grp.members[i]).op,
+                                             t + grp.offsets[i],
+                                             grp.members[i]) >= 0;
+                    }
+                    if (fits) {
+                        want = t;
+                        break;
+                    }
+                    if (t == last)
+                        break;
+                }
+                const bool got =
+                    mrt.placeGroupFirstFit(g, grp, first, last, sched);
+                ASSERT_EQ(got, want != INT32_MIN)
+                    << m.name() << " ii=" << ii << " group " << gi;
+                if (got) {
+                    for (std::size_t i = 0; i < grp.members.size(); ++i) {
+                        const NodeId v = grp.members[i];
+                        ASSERT_EQ(sched.time(v), want + grp.offsets[i]);
+                        ASSERT_EQ(ref.place(g.node(v).op, sched.time(v), v),
+                                  sched.unit(v))
+                            << m.name() << " ii=" << ii << " node " << v;
+                        nonPipelined += m.occupancy(g.node(v).op) > 1;
+                    }
+                    wrapped += Schedule::floorDiv(first, ii) !=
+                               Schedule::floorDiv(want, ii);
+                    (grp.singleton() ? singletons : fused) += 1;
+                }
+                expectTablesAgree(mrt, ref, ii);
+            }
+        }
+        EXPECT_GT(singletons, 200) << m.name();
+        EXPECT_GT(fused, 20) << m.name();
+        EXPECT_GT(nonPipelined, 50) << m.name();
+        EXPECT_GT(wrapped, 100) << m.name();
     }
 }
 
