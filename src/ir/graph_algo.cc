@@ -48,7 +48,7 @@ reachability(const Ddg &g)
     stronglyConnectedComponents(n, succRow, scc, scratch);
 
     BitMatrix reach;
-    transitiveClosure(scc, succRow, false, reach);
+    transitiveClosure(scc, succRow, reach);
     return reach;
 }
 

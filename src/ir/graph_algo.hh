@@ -204,26 +204,24 @@ stronglyConnectedComponents(int n, SuccOf &&succOf, AdjScc &out,
 /**
  * Transitive closure from an SCC decomposition: row v of `out` gets
  * every node reachable from v by one or more arcs of succOf (so v
- * itself only when it lies on a cycle). `scc` decomposes succOf's graph,
- * or, with `transposed`, the graph succOf reverses; either way the
- * components are visited so every successor component's row is
- * complete when it is read. A component's row is built in the row of
- * its first member, then copied to the others: every member of a
- * cyclic component is the target of an arc inside it (a self-arc for a
- * single node), so its own members land in the row with no special
- * case. Costs O(arcs x words per row).
+ * itself only when it lies on a cycle). `scc` decomposes succOf's
+ * graph; Tarjan emits components in reverse topological order, so
+ * every successor component's row is complete when it is read. A
+ * component's row is built in the row of its first member, then
+ * copied to the others: every member of a cyclic component is the
+ * target of an arc inside it (a self-arc for a single node), so its
+ * own members land in the row with no special case. Costs O(arcs x
+ * words per row).
  */
 template <typename SuccOf>
 void
-transitiveClosure(const AdjScc &scc, SuccOf &&succOf, bool transposed,
-                  BitMatrix &out)
+transitiveClosure(const AdjScc &scc, SuccOf &&succOf, BitMatrix &out)
 {
     const int n = int(scc.compOf.size());
     out.reset(n, n);
     const int words = out.wordsPerRow();
     const int comps = scc.numComps();
-    for (int k = 0; k < comps; ++k) {
-        const int c = transposed ? comps - 1 - k : k;
+    for (int c = 0; c < comps; ++c) {
         const int *members = scc.compNodes(c);
         std::uint64_t *row = out.row(members[0]);
         for (int i = 0; i < scc.compSize(c); ++i) {
