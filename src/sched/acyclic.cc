@@ -4,70 +4,13 @@
 #include <vector>
 
 #include "sched/groups.hh"
+#include "sched/ii_search.hh"
+#include "sched/mrt.hh"
+#include "sched/sched_util.hh"
 #include "support/diag.hh"
 
 namespace swp
 {
-
-namespace
-{
-
-/** Reservation table over a linear (non-modulo) horizon. */
-class LinearRt
-{
-  public:
-    LinearRt(const Machine &m, int horizon)
-        : m_(m), horizon_(horizon),
-          busy_(std::size_t(m.numClasses()))
-    {
-        for (int cls = 0; cls < m.numClasses(); ++cls) {
-            busy_[std::size_t(cls)].assign(
-                std::size_t(m.unitsInClass(cls)) * std::size_t(horizon),
-                false);
-        }
-    }
-
-    /** Find a unit free at [t, t+occ) for op, or -1. */
-    int
-    findUnit(Opcode op, int t) const
-    {
-        const int cls = m_.classOf(op);
-        const int units = m_.unitsInClass(cls);
-        const int occ = m_.occupancy(op);
-        if (t < 0 || t + occ > horizon_)
-            return -1;
-        for (int u = 0; u < units; ++u) {
-            bool free = true;
-            for (int c = 0; c < occ && free; ++c)
-                free = !busy_[std::size_t(cls)][idx(u, t + c)];
-            if (free)
-                return u;
-        }
-        return -1;
-    }
-
-    void
-    reserve(Opcode op, int t, int u)
-    {
-        const int cls = m_.classOf(op);
-        const int occ = m_.occupancy(op);
-        for (int c = 0; c < occ; ++c)
-            busy_[std::size_t(cls)][idx(u, t + c)] = true;
-    }
-
-  private:
-    std::size_t
-    idx(int unit, int t) const
-    {
-        return std::size_t(unit) * std::size_t(horizon_) + std::size_t(t);
-    }
-
-    const Machine &m_;
-    int horizon_;
-    std::vector<std::vector<bool>> busy_;
-};
-
-} // namespace
 
 Schedule
 scheduleAcyclic(const Ddg &g, const Machine &m)
@@ -75,107 +18,58 @@ scheduleAcyclic(const Ddg &g, const Machine &m)
     const int n = g.numNodes();
     SWP_ASSERT(n > 0, "cannot schedule an empty loop");
 
-    // Horizon: everything serialized, with slack for fused staggering.
-    int horizon = 8;
-    for (NodeId v = 0; v < n; ++v) {
-        horizon += 2 * std::max(m.latency(g.node(v).op),
-                                m.occupancy(g.node(v).op));
-    }
+    // The horizon is every node serialized, with slack. An MRT whose II
+    // is the horizon is a linear reservation table as long as no
+    // reservation wraps past its last row, which is checked after each
+    // placement.
+    const int horizon = defaultMaxIi(g, m);
 
     // Complex groups are placed atomically, so the list scheduling
     // works on groups, in a topological order of the intra-iteration
-    // (distance 0) dependences between groups.
+    // (distance 0) arcs between groups. At any II such an arc bounds
+    // its destination's anchor by time(src) + latency(src) - offset(dst).
     const GroupSet groups(g, m);
+    ArcTable arcs;
+    arcs.build(g, m, groups, horizon);
     const int ng = groups.numGroups();
 
     std::vector<int> indeg(std::size_t(ng), 0);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (!edge.alive || edge.distance != 0)
-            continue;
-        const int a = groups.groupOf(edge.src);
-        const int b = groups.groupOf(edge.dst);
-        if (a != b)
-            ++indeg[std::size_t(b)];
-    }
     std::vector<int> ready;
     for (int gi = 0; gi < ng; ++gi) {
+        for (const ArcTable::Bound &b : arcs.inArcs(gi))
+            indeg[std::size_t(gi)] += b.distance == 0;
         if (indeg[std::size_t(gi)] == 0)
             ready.push_back(gi);
     }
 
-    LinearRt rt(m, horizon);
-    std::vector<int> time(std::size_t(n), -1);
-    std::vector<int> unit(std::size_t(n), -1);
-
-    std::size_t cursor = 0;
-    int scheduledGroups = 0;
-    while (cursor < ready.size()) {
-        const int gi = ready[cursor++];
+    Mrt mrt(m, horizon);
+    Schedule flat(horizon, n);
+    for (std::size_t cursor = 0; cursor < ready.size(); ++cursor) {
+        const int gi = ready[cursor];
         const ComplexGroup &grp = groups.group(gi);
 
-        // Earliest anchor satisfying the distance-0 dependences from
-        // outside the group.
-        int earliest = 0;
-        for (std::size_t i = 0; i < grp.members.size(); ++i) {
+        long earliest = 0;
+        for (const ArcTable::Bound &b : arcs.inArcs(gi)) {
+            if (b.distance == 0)
+                earliest = std::max(earliest, flat.time(b.node) + b.delta);
+        }
+        bool inside = earliest < horizon &&
+                      mrt.placeGroupFirstFit(g, grp, int(earliest),
+                                             horizon - 1, flat);
+        for (std::size_t i = 0; inside && i < grp.members.size(); ++i) {
             const NodeId v = grp.members[i];
-            for (EdgeId e : g.inEdges(v)) {
-                const Edge &edge = g.edge(e);
-                if (edge.distance != 0 ||
-                    groups.groupOf(edge.src) == gi) {
-                    continue;
-                }
-                const int bound = time[std::size_t(edge.src)] +
-                                  m.latency(g.node(edge.src).op) -
-                                  grp.offsets[i];
-                earliest = std::max(earliest, bound);
-            }
+            inside = flat.time(v) + m.occupancy(g.node(v).op) <= horizon;
         }
-
-        // First anchor where every member fits (simulated on a scratch
-        // copy because members may compete for the same units).
-        bool placed = false;
-        for (int t0 = earliest; t0 < horizon && !placed; ++t0) {
-            LinearRt scratch(rt);
-            std::vector<int> units(grp.members.size(), -1);
-            bool ok = true;
-            for (std::size_t i = 0; i < grp.members.size() && ok; ++i) {
-                const Opcode op = g.node(grp.members[i]).op;
-                const int u = scratch.findUnit(op, t0 + grp.offsets[i]);
-                if (u < 0) {
-                    ok = false;
-                } else {
-                    scratch.reserve(op, t0 + grp.offsets[i], u);
-                    units[i] = u;
-                }
-            }
-            if (ok) {
-                for (std::size_t i = 0; i < grp.members.size(); ++i) {
-                    const NodeId v = grp.members[i];
-                    time[std::size_t(v)] = t0 + grp.offsets[i];
-                    unit[std::size_t(v)] = units[i];
-                    rt.reserve(g.node(v).op, time[std::size_t(v)],
-                               units[i]);
-                }
-                placed = true;
-            }
-        }
-        SWP_ASSERT(placed, "acyclic scheduler exceeded its horizon on ",
+        SWP_ASSERT(inside, "acyclic scheduler exceeded its horizon on ",
                    g.name());
-        ++scheduledGroups;
 
-        for (std::size_t i = 0; i < grp.members.size(); ++i) {
-            for (EdgeId e : g.outEdges(grp.members[i])) {
-                const Edge &edge = g.edge(e);
-                if (edge.distance != 0)
-                    continue;
-                const int b = groups.groupOf(edge.dst);
-                if (b != gi && --indeg[std::size_t(b)] == 0)
-                    ready.push_back(b);
-            }
+        for (const ArcTable::Bound &b : arcs.outArcs(gi)) {
+            const int to = groups.groupOf(b.node);
+            if (b.distance == 0 && --indeg[std::size_t(to)] == 0)
+                ready.push_back(to);
         }
     }
-    SWP_ASSERT(scheduledGroups == ng,
+    SWP_ASSERT(int(ready.size()) == ng,
                "distance-0 cycle across groups in ", g.name());
 
     // II = makespan: results of iteration i are complete before
@@ -184,14 +78,13 @@ scheduleAcyclic(const Ddg &g, const Machine &m)
     int makespan = 1;
     for (NodeId v = 0; v < n; ++v) {
         makespan = std::max(makespan,
-                            time[std::size_t(v)] +
-                                std::max(m.latency(g.node(v).op),
-                                         m.occupancy(g.node(v).op)));
+                            flat.time(v) + std::max(m.latency(g.node(v).op),
+                                                    m.occupancy(g.node(v).op)));
     }
 
     Schedule sched(makespan, n);
     for (NodeId v = 0; v < n; ++v)
-        sched.set(v, time[std::size_t(v)], unit[std::size_t(v)]);
+        sched.set(v, flat.time(v), flat.unit(v));
 
     std::string why;
     SWP_ASSERT(validateSchedule(g, m, sched, &why),

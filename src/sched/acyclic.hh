@@ -9,6 +9,12 @@
  * intra-iteration (distance 0) dependences, packaged as a degenerate
  * modulo schedule whose II equals the iteration makespan (stage count 1,
  * i.e. no overlap between iterations).
+ *
+ * It reads the inputs the modulo schedulers read: the complex-group
+ * partition, the arc table's zero-distance boundary arcs (Kahn's walk
+ * and each group's earliest anchor), and an MRT whose II is the
+ * defaultMaxIi horizon, where each group takes the first anchor that
+ * Mrt::placeGroupFirstFit finds from its earliest one.
  */
 
 #ifndef SWP_SCHED_ACYCLIC_HH

@@ -60,18 +60,7 @@ struct HrmsContext
         buildGroupGraph();
 
         ws.prio.compute(ws.arcs, g.numNodes());
-        ws.gAsap.assign(std::size_t(n), negInf);
-        ws.gHeight.assign(std::size_t(n), negInf);
-        for (NodeId v = 0; v < g.numNodes(); ++v) {
-            const int gi = groups.groupOf(v);
-            const long off = groups.offsetOf(v);
-            ws.gAsap[std::size_t(gi)] =
-                std::max(ws.gAsap[std::size_t(gi)],
-                         ws.prio.asap[std::size_t(v)] - off);
-            ws.gHeight[std::size_t(gi)] =
-                std::max(ws.gHeight[std::size_t(gi)],
-                         ws.prio.height[std::size_t(v)] + off);
-        }
+        groupPriorities(ws.prio, groups, ws.gAsap, ws.gHeight);
     }
 
     /** Group gi's boundary arcs: out-arcs (successors), in-arcs

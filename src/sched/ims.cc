@@ -23,23 +23,10 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
         return std::nullopt;
 
     ws_.prio.compute(ws_.arcs, g.numNodes());
-    const NodePriorities &prio = ws_.prio;
+    groupPriorities(ws_.prio, groups, ws_.gAsap, ws_.gHeight);
+    const std::vector<long> &gAsap = ws_.gAsap;
+    const std::vector<long> &gHeight = ws_.gHeight;
     const int ng = groups.numGroups();
-
-    // Group priority: the tallest member, anchor-adjusted.
-    std::vector<long> &gHeight = ws_.gHeight;
-    std::vector<long> &gAsap = ws_.gAsap;
-    gHeight.assign(std::size_t(ng), schedNegInf);
-    gAsap.assign(std::size_t(ng), schedNegInf);
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        const int gi = groups.groupOf(v);
-        gHeight[std::size_t(gi)] = std::max(
-            gHeight[std::size_t(gi)],
-            prio.height[std::size_t(v)] + groups.offsetOf(v));
-        gAsap[std::size_t(gi)] = std::max(
-            gAsap[std::size_t(gi)],
-            prio.asap[std::size_t(v)] - groups.offsetOf(v));
-    }
 
     Schedule sched(ii, g.numNodes());
     Mrt &mrt = ws_.mrt;
@@ -89,26 +76,20 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
                 early = std::max(early, sched.time(b.node) + b.delta);
         }
 
-        // Try the II-wide conflict-free window first.
-        long chosen = schedNegInf;
-        for (long t = early; t < early + ii; ++t) {
-            if (mrt.canPlaceGroup(g, grp, int(t))) {
-                chosen = t;
-                break;
-            }
-        }
-
-        if (chosen == schedNegInf) {
+        // Take the first conflict-free anchor of the II-wide window.
+        if (!mrt.placeGroupFirstFit(g, grp, int(early), int(early + ii - 1),
+                                    sched)) {
             // Forced placement: never earlier than last time + 1, which
             // guarantees forward progress.
-            chosen = std::max(early, lastTime[std::size_t(gi)] + 1);
+            const long forced =
+                std::max(early, lastTime[std::size_t(gi)] + 1);
 
             // Evict every group holding a resource this group needs.
             std::vector<int> &evict = ws_.evict;
             evict.clear();
             for (std::size_t i = 0; i < grp.members.size(); ++i) {
                 const NodeId v = grp.members[i];
-                const long t = chosen + grp.offsets[i];
+                const long t = forced + grp.offsets[i];
                 mrt.conflicts(g.node(v).op, int(t), ws_.blockers);
                 for (NodeId blocker : ws_.blockers) {
                     const int bg = groups.groupOf(blocker);
@@ -121,14 +102,14 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
             }
             for (int bg : evict)
                 unplaceGroup(bg);
-        }
 
-        const bool ok = mrt.placeGroup(g, grp, int(chosen), sched);
-        if (!ok) {
             // Even after eviction the slot may be infeasible (occupancy
             // longer than II interfering with itself); give up.
-            return std::nullopt;
+            if (!mrt.placeGroup(g, grp, int(forced), sched))
+                return std::nullopt;
         }
+        // The first member sits at offset 0: its time is the anchor.
+        const long chosen = sched.time(grp.members[0]);
         placed[std::size_t(gi)] = 1;
         --unplacedCount;
         lastTime[std::size_t(gi)] = chosen;

@@ -33,12 +33,11 @@ Mrt::reset(const Machine &m, int ii)
 }
 
 std::uint64_t
-Mrt::busyOver(const std::vector<std::uint64_t> &busy, const OpSlots &o,
-              int row) const
+Mrt::busyOver(const OpSlots &o, int row) const
 {
     std::uint64_t mask = 0;
     for (int c = 0; c < o.occ; ++c) {
-        mask |= busy[std::size_t(o.maskBase + row)];
+        mask |= busy_[std::size_t(o.maskBase + row)];
         row = nextRow(row);
     }
     return mask;
@@ -49,7 +48,7 @@ Mrt::findUnitAtRow(const OpSlots &o, int row) const
 {
     if (o.occ > ii_)
         return -1;
-    const std::uint64_t free = ~busyOver(busy_, o, row) & o.units;
+    const std::uint64_t free = ~busyOver(o, row) & o.units;
     return free ? countTrailingZeros(free) : -1;
 }
 
@@ -103,31 +102,6 @@ void
 Mrt::remove(Opcode op, int t, NodeId n, int u)
 {
     release(slots(op), Schedule::floorMod(t, ii_), u, n);
-}
-
-bool
-Mrt::canPlaceGroup(const Ddg &g, const ComplexGroup &grp, int t0) const
-{
-    // The members may compete for the same units, so a per-member
-    // canPlace() check is insufficient; simulate the placement on a
-    // scratch copy of the busy masks (occupant bookkeeping is not
-    // needed to answer yes/no, so only the masks are copied).
-    groupScratch_.assign(busy_.begin(), busy_.end());
-    for (std::size_t i = 0; i < grp.members.size(); ++i) {
-        const OpSlots &o = slots(g.node(grp.members[i]).op);
-        const int row = Schedule::floorMod(t0 + grp.offsets[i], ii_);
-        if (o.occ > ii_)
-            return false;
-        const std::uint64_t free =
-            ~busyOver(groupScratch_, o, row) & o.units;
-        if (!free)
-            return false;
-        const std::uint64_t bit =
-            std::uint64_t(1) << countTrailingZeros(free);
-        for (int c = 0, r = row; c < o.occ; ++c, r = nextRow(r))
-            groupScratch_[std::size_t(o.maskBase + r)] |= bit;
-    }
-    return true;
 }
 
 bool

@@ -7,7 +7,11 @@
  * occupied for one row per operation; non-pipelined units (div/sqrt in
  * the paper's machines) are occupied for latency consecutive rows.
  * Placement also supports complex groups: several nodes at fixed offsets
- * placed and released atomically.
+ * placed and released atomically. placeGroupFirstFit is the one routine
+ * that places a group: HRMS, IMS and the acyclic fallback (an MRT whose
+ * II is its linear horizon) each scan their anchor window through it.
+ * Members may compete for the same units, so it reserves them one by
+ * one and rolls an anchor's reservations back when a member fails.
  *
  * Occupancy is stored twice, for different access patterns:
  *  - a per-(class, row) uint64_t busy mask (bit u = unit u busy), so the
@@ -71,14 +75,10 @@ class Mrt
     void remove(Opcode op, int t, NodeId n, int u);
 
     /**
-     * True if a whole complex group anchored at time t0 fits
-     * (all members simultaneously).
-     */
-    bool canPlaceGroup(const Ddg &g, const ComplexGroup &grp, int t0) const;
-
-    /**
      * Atomically place a complex group anchored at t0, recording each
-     * member's time and unit into the schedule.
+     * member's time and unit into the schedule. The one-anchor scan of
+     * placeGroupFirstFit; IMS's forced placement is its only scheduler
+     * caller.
      * @return false (and leave the table untouched) if any member fails.
      */
     bool
@@ -136,8 +136,7 @@ class Mrt
     };
 
     /** OR of the busy masks over occ rows from `row` on (wrapping). */
-    std::uint64_t busyOver(const std::vector<std::uint64_t> &busy,
-                           const OpSlots &o, int row) const;
+    std::uint64_t busyOver(const OpSlots &o, int row) const;
     /** Lowest unit free over o's occupancy from `row`, or -1 (also
         when the occupancy exceeds II). */
     int findUnitAtRow(const OpSlots &o, int row) const;
@@ -157,8 +156,6 @@ class Mrt
     std::vector<NodeId> occupant_;
     /** Busy units per (class, row); bit u set = unit u occupied. */
     std::vector<std::uint64_t> busy_;
-    /** Scratch copy of busy_ for the group self-competition check. */
-    mutable std::vector<std::uint64_t> groupScratch_;
     /** Unit and kernel row per member while a group placement is in
         flight. */
     std::vector<int> unitScratch_, rowScratch_;

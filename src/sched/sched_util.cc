@@ -1,5 +1,7 @@
 #include "sched/sched_util.hh"
 
+#include <algorithm>
+
 #include "sched/groups.hh"
 
 namespace swp
@@ -79,6 +81,23 @@ NodePriorities::compute(const ArcTable &arcs, int numNodes)
         }
         if (!changed)
             break;
+    }
+}
+
+void
+groupPriorities(const NodePriorities &prio, const GroupSet &groups,
+                std::vector<long> &asap, std::vector<long> &height)
+{
+    const int ng = groups.numGroups();
+    asap.assign(std::size_t(ng), schedNegInf);
+    height.assign(std::size_t(ng), schedNegInf);
+    for (std::size_t v = 0; v < prio.asap.size(); ++v) {
+        const int gi = groups.groupOf(NodeId(v));
+        const long off = groups.offsetOf(NodeId(v));
+        asap[std::size_t(gi)] =
+            std::max(asap[std::size_t(gi)], prio.asap[v] - off);
+        height[std::size_t(gi)] =
+            std::max(height[std::size_t(gi)], prio.height[v] + off);
     }
 }
 

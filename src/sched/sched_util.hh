@@ -1,8 +1,8 @@
 /**
  * @file
  * Helpers shared by the modulo scheduling algorithms: the per-probe arc
- * table, longest-path priorities at a given II and complex-group
- * feasibility checks.
+ * table, longest-path node priorities at a given II and the group
+ * priorities derived from them, and complex-group feasibility checks.
  */
 
 #ifndef SWP_SCHED_SCHED_UTIL_HH
@@ -135,6 +135,14 @@ struct NodePriorities
      */
     void compute(const ArcTable &arcs, int numNodes);
 };
+
+/**
+ * Anchor-relative group priorities: a group's ASAP is the largest
+ * member ASAP minus the member's offset, its height the largest member
+ * height plus the member's offset. The buffers are reused.
+ */
+void groupPriorities(const NodePriorities &prio, const GroupSet &groups,
+                     std::vector<long> &asap, std::vector<long> &height);
 
 /**
  * Check dependence constraints between members of the same complex

@@ -10,8 +10,9 @@
  * (assign / reset / build, which recycle capacity) instead of
  * reallocating them:
  *
- *  - the MRT, the complex-group partition and the ASAP/height priority
- *    buffers;
+ *  - the MRT, whose placeGroupFirstFit places every group of both
+ *    schedulers, the complex-group partition, and the node and group
+ *    ASAP/height priority buffers (groupPriorities in sched_util.hh);
  *  - the arc table (ArcTable in sched_util.hh): one walk of the live
  *    edges per probe flattens each into its endpoints, their groups,
  *    its distance, fused delay and II-adjusted weight latency(src) -
@@ -19,8 +20,9 @@
  *    group's boundary, each with the bound it puts on the group's
  *    anchor. The priorities, the group-internal feasibility check, the
  *    HRMS group graph and the HRMS and IMS placement windows all read
- *    it instead of the Ddg; validateSchedule alone keeps reading the
- *    Ddg, so it stays an independent check of the result;
+ *    it instead of the Ddg (so does the acyclic fallback, on its own
+ *    table); validateSchedule alone keeps reading the Ddg, so it stays
+ *    an independent check of the result;
  *  - the HRMS group graph: successor and predecessor bit rows, the SCC
  *    decomposition with its Tarjan scratch, and the zero-distance CSR
  *    rows, SCCs and reachability matrix of graphs with several
@@ -31,7 +33,7 @@
  *    the cone and absorb vectors with their merge-sort buffer, and the
  *    Kahn state (absorb positions, in-set wait counts, ready and
  *    remaining rows);
- *  - the IMS eviction buffers.
+ *  - the IMS placement state and eviction buffers.
  *
  * Once the buffers have grown to the largest loop seen, an HRMS probe
  * allocates only the Schedule it returns and validateSchedule's owner
@@ -70,7 +72,7 @@ struct SchedWorkspace
     GroupSet groups;
     /** The probe's live edges over that partition at the probe's II. */
     ArcTable arcs;
-    /** Anchor-relative group ASAP / height. */
+    /** Anchor-relative group ASAP / height (groupPriorities). */
     std::vector<long> gAsap, gHeight;
     /// @}
 

@@ -124,18 +124,6 @@ class BitMatrix
         return words_.data() + std::size_t(r) * std::size_t(wordsPerRow_);
     }
 
-    /** True if row r intersects the mask (mask has wordsPerRow words). */
-    bool
-    intersects(int r, const std::uint64_t *mask) const
-    {
-        const std::uint64_t *w = row(r);
-        for (int i = 0; i < wordsPerRow_; ++i) {
-            if (w[i] & mask[i])
-                return true;
-        }
-        return false;
-    }
-
     /** dst |= row src (dst has wordsPerRow words). */
     void
     orRowInto(int src, std::uint64_t *dst) const

@@ -123,8 +123,18 @@ parseDdgStream(std::istream &in)
                           " outside [0, ", std::numeric_limits<int>::max(),
                           "]");
             }
-            current.graph.addEdge(findNode(tok[1]), findNode(tok[2]),
-                                  parseDepKind(tok[3]), int(distance));
+            // A line with several faults reports its kind first, then
+            // its destination, then its source.
+            const DepKind kind = parseDepKind(tok[3]);
+            const NodeId dst = findNode(tok[2]);
+            const NodeId src = findNode(tok[1]);
+            const Opcode srcOp = current.graph.node(src).op;
+            if (kind == DepKind::RegFlow && !producesValue(srcOp)) {
+                SWP_FATAL("line ", lineNo, ": register edge from node '",
+                          tok[1], "', whose opcode ", opcodeName(srcOp),
+                          " produces no value");
+            }
+            current.graph.addEdge(src, dst, kind, int(distance));
         } else if (tok[0] == "use") {
             needOpen("use");
             if (tok.size() != 3) {

@@ -17,6 +17,11 @@
 # unspilled loop, increase-II's acyclic fallback, use spilling and the
 # no-fusion ablation. 134 of its 1200 rows do not fit the budget.
 #
+# A third hash, tests/golden/suite_fingerprint_ims_tight.sha256, pins
+# IMS under tight budgets, where its placement meets spilled graphs and
+# their fused groups: spill at 12 registers (288 of 400 rows spill) and
+# best-of-all at 8 registers on p1l4 (147 of 200 rows spill).
+#
 # Usage: check_suite_fingerprint.sh /path/to/swpipe_cli
 set -eu
 
@@ -24,6 +29,7 @@ cli="$1"
 dir=$(dirname "$0")
 want=$(cat "$dir/suite_fingerprint.sha256")
 want_tight=$(cat "$dir/suite_fingerprint_tight.sha256")
+want_ims_tight=$(cat "$dir/suite_fingerprint_ims_tight.sha256")
 
 tmp="${TMPDIR:-/tmp}/swp_fingerprint_$$.csv"
 trap 'rm -f "$tmp"' EXIT
@@ -61,3 +67,18 @@ if [ "$got" != "$want_tight" ]; then
     exit 1
 fi
 echo "tight-budget suite fingerprint OK ($got)"
+
+{
+    "$cli" --suite 400 --csv --scheduler ims --strategy spill --registers 12
+    "$cli" --suite 200 --csv --scheduler ims --strategy best --registers 8 --machine p1l4
+} > "$tmp"
+
+got=$(sha256sum "$tmp" | cut -d' ' -f1)
+if [ "$got" != "$want_ims_tight" ]; then
+    echo "IMS tight-budget suite output fingerprint mismatch:" >&2
+    echo "  want $want_ims_tight" >&2
+    echo "  got  $got" >&2
+    echo "IMS tight-budget schedules are no longer byte-identical to the golden run" >&2
+    exit 1
+fi
+echo "IMS tight-budget suite fingerprint OK ($got)"

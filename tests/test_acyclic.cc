@@ -5,15 +5,235 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ir/builder.hh"
 #include "liferange/lifetimes.hh"
 #include "machine/machine.hh"
+#include "pipeliner/pipeliner.hh"
 #include "sched/acyclic.hh"
+#include "sched/groups.hh"
+#include "workload/suitegen.hh"
 
 namespace swp
 {
 namespace
 {
+
+/** Reservation table over a linear (non-modulo) horizon. */
+class LinearRt
+{
+  public:
+    LinearRt(const Machine &m, int horizon)
+        : m_(m), horizon_(horizon),
+          busy_(std::size_t(m.numClasses()))
+    {
+        for (int cls = 0; cls < m.numClasses(); ++cls) {
+            busy_[std::size_t(cls)].assign(
+                std::size_t(m.unitsInClass(cls)) * std::size_t(horizon),
+                false);
+        }
+    }
+
+    /** Find a unit free at [t, t+occ) for op, or -1. */
+    int
+    findUnit(Opcode op, int t) const
+    {
+        const int cls = m_.classOf(op);
+        const int units = m_.unitsInClass(cls);
+        const int occ = m_.occupancy(op);
+        if (t < 0 || t + occ > horizon_)
+            return -1;
+        for (int u = 0; u < units; ++u) {
+            bool free = true;
+            for (int c = 0; c < occ && free; ++c)
+                free = !busy_[std::size_t(cls)][idx(u, t + c)];
+            if (free)
+                return u;
+        }
+        return -1;
+    }
+
+    void
+    reserve(Opcode op, int t, int u)
+    {
+        const int cls = m_.classOf(op);
+        const int occ = m_.occupancy(op);
+        for (int c = 0; c < occ; ++c)
+            busy_[std::size_t(cls)][idx(u, t + c)] = true;
+    }
+
+  private:
+    std::size_t
+    idx(int unit, int t) const
+    {
+        return std::size_t(unit) * std::size_t(horizon_) + std::size_t(t);
+    }
+
+    const Machine &m_;
+    int horizon_;
+    std::vector<std::vector<bool>> busy_;
+};
+
+/**
+ * Reference acyclic scheduler: a list scheduler over its own linear
+ * table and the graph's adjacency lists, which tries each anchor of a
+ * group on a scratch copy of the table. scheduleAcyclic must produce
+ * the same II, times and units.
+ */
+Schedule
+referenceAcyclic(const Ddg &g, const Machine &m)
+{
+    const int n = g.numNodes();
+    int horizon = 8;
+    for (NodeId v = 0; v < n; ++v) {
+        horizon += 2 * std::max(m.latency(g.node(v).op),
+                                m.occupancy(g.node(v).op));
+    }
+
+    const GroupSet groups(g, m);
+    const int ng = groups.numGroups();
+    std::vector<int> indeg(std::size_t(ng), 0);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (!edge.alive || edge.distance != 0)
+            continue;
+        const int a = groups.groupOf(edge.src);
+        const int b = groups.groupOf(edge.dst);
+        if (a != b)
+            ++indeg[std::size_t(b)];
+    }
+    std::vector<int> ready;
+    for (int gi = 0; gi < ng; ++gi) {
+        if (indeg[std::size_t(gi)] == 0)
+            ready.push_back(gi);
+    }
+
+    LinearRt rt(m, horizon);
+    std::vector<int> time(std::size_t(n), -1);
+    std::vector<int> unit(std::size_t(n), -1);
+    for (std::size_t cursor = 0; cursor < ready.size(); ++cursor) {
+        const int gi = ready[cursor];
+        const ComplexGroup &grp = groups.group(gi);
+        int earliest = 0;
+        for (std::size_t i = 0; i < grp.members.size(); ++i) {
+            for (EdgeId e : g.inEdges(grp.members[i])) {
+                const Edge &edge = g.edge(e);
+                if (edge.distance != 0 || groups.groupOf(edge.src) == gi)
+                    continue;
+                earliest = std::max(earliest,
+                                    time[std::size_t(edge.src)] +
+                                        m.latency(g.node(edge.src).op) -
+                                        grp.offsets[i]);
+            }
+        }
+
+        bool placed = false;
+        for (int t0 = earliest; t0 < horizon && !placed; ++t0) {
+            LinearRt scratch(rt);
+            std::vector<int> units(grp.members.size(), -1);
+            bool ok = true;
+            for (std::size_t i = 0; i < grp.members.size() && ok; ++i) {
+                const Opcode op = g.node(grp.members[i]).op;
+                const int u = scratch.findUnit(op, t0 + grp.offsets[i]);
+                ok = u >= 0;
+                if (ok) {
+                    scratch.reserve(op, t0 + grp.offsets[i], u);
+                    units[i] = u;
+                }
+            }
+            if (ok) {
+                for (std::size_t i = 0; i < grp.members.size(); ++i) {
+                    const NodeId v = grp.members[i];
+                    time[std::size_t(v)] = t0 + grp.offsets[i];
+                    unit[std::size_t(v)] = units[i];
+                    rt.reserve(g.node(v).op, time[std::size_t(v)],
+                               units[i]);
+                }
+                placed = true;
+            }
+        }
+        EXPECT_TRUE(placed) << g.name();
+
+        for (std::size_t i = 0; i < grp.members.size(); ++i) {
+            for (EdgeId e : g.outEdges(grp.members[i])) {
+                const Edge &edge = g.edge(e);
+                if (edge.distance != 0)
+                    continue;
+                const int b = groups.groupOf(edge.dst);
+                if (b != gi && --indeg[std::size_t(b)] == 0)
+                    ready.push_back(b);
+            }
+        }
+    }
+
+    int makespan = 1;
+    for (NodeId v = 0; v < n; ++v) {
+        makespan = std::max(makespan,
+                            time[std::size_t(v)] +
+                                std::max(m.latency(g.node(v).op),
+                                         m.occupancy(g.node(v).op)));
+    }
+    Schedule sched(makespan, n);
+    for (NodeId v = 0; v < n; ++v)
+        sched.set(v, time[std::size_t(v)], unit[std::size_t(v)]);
+    return sched;
+}
+
+/** True if some complex group of g has several members. */
+bool
+hasFusedGroup(const Ddg &g, const Machine &m)
+{
+    const GroupSet groups(g, m);
+    for (int gi = 0; gi < groups.numGroups(); ++gi) {
+        if (!groups.group(gi).singleton())
+            return true;
+    }
+    return false;
+}
+
+TEST(Acyclic, MatchesTheLinearTableListScheduler)
+{
+    // Suite loops as generated and as the spill strategy rewrote them
+    // at 8 and 16 registers, whose spill loads and stores are fused
+    // into multi-member groups, on the three paper machines.
+    const Machine machines[] = {Machine::p1l4(), Machine::p2l4(),
+                                Machine::p2l6()};
+    const SuiteParams params;
+    int graphs = 0, fused = 0;
+    for (int i = 0; i < 300; ++i) {
+        const SuiteLoop loop = generateSuiteLoop(params, i);
+        for (const Machine &m : machines) {
+            std::vector<PipelineResult> spilled;
+            for (const int registers : {8, 16}) {
+                PipelinerOptions opts;
+                opts.registers = registers;
+                spilled.push_back(
+                    pipelineLoop(loop.graph, m, Strategy::Spill, opts));
+            }
+            std::vector<const Ddg *> inputs = {&loop.graph};
+            for (const PipelineResult &r : spilled)
+                inputs.push_back(&r.graph());
+
+            for (const Ddg *g : inputs) {
+                const Schedule want = referenceAcyclic(*g, m);
+                const Schedule got = scheduleAcyclic(*g, m);
+                ASSERT_EQ(got.ii(), want.ii()) << g->name() << " " << m.name();
+                for (NodeId v = 0; v < g->numNodes(); ++v) {
+                    ASSERT_EQ(got.time(v), want.time(v))
+                        << g->name() << " " << m.name() << " node " << v;
+                    ASSERT_EQ(got.unit(v), want.unit(v))
+                        << g->name() << " " << m.name() << " node " << v;
+                }
+                ++graphs;
+                fused += hasFusedGroup(*g, m);
+            }
+        }
+    }
+    EXPECT_EQ(graphs, 2700);
+    EXPECT_GT(fused, 1000);
+}
 
 TEST(Acyclic, SingleStageScheduleOfThePaperExample)
 {

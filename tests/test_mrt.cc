@@ -254,8 +254,14 @@ TEST(Mrt, DifferentialGroupPlacement)
                     }
                     return true;
                 }();
-                ASSERT_EQ(mrt.canPlaceGroup(g, grp, t0), refCan)
+                // Group placement on a copy must agree, and a failed one
+                // must leave the copy as it was.
+                Mrt copy(mrt);
+                Schedule probe(ii, g.numNodes());
+                ASSERT_EQ(copy.placeGroup(g, grp, t0, probe), refCan)
                     << "ii=" << ii << " t0=" << t0;
+                if (!refCan)
+                    expectTablesAgree(copy, ref, ii);
                 if (refCan && rng.chance(0.7)) {
                     ASSERT_TRUE(mrt.placeGroup(g, grp, t0, sched));
                     for (std::size_t i = 0; i < grp.members.size(); ++i) {
@@ -499,17 +505,22 @@ TEST(Mrt, GroupPlacementIsAtomic)
     EXPECT_EQ(grp.offsets[1] - grp.offsets[0], m.latency(Opcode::Load));
 
     Mrt mrt(m, 2);
+    RefMrt ref(m, 2);
     Schedule sched(2, g.numNodes());
     EXPECT_TRUE(mrt.placeGroup(g, grp, 0, sched));
     EXPECT_EQ(sched.time(a1) - sched.time(l1), 2);
+    for (const NodeId v : grp.members)
+        ASSERT_EQ(ref.place(g.node(v).op, sched.time(v), v), sched.unit(v));
 
     // The adder row is now busy; a second identical group at the same
     // anchor parity must fail atomically and leave no residue.
     Mrt copy(mrt);
-    EXPECT_FALSE(copy.canPlaceGroup(g, grp, 2));
+    Schedule probe(2, g.numNodes());
+    EXPECT_FALSE(copy.placeGroup(g, grp, 2, probe));
+    expectTablesAgree(copy, ref, 2);
     // Removing restores the table.
     mrt.removeGroup(g, grp, sched);
-    EXPECT_TRUE(mrt.canPlaceGroup(g, grp, 0));
+    EXPECT_TRUE(Mrt(mrt).placeGroup(g, grp, 0, probe));
 }
 
 TEST(Mrt, GroupSelfCompetitionDetected)
@@ -535,9 +546,10 @@ TEST(Mrt, GroupSelfCompetitionDetected)
     Schedule sched(2, g.numNodes());
     (void)l2;
     const ComplexGroup &grp = groups.group(groups.groupOf(l1));
-    EXPECT_FALSE(mrt.canPlaceGroup(g, grp, 0));
     EXPECT_FALSE(mrt.placeGroup(g, grp, 0, sched));
-    // Failure must roll back completely: the row is still free.
+    // Failure must roll back completely: l1 took row 0 before c1 failed
+    // there, and the table is still empty.
+    expectTablesAgree(mrt, RefMrt(m, 2), 2);
     EXPECT_TRUE(mrt.canPlace(Opcode::Add, 0));
     EXPECT_TRUE(mrt.canPlace(Opcode::Add, 1));
 }

@@ -429,23 +429,12 @@ TEST(BitMatrix, ResetClearsAndReusesAcrossShapes)
         EXPECT_FALSE(m.test(0, c));
 }
 
-TEST(BitMatrix, IntersectsAndOrRowInto)
+TEST(BitMatrix, OrRowInto)
 {
     BitMatrix m(2, 130);
     m.set(0, 5);
     m.set(0, 129);
     m.set(1, 64);
-
-    BitRow mask;
-    mask.reset(130);
-    EXPECT_FALSE(m.intersects(0, mask.words()));
-    mask.set(129);
-    EXPECT_TRUE(m.intersects(0, mask.words()));
-    EXPECT_FALSE(m.intersects(1, mask.words()));
-    mask.clear(129);
-    mask.set(64);
-    EXPECT_TRUE(m.intersects(1, mask.words()));
-    EXPECT_FALSE(m.intersects(0, mask.words()));
 
     // orRowInto unions a row into an external word buffer.
     BitRow acc;

@@ -225,6 +225,22 @@ TEST(DdgIo, RejectsMalformedInput)
     EXPECT_THROW(parse("loop a\n"), FatalError);          // Unterminated.
     EXPECT_THROW(parse("loop a\nnode x ld\nnode x ld\nend\n"),
                  FatalError);                             // Duplicate.
+
+    // A register edge from a node that produces no value is a diagnostic
+    // on its line, not a failed assertion in Ddg::addEdge.
+    try {
+        parse("loop a\nnode u st\nnode v add\nedge u v reg 0\nend\n");
+        ADD_FAILURE() << "register edge from a store was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "line 4: register edge from node 'u', whose opcode "
+                      "st produces no value"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Memory and control edges from a store stay legal.
+    EXPECT_NO_THROW(
+        parse("loop a\nnode u st\nnode v ld\nedge u v mem 1\nend\n"));
 }
 
 TEST(DdgIo, RejectsEdgeDistanceOutsideIntRange)
