@@ -1,6 +1,5 @@
 #include "ir/ddg.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "support/diag.hh"
@@ -20,8 +19,7 @@ Ddg::addNode(Opcode op, std::string name, NodeOrigin origin)
                           : std::move(name);
     n.origin = origin;
     nodes_.push_back(std::move(n));
-    out_.emplace_back();
-    in_.emplace_back();
+    lists_.emplace_back();
     return id;
 }
 
@@ -46,8 +44,14 @@ Ddg::addEdge(NodeId src, NodeId dst, DepKind kind, int distance,
     e.distance = distance;
     e.nonSpillable = non_spillable;
     edges_.push_back(e);
-    out_[std::size_t(src)].push_back(id);
-    in_[std::size_t(dst)].push_back(id);
+    const auto append = [&](ListEnds &list, EdgeId Edge::*next) {
+        (list.tail == invalidEdge ? list.head
+                                  : edges_[std::size_t(list.tail)].*next) =
+            id;
+        list.tail = id;
+    };
+    append(lists_[std::size_t(src)].out, &Edge::nextOut);
+    append(lists_[std::size_t(dst)].in, &Edge::nextIn);
     return id;
 }
 
@@ -80,12 +84,25 @@ Ddg::killEdge(EdgeId e)
     fp_.clear();
     Edge &dead = edges_[std::size_t(e)];
     dead.alive = false;
-    // Erasing keeps the other ids in order: the lists stay ascending.
-    const auto unlink = [e](std::vector<EdgeId> &list) {
-        list.erase(std::find(list.begin(), list.end(), e));
+    // Splicing e out keeps the other ids in order: the lists stay
+    // ascending.
+    const auto unlink = [&](ListEnds &list, EdgeId Edge::*next) {
+        EdgeId prev = invalidEdge;
+        for (EdgeId cur = list.head; cur != e;
+             cur = edges_[std::size_t(cur)].*next) {
+            SWP_ASSERT(cur != invalidEdge, "live edge ", e,
+                       " missing from its list");
+            prev = cur;
+        }
+        EdgeId &after = dead.*next;
+        (prev == invalidEdge ? list.head
+                             : edges_[std::size_t(prev)].*next) = after;
+        if (list.tail == e)
+            list.tail = prev;
+        after = invalidEdge;
     };
-    unlink(out_[std::size_t(dead.src)]);
-    unlink(in_[std::size_t(dead.dst)]);
+    unlink(lists_[std::size_t(dead.src)].out, &Edge::nextOut);
+    unlink(lists_[std::size_t(dead.dst)].in, &Edge::nextIn);
 }
 
 std::vector<EdgeId>

@@ -19,6 +19,7 @@
 #define SWP_IR_DDG_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@ using EdgeId = int;
 using InvId = int;
 
 constexpr NodeId invalidNode = -1;
+constexpr EdgeId invalidEdge = -1;
 
 /** Dependence kind (Section 2.1). */
 enum class DepKind
@@ -126,6 +128,58 @@ struct Edge
      * lists; scans over the whole edge table must skip it themselves.
      */
     bool alive = true;
+
+    /**
+     * Links of the adjacency lists: the next live edge of the source's
+     * out-list and of the destination's in-list, or invalidEdge at the
+     * end (always, once the edge is dead). Ddg maintains them; nothing
+     * else writes them.
+     */
+    EdgeId nextOut = invalidEdge;
+    EdgeId nextIn = invalidEdge;
+};
+
+/**
+ * One node's out-list or in-list: the live edge ids reached from a
+ * head through the edge table's `Next` links. A forward range that
+ * offers range-for and empty(), nothing more.
+ */
+template <EdgeId Edge::*Next>
+class EdgeList
+{
+  public:
+    class iterator
+    {
+      public:
+        EdgeId operator*() const { return id_; }
+
+        iterator &
+        operator++()
+        {
+            id_ = edges_[std::size_t(id_)].*Next;
+            return *this;
+        }
+
+        bool operator!=(const iterator &o) const { return id_ != o.id_; }
+
+      private:
+        friend class EdgeList;
+        iterator(const Edge *edges, EdgeId id) : edges_(edges), id_(id) {}
+
+        const Edge *edges_;
+        EdgeId id_;
+    };
+
+    iterator begin() const { return {edges_, head_}; }
+    iterator end() const { return {edges_, invalidEdge}; }
+    bool empty() const { return head_ == invalidEdge; }
+
+  private:
+    friend class Ddg;
+    EdgeList(const Edge *edges, EdgeId head) : edges_(edges), head_(head) {}
+
+    const Edge *edges_;
+    EdgeId head_;
 };
 
 /** A loop-invariant value (one register for the whole loop, Section 2.3). */
@@ -174,11 +228,20 @@ struct FingerprintSlot
  * A mutable data dependence graph; an ordinary value type.
  *
  * Node ids are dense and stable. Edges may be killed (spilling) and new
- * edges/nodes appended. The adjacency lists hold live edges only, in
- * insertion (edge id) order: addEdge appends to them and killEdge, the
- * only way an edge dies, unlinks it. Walking outEdges/inEdges therefore
- * never meets a dead edge; the edge table (ids 0 .. numEdges()) keeps
- * dead records, so ids stay stable and table scans test Edge::alive.
+ * edges/nodes appended. Each node's out-list and in-list hold its live
+ * edges only, in insertion (ascending id) order. The lists are linked
+ * through the edge table (Edge::nextOut, Edge::nextIn) from one
+ * head/tail record per node, so no node holds a heap list of edge ids.
+ * addEdge links a new edge at both tails; killEdge, the only way an
+ * edge dies, unlinks it by walking its two lists (O(degree)).
+ * Walking outEdges/inEdges therefore never meets a dead edge; the edge
+ * table (ids 0 .. numEdges()) keeps dead records, so ids stay stable
+ * and table scans test Edge::alive.
+ *
+ * What ends a walk: addNode, addEdge and killEdge each invalidate every
+ * range outEdges/inEdges returned before (the tables may move and the
+ * links change). A loop that mutates the graph iterates a snapshot it
+ * takes first, such as valueUses().
  *
  * Every mutator, the non-const accessors included, clears the cached
  * fingerprint, so the memos' per-probe graphFingerprint is O(1) for an
@@ -253,19 +316,17 @@ class Ddg
 
     /** @name Adjacency
         Live edge ids of a node, in insertion (ascending id) order. The
-        reference is invalidated by the next addNode/addEdge/killEdge.
-        A loop that mutates the graph iterates a snapshot it takes
-        explicitly, e.g. valueUses(). */
+        range is invalidated by the next addNode/addEdge/killEdge. */
     /// @{
-    const std::vector<EdgeId> &
+    EdgeList<&Edge::nextOut>
     outEdges(NodeId n) const
     {
-        return out_[std::size_t(n)];
+        return {edges_.data(), lists_[std::size_t(n)].out.head};
     }
-    const std::vector<EdgeId> &
+    EdgeList<&Edge::nextIn>
     inEdges(NodeId n) const
     {
-        return in_[std::size_t(n)];
+        return {edges_.data(), lists_[std::size_t(n)].in.head};
     }
     /// @}
 
@@ -293,8 +354,21 @@ class Ddg
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;
     std::vector<Invariant> invariants_;
-    std::vector<std::vector<EdgeId>> out_;  ///< Live edges, ascending.
-    std::vector<std::vector<EdgeId>> in_;   ///< Live edges, ascending.
+    /** First and last live edge of one list. */
+    struct ListEnds
+    {
+        EdgeId head = invalidEdge;
+        EdgeId tail = invalidEdge;
+    };
+
+    /** A node's out-list and in-list. */
+    struct NodeLists
+    {
+        ListEnds out;
+        ListEnds in;
+    };
+
+    std::vector<NodeLists> lists_;  ///< One per node.
     FingerprintSlot fp_;
 };
 

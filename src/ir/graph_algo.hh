@@ -1,10 +1,9 @@
 /**
  * @file
  * Graph algorithms over the DDG and the schedulers' condensed graphs:
- * CSR adjacency, strongly connected components, transitive closure,
- * the intra-iteration topological order, and reachability. These
- * underpin RecMII computation, the HRMS pre-ordering, DDG verification
- * and the suite generator.
+ * CSR adjacency, strongly connected components, transitive closure and
+ * the intra-iteration topological order. These underpin RecMII
+ * computation, the HRMS pre-ordering and DDG verification.
  */
 
 #ifndef SWP_IR_GRAPH_ALGO_HH
@@ -118,11 +117,10 @@ struct SccScratch
  * Iterative Tarjan over nodes [0, n): succOf(v) returns v's successors
  * as a random-access range (a vector, a CsrAdj::Row). Parallel edges and
  * self-loops are allowed. This is the one Tarjan implementation in the
- * library — reachability(), recurrence regions and the schedulers'
- * condensed group graphs all decompose through it. Components are
- * numbered in reverse topological discovery order, visiting roots in
- * node order and successors in range order; `out` and `scratch` are
- * recycled.
+ * library — recurrence regions and the schedulers' condensed group
+ * graphs both decompose through it. Components are numbered in reverse
+ * topological discovery order, visiting roots in node order and
+ * successors in range order; `out` and `scratch` are recycled.
  */
 template <typename SuccOf>
 void
@@ -245,13 +243,6 @@ transitiveClosure(const AdjScc &scc, SuccOf &&succOf, BitMatrix &out)
  * cycle leaves nodes out of `order`.
  */
 bool intraIterationOrder(const Ddg &g, std::vector<NodeId> &order);
-
-/**
- * Transitive reachability over live edges, one word-packed row per
- * node: test(u, v) is true iff a path of one or more edges leads from
- * u to v (so test(u, u) iff u lies on a cycle).
- */
-BitMatrix reachability(const Ddg &g);
 
 } // namespace swp
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ir/graph_algo.hh"
 #include "ir/verify.hh"
 #include "support/bitmatrix.hh"
 #include "support/diag.hh"
@@ -24,6 +23,12 @@ struct LoopGen
     Ddg g;
     std::vector<NodeId> values;  ///< Nodes producing a value, in order.
     std::vector<int> useCount;   ///< Register uses per node so far.
+    /**
+     * reach.test(u, v): a path of one or more live edges leads from u
+     * to v. Built by closure() on first use; carried() keeps it exact.
+     */
+    BitMatrix reach;
+    bool reachBuilt = false;
 
     LoopGen(std::uint64_t seed, const std::string &name)
         : rng(seed), g(name)
@@ -57,6 +62,52 @@ struct LoopGen
     {
         g.addEdge(producer, consumer, DepKind::RegFlow, distance);
         ++useCount[std::size_t(producer)];
+    }
+
+    /**
+     * The reachability closure, built on the first call. Until the
+     * first loop-carried edge every edge runs from a lower to a higher
+     * node id, so one pass in descending id order finds each
+     * successor's row complete.
+     */
+    const BitMatrix &
+    closure()
+    {
+        if (reachBuilt)
+            return reach;
+        const int n = g.numNodes();
+        reach.reset(n, n);
+        for (NodeId u = n - 1; u >= 0; --u) {
+            std::uint64_t *row = reach.row(u);
+            for (EdgeId e : g.outEdges(u)) {
+                const NodeId v = g.edge(e).dst;
+                SWP_ASSERT(v > u, "closure() needs an id-ordered graph");
+                reach.set(u, v);
+                reach.orRowInto(v, row);
+            }
+        }
+        reachBuilt = true;
+        return reach;
+    }
+
+    /**
+     * use() for a loop-carried edge, keeping the closure exact: every
+     * node that is `producer` or reaches it now also reaches
+     * `consumer` and everything `consumer` reaches. Updating in place
+     * is safe: consumer's own row, when it is updated, gains only
+     * consumer, which every updated row gains anyway.
+     */
+    void
+    carried(NodeId producer, NodeId consumer, int distance)
+    {
+        closure();
+        use(producer, consumer, distance);
+        for (NodeId u = 0; u < reach.rows(); ++u) {
+            if (u == producer || reach.test(u, producer)) {
+                reach.set(u, consumer);
+                reach.orRowInto(consumer, reach.row(u));
+            }
+        }
     }
 };
 
@@ -97,7 +148,7 @@ pickSize(Rng &rng)
 void
 addRecurrence(LoopGen &gen)
 {
-    const BitMatrix reach = reachability(gen.g);
+    const BitMatrix &reach = gen.closure();
     // The candidates are the (ancestor a, descendant b) value pairs
     // with a != b, ordered by a, then b, in gen.values order, which is
     // ascending node id. They are counted per ancestor row by popcount
@@ -134,7 +185,7 @@ addRecurrence(LoopGen &gen)
             const NodeId to = w * 64 + countTrailingZeros(word);
             // Close the cycle: the descendant's value feeds the
             // ancestor in a later iteration.
-            gen.use(to, from, gen.rng.range(1, 2));
+            gen.carried(to, from, gen.rng.range(1, 2));
             return;
         }
     }
@@ -149,7 +200,7 @@ addRecurrence(LoopGen &gen)
 void
 addCarriedUse(LoopGen &gen, int max_distance)
 {
-    const BitMatrix reach = reachability(gen.g);
+    const BitMatrix &reach = gen.closure();
     for (int attempt = 0; attempt < 8; ++attempt) {
         const NodeId producer = gen.values[std::size_t(
             gen.rng.range(0, int(gen.values.size()) - 1))];
@@ -164,7 +215,7 @@ addCarriedUse(LoopGen &gen, int max_distance)
         // unintended recurrence: skip when consumer reaches producer.
         if (reach.test(consumer, producer))
             continue;
-        gen.use(producer, consumer, gen.rng.range(1, max_distance));
+        gen.carried(producer, consumer, gen.rng.range(1, max_distance));
         return;
     }
 }
@@ -206,12 +257,12 @@ generateNormalLoop(LoopGen &gen, const SuiteParams &params)
                               : (op == Opcode::Add || op == Opcode::Mul)
                                     ? gen.rng.range(1, 2)
                                     : 1;
-        std::vector<NodeId> operands;
+        NodeId operands[3] = {};
         for (int a = 0; a < arity; ++a)
-            operands.push_back(gen.pickOperand());
+            operands[a] = gen.pickOperand();
         const NodeId n = gen.emit(op);
-        for (NodeId operand : operands)
-            gen.use(operand, n);
+        for (int a = 0; a < arity; ++a)
+            gen.use(operands[a], n);
         if (!invs.empty() && gen.rng.chance(0.18)) {
             gen.g.addInvariantUse(
                 invs[std::size_t(gen.rng.range(0, numInvs - 1))], n);

@@ -21,12 +21,24 @@
 #include "sched/fingerprint.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
+#include "testkit/reachability.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
 {
 namespace
 {
+
+/** A node's out- or in-list copied into a vector, for comparison. */
+template <typename List>
+std::vector<EdgeId>
+listOf(const List &list)
+{
+    std::vector<EdgeId> ids;
+    for (EdgeId e : list)
+        ids.push_back(e);
+    return ids;
+}
 
 TEST(Ddg, BuildsPaperExampleShape)
 {
@@ -53,7 +65,7 @@ TEST(Ddg, KillEdgeHidesItEverywhere)
     const EdgeId e = b.flow(ld, st);
     Ddg g = b.take();
 
-    EXPECT_EQ(g.outEdges(ld).size(), 1u);
+    EXPECT_EQ(listOf(g.outEdges(ld)), std::vector<EdgeId>{e});
     g.killEdge(e);
     EXPECT_TRUE(g.outEdges(ld).empty());
     EXPECT_TRUE(g.inEdges(st).empty());
@@ -75,8 +87,8 @@ TEST(Ddg, KillingADeadEdgePanics)
     g.killEdge(e);
     EXPECT_THROW(g.killEdge(e), PanicError);
     // The failed kill changed nothing.
-    EXPECT_EQ(g.outEdges(ld), std::vector<EdgeId>{1});
-    EXPECT_EQ(g.inEdges(st), std::vector<EdgeId>{1});
+    EXPECT_EQ(listOf(g.outEdges(ld)), std::vector<EdgeId>{1});
+    EXPECT_EQ(listOf(g.inEdges(st)), std::vector<EdgeId>{1});
 }
 
 TEST(Ddg, MutatingADetachedCopyNeverPerturbsTheOriginal)
@@ -151,9 +163,10 @@ TEST(Ddg, FingerprintFollowsEveryMutator)
             {"addInvariant", [&] { g.addInvariant(); }},
             {"addInvariantUse",
              [&] { g.addInvariantUse(g.numInvariants() - 1, 0); }},
-            {"killEdge", [&] { g.killEdge(g.outEdges(0).front()); }},
+            {"killEdge", [&] { g.killEdge(*g.outEdges(0).begin()); }},
             {"node()", [&] { g.node(g.numNodes() - 1).op = Opcode::Mul; }},
-            {"edge()", [&] { g.edge(g.outEdges(0).front()).distance += 1; }},
+            {"edge()",
+             [&] { g.edge(*g.outEdges(0).begin()).distance += 1; }},
         };
     for (const auto &[name, mutate] : mutators) {
         const std::uint64_t before = graphFingerprint(g);  // Fills the cache.
@@ -188,7 +201,8 @@ TEST(Ddg, InvariantBookkeeping)
     EXPECT_EQ(g.numLiveInvariants(), 1);
 }
 
-/** Tarjan over the live out-lists, the way reachability() runs it. */
+/** Tarjan over a CSR of the live out-lists, as the testkit's
+    reachability() builds it. */
 AdjScc
 sccOf(const Ddg &g)
 {
@@ -465,16 +479,87 @@ expectAdjacencyHoldsLiveEdges(const Ddg &g)
         in[std::size_t(edge.dst)].push_back(e);
     }
     for (NodeId v = 0; v < g.numNodes(); ++v) {
-        EXPECT_EQ(g.outEdges(v), out[std::size_t(v)])
+        EXPECT_EQ(listOf(g.outEdges(v)), out[std::size_t(v)])
             << g.name() << " out-list of node " << v;
-        EXPECT_EQ(g.inEdges(v), in[std::size_t(v)])
+        EXPECT_EQ(listOf(g.inEdges(v)), in[std::size_t(v)])
             << g.name() << " in-list of node " << v;
     }
     return dead;
 }
 
+/** Every node's out-list, then every node's in-list. */
+std::vector<std::vector<EdgeId>>
+listsOf(const Ddg &g)
+{
+    std::vector<std::vector<EdgeId>> lists;
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        lists.push_back(listOf(g.outEdges(v)));
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        lists.push_back(listOf(g.inEdges(v)));
+    return lists;
+}
+
+/** A kill in `other` (a copy or move of `g`'s content) leaves `g` as
+    it was, and both graphs' lists stay exact. */
+void
+expectKillStaysLocal(const Ddg &g, Ddg &other, EdgeId victim)
+{
+    const auto before = listsOf(g);
+    ASSERT_EQ(listsOf(other), before);
+    other.killEdge(victim);
+    EXPECT_EQ(listsOf(g), before);
+    EXPECT_NE(listsOf(other), before);
+    expectAdjacencyHoldsLiveEdges(g);
+    expectAdjacencyHoldsLiveEdges(other);
+}
+
 TEST(Ddg, AdjacencyListsHoldExactlyTheLiveEdges)
 {
+    // Splicing at each position of a list: kill its head, a middle
+    // edge, its tail, and the only edge of a list; then add after the
+    // kills, which must link at the new tails.
+    Ddg g("splice");
+    const NodeId a = g.addNode(Opcode::Add);
+    const NodeId b = g.addNode(Opcode::Add);
+    const NodeId c = g.addNode(Opcode::Add);
+    std::vector<EdgeId> ab;
+    for (int i = 0; i < 5; ++i)
+        ab.push_back(g.addEdge(a, b, DepKind::RegFlow, i));
+    const EdgeId only = g.addEdge(b, c, DepKind::RegFlow);
+    g.killEdge(ab[0]);
+    EXPECT_EQ(listOf(g.outEdges(a)),
+              (std::vector<EdgeId>{ab[1], ab[2], ab[3], ab[4]}));
+    g.killEdge(ab[2]);
+    EXPECT_EQ(listOf(g.inEdges(b)),
+              (std::vector<EdgeId>{ab[1], ab[3], ab[4]}));
+    g.killEdge(ab[4]);
+    EXPECT_EQ(listOf(g.outEdges(a)), (std::vector<EdgeId>{ab[1], ab[3]}));
+    g.killEdge(only);
+    EXPECT_TRUE(g.outEdges(b).empty());
+    EXPECT_TRUE(g.inEdges(c).empty());
+    EXPECT_EQ(expectAdjacencyHoldsLiveEdges(g), 4);
+    const EdgeId late = g.addEdge(a, b, DepKind::Mem, 1);
+    const EdgeId again = g.addEdge(b, c, DepKind::RegFlow);
+    EXPECT_EQ(listOf(g.outEdges(a)),
+              (std::vector<EdgeId>{ab[1], ab[3], late}));
+    EXPECT_EQ(listOf(g.inEdges(c)), std::vector<EdgeId>{again});
+    expectAdjacencyHoldsLiveEdges(g);
+
+    // Copies and moves carry equal lists and share no links with the
+    // source.
+    Ddg copy = g;
+    expectKillStaysLocal(g, copy, ab[3]);
+    Ddg assigned("assigned");
+    assigned = g;
+    expectKillStaysLocal(g, assigned, late);
+    Ddg source = g;
+    Ddg moved = std::move(source);
+    expectKillStaysLocal(g, moved, ab[1]);
+    Ddg moveAssigned("move-assigned");
+    source = g;
+    moveAssigned = std::move(source);
+    expectKillStaysLocal(g, moveAssigned, again);
+
     Rng rng(0xad1);
     int dead = 0;
     for (const int n : {1, 8, 65}) {

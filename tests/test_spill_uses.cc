@@ -235,7 +235,7 @@ TEST(SpillUses, UseSpillBesideAnOriginalStoreAddsAFreshStore)
     EXPECT_EQ(g.numMemOps() - memOps2, second->cost);
     EXPECT_TRUE(verifyDdg(g, &why)) << why;
     // The original store still reads v through its register.
-    EXPECT_EQ(g.edge(g.inEdges(st)[0]).src, v);
+    EXPECT_EQ(g.edge(*g.inEdges(st).begin()).src, v);
 }
 
 TEST(SpillUses, CostIsTheRewriteOnSuiteLoops)
