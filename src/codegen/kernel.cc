@@ -9,15 +9,6 @@
 namespace swp
 {
 
-int
-KernelCode::numOps() const
-{
-    int count = 0;
-    for (const auto &row : rows)
-        count += int(row.size());
-    return count;
-}
-
 KernelCode
 buildKernel(const Ddg &g, const Schedule &sched)
 {

@@ -43,9 +43,6 @@ struct KernelCode
     int stageCount = 0;
     /** Kernel rows; row r holds the ops issued at cycle r of the kernel. */
     std::vector<std::vector<KernelSlot>> rows;
-
-    /** Count of ops across all rows (equals the loop body size). */
-    int numOps() const;
 };
 
 /** Fold a complete schedule into kernel rows. */

@@ -390,14 +390,6 @@ SuiteRunner::planJobs(const std::vector<SuiteLoop> &suite,
     return plan;
 }
 
-std::vector<std::size_t>
-SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
-                          const Machine &m,
-                          const std::vector<BatchJob> &jobs)
-{
-    return planJobs(suite, m, jobs).order;
-}
-
 std::vector<PipelineResult>
 SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                  const std::vector<BatchJob> &jobs,

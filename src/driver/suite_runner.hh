@@ -204,16 +204,25 @@ class SuiteRunner
         return run(suite, m, jobs, RunOptions{});
     }
 
+    /** run()'s plan of a batch: the evaluation order and the MII of
+        every loop a job names. */
+    struct JobPlan
+    {
+        /** Every job index, ranked heaviest-first by its loop's
+            work-size estimate, node count x candidate-II span (MII
+            through defaultMaxIi), with ties in grid order. */
+        std::vector<std::size_t> order;
+        /** Slot per suite loop; 0 for loops no job names. */
+        std::vector<int> loopMii;
+    };
+
     /**
-     * The evaluation order run() uses: every job index, ranked
-     * heaviest-first by its loop's work-size estimate, node count x
-     * candidate-II span (MII through defaultMaxIi), with ties in grid
-     * order. Deterministic for a given (suite, machine, jobs); exposed
-     * for the property tests.
+     * The plan run() evaluates a batch by. Each distinct loop makes one
+     * bounds-memo request, spread across the pool. Deterministic for a
+     * given (suite, machine, jobs).
      */
-    std::vector<std::size_t>
-    planJobOrder(const std::vector<SuiteLoop> &suite, const Machine &m,
-                 const std::vector<BatchJob> &jobs);
+    JobPlan planJobs(const std::vector<SuiteLoop> &suite, const Machine &m,
+                     const std::vector<BatchJob> &jobs);
 
     /**
      * Deterministic parallel-for: fn(i) for every i in [0, count), in
@@ -288,18 +297,6 @@ class SuiteRunner
      * it never schedules anything.
      */
     static double costOf(const Ddg &g, const Machine &m, int loopMii);
-
-    /** planJobOrder's order plus the MII of every loop a job names
-        (slot per suite loop; 0 for loops no job names). Each distinct
-        loop makes one bounds-memo request; run() reads the jobs' MIIs
-        from here. */
-    struct JobPlan
-    {
-        std::vector<std::size_t> order;
-        std::vector<int> loopMii;
-    };
-    JobPlan planJobs(const std::vector<SuiteLoop> &suite, const Machine &m,
-                     const std::vector<BatchJob> &jobs);
 
     int threads_ = 1;
 

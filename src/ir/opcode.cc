@@ -5,27 +5,6 @@
 namespace swp
 {
 
-FuClass
-fuClassOf(Opcode op)
-{
-    switch (op) {
-      case Opcode::Load:
-      case Opcode::Store:
-        return FuClass::Mem;
-      case Opcode::Add:
-      case Opcode::Copy:
-      case Opcode::Nop:
-      case Opcode::Select:
-        return FuClass::Adder;
-      case Opcode::Mul:
-        return FuClass::Mult;
-      case Opcode::Div:
-      case Opcode::Sqrt:
-        return FuClass::DivSqrt;
-    }
-    SWP_PANIC("unknown opcode ", int(op));
-}
-
 bool
 producesValue(Opcode op)
 {

@@ -33,7 +33,8 @@ enum class Opcode
 /** Number of Opcode values (for per-opcode table sizing). */
 constexpr int numOpcodes = 9;
 
-/** Functional-unit class an operation executes on. */
+/** The unit classes of the paper's preset machines, in their
+    class-index order (Machine::unitsFor). */
 enum class FuClass
 {
     Mem,      ///< Load/store units.
@@ -41,12 +42,6 @@ enum class FuClass
     Mult,     ///< FP multipliers.
     DivSqrt,  ///< Non-pipelined divide/square-root units.
 };
-
-/** Number of FuClass values (for array sizing). */
-constexpr int numFuClasses = 4;
-
-/** Map an opcode to the unit class executing it. */
-FuClass fuClassOf(Opcode op);
 
 /** True if the opcode defines a register value. */
 bool producesValue(Opcode op);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/diag.hh"
+#include "support/strutil.hh"
 
 namespace swp
 {
@@ -21,16 +22,6 @@ opcodeIndex(const std::string &mnemonic)
             return op;
     }
     return -1;
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
 }
 
 /**

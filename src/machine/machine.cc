@@ -98,33 +98,6 @@ Machine::Machine(std::string name, std::vector<UnitClass> classes,
     fingerprint_ = machineContentFingerprint(*this);
 }
 
-Machine::Machine(std::string name, int mem_units, int adders, int mults,
-                 int divsqrt_units, int add_mul_latency)
-{
-    SWP_ASSERT(mem_units > 0 && adders > 0 && mults > 0 &&
-                   divsqrt_units > 0,
-               "machine '", name, "' needs at least one unit per class");
-    name_ = std::move(name);
-    classes_ = {
-        {fuClassName(FuClass::Mem), mem_units, true},
-        {fuClassName(FuClass::Adder), adders, true},
-        {fuClassName(FuClass::Mult), mults, true},
-        {fuClassName(FuClass::DivSqrt), divsqrt_units, false},
-    };
-    latency_[int(Opcode::Load)] = 2;
-    latency_[int(Opcode::Store)] = 1;
-    latency_[int(Opcode::Add)] = add_mul_latency;
-    latency_[int(Opcode::Mul)] = add_mul_latency;
-    latency_[int(Opcode::Div)] = 17;
-    latency_[int(Opcode::Sqrt)] = 30;
-    latency_[int(Opcode::Copy)] = 1;
-    latency_[int(Opcode::Nop)] = 1;
-    latency_[int(Opcode::Select)] = 1;
-    for (int op = 0; op < numOpcodes; ++op)
-        classOf_[op] = int(fuClassOf(Opcode(op)));
-    fingerprint_ = machineContentFingerprint(*this);
-}
-
 Machine
 Machine::universal(std::string name, int units, int lat)
 {
@@ -170,21 +143,6 @@ Machine::presetClassIndex(FuClass fu) const
                "' has no preset-shaped class for ", fuClassName(fu),
                "; address it by class index");
     return int(fu);
-}
-
-void
-Machine::setLatency(Opcode op, int cycles)
-{
-    SWP_ASSERT(cycles >= 1, "latency must be positive");
-    latency_[int(op)] = cycles;
-    fingerprint_ = machineContentFingerprint(*this);
-}
-
-void
-Machine::setPipelined(FuClass fu, bool pipelined)
-{
-    classes_[std::size_t(presetClassIndex(fu))].pipelined = pipelined;
-    fingerprint_ = machineContentFingerprint(*this);
 }
 
 std::string

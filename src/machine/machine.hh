@@ -65,10 +65,6 @@ class Machine
             const int (&class_of)[numOpcodes],
             const int (&latency)[numOpcodes]);
 
-    /** Build a heterogeneous machine (P1L4-style four-class shape). */
-    Machine(std::string name, int mem_units, int adders, int mults,
-            int divsqrt_units, int add_mul_latency);
-
     /** Build a machine of `units` universal FUs, all latencies `lat`. */
     static Machine universal(std::string name, int units, int lat);
 
@@ -127,13 +123,6 @@ class Machine
         return unitsInClass(presetClassIndex(fu));
     }
 
-    /** Preset-shaped counterpart of pipelinedClass(int). */
-    bool
-    pipelinedClass(FuClass fu) const
-    {
-        return pipelinedClass(presetClassIndex(fu));
-    }
-
     /** Issue latency of an opcode in cycles. */
     int latency(Opcode op) const { return latency_[int(op)]; }
 
@@ -147,12 +136,6 @@ class Machine
         return pipelinedClass(classOf(op)) ? 1 : latency(op);
     }
 
-    /** Override one opcode's latency (used by tests and what-if studies). */
-    void setLatency(Opcode op, int cycles);
-
-    /** Override the pipelining of one preset unit class. */
-    void setPipelined(FuClass fu, bool pipelined);
-
     /**
      * The canonical machine-description text of this machine;
      * parseMachineDescription(describe()) reproduces it exactly
@@ -161,9 +144,9 @@ class Machine
     std::string describe() const;
 
     /**
-     * machineContentFingerprint of this machine, computed when it is
-     * built and again by each mutator, so the memos key every request
-     * on it without re-hashing the tables.
+     * machineContentFingerprint of this machine, computed once when it
+     * is built (a Machine has no mutators), so the memos key every
+     * request on it without re-hashing the tables.
      */
     std::uint64_t fingerprint() const { return fingerprint_; }
 

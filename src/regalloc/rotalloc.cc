@@ -5,7 +5,6 @@
 
 #include "support/bitmatrix.hh"
 #include "support/diag.hh"
-#include "support/strutil.hh"
 
 namespace swp
 {
@@ -19,18 +18,6 @@ fmod2(long a, long m)
 {
     const long r = a % m;
     return r < 0 ? r + m : r;
-}
-
-/**
- * True if circular arcs [q1,q1+l1) and [q2,q2+l2) intersect mod C. Only
- * the independent pairwise check, allocationConflictFree, uses it.
- */
-bool
-arcsOverlap(long q1, long l1, long q2, long l2, long circ)
-{
-    if (l1 <= 0 || l2 <= 0)
-        return false;
-    return fmod2(q2 - q1, circ) < l1 || fmod2(q1 - q2, circ) < l2;
 }
 
 /** Live values of `lifetimes` in the processing order `order`. */
@@ -287,17 +274,6 @@ fitStrategyName(FitStrategy s)
     SWP_PANIC("unknown fit strategy ", int(s));
 }
 
-RotAllocResult
-allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
-                 FitStrategy strategy, AllocOrder order)
-{
-    RotAllocResult result;
-    BitRow row;
-    packValues(lifetimes, orderedValues(lifetimes, order), num_regs,
-               strategy, row, result);
-    return result;
-}
-
 int
 minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
@@ -334,46 +310,6 @@ allocateWithinBudget(const LifetimeInfo &info, int budget,
     if (!outcome.fits)
         return std::nullopt;
     return outcome;
-}
-
-bool
-allocationConflictFree(const LifetimeInfo &lifetimes,
-                       const RotAllocResult &alloc, std::string *why)
-{
-    const long ii = lifetimes.ii;
-    const long circ = long(alloc.registers) * ii;
-
-    std::vector<const Lifetime *> values;
-    for (const Lifetime &lt : lifetimes.lifetimes) {
-        if (lt.live && lt.length() > 0)
-            values.push_back(&lt);
-    }
-
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const Lifetime *a = values[i];
-        const int oa = alloc.offset[std::size_t(a->producer)];
-        if (oa < 0) {
-            if (why)
-                *why = strprintf("value n%d unallocated", a->producer);
-            return false;
-        }
-        const long qa = fmod2(a->start - long(oa) * ii, circ);
-        for (std::size_t j = i + 1; j < values.size(); ++j) {
-            const Lifetime *b = values[j];
-            const int ob = alloc.offset[std::size_t(b->producer)];
-            if (ob < 0)
-                continue;  // Reported when j reaches it.
-            const long qb = fmod2(b->start - long(ob) * ii, circ);
-            if (arcsOverlap(qa, a->length(), qb, b->length(), circ)) {
-                if (why) {
-                    *why = strprintf("values n%d and n%d overlap",
-                                     a->producer, b->producer);
-                }
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 } // namespace swp

@@ -44,7 +44,6 @@
 #define SWP_REGALLOC_ROTALLOC_HH
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ir/ddg.hh"
@@ -79,15 +78,6 @@ struct RotAllocResult
     /** Register offset o_v per producing node; -1 for non-values. */
     std::vector<int> offset;
 };
-
-/**
- * Try to pack all live loop-variant lifetimes into a rotating file of
- * `num_regs` registers.
- */
-RotAllocResult allocateRotating(const LifetimeInfo &lifetimes,
-                                int num_regs,
-                                FitStrategy strategy = FitStrategy::EndFit,
-                                AllocOrder order = AllocOrder::Adjacency);
 
 /**
  * Smallest register count the strategy fits into, searching upward from
@@ -130,14 +120,6 @@ AllocationOutcome allocateLoop(const LifetimeInfo &lifetimes, int budget,
 std::optional<AllocationOutcome>
 allocateWithinBudget(const LifetimeInfo &lifetimes, int budget,
                      FitStrategy strategy = FitStrategy::EndFit);
-
-/**
- * Verify an allocation: no two lifetimes' arcs overlap (the conflict
- * lemma above). Exposed for tests and the pipeline simulator.
- */
-bool allocationConflictFree(const LifetimeInfo &lifetimes,
-                            const RotAllocResult &alloc,
-                            std::string *why = nullptr);
 
 } // namespace swp
 

@@ -720,13 +720,4 @@ HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
     return sched;
 }
 
-std::vector<int>
-HrmsScheduler::orderingForTest(const Ddg &g, const Machine &m, int ii)
-{
-    HrmsContext ctx(g, m, ii, ws_);
-    ctx.analyze();
-    Ordering ordering(ctx);
-    return ordering.run();
-}
-
 } // namespace swp

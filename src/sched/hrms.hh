@@ -27,8 +27,6 @@
 #ifndef SWP_SCHED_HRMS_HH
 #define SWP_SCHED_HRMS_HH
 
-#include <vector>
-
 #include "sched/scheduler.hh"
 #include "sched/workspace.hh"
 
@@ -44,15 +42,11 @@ class HrmsScheduler : public ModuloScheduler
     std::optional<Schedule> scheduleAt(const Ddg &g, const Machine &m,
                                        int ii) override;
 
-    /**
-     * Expose the pre-ordering for tests: returns group indices in
-     * scheduling order (see GroupSet for the group numbering).
-     */
-    std::vector<int> orderingForTest(const Ddg &g, const Machine &m,
-                                     int ii);
-
-  private:
-    /** Scratch reused across probes; carries no cross-probe state. */
+  protected:
+    /** Scratch reused across probes; carries no cross-probe state.
+        After a probe that got past the group feasibility check,
+        ws_.order holds its pre-ordering: group indices in scheduling
+        order (see GroupSet for the group numbering). */
     SchedWorkspace ws_;
 };
 

@@ -105,7 +105,8 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 
             // Even after eviction the slot may be infeasible (occupancy
             // longer than II interfering with itself); give up.
-            if (!mrt.placeGroup(g, grp, int(forced), sched))
+            if (!mrt.placeGroupFirstFit(g, grp, int(forced), int(forced),
+                                        sched))
                 return std::nullopt;
         }
         // The first member sits at offset 0: its time is the anchor.

@@ -272,10 +272,6 @@ struct RecurrenceScratch::Impl
 
 RecurrenceScratch::RecurrenceScratch() = default;
 RecurrenceScratch::~RecurrenceScratch() = default;
-RecurrenceScratch::RecurrenceScratch(RecurrenceScratch &&) noexcept =
-    default;
-RecurrenceScratch &
-RecurrenceScratch::operator=(RecurrenceScratch &&) noexcept = default;
 
 RecurrenceScratch::Impl &
 RecurrenceScratch::impl()

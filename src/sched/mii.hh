@@ -45,8 +45,6 @@ class RecurrenceScratch
   public:
     RecurrenceScratch();
     ~RecurrenceScratch();
-    RecurrenceScratch(RecurrenceScratch &&) noexcept;
-    RecurrenceScratch &operator=(RecurrenceScratch &&) noexcept;
 
   private:
     friend int recMiiOfComponent(const Ddg &g, const Machine &m,

@@ -43,21 +43,6 @@ Mrt::busyOver(const OpSlots &o, int row) const
     return mask;
 }
 
-int
-Mrt::findUnitAtRow(const OpSlots &o, int row) const
-{
-    if (o.occ > ii_)
-        return -1;
-    const std::uint64_t free = ~busyOver(o, row) & o.units;
-    return free ? countTrailingZeros(free) : -1;
-}
-
-int
-Mrt::findUnit(Opcode op, int t) const
-{
-    return findUnitAtRow(slots(op), Schedule::floorMod(t, ii_));
-}
-
 void
 Mrt::reserve(const OpSlots &o, int row, int u, NodeId n)
 {
@@ -86,16 +71,14 @@ Mrt::release(const OpSlots &o, int row, int u, NodeId n)
 int
 Mrt::placeAtRow(const OpSlots &o, int row, NodeId n)
 {
-    const int u = findUnitAtRow(o, row);
-    if (u >= 0)
-        reserve(o, row, u, n);
+    if (o.occ > ii_)
+        return -1;
+    const std::uint64_t free = ~busyOver(o, row) & o.units;
+    if (!free)
+        return -1;
+    const int u = countTrailingZeros(free);
+    reserve(o, row, u, n);
     return u;
-}
-
-int
-Mrt::place(Opcode op, int t, NodeId n)
-{
-    return placeAtRow(slots(op), Schedule::floorMod(t, ii_), n);
 }
 
 void
@@ -173,7 +156,7 @@ Mrt::conflicts(Opcode op, int t, std::vector<NodeId> &out) const
     out.clear();
     const OpSlots &o = slots(op);
     if (o.occ > ii_) {
-        // findUnit can never place this op at this II, no matter what
+        // No placement can hold this op at this II, no matter what
         // is evicted: reporting "blockers" here would send IMS chasing
         // nodes whose removal cannot help. Consistently report none.
         return;

@@ -14,11 +14,12 @@
  * one and rolls an anchor's reservations back when a member fails.
  *
  * Occupancy is stored twice, for different access patterns:
- *  - a per-(class, row) uint64_t busy mask (bit u = unit u busy), so the
- *    hot canPlace/findUnit path is an OR over the op's rows, a mask
- *    test, and count-trailing-zeros — no occupant scan. One word per
- *    row caps machines at 64 units per unit class; reset() rejects
- *    wider machines loudly (the paper's widest configuration has 2);
+ *  - a per-(class, row) uint64_t busy mask (bit u = unit u busy), so
+ *    finding a member's unit in placeGroupFirstFit is an OR over the
+ *    op's rows, a mask test, and count-trailing-zeros — no occupant
+ *    scan. One word per row caps machines at 64 units per unit class;
+ *    reset() rejects wider machines loudly (the paper's widest
+ *    configuration has 2);
  *  - an occupant node per (class, unit, row), the bookkeeping side used
  *    by remove()'s debug check and conflicts()'s blocker reporting.
  *
@@ -56,46 +57,20 @@ class Mrt
 
     int ii() const { return ii_; }
 
-    /**
-     * Try to find a free unit for op at absolute time t.
-     * @return unit index within the class, or -1 when fully busy.
-     */
-    int findUnit(Opcode op, int t) const;
-
-    /** True if the op can be placed at time t. */
-    bool canPlace(Opcode op, int t) const { return findUnit(op, t) >= 0; }
-
-    /**
-     * Reserve a unit for node n (opcode op) at time t.
-     * @return the unit index used, or -1 when no unit is free.
-     */
-    int place(Opcode op, int t, NodeId n);
-
     /** Release the reservation of node n (opcode op) at time t, unit u. */
     void remove(Opcode op, int t, NodeId n, int u);
 
     /**
-     * Atomically place a complex group anchored at t0, recording each
-     * member's time and unit into the schedule. The one-anchor scan of
-     * placeGroupFirstFit; IMS's forced placement is its only scheduler
-     * caller.
-     * @return false (and leave the table untouched) if any member fails.
-     */
-    bool
-    placeGroup(const Ddg &g, const ComplexGroup &grp, int t0,
-               Schedule &sched)
-    {
-        return placeGroupFirstFit(g, grp, t0, t0, sched);
-    }
-
-    /**
      * Place a complex group at the first anchor of first, first + 1,
      * ..., last (first, first - 1, ..., last when last < first) where
-     * placeGroup would succeed, with the units it would choose there.
-     * The scan steps each member's kernel row along with the anchor
-     * instead of recomputing it, and a singleton group is one
-     * reservation per anchor tried. Every member time of every anchor
-     * in the range must be an int.
+     * every member finds a unit, recording each member's time and unit
+     * into the schedule. A member takes the lowest unit of its class
+     * free over all its occupancy rows; members are reserved in order,
+     * so later members see earlier ones. first == last places at one
+     * anchor (IMS's forced placement). The scan steps each member's
+     * kernel row along with the anchor instead of recomputing it, and a
+     * singleton group is one reservation per anchor tried. Every member
+     * time of every anchor in the range must be an int.
      * @return false (and leave the table untouched) if no anchor fits.
      */
     bool placeGroupFirstFit(const Ddg &g, const ComplexGroup &grp,
@@ -108,21 +83,12 @@ class Mrt
     /**
      * Occupants that block op at time t (each at most once), appended
      * to `out` after clearing it. Used by iterative modulo scheduling
-     * to decide what to evict; the out-parameter form lets the hot
-     * caller reuse one buffer across every eviction query. `out` stays
-     * empty when the op's occupancy exceeds II (findUnit can never
-     * place it, so no eviction helps), mirroring findUnit's rejection.
+     * to decide what to evict; the out-parameter lets it reuse one
+     * buffer across every eviction query. `out` stays empty when the
+     * op's occupancy exceeds II (placeGroupFirstFit can never place it,
+     * so no eviction helps).
      */
     void conflicts(Opcode op, int t, std::vector<NodeId> &out) const;
-
-    /** Allocating convenience form of conflicts(). */
-    std::vector<NodeId>
-    conflicts(Opcode op, int t) const
-    {
-        std::vector<NodeId> out;
-        conflicts(op, t, out);
-        return out;
-    }
 
   private:
     /** Where an opcode's reservations live, cached per opcode by
@@ -137,13 +103,12 @@ class Mrt
 
     /** OR of the busy masks over occ rows from `row` on (wrapping). */
     std::uint64_t busyOver(const OpSlots &o, int row) const;
-    /** Lowest unit free over o's occupancy from `row`, or -1 (also
-        when the occupancy exceeds II). */
-    int findUnitAtRow(const OpSlots &o, int row) const;
     /** Reserve / release unit u for node n over o's rows from `row`. */
     void reserve(const OpSlots &o, int row, int u, NodeId n);
     void release(const OpSlots &o, int row, int u, NodeId n);
-    /** findUnitAtRow, then reserve the unit found; -1 if none. */
+    /** Reserve for node n the lowest unit free over o's occupancy
+        from `row`; that unit, or -1 (also when the occupancy exceeds
+        II). */
     int placeAtRow(const OpSlots &o, int row, NodeId n);
     const OpSlots &slots(Opcode op) const { return slots_[int(op)]; }
     /** The row after / before `row`, wrapping at II. */

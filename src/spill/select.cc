@@ -140,15 +140,6 @@ spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
     }
 }
 
-std::vector<SpillCandidate>
-spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
-                bool include_uses)
-{
-    std::vector<SpillCandidate> out;
-    spillCandidates(g, lifetimes, include_uses, out);
-    return out;
-}
-
 namespace
 {
 
@@ -225,16 +216,6 @@ selectMultiple(const std::vector<SpillCandidate> &candidates,
     // requirement, so always make progress.
     if (chosen.empty() && !pool.empty())
         chosen.push_back(pool.front());
-}
-
-std::vector<SpillCandidate>
-selectMultiple(const std::vector<SpillCandidate> &candidates,
-               SpillHeuristic h, const LifetimeInfo &lifetimes,
-               int available)
-{
-    std::vector<SpillCandidate> chosen;
-    selectMultiple(candidates, h, lifetimes, available, chosen);
-    return chosen;
 }
 
 } // namespace swp

@@ -70,19 +70,15 @@ struct SpillCandidate
 
 /**
  * Enumerate every spillable lifetime of the scheduled loop with its
- * length and spill cost. Values marked non-spillable (produced by spill
- * loads or feeding spill stores) and already-spilled invariants are
- * excluded, as are values whose spill would not free anything.
+ * length and spill cost into `out`, a reused buffer cleared first.
+ * Values marked non-spillable (produced by spill loads or feeding spill
+ * stores) and already-spilled invariants are excluded, as are values
+ * whose spill would not free anything.
  *
  * @param include_uses Also enumerate single-use candidates: for every
  *        multi-use value, serving the *latest* use from memory shrinks
  *        the live range by the gap to the second-latest use.
  */
-std::vector<SpillCandidate> spillCandidates(const Ddg &g,
-                                            const LifetimeInfo &lifetimes,
-                                            bool include_uses = false);
-
-/** spillCandidates into a reused buffer (out is cleared first). */
 void spillCandidates(const Ddg &g, const LifetimeInfo &lifetimes,
                      bool include_uses, std::vector<SpillCandidate> &out);
 
@@ -120,14 +116,9 @@ selectOne(const std::vector<SpillCandidate> &candidates, SpillHeuristic h);
  * @param h          Ranking heuristic.
  * @param lifetimes  Lifetime info of the current schedule.
  * @param available  Register budget.
- * @return Selected candidates, at least one when any exists.
+ * @param out        The selected candidates, at least one when any
+ *                   exists; a reused buffer, cleared first.
  */
-std::vector<SpillCandidate>
-selectMultiple(const std::vector<SpillCandidate> &candidates,
-               SpillHeuristic h, const LifetimeInfo &lifetimes,
-               int available);
-
-/** selectMultiple into a reused pick buffer (out is cleared first). */
 void selectMultiple(const std::vector<SpillCandidate> &candidates,
                     SpillHeuristic h, const LifetimeInfo &lifetimes,
                     int available, std::vector<SpillCandidate> &out);

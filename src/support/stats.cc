@@ -21,12 +21,6 @@ nowNs()
 
 Stopwatch::Stopwatch() : startNs_(nowNs()) {}
 
-void
-Stopwatch::reset()
-{
-    startNs_ = nowNs();
-}
-
 double
 Stopwatch::seconds() const
 {

@@ -1,45 +1,15 @@
 /**
  * @file
- * Lightweight statistics accumulators used by the evaluation harnesses.
+ * The wall-clock stopwatch the evaluation harnesses time runs with.
  */
 
 #ifndef SWP_SUPPORT_STATS_HH
 #define SWP_SUPPORT_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 
 namespace swp
 {
-
-/**
- * Accumulates a scalar sample stream: count, sum, min, max, mean.
- */
-class Accumulator
-{
-  public:
-    void
-    sample(double v)
-    {
-        count_ += 1;
-        sum_ += v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * A wall-clock stopwatch (monotonic), reporting elapsed seconds.
@@ -48,9 +18,7 @@ class Stopwatch
 {
   public:
     Stopwatch();
-    /** Restart the timer. */
-    void reset();
-    /** Seconds since construction or the last reset(). */
+    /** Seconds since construction. */
     double seconds() const;
 
   private:

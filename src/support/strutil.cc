@@ -24,20 +24,6 @@ trim(const std::string &s)
 }
 
 std::vector<std::string>
-split(const std::string &s, char delim)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == delim) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-std::vector<std::string>
 splitWs(const std::string &s)
 {
     std::vector<std::string> out;
@@ -56,19 +42,6 @@ splitWs(const std::string &s)
             out.push_back(s.substr(start, i - start));
     }
     return out;
-}
-
-long
-parseLong(const std::string &s)
-{
-    const std::string t = trim(s);
-    if (t.empty())
-        SWP_FATAL("expected integer, got empty string");
-    char *end = nullptr;
-    const long v = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
-        SWP_FATAL("expected integer, got '", t, "'");
-    return v;
 }
 
 bool

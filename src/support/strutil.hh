@@ -18,14 +18,8 @@ namespace swp
 /** Strip leading and trailing whitespace. */
 std::string trim(const std::string &s);
 
-/** Split on a delimiter character, keeping empty fields. */
-std::vector<std::string> split(const std::string &s, char delim);
-
 /** Split on arbitrary whitespace, dropping empty fields. */
 std::vector<std::string> splitWs(const std::string &s);
-
-/** Parse a non-negative integer; throws FatalError on garbage. */
-long parseLong(const std::string &s);
 
 /**
  * Parse a 64-bit unsigned value (decimal, or hex/octal with the usual

@@ -50,12 +50,6 @@ Table::add(int v)
 }
 
 Table &
-Table::add(std::size_t v)
-{
-    return add(strprintf("%zu", v));
-}
-
-Table &
 Table::add(double v, int decimals)
 {
     return add(strprintf("%.*f", decimals, v));

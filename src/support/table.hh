@@ -33,12 +33,8 @@ class Table
     Table &add(const char *cell);
     Table &add(long v);
     Table &add(int v);
-    Table &add(std::size_t v);
     /** Floating point cell with the given number of decimals. */
     Table &add(double v, int decimals = 2);
-
-    /** Number of data rows so far. */
-    std::size_t numRows() const { return rows_.size(); }
 
     /** Column headers (for machine-readable re-serialization). */
     const std::vector<std::string> &header() const { return header_; }

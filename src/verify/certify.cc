@@ -20,17 +20,6 @@ certKindName(CertKind kind)
     SWP_PANIC("unknown certificate kind ", int(kind));
 }
 
-int
-CertReport::count(CertKind kind) const
-{
-    int n = 0;
-    for (const CertDiag &d : diags) {
-        if (d.kind == kind)
-            ++n;
-    }
-    return n;
-}
-
 std::string
 CertReport::describe() const
 {

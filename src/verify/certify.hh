@@ -138,9 +138,6 @@ struct CertReport
 
     bool ok() const { return diags.empty(); }
 
-    /** Count of diagnostics of one kind. */
-    int count(CertKind kind) const;
-
     /** All diagnostics, one per line (empty string when ok). */
     std::string describe() const;
 };

@@ -4,7 +4,6 @@
 #include <istream>
 #include <limits>
 #include <map>
-#include <ostream>
 
 #include "ir/verify.hh"
 #include "support/diag.hh"
@@ -26,17 +25,6 @@ parseDepKind(const std::string &s)
     if (s == "ctrl")
         return DepKind::Control;
     SWP_FATAL("unknown dependence kind '", s, "'");
-}
-
-const char *
-depKindName(DepKind k)
-{
-    switch (k) {
-      case DepKind::RegFlow: return "reg";
-      case DepKind::Mem: return "mem";
-      case DepKind::Control: return "ctrl";
-    }
-    SWP_PANIC("unknown dep kind ", int(k));
 }
 
 } // namespace
@@ -88,9 +76,15 @@ parseDdgStream(std::istream &in)
             needOpen("iterations");
             if (tok.size() != 2)
                 SWP_FATAL("line ", lineNo, ": expected 'iterations <n>'");
-            current.iterations = parseLong(tok[1]);
-            if (current.iterations < 1)
-                SWP_FATAL("line ", lineNo, ": iterations must be >= 1");
+            long long iterations = 0;
+            if (!parseInt64InRange(tok[1], 1,
+                                   std::numeric_limits<long>::max(),
+                                   iterations)) {
+                SWP_FATAL("line ", lineNo, ": iterations ", tok[1],
+                          " outside [1, ", std::numeric_limits<long>::max(),
+                          "]");
+            }
+            current.iterations = long(iterations);
         } else if (tok[0] == "node") {
             needOpen("node");
             if (tok.size() != 3) {
@@ -117,9 +111,10 @@ parseDdgStream(std::istream &in)
                 SWP_FATAL("line ", lineNo,
                           ": expected 'edge <src> <dst> <kind> <dist>'");
             }
-            const long distance = parseLong(tok[4]);
-            if (distance < 0 || distance > std::numeric_limits<int>::max()) {
-                SWP_FATAL("line ", lineNo, ": edge distance ", distance,
+            int distance = 0;
+            if (!parseIntInRange(tok[4], 0, std::numeric_limits<int>::max(),
+                                 distance)) {
+                SWP_FATAL("line ", lineNo, ": edge distance ", tok[4],
                           " outside [0, ", std::numeric_limits<int>::max(),
                           "]");
             }
@@ -134,7 +129,7 @@ parseDdgStream(std::istream &in)
                           tok[1], "', whose opcode ", opcodeName(srcOp),
                           " produces no value");
             }
-            current.graph.addEdge(src, dst, kind, int(distance));
+            current.graph.addEdge(src, dst, kind, distance);
         } else if (tok[0] == "use") {
             needOpen("use");
             if (tok.size() != 3) {
@@ -173,38 +168,6 @@ parseDdgFile(const std::string &path)
     if (!in)
         SWP_FATAL("cannot open '", path, "'");
     return parseDdgStream(in);
-}
-
-void
-writeDdg(std::ostream &out, const SuiteLoop &loop)
-{
-    const Ddg &g = loop.graph;
-    out << "loop " << g.name() << "\n";
-    out << "iterations " << loop.iterations << "\n";
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-        out << "node " << g.node(n).name << " "
-            << opcodeName(g.node(n).op) << "\n";
-    }
-    for (InvId i = 0; i < g.numInvariants(); ++i) {
-        if (!g.invariant(i).spilled)
-            out << "inv " << g.invariant(i).name << "\n";
-    }
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (!edge.alive)
-            continue;
-        out << "edge " << g.node(edge.src).name << " "
-            << g.node(edge.dst).name << " " << depKindName(edge.kind)
-            << " " << edge.distance << "\n";
-    }
-    for (InvId i = 0; i < g.numInvariants(); ++i) {
-        const Invariant &inv = g.invariant(i);
-        if (inv.spilled)
-            continue;
-        for (NodeId c : inv.consumers)
-            out << "use " << inv.name << " " << g.node(c).name << "\n";
-    }
-    out << "end\n";
 }
 
 } // namespace swp

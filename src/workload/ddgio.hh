@@ -40,9 +40,6 @@ std::vector<SuiteLoop> parseDdgStream(std::istream &in);
 /** Parse a .ddg file from disk. */
 std::vector<SuiteLoop> parseDdgFile(const std::string &path);
 
-/** Serialize one loop (only live edges and unspilled invariants). */
-void writeDdg(std::ostream &out, const SuiteLoop &loop);
-
 } // namespace swp
 
 #endif // SWP_WORKLOAD_DDGIO_HH

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "pipeliner/pipeliner.hh"
 #include "sched/mii.hh"
@@ -191,6 +193,14 @@ TEST(Certify, BoundsMatchSchedulerMii)
 // Mutation classes. Each must be caught with the matching kind.
 // ---------------------------------------------------------------------------
 
+/** Diagnostics of one kind in a report. */
+long
+countOf(const CertReport &report, CertKind kind)
+{
+    return std::count_if(report.diags.begin(), report.diags.end(),
+                         [&](const CertDiag &d) { return d.kind == kind; });
+}
+
 /** A certified recurrence-bearing result, the mutation donor (its
     certificate populates all three sections, cycle included). */
 struct Donor
@@ -226,7 +236,7 @@ TEST(CertifyMutation, CorruptedCycleEdgeCaught)
     const Certificate mutant = withCycleEdge(d.cert, 0, replacement);
     const CertReport report = checkCertificate(d.g, d.m, mutant);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::Recurrence), 0)
+    EXPECT_GT(countOf(report, CertKind::Recurrence), 0)
         << report.describe();
 }
 
@@ -238,7 +248,7 @@ TEST(CertifyMutation, InflatedTallyCaught)
     const Certificate mutant = withTallyOccupancy(d.cert, 0, occ + 1);
     const CertReport report = checkCertificate(d.g, d.m, mutant);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::Resource), 0) << report.describe();
+    EXPECT_GT(countOf(report, CertKind::Resource), 0) << report.describe();
 }
 
 TEST(CertifyMutation, InflatedLifetimeFloorCaught)
@@ -249,7 +259,7 @@ TEST(CertifyMutation, InflatedLifetimeFloorCaught)
     const Certificate mutant = withTermLifetime(d.cert, 0, lt + 1);
     const CertReport report = checkCertificate(d.g, d.m, mutant);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::RegisterFloor), 0)
+    EXPECT_GT(countOf(report, CertKind::RegisterFloor), 0)
         << report.describe();
 }
 
@@ -260,7 +270,7 @@ TEST(CertifyMutation, RaisedRegisterBoundCaught)
         withRegisterBound(d.cert, d.cert.registers.bound + 1);
     const CertReport report = checkCertificate(d.g, d.m, mutant);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::RegisterFloor), 0)
+    EXPECT_GT(countOf(report, CertKind::RegisterFloor), 0)
         << report.describe();
 }
 
@@ -270,7 +280,7 @@ TEST(CertifyMutation, RaisedIiBoundCaught)
     const Certificate mutant = withIiBound(d.cert, d.cert.iiBound + 1);
     const CertReport report = checkCertificate(d.g, d.m, mutant);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::Consistency), 0)
+    EXPECT_GT(countOf(report, CertKind::Consistency), 0)
         << report.describe();
 }
 
@@ -285,7 +295,7 @@ TEST(CertifyMutation, ContradictionWithResultCaught)
     const CertReport report =
         checkCertificateAgainstResult(mutant, d.result);
     EXPECT_FALSE(report.ok());
-    EXPECT_GT(report.count(CertKind::Consistency), 0)
+    EXPECT_GT(countOf(report, CertKind::Consistency), 0)
         << report.describe();
 }
 

@@ -373,7 +373,7 @@ TEST(SuiteRunner, ZeroThreadsSelectsHardwareConcurrency)
     EXPECT_GE(runner.threads(), 1);
 }
 
-TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
+TEST(SuiteRunner, PlanIsAHeaviestFirstPermutation)
 {
     const std::vector<SuiteLoop> suite = testSuite(24);
     const Machine m = Machine::p2l4();
@@ -381,7 +381,7 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
     SuiteRunner runner(1);
 
     const std::vector<std::size_t> order =
-        runner.planJobOrder(suite, m, jobs);
+        runner.planJobs(suite, m, jobs).order;
     ASSERT_EQ(order.size(), jobs.size());
     std::vector<bool> seen(jobs.size(), false);
     double prev = std::numeric_limits<double>::infinity();
@@ -395,7 +395,7 @@ TEST(SuiteRunner, PlanJobOrderIsAHeaviestFirstPermutation)
     }
 
     // The plan is deterministic.
-    EXPECT_EQ(order, runner.planJobOrder(suite, m, jobs));
+    EXPECT_EQ(order, runner.planJobs(suite, m, jobs).order);
 }
 
 TEST(SuiteRunner, OneBoundsRequestPerDistinctLoop)
@@ -464,7 +464,7 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         gridCosts[i] = referenceJobCost(suite, m, jobs[i]);
     const std::vector<std::size_t> planned =
-        runner.planJobOrder(suite, m, jobs);
+        runner.planJobs(suite, m, jobs).order;
     EXPECT_LE(
         makespan(simulateWorkerLoadsStealing(gridCosts, planned, workers)),
         makespan(simulateWorkerLoadsStealing(gridCosts, byIndex, workers)));

@@ -21,6 +21,7 @@
 #include "sched/sched_util.hh"
 #include "spill/insert.hh"
 #include "spill/select.hh"
+#include "testkit/hrms_order.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
 
@@ -168,8 +169,9 @@ TEST(Hrms, OrderingHasTheNeighbourhoodProperty)
     const Ddg g = b.take();
     const Machine m = Machine::p2l4();
 
-    HrmsScheduler hrms;
-    const auto order = hrms.orderingForTest(g, m, mii(g, m));
+    OrderedHrms hrms;
+    ASSERT_TRUE(hrms.scheduleAt(g, m, mii(g, m)).has_value());
+    const std::vector<int> &order = hrms.lastOrder();
     ASSERT_EQ(order.size(), std::size_t(g.numNodes()));
 
     // Singleton groups here: group index == node id modulo renumbering;
@@ -239,8 +241,9 @@ TEST(Hrms, OpposingSpinesScheduleAfterSpilling)
     const auto first = hrms.scheduleAt(g, m, mii(g, m));
     ASSERT_TRUE(first.has_value());
     const LifetimeInfo info = analyzeLifetimes(g, *first);
-    const auto pick =
-        selectOne(spillCandidates(g, info), SpillHeuristic::MaxLTOverTraf);
+    std::vector<SpillCandidate> cands;
+    spillCandidates(g, info, false, cands);
+    const auto pick = selectOne(cands, SpillHeuristic::MaxLTOverTraf);
     ASSERT_TRUE(pick.has_value());
     insertSpill(g, m, *pick);
 
@@ -322,20 +325,21 @@ TEST(Hrms, ReusedSchedulerMatchesFreshSchedulerAcrossLoops)
 TEST(Hrms, PreOrderingIsPinnedOnSuitePrefix)
 {
     // The pre-ordering reaches the golden fingerprint only through the
-    // final schedules; this pins it directly. One scheduler orders the
-    // first 300 suite loops at MII and MII+3, and the group orders are
-    // hashed (length first, so concatenations cannot collide).
+    // final schedules; this pins it directly. One scheduler probes the
+    // first 300 suite loops at MII and MII+3, and the group orders
+    // those probes computed are hashed (length first, so
+    // concatenations cannot collide).
     SuiteParams params;
     params.numLoops = 300;
     const std::vector<SuiteLoop> suite = generateSuite(params);
     const Machine m = Machine::p2l4();
-    HrmsScheduler hrms;
+    OrderedHrms hrms;
     Fingerprint fp;
     for (const SuiteLoop &loop : suite) {
         const int lower = mii(loop.graph, m);
         for (const int ii : {lower, lower + 3}) {
-            const std::vector<int> order =
-                hrms.orderingForTest(loop.graph, m, ii);
+            (void)hrms.scheduleAt(loop.graph, m, ii);
+            const std::vector<int> &order = hrms.lastOrder();
             fp.mix(std::uint64_t(order.size()));
             for (const int gi : order)
                 fp.mix(std::uint64_t(gi));
@@ -417,9 +421,9 @@ TEST(Priorities, MatchNaiveBellmanFordOnSuiteAndSpilledGraphs)
             const auto s = hrms.scheduleAt(g, m, mii(g, m));
             if (!s)
                 break;
-            const auto pick =
-                selectOne(spillCandidates(g, analyzeLifetimes(g, *s)),
-                          SpillHeuristic::MaxLTOverTraf);
+            std::vector<SpillCandidate> cands;
+            spillCandidates(g, analyzeLifetimes(g, *s), false, cands);
+            const auto pick = selectOne(cands, SpillHeuristic::MaxLTOverTraf);
             if (!pick)
                 break;
             insertSpill(g, m, *pick);

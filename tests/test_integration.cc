@@ -16,6 +16,7 @@
 #include "pipeliner/pipeliner.hh"
 #include "regalloc/rotalloc.hh"
 #include "sim/vliw.hh"
+#include "verify/legality.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -65,9 +66,11 @@ TEST_P(PipelineProperty, SpillStrategyIsSoundAndExecutesCorrectly)
 
         EXPECT_LE(r.alloc.regsRequired, c.budget)
             << loop.graph.name() << " on " << m.name();
-        const LifetimeInfo info = analyzeLifetimes(r.graph(), r.sched);
-        EXPECT_TRUE(allocationConflictFree(info, r.alloc.rotAlloc, &why))
-            << loop.graph.name() << " on " << m.name() << ": " << why;
+        const VerifyReport alloc =
+            verifyAllocation(r.graph(), r.sched, r.alloc);
+        EXPECT_TRUE(alloc.ok())
+            << loop.graph.name() << " on " << m.name() << ": "
+            << alloc.describe();
 
         ASSERT_TRUE(equivalentToSequential(loop.graph, r.graph(), m,
                                            r.sched, r.alloc.rotAlloc, 12,

@@ -717,12 +717,13 @@ TEST(Opcode, RoundTripNames)
 
 TEST(Opcode, FuClassesMatchPaperMachine)
 {
-    EXPECT_EQ(fuClassOf(Opcode::Load), FuClass::Mem);
-    EXPECT_EQ(fuClassOf(Opcode::Store), FuClass::Mem);
-    EXPECT_EQ(fuClassOf(Opcode::Add), FuClass::Adder);
-    EXPECT_EQ(fuClassOf(Opcode::Mul), FuClass::Mult);
-    EXPECT_EQ(fuClassOf(Opcode::Div), FuClass::DivSqrt);
-    EXPECT_EQ(fuClassOf(Opcode::Sqrt), FuClass::DivSqrt);
+    const Machine m = Machine::p1l4();
+    EXPECT_EQ(m.classOf(Opcode::Load), int(FuClass::Mem));
+    EXPECT_EQ(m.classOf(Opcode::Store), int(FuClass::Mem));
+    EXPECT_EQ(m.classOf(Opcode::Add), int(FuClass::Adder));
+    EXPECT_EQ(m.classOf(Opcode::Mul), int(FuClass::Mult));
+    EXPECT_EQ(m.classOf(Opcode::Div), int(FuClass::DivSqrt));
+    EXPECT_EQ(m.classOf(Opcode::Sqrt), int(FuClass::DivSqrt));
     EXPECT_TRUE(producesValue(Opcode::Load));
     EXPECT_FALSE(producesValue(Opcode::Store));
     EXPECT_FALSE(producesValue(Opcode::Nop));

@@ -18,6 +18,7 @@
 #include "machine/machine.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
+#include "testkit/machines.hh"
 
 namespace swp
 {
@@ -280,11 +281,10 @@ TEST(MachDesc, FingerprintSeparatesTheConfigurations)
     EXPECT_NE(p1l4, p2l6);
 
     // Any single-field change moves the fingerprint.
-    Machine slow = Machine::p2l4();
-    slow.setLatency(Opcode::Add, 5);
+    const Machine slow = editedMachine(Machine::p2l4(), {"op add adder 5"});
     EXPECT_NE(machineContentFingerprint(slow), p2l4);
-    Machine unpiped = Machine::p2l4();
-    unpiped.setPipelined(FuClass::Adder, false);
+    const Machine unpiped =
+        editedMachine(Machine::p2l4(), {"class adder 2 nonpipelined"});
     EXPECT_NE(machineContentFingerprint(unpiped), p2l4);
 }
 
@@ -293,9 +293,12 @@ TEST(MachDesc, StoredFingerprintIsTheContentFingerprint)
     // Machine::fingerprint() is computed once at construction; it must
     // be exactly the content hash, for every preset and every shipped
     // description file.
-    std::vector<Machine> machines = {Machine::p1l4(), Machine::p2l4(),
-                                     Machine::p2l6(),
-                                     Machine("shape", 1, 2, 3, 1, 5)};
+    std::vector<Machine> machines = {
+        Machine::p1l4(), Machine::p2l4(), Machine::p2l6(),
+        editedMachine(Machine::p1l4(),
+                      {"machine shape", "class adder 2 pipelined",
+                       "class mult 3 pipelined", "op add adder 5",
+                       "op mul mult 5"})};
     for (const char *preset : {"p1l4", "p2l4", "p2l6", "universal"})
         machines.push_back(machineFromSpec(preset));
     int files = 0;

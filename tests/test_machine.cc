@@ -15,6 +15,7 @@
 #include "sched/fingerprint.hh"
 #include "sched/mii.hh"
 #include "sched/sched_memo.hh"
+#include "testkit/machines.hh"
 
 namespace swp
 {
@@ -46,8 +47,9 @@ TEST(Machine, CommonLatencies)
 TEST(Machine, P2ConfigsDoubleEveryUnit)
 {
     const Machine m = Machine::p2l4();
-    for (int fu = 0; fu < numFuClasses; ++fu)
-        EXPECT_EQ(m.unitsFor(FuClass(fu)), 2);
+    ASSERT_EQ(m.numClasses(), 4);
+    for (int c = 0; c < m.numClasses(); ++c)
+        EXPECT_EQ(m.unitsInClass(c), 2);
     EXPECT_EQ(Machine::p2l6().latency(Opcode::Add), 6);
     EXPECT_EQ(Machine::p2l6().latency(Opcode::Mul), 6);
 }
@@ -55,7 +57,7 @@ TEST(Machine, P2ConfigsDoubleEveryUnit)
 TEST(Machine, DivSqrtNotPipelined)
 {
     const Machine m = Machine::p2l4();
-    EXPECT_FALSE(m.pipelinedClass(FuClass::DivSqrt));
+    EXPECT_FALSE(m.pipelinedClass(m.classOf(Opcode::Div)));
     EXPECT_EQ(m.occupancy(Opcode::Div), 17);
     EXPECT_EQ(m.occupancy(Opcode::Sqrt), 30);
     EXPECT_EQ(m.occupancy(Opcode::Add), 1);
@@ -74,10 +76,9 @@ TEST(Machine, UniversalMachineForTheWorkedExample)
 
 TEST(Machine, Overrides)
 {
-    Machine m = Machine::p1l4();
-    m.setLatency(Opcode::Add, 9);
+    const Machine m = editedMachine(
+        Machine::p1l4(), {"op add adder 9", "class mult 1 nonpipelined"});
     EXPECT_EQ(m.latency(Opcode::Add), 9);
-    m.setPipelined(FuClass::Mult, false);
     EXPECT_EQ(m.occupancy(Opcode::Mul), 4);
 }
 
@@ -104,18 +105,17 @@ TEST(Machine, EqualityComparesContent)
 {
     EXPECT_TRUE(Machine::p2l4() == Machine::p2l4());
     EXPECT_TRUE(Machine::p2l4() != Machine::p2l6());
-    Machine m = Machine::p2l4();
-    m.setLatency(Opcode::Add, 5);
+    const Machine m = editedMachine(Machine::p2l4(), {"op add adder 5"});
     EXPECT_TRUE(m != Machine::p2l4());
 }
 
-TEST(Machine, StoredFingerprintFollowsMutations)
+TEST(Machine, StoredFingerprintKeysTheMemo)
 {
-    // The memos key every request on the stored fingerprint, so each
-    // mutator must refresh it: a probe on the mutated machine is a new
-    // key, never a hit on the old machine's entry.
+    // The memos key every request on the stored fingerprint, so a
+    // machine that differs in one latency or one class's pipelining is
+    // a new key, never a hit on another machine's entry.
     const Ddg g = buildPaperExampleLoop();
-    Machine m = Machine::p2l4();
+    const Machine m = Machine::p2l4();
     const Machine copy = m;
     EXPECT_EQ(machineFingerprint(copy), machineFingerprint(m));
 
@@ -123,31 +123,30 @@ TEST(Machine, StoredFingerprintFollowsMutations)
     const std::unique_ptr<ModuloScheduler> hrms =
         makeScheduler(SchedulerKind::Hrms);
     const int ii = mii(g, m) + 2;
-    const auto probe = [&] {
-        (void)memo.scheduleAt(*hrms, SchedulerKind::Hrms, g, m, ii);
+    const auto probe = [&](const Machine &on) {
+        (void)memo.scheduleAt(*hrms, SchedulerKind::Hrms, g, on, ii);
         return memo.stats().computes;
     };
-    EXPECT_EQ(probe(), 1);
-    EXPECT_EQ(probe(), 1);  // Same machine: a hit.
+    EXPECT_EQ(probe(m), 1);
+    EXPECT_EQ(probe(copy), 1);  // Same machine: a hit.
 
-    std::uint64_t before = machineFingerprint(m);
-    m.setLatency(Opcode::Add, 5);
-    EXPECT_NE(machineFingerprint(m), before);
-    EXPECT_EQ(machineFingerprint(m), machineContentFingerprint(m));
-    EXPECT_EQ(probe(), 2);
+    const Machine slowAdd = editedMachine(m, {"op add adder 5"});
+    EXPECT_NE(machineFingerprint(slowAdd), machineFingerprint(m));
+    EXPECT_EQ(machineFingerprint(slowAdd), machineContentFingerprint(slowAdd));
+    EXPECT_EQ(probe(slowAdd), 2);
 
-    before = machineFingerprint(m);
-    m.setPipelined(FuClass::Mult, false);
-    EXPECT_NE(machineFingerprint(m), before);
-    EXPECT_EQ(machineFingerprint(m), machineContentFingerprint(m));
-    EXPECT_EQ(probe(), 3);
+    const Machine unpiped =
+        editedMachine(slowAdd, {"class mult 2 nonpipelined"});
+    EXPECT_NE(machineFingerprint(unpiped), machineFingerprint(slowAdd));
+    EXPECT_EQ(machineFingerprint(unpiped), machineContentFingerprint(unpiped));
+    EXPECT_EQ(probe(unpiped), 3);
 
-    // Copies carry the mutated value; the source copy kept its own.
-    const Machine mutatedCopy = m;
-    EXPECT_EQ(machineFingerprint(mutatedCopy), machineFingerprint(m));
+    // Copies carry their source's value.
+    const Machine unpipedCopy = unpiped;
+    EXPECT_EQ(machineFingerprint(unpipedCopy), machineFingerprint(unpiped));
     EXPECT_EQ(machineFingerprint(copy),
               machineFingerprint(Machine::p2l4()));
-    EXPECT_NE(machineFingerprint(copy), machineFingerprint(m));
+    EXPECT_NE(machineFingerprint(copy), machineFingerprint(unpiped));
 }
 
 TEST(Machine, DescribeMentionsName)

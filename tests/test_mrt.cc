@@ -34,12 +34,9 @@ class RefMrt
     RefMrt(const Machine &m, int ii) : m_(m), ii_(ii)
     {
         int base = 0;
-        for (int fu = 0; fu < numFuClasses; ++fu) {
-            classBase_[fu] = base;
-            const int units =
-                m.isUniversal() ? (fu == 0 ? m.unitsFor(FuClass(0)) : 0)
-                                : m.unitsFor(FuClass(fu));
-            base += units * ii;
+        for (int cls = 0; cls < m.numClasses(); ++cls) {
+            classBase_.push_back(base);
+            base += m.unitsInClass(cls) * ii;
         }
         occupant_.assign(std::size_t(base), invalidNode);
     }
@@ -47,16 +44,15 @@ class RefMrt
     int
     findUnit(Opcode op, int t) const
     {
-        const FuClass fu = fuClassOf(op);
-        const int units = m_.unitsFor(fu);
+        const int cls = m_.classOf(op);
         const int occ = m_.occupancy(op);
         if (occ > ii_)
             return -1;
-        for (int u = 0; u < units; ++u) {
+        for (int u = 0; u < m_.unitsInClass(cls); ++u) {
             bool free = true;
             for (int c = 0; c < occ && free; ++c) {
                 const int row = Schedule::floorMod(t + c, ii_);
-                free = occupant_[std::size_t(cell(fu, u, row))] ==
+                free = occupant_[std::size_t(cell(cls, u, row))] ==
                        invalidNode;
             }
             if (free)
@@ -74,7 +70,7 @@ class RefMrt
         const int occ = m_.occupancy(op);
         for (int c = 0; c < occ; ++c) {
             const int row = Schedule::floorMod(t + c, ii_);
-            occupant_[std::size_t(cell(fuClassOf(op), u, row))] = n;
+            occupant_[std::size_t(cell(m_.classOf(op), u, row))] = n;
         }
         return u;
     }
@@ -85,7 +81,7 @@ class RefMrt
         const int occ = m_.occupancy(op);
         for (int c = 0; c < occ; ++c) {
             const int row = Schedule::floorMod(t + c, ii_);
-            const int idx = cell(fuClassOf(op), u, row);
+            const int idx = cell(m_.classOf(op), u, row);
             ASSERT_EQ(occupant_[std::size_t(idx)], n);
             occupant_[std::size_t(idx)] = invalidNode;
         }
@@ -98,11 +94,11 @@ class RefMrt
         std::vector<NodeId> blockers;
         if (occ > ii_)
             return blockers;
-        const FuClass fu = fuClassOf(op);
-        for (int u = 0; u < m_.unitsFor(fu); ++u) {
+        const int cls = m_.classOf(op);
+        for (int u = 0; u < m_.unitsInClass(cls); ++u) {
             for (int c = 0; c < occ; ++c) {
                 const int row = Schedule::floorMod(t + c, ii_);
-                const NodeId n = occupant_[std::size_t(cell(fu, u, row))];
+                const NodeId n = occupant_[std::size_t(cell(cls, u, row))];
                 if (n != invalidNode &&
                     std::find(blockers.begin(), blockers.end(), n) ==
                         blockers.end()) {
@@ -115,17 +111,54 @@ class RefMrt
 
   private:
     int
-    cell(FuClass fu, int unit, int row) const
+    cell(int cls, int unit, int row) const
     {
-        const int fi = m_.isUniversal() ? 0 : int(fu);
-        return classBase_[fi] + unit * ii_ + row;
+        return classBase_[std::size_t(cls)] + unit * ii_ + row;
     }
 
     const Machine &m_;
     int ii_;
     std::vector<NodeId> occupant_;
-    int classBase_[numFuClasses];
+    std::vector<int> classBase_;
 };
+
+/**
+ * Add a node of opcode op to g and place it at time t through the
+ * scheduler's entry point: placeGroupFirstFit on the node's singleton
+ * group over the one-anchor range [t, t]. Every call's node has its own
+ * id (g.numNodes() - 1 afterwards), so the occupants conflicts()
+ * reports tell placements apart.
+ * @return the unit taken, or -1 when none is free.
+ */
+int
+placeNew(Mrt &mrt, Ddg &g, Opcode op, int t)
+{
+    const NodeId n = g.addNode(op);
+    Schedule sched(mrt.ii(), g.numNodes());
+    if (!mrt.placeGroupFirstFit(g, ComplexGroup{{n}, {0}}, t, t, sched))
+        return -1;
+    return sched.unit(n);
+}
+
+/** The unit an op placed at time t would take, or -1: a placement on a
+    copy of the table. */
+int
+unitFor(const Mrt &mrt, Opcode op, int t)
+{
+    Mrt copy(mrt);
+    Ddg probe;
+    return placeNew(copy, probe, op, t);
+}
+
+/** The occupants blocking op at time t, in the order conflicts()
+    reports them. */
+std::vector<NodeId>
+blockers(const Mrt &mrt, Opcode op, int t)
+{
+    std::vector<NodeId> out;
+    mrt.conflicts(op, t, out);
+    return out;
+}
 
 /** The opcode mix of the differential test: pipelined single-row ops
     plus the non-pipelined multi-row divide and square root. */
@@ -139,9 +172,9 @@ expectTablesAgree(const Mrt &mrt, const RefMrt &ref, int ii)
 {
     for (const Opcode op : kDiffOps) {
         for (int t = -ii - 3; t <= 2 * ii + 3; ++t) {
-            ASSERT_EQ(mrt.findUnit(op, t), ref.findUnit(op, t))
+            ASSERT_EQ(unitFor(mrt, op, t), ref.findUnit(op, t))
                 << opcodeName(op) << " at t=" << t;
-            ASSERT_EQ(mrt.conflicts(op, t), ref.conflicts(op, t))
+            ASSERT_EQ(blockers(mrt, op, t), ref.conflicts(op, t))
                 << opcodeName(op) << " at t=" << t;
         }
     }
@@ -170,8 +203,8 @@ TEST(Mrt, DifferentialAgainstNaiveReference)
             const int ii = trial == 0 ? 1 : rng.range(2, 40);
             Mrt mrt(m, ii);
             RefMrt ref(m, ii);
+            Ddg ops;
             std::vector<Placement> live;
-            NodeId nextNode = 0;
 
             for (int step = 0; step < 160; ++step) {
                 const bool doPlace =
@@ -180,8 +213,8 @@ TEST(Mrt, DifferentialAgainstNaiveReference)
                     const Opcode op = kDiffOps[std::size_t(
                         rng.range(0, int(std::size(kDiffOps)) - 1))];
                     const int t = rng.range(-30, 60);
-                    const NodeId n = nextNode++;
-                    const int u1 = mrt.place(op, t, n);
+                    const int u1 = placeNew(mrt, ops, op, t);
+                    const NodeId n = ops.numNodes() - 1;
                     const int u2 = ref.place(op, t, n);
                     ASSERT_EQ(u1, u2)
                         << m.name() << " ii=" << ii << " place "
@@ -215,29 +248,30 @@ TEST(Mrt, DifferentialGroupPlacement)
     const NodeId st = b.store("st");
     b.graph().addEdge(l1, a1, DepKind::RegFlow, 0, true);
     b.flow(a1, st);
-    const Ddg g = b.take();
+    // Background singletons are appended to g after the partition.
+    Ddg g = b.take();
     const Machine m = Machine::p1l4();
     const GroupSet groups(g, m);
     const ComplexGroup &grp = groups.group(groups.groupOf(l1));
     ASSERT_EQ(grp.members.size(), 2u);
+    const int groupNodes = g.numNodes();
 
     Rng rng(99);
     for (int trial = 0; trial < 8; ++trial) {
         const int ii = rng.range(1, 6);
         Mrt mrt(m, ii);
         RefMrt ref(m, ii);
-        Schedule sched(ii, g.numNodes());
+        Schedule sched(ii, groupNodes);
         bool placed = false;
         int placedT0 = 0;
-        // Background noise so the group competes with singletons.
-        NodeId noise = 100;
         for (int step = 0; step < 60; ++step) {
+            // Background noise so the group competes with singletons.
             if (rng.chance(0.3)) {
                 const Opcode op = rng.chance(0.5) ? Opcode::Load
                                                   : Opcode::Add;
                 const int t = rng.range(-5, 10);
-                ASSERT_EQ(mrt.place(op, t, noise), ref.place(op, t, noise));
-                ++noise;
+                const int u = placeNew(mrt, g, op, t);
+                ASSERT_EQ(u, ref.place(op, t, g.numNodes() - 1));
             }
             if (!placed) {
                 const int t0 = rng.range(-10, 20);
@@ -257,13 +291,15 @@ TEST(Mrt, DifferentialGroupPlacement)
                 // Group placement on a copy must agree, and a failed one
                 // must leave the copy as it was.
                 Mrt copy(mrt);
-                Schedule probe(ii, g.numNodes());
-                ASSERT_EQ(copy.placeGroup(g, grp, t0, probe), refCan)
+                Schedule probe(ii, groupNodes);
+                ASSERT_EQ(copy.placeGroupFirstFit(g, grp, t0, t0, probe),
+                          refCan)
                     << "ii=" << ii << " t0=" << t0;
                 if (!refCan)
                     expectTablesAgree(copy, ref, ii);
                 if (refCan && rng.chance(0.7)) {
-                    ASSERT_TRUE(mrt.placeGroup(g, grp, t0, sched));
+                    ASSERT_TRUE(
+                        mrt.placeGroupFirstFit(g, grp, t0, t0, sched));
                     for (std::size_t i = 0; i < grp.members.size(); ++i) {
                         ASSERT_EQ(ref.place(g.node(grp.members[i]).op,
                                             t0 + grp.offsets[i],
@@ -310,25 +346,27 @@ TEST(Mrt, FirstFitScanMatchesAnchorByAnchorPlacement)
     b.flow(sq, st);
     b.flow(div, st);
     b.flow(ld, st);
-    const Ddg g = b.take();
+    const Ddg loop = b.take();
     constexpr Opcode pipelined[] = {Opcode::Load, Opcode::Store,
                                     Opcode::Add, Opcode::Mul, Opcode::Copy};
     const Machine machines[] = {Machine::p1l4(), Machine::p2l4()};
 
     for (const Machine &m : machines) {
-        const GroupSet groups(g, m);
+        const GroupSet groups(loop, m);
         ASSERT_EQ(groups.group(groups.groupOf(l1)).members.size(), 3u);
         Rng rng(0x5ca9u + std::uint64_t(m.unitsInClass(0)));
         int singletons = 0, fused = 0, nonPipelined = 0, wrapped = 0;
-        NodeId noise = 100;
         for (int trial = 0; trial < 120; ++trial) {
             const int ii = rng.range(1, 40);
             Mrt mrt(m, ii);
             RefMrt ref(m, ii);
-            Schedule sched(ii, g.numNodes());
+            Schedule sched(ii, loop.numNodes());
+            // Background singletons are appended to g, past the loop's
+            // nodes and out of the partition.
+            Ddg g = loop;
             auto busy = [&](Opcode op, int t) {
-                ASSERT_EQ(mrt.place(op, t, noise), ref.place(op, t, noise));
-                ++noise;
+                const int u = placeNew(mrt, g, op, t);
+                ASSERT_EQ(u, ref.place(op, t, g.numNodes() - 1));
             };
             for (int k = rng.range(0, 2 * ii); k > 0; --k)
                 busy(pipelined[rng.range(0, 4)], rng.range(-30, 60));
@@ -405,84 +443,91 @@ TEST(Mrt, FillsAllUnitsOfARow)
 {
     const Machine m = Machine::p2l4();
     Mrt mrt(m, 2);
+    Ddg ops;
     // Two loads in row 0: both units; a third must fail.
-    EXPECT_GE(mrt.place(Opcode::Load, 0, 0), 0);
-    EXPECT_GE(mrt.place(Opcode::Load, 2, 1), 0);  // Row 0 again (t=2).
-    EXPECT_EQ(mrt.place(Opcode::Load, 4, 2), -1);
+    EXPECT_GE(placeNew(mrt, ops, Opcode::Load, 0), 0);
+    EXPECT_GE(placeNew(mrt, ops, Opcode::Load, 2), 0);  // Row 0 (t=2).
+    EXPECT_EQ(placeNew(mrt, ops, Opcode::Load, 4), -1);
     // Row 1 still free.
-    EXPECT_GE(mrt.place(Opcode::Load, 1, 3), 0);
+    EXPECT_GE(placeNew(mrt, ops, Opcode::Load, 1), 0);
 }
 
 TEST(Mrt, RemoveFreesTheSlot)
 {
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 3);
-    const int u = mrt.place(Opcode::Add, 4, 7);
+    Ddg ops;
+    const int u = placeNew(mrt, ops, Opcode::Add, 4);
     ASSERT_GE(u, 0);
-    EXPECT_FALSE(mrt.canPlace(Opcode::Add, 1));  // Same row (1 = 4 mod 3).
-    mrt.remove(Opcode::Add, 4, 7, u);
-    EXPECT_TRUE(mrt.canPlace(Opcode::Add, 1));
+    EXPECT_EQ(unitFor(mrt, Opcode::Add, 1), -1);  // Same row (1 = 4 mod 3).
+    mrt.remove(Opcode::Add, 4, 0, u);
+    EXPECT_GE(unitFor(mrt, Opcode::Add, 1), 0);
 }
 
 TEST(Mrt, NonPipelinedOccupiesConsecutiveRows)
 {
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 20);
+    Ddg ops;
     // A divide occupies rows 0..16 of the single div/sqrt unit.
-    ASSERT_GE(mrt.place(Opcode::Div, 0, 0), 0);
-    EXPECT_FALSE(mrt.canPlace(Opcode::Div, 16));
-    EXPECT_FALSE(mrt.canPlace(Opcode::Sqrt, 5));
+    ASSERT_GE(placeNew(mrt, ops, Opcode::Div, 0), 0);
+    EXPECT_EQ(unitFor(mrt, Opcode::Div, 16), -1);
+    EXPECT_EQ(unitFor(mrt, Opcode::Sqrt, 5), -1);
     // Occupancy 17 <= II=20 leaves rows 17..19 free, but another
     // 17-cycle divide cannot fit into 3 free rows.
-    EXPECT_FALSE(mrt.canPlace(Opcode::Div, 17));
+    EXPECT_EQ(unitFor(mrt, Opcode::Div, 17), -1);
 }
 
 TEST(Mrt, OccupancyLongerThanIiIsRejected)
 {
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 10);
-    EXPECT_EQ(mrt.findUnit(Opcode::Div, 0), -1);  // 17 > II.
+    EXPECT_EQ(unitFor(mrt, Opcode::Div, 0), -1);  // 17 > II.
 }
 
 TEST(Mrt, NegativeTimesWrapCorrectly)
 {
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 4);
-    ASSERT_GE(mrt.place(Opcode::Add, -3, 1), 0);  // Row 1.
-    EXPECT_FALSE(mrt.canPlace(Opcode::Add, 1));
-    EXPECT_FALSE(mrt.canPlace(Opcode::Add, 5));
-    EXPECT_TRUE(mrt.canPlace(Opcode::Add, 0));
+    Ddg ops;
+    ASSERT_GE(placeNew(mrt, ops, Opcode::Add, -3), 0);  // Row 1.
+    EXPECT_EQ(unitFor(mrt, Opcode::Add, 1), -1);
+    EXPECT_EQ(unitFor(mrt, Opcode::Add, 5), -1);
+    EXPECT_GE(unitFor(mrt, Opcode::Add, 0), 0);
 }
 
 TEST(Mrt, ConflictsReportsBlockers)
 {
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 2);
-    mrt.place(Opcode::Add, 0, 11);
-    const auto blockers = mrt.conflicts(Opcode::Add, 2);
-    ASSERT_EQ(blockers.size(), 1u);
-    EXPECT_EQ(blockers[0], 11);
-    EXPECT_TRUE(mrt.conflicts(Opcode::Add, 1).empty());
+    Ddg ops;
+    ops.addNode(Opcode::Nop);
+    ASSERT_GE(placeNew(mrt, ops, Opcode::Add, 0), 0);  // Node 1.
+    const auto found = blockers(mrt, Opcode::Add, 2);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], 1);
+    EXPECT_TRUE(blockers(mrt, Opcode::Add, 1).empty());
 }
 
 TEST(Mrt, ConflictsEmptyWhenOccupancyExceedsIi)
 {
     // Regression: conflicts() used to clamp the occupancy to II and
-    // report "blockers" for an op findUnit can never place (occupancy
+    // report "blockers" for an op that can never be placed (occupancy
     // > II), sending IMS eviction after nodes whose removal cannot
-    // help. It must report none, mirroring findUnit's rejection.
+    // help. It must report none, mirroring placement's rejection.
     const Machine m = Machine::p1l4();
     Mrt mrt(m, 20);
+    Ddg ops;
     // A divide (occupancy 17 <= 20) occupies the div/sqrt unit.
-    ASSERT_GE(mrt.place(Opcode::Div, 0, 5), 0);
+    ASSERT_GE(placeNew(mrt, ops, Opcode::Div, 0), 0);
     // A sqrt (occupancy 30 > 20) can never be placed at this II...
-    EXPECT_EQ(mrt.findUnit(Opcode::Sqrt, 0), -1);
+    EXPECT_EQ(unitFor(mrt, Opcode::Sqrt, 0), -1);
     // ...so evicting the divide cannot help: no blockers.
-    EXPECT_TRUE(mrt.conflicts(Opcode::Sqrt, 0).empty());
+    EXPECT_TRUE(blockers(mrt, Opcode::Sqrt, 0).empty());
     // The divide itself still conflicts normally with another divide.
-    const auto blockers = mrt.conflicts(Opcode::Div, 3);
-    ASSERT_EQ(blockers.size(), 1u);
-    EXPECT_EQ(blockers[0], 5);
+    const auto found = blockers(mrt, Opcode::Div, 3);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], 0);
 }
 
 TEST(Mrt, GroupPlacementIsAtomic)
@@ -507,7 +552,7 @@ TEST(Mrt, GroupPlacementIsAtomic)
     Mrt mrt(m, 2);
     RefMrt ref(m, 2);
     Schedule sched(2, g.numNodes());
-    EXPECT_TRUE(mrt.placeGroup(g, grp, 0, sched));
+    EXPECT_TRUE(mrt.placeGroupFirstFit(g, grp, 0, 0, sched));
     EXPECT_EQ(sched.time(a1) - sched.time(l1), 2);
     for (const NodeId v : grp.members)
         ASSERT_EQ(ref.place(g.node(v).op, sched.time(v), v), sched.unit(v));
@@ -516,11 +561,11 @@ TEST(Mrt, GroupPlacementIsAtomic)
     // anchor parity must fail atomically and leave no residue.
     Mrt copy(mrt);
     Schedule probe(2, g.numNodes());
-    EXPECT_FALSE(copy.placeGroup(g, grp, 2, probe));
+    EXPECT_FALSE(copy.placeGroupFirstFit(g, grp, 2, 2, probe));
     expectTablesAgree(copy, ref, 2);
     // Removing restores the table.
     mrt.removeGroup(g, grp, sched);
-    EXPECT_TRUE(Mrt(mrt).placeGroup(g, grp, 0, probe));
+    EXPECT_TRUE(Mrt(mrt).placeGroupFirstFit(g, grp, 0, 0, probe));
 }
 
 TEST(Mrt, GroupSelfCompetitionDetected)
@@ -546,12 +591,12 @@ TEST(Mrt, GroupSelfCompetitionDetected)
     Schedule sched(2, g.numNodes());
     (void)l2;
     const ComplexGroup &grp = groups.group(groups.groupOf(l1));
-    EXPECT_FALSE(mrt.placeGroup(g, grp, 0, sched));
+    EXPECT_FALSE(mrt.placeGroupFirstFit(g, grp, 0, 0, sched));
     // Failure must roll back completely: l1 took row 0 before c1 failed
     // there, and the table is still empty.
     expectTablesAgree(mrt, RefMrt(m, 2), 2);
-    EXPECT_TRUE(mrt.canPlace(Opcode::Add, 0));
-    EXPECT_TRUE(mrt.canPlace(Opcode::Add, 1));
+    EXPECT_GE(unitFor(mrt, Opcode::Add, 0), 0);
+    EXPECT_GE(unitFor(mrt, Opcode::Add, 1), 0);
 }
 
 } // namespace

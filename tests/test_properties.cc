@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pipeliner/pipeliner.hh"
 #include "regalloc/mvealloc.hh"
 #include "regalloc/rotalloc.hh"
@@ -23,6 +25,8 @@
 #include "sched/mii.hh"
 #include "sim/vliw.hh"
 #include "support/rng.hh"
+#include "testkit/machines.hh"
+#include "verify/legality.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -30,32 +34,30 @@ namespace swp
 namespace
 {
 
-/** Build a LifetimeInfo directly from synthetic (start, length) pairs. */
-LifetimeInfo
-makeInfo(int ii, const std::vector<std::pair<int, int>> &ranges)
+/**
+ * A loop realizing synthetic (start, length) lifetimes: value i is an
+ * add, node 2i, issued at `start`, whose one use, the store 2i + 1,
+ * issues `length` cycles later. Every unit is 0: only the register
+ * layer reads this schedule.
+ */
+struct LifetimeLoop
 {
-    LifetimeInfo info;
-    info.ii = ii;
-    info.pressure.assign(std::size_t(ii), 0);
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        Lifetime lt;
-        lt.producer = NodeId(i);
-        lt.live = true;
-        lt.start = ranges[i].first;
-        lt.end = ranges[i].first + ranges[i].second;
-        info.lifetimes.push_back(lt);
+    Ddg g;
+    Schedule s;
+};
 
-        const int len = ranges[i].second;
-        for (int r = 0; r < ii; ++r)
-            info.pressure[std::size_t(r)] += len / ii;
-        const int startRow = Schedule::floorMod(lt.start, ii);
-        for (int k = 0; k < len % ii; ++k)
-            info.pressure[std::size_t((startRow + k) % ii)] += 1;
+LifetimeLoop
+makeLoop(int ii, const std::vector<std::pair<int, int>> &ranges)
+{
+    LifetimeLoop loop{Ddg("lifetimes"), Schedule(ii, 2 * int(ranges.size()))};
+    for (const auto &[start, length] : ranges) {
+        const NodeId def = loop.g.addNode(Opcode::Add);
+        const NodeId use = loop.g.addNode(Opcode::Store);
+        loop.g.addEdge(def, use, DepKind::RegFlow, 0);
+        loop.s.set(def, start, 0);
+        loop.s.set(use, start + length, 0);
     }
-    info.maxLive = 0;
-    for (int p : info.pressure)
-        info.maxLive = std::max(info.maxLive, p);
-    return info;
+    return loop;
 }
 
 class AllocFuzz : public ::testing::TestWithParam<int>
@@ -71,29 +73,30 @@ TEST_P(AllocFuzz, RandomLifetimesAlwaysPackSoundly)
         ranges.emplace_back(rng.range(0, 4 * ii),
                             rng.range(1, 6 * ii));
     }
-    const LifetimeInfo info = makeInfo(ii, ranges);
+    const LifetimeLoop loop = makeLoop(ii, ranges);
+    const LifetimeInfo info = analyzeLifetimes(loop.g, loop.s);
 
     for (const FitStrategy fit :
          {FitStrategy::EndFit, FitStrategy::FirstFit,
           FitStrategy::BestFit}) {
+        const AllocationOutcome out = allocateLoop(info, 512, fit);
         for (const AllocOrder order :
              {AllocOrder::Adjacency, AllocOrder::DescendingLength}) {
             const int regs = minRotatingRegs(info, fit, order, 512);
             ASSERT_LE(regs, 512) << fitStrategyName(fit);
             EXPECT_GE(regs, info.maxLive) << fitStrategyName(fit);
-            const RotAllocResult alloc =
-                allocateRotating(info, regs, fit, order);
-            ASSERT_TRUE(alloc.ok) << fitStrategyName(fit);
-            std::string why;
-            EXPECT_TRUE(allocationConflictFree(info, alloc, &why))
-                << fitStrategyName(fit) << ": " << why;
             // One fewer register must fail, or regs was not minimal.
             if (regs > std::max(1, info.maxLive)) {
-                EXPECT_FALSE(
-                    allocateRotating(info, regs - 1, fit, order).ok)
+                EXPECT_EQ(minRotatingRegs(info, fit, order, regs - 1), regs)
                     << fitStrategyName(fit);
             }
+            // allocateLoop keeps the tighter of the two orders.
+            EXPECT_LE(out.rotating, regs) << fitStrategyName(fit);
         }
+        ASSERT_TRUE(out.rotAlloc.ok) << fitStrategyName(fit);
+        const VerifyReport report = verifyAllocation(loop.g, loop.s, out);
+        EXPECT_TRUE(report.ok())
+            << fitStrategyName(fit) << ": " << report.describe();
     }
 
     // MVE allocation on the same population: valid periods, at least
@@ -101,7 +104,7 @@ TEST_P(AllocFuzz, RandomLifetimesAlwaysPackSoundly)
     const MveAllocResult mve = allocateMve(info);
     EXPECT_GE(mve.registers, info.maxLive);
     for (std::size_t i = 0; i < ranges.size(); ++i) {
-        const int p = mve.period[i];
+        const int p = mve.period[2 * i];
         ASSERT_GT(p, 0);
         EXPECT_EQ(mve.unroll % p, 0);
         EXPECT_GE(long(p) * ii, long(ranges[i].second));
@@ -126,12 +129,17 @@ class MachineSweep : public ::testing::TestWithParam<MachineCase>
     static Machine
     build(const MachineCase &c)
     {
-        Machine m("custom", c.memUnits, c.adders, c.mults, c.divsqrt,
-                  c.addMulLat);
-        if (!c.pipelinedMult)
-            m.setPipelined(FuClass::Mult, false);
-        m.setLatency(Opcode::Load, c.loadLatency);
-        return m;
+        const auto n = [](int v) { return std::to_string(v); };
+        return editedMachine(
+            Machine::p1l4(),
+            {"machine custom", "class mem " + n(c.memUnits) + " pipelined",
+             "class adder " + n(c.adders) + " pipelined",
+             "class mult " + n(c.mults) +
+                 (c.pipelinedMult ? " pipelined" : " nonpipelined"),
+             "class divsqrt " + n(c.divsqrt) + " nonpipelined",
+             "op ld mem " + n(c.loadLatency),
+             "op add adder " + n(c.addMulLat),
+             "op mul mult " + n(c.addMulLat)});
     }
 };
 

@@ -3,7 +3,10 @@
  * Rotating register allocation tests: the circular-packing conflict
  * model, fit strategies, minimum-register search and the MaxLive bound,
  * plus randomized differentials of the bitset allocator against a naive
- * arc-scan reference.
+ * arc-scan reference. Everything runs through the allocator's entry
+ * points (allocateLoop, allocateWithinBudget, minRotatingRegs); a
+ * LifetimeInfo whose MaxLive is pinned to R makes the search's first
+ * attempt a packing into R registers.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "sched/mii.hh"
 #include "support/diag.hh"
 #include "support/rng.hh"
+#include "verify/legality.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -30,7 +34,7 @@ namespace
  * Naive reference allocator: the pre-bitset implementation, keeping the
  * occupied arcs in a vector and rescanning all of them for every
  * candidate offset (O(n^2 R) per attempt). The bitset allocator must
- * agree with it on `ok` and on every offset, failed attempts included.
+ * agree with it on every register count and every offset it reports.
  */
 namespace naive
 {
@@ -162,18 +166,22 @@ allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
     return result;
 }
 
+/** True if some value needs a register. */
+bool
+anyLive(const LifetimeInfo &lifetimes)
+{
+    for (const Lifetime &lt : lifetimes.lifetimes) {
+        if (lt.live && lt.length() > 0)
+            return true;
+    }
+    return false;
+}
+
 int
 minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
 {
-    bool anyLive = false;
-    for (const Lifetime &lt : lifetimes.lifetimes) {
-        if (lt.live && lt.length() > 0) {
-            anyLive = true;
-            break;
-        }
-    }
-    if (!anyLive)
+    if (!anyLive(lifetimes))
         return 0;
 
     for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
@@ -185,11 +193,8 @@ minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
 
 /** Search both orders in full, then re-run the winner's allocation. */
 AllocationOutcome
-allocateLoop(const Ddg &g, const Schedule &sched, int budget,
-             FitStrategy strategy)
+allocateLoop(const LifetimeInfo &info, int budget, FitStrategy strategy)
 {
-    const LifetimeInfo info = analyzeLifetimes(g, sched);
-
     AllocationOutcome outcome;
     outcome.maxLive = info.maxLive;
     outcome.invariants = info.invariantCount;
@@ -224,11 +229,25 @@ constexpr AllocOrder kOrders[] = {AllocOrder::Adjacency,
                                   AllocOrder::DescendingLength};
 
 void
-expectSameAllocation(const RotAllocResult &got, const RotAllocResult &want)
+expectSameOutcome(const AllocationOutcome &got,
+                  const AllocationOutcome &want)
 {
-    EXPECT_EQ(got.ok, want.ok);
-    EXPECT_EQ(got.registers, want.registers);
-    EXPECT_EQ(got.offset, want.offset);
+    EXPECT_EQ(got.rotating, want.rotating);
+    EXPECT_EQ(got.regsRequired, want.regsRequired);
+    EXPECT_EQ(got.fits, want.fits);
+    EXPECT_EQ(got.maxLive, want.maxLive);
+    EXPECT_EQ(got.invariants, want.invariants);
+    EXPECT_EQ(got.rotAlloc.ok, want.rotAlloc.ok);
+    EXPECT_EQ(got.rotAlloc.registers, want.rotAlloc.registers);
+    EXPECT_EQ(got.rotAlloc.offset, want.rotAlloc.offset);
+}
+
+/** `info` with MaxLive pinned to `regs`, where the search starts. */
+LifetimeInfo
+pinnedAt(LifetimeInfo info, int regs)
+{
+    info.maxLive = regs;
+    return info;
 }
 
 Schedule
@@ -246,15 +265,17 @@ TEST(RotAlloc, PaperExampleFitsInMaxLive)
 {
     const Ddg g = buildPaperExampleLoop();
     for (int ii = 1; ii <= 3; ++ii) {
-        const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(ii));
+        const Schedule s = paperFlatSchedule(ii);
+        const LifetimeInfo info = analyzeLifetimes(g, s);
         const int regs = minRotatingRegs(info);
         EXPECT_GE(regs, info.maxLive) << "ii=" << ii;
         EXPECT_LE(regs, info.maxLive + 1) << "ii=" << ii;
 
-        const RotAllocResult alloc = allocateRotating(info, regs);
-        ASSERT_TRUE(alloc.ok);
-        std::string why;
-        EXPECT_TRUE(allocationConflictFree(info, alloc, &why)) << why;
+        const AllocationOutcome out = allocateLoop(g, s, 64);
+        ASSERT_TRUE(out.rotAlloc.ok);
+        EXPECT_LE(out.rotating, regs) << "ii=" << ii;
+        const VerifyReport report = verifyAllocation(g, s, out);
+        EXPECT_TRUE(report.ok()) << report.describe();
     }
 }
 
@@ -263,29 +284,31 @@ TEST(RotAlloc, FailsBelowMaxLive)
     const Ddg g = buildPaperExampleLoop();
     const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(1));
     ASSERT_EQ(info.maxLive, 11);
-    EXPECT_FALSE(allocateRotating(info, 10).ok);
-    EXPECT_TRUE(allocateRotating(info, 11).ok ||
-                allocateRotating(info, 12).ok);
+    EXPECT_LE(minRotatingRegs(info), 12);
+    // Ten rotating registers (plus the invariant's) never fit.
+    EXPECT_FALSE(allocateLoop(info, 10 + info.invariantCount).fits);
 }
 
 TEST(RotAlloc, EveryStrategyProducesConflictFreePacking)
 {
     const Ddg g = buildPaperExampleLoop();
-    const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(2));
+    const Schedule s = paperFlatSchedule(2);
+    const LifetimeInfo info = analyzeLifetimes(g, s);
     for (FitStrategy strat : {FitStrategy::EndFit, FitStrategy::FirstFit,
                               FitStrategy::BestFit}) {
+        const AllocationOutcome out = allocateLoop(g, s, 64, strat);
+        ASSERT_TRUE(out.rotAlloc.ok) << fitStrategyName(strat);
         for (AllocOrder order : {AllocOrder::Adjacency,
                                  AllocOrder::DescendingLength}) {
             const int regs = minRotatingRegs(info, strat, order);
             ASSERT_LE(regs, info.maxLive + 2)
                 << fitStrategyName(strat);
-            const RotAllocResult alloc =
-                allocateRotating(info, regs, strat, order);
-            ASSERT_TRUE(alloc.ok) << fitStrategyName(strat);
-            std::string why;
-            EXPECT_TRUE(allocationConflictFree(info, alloc, &why))
-                << fitStrategyName(strat) << ": " << why;
+            // allocateLoop keeps the tighter of the two orders.
+            EXPECT_LE(out.rotating, regs) << fitStrategyName(strat);
         }
+        const VerifyReport report = verifyAllocation(g, s, out);
+        EXPECT_TRUE(report.ok())
+            << fitStrategyName(strat) << ": " << report.describe();
     }
 }
 
@@ -305,7 +328,10 @@ TEST(RotAlloc, LifetimeLongerThanWholeFileFails)
     s.set(st, 6, 0);
     const LifetimeInfo info = analyzeLifetimes(g, s);
     ASSERT_GT(info.of(ld).length(), 2 * 8);
-    EXPECT_FALSE(allocateRotating(info, 8).ok);
+    // Nothing up to 8 registers fits: the search reports cap + 1.
+    EXPECT_EQ(minRotatingRegs(info, FitStrategy::EndFit,
+                              AllocOrder::Adjacency, 8),
+              9);
     EXPECT_TRUE(minRotatingRegs(info) >= 10);
 }
 
@@ -340,9 +366,7 @@ TEST(RotAlloc, DeadAndZeroLengthValuesNeedNoRegister)
     s.set(0, 0, 0);
     s.set(1, 2, 1);
     s.set(2, 0, 1);
-    const LifetimeInfo info = analyzeLifetimes(g, s);
-    const RotAllocResult alloc =
-        allocateRotating(info, minRotatingRegs(info));
+    const RotAllocResult alloc = allocateLoop(g, s, 64).rotAlloc;
     EXPECT_TRUE(alloc.ok);
     EXPECT_EQ(alloc.offset[std::size_t(deadLd)], -1);
     EXPECT_GE(alloc.offset[std::size_t(ld)], 0);
@@ -412,18 +436,34 @@ TEST(RotAlloc, DifferentialAgainstNaiveReference)
     for (const Circle &c : circles) {
         const int circ = c.ii * c.regs;
         for (int trial = 0; trial < 32; ++trial) {
-            const LifetimeInfo info = randomLifetimes(rng, c.ii, circ);
+            const LifetimeInfo info =
+                pinnedAt(randomLifetimes(rng, c.ii, circ), c.regs);
             for (const FitStrategy fit : kFits) {
-                for (const AllocOrder order : kOrders) {
-                    const RotAllocResult want =
-                        naive::allocateRotating(info, c.regs, fit, order);
-                    SCOPED_TRACE(::testing::Message()
-                                 << "ii=" << c.ii << " R=" << c.regs
-                                 << " fit=" << fitStrategyName(fit)
-                                 << " trial=" << trial);
-                    expectSameAllocation(
-                        allocateRotating(info, c.regs, fit, order), want);
-                    (want.ok ? succeeded : failed)++;
+                SCOPED_TRACE(::testing::Message()
+                             << "ii=" << c.ii << " R=" << c.regs
+                             << " fit=" << fitStrategyName(fit)
+                             << " trial=" << trial);
+                // One packing into R registers per order...
+                RotAllocResult want[2];
+                for (int k = 0; k < 2; ++k) {
+                    want[k] = naive::allocateRotating(info, c.regs, fit,
+                                                      kOrders[k]);
+                    EXPECT_EQ(minRotatingRegs(info, fit, kOrders[k],
+                                              c.regs) <= c.regs,
+                              want[k].ok)
+                        << (k == 0 ? "adjacency" : "length");
+                    (want[k].ok ? succeeded : failed)++;
+                }
+                // ...and a budget of R keeps the first order that fits,
+                // offsets included.
+                const RotAllocResult &first = want[0].ok ? want[0] : want[1];
+                const std::optional<AllocationOutcome> got =
+                    allocateWithinBudget(info, c.regs, fit);
+                ASSERT_EQ(got.has_value(), first.ok);
+                if (got) {
+                    EXPECT_EQ(got->rotating,
+                              naive::anyLive(info) ? c.regs : 0);
+                    EXPECT_EQ(got->rotAlloc.offset, first.offset);
                 }
             }
         }
@@ -445,20 +485,24 @@ TEST(RotAlloc, LifetimeSpanningWholeCircle)
         whole.start = 5;
         whole.end = 5 + regs;
         info.lifetimes.push_back(whole);
-        for (const FitStrategy fit : kFits) {
-            EXPECT_TRUE(allocateRotating(info, regs, fit).ok);
-            EXPECT_FALSE(allocateRotating(info, regs - 1, fit).ok);
-        }
+        // The search tries 1, 2, ... registers: the first fit is R.
+        for (const FitStrategy fit : kFits)
+            EXPECT_EQ(minRotatingRegs(info, fit), regs);
         Lifetime other = whole;
         other.producer = 1;
         other.end = other.start + 1;
         info.lifetimes.push_back(other);
+        const LifetimeInfo atRegs = pinnedAt(info, regs);
         for (const FitStrategy fit : kFits) {
-            const RotAllocResult r = allocateRotating(info, regs, fit);
-            expectSameAllocation(
-                r, naive::allocateRotating(info, regs, fit,
-                                           AllocOrder::Adjacency));
-            EXPECT_FALSE(r.ok);
+            EXPECT_FALSE(naive::allocateRotating(atRegs, regs, fit,
+                                                 AllocOrder::Adjacency)
+                             .ok);
+            EXPECT_EQ(minRotatingRegs(atRegs, fit, AllocOrder::Adjacency,
+                                      regs),
+                      regs + 1);
+            const AllocationOutcome out = allocateLoop(atRegs, regs, fit);
+            EXPECT_EQ(out.rotating, regs + 1);
+            expectSameOutcome(out, naive::allocateLoop(atRegs, regs, fit));
         }
     }
 }
@@ -474,15 +518,20 @@ TEST(RotAlloc, NoRegistersFitOnlyNoValues)
     one.lifetimes[0].live = true;
     one.lifetimes[0].end = 4;
 
-    for (const int regs : {0, -1, -64}) {
-        for (const FitStrategy fit : kFits) {
-            const RotAllocResult none = allocateRotating(empty, regs, fit);
-            EXPECT_TRUE(none.ok) << regs;
-            EXPECT_EQ(none.registers, regs);
-            EXPECT_EQ(none.offset, std::vector<int>{-1});
-            const RotAllocResult some = allocateRotating(one, regs, fit);
-            EXPECT_FALSE(some.ok) << regs;
-            EXPECT_EQ(some.offset, std::vector<int>{-1});
+    for (const FitStrategy fit : kFits) {
+        EXPECT_EQ(minRotatingRegs(empty, fit), 0);
+        const std::optional<AllocationOutcome> none =
+            allocateWithinBudget(empty, 0, fit);
+        ASSERT_TRUE(none.has_value());
+        EXPECT_EQ(none->rotating, 0);
+        EXPECT_TRUE(none->rotAlloc.ok);
+        EXPECT_EQ(none->rotAlloc.registers, 0);
+        EXPECT_EQ(none->rotAlloc.offset, std::vector<int>{-1});
+        EXPECT_FALSE(allocateWithinBudget(one, 0, fit).has_value());
+        EXPECT_FALSE(allocateLoop(one, 0, fit).fits);
+        for (const int budget : {-1, -64}) {
+            EXPECT_FALSE(allocateWithinBudget(empty, budget, fit).has_value());
+            EXPECT_FALSE(allocateWithinBudget(one, budget, fit).has_value());
         }
     }
 }
@@ -498,7 +547,10 @@ TEST(RotAlloc, CircleBeyondBitRowSizeIsDiagnosed)
     lt.live = true;
     lt.end = 1;
     info.lifetimes.push_back(lt);
-    EXPECT_THROW(allocateRotating(info, 1 << 16), PanicError);
+    EXPECT_THROW(minRotatingRegs(pinnedAt(info, 1 << 16),
+                                 FitStrategy::EndFit, AllocOrder::Adjacency,
+                                 1 << 16),
+                 PanicError);
 }
 
 TEST(RotAlloc, AllocateLoopMatchesNaiveSearchOnSuiteSchedules)
@@ -519,17 +571,12 @@ TEST(RotAlloc, AllocateLoopMatchesNaiveSearchOnSuiteSchedules)
             for (const FitStrategy fit : kFits) {
                 const AllocationOutcome got =
                     allocateLoop(loop.graph, *s, budget, fit);
-                const AllocationOutcome want =
-                    naive::allocateLoop(loop.graph, *s, budget, fit);
                 SCOPED_TRACE(::testing::Message()
                              << loop.graph.name() << " budget=" << budget
                              << " fit=" << fitStrategyName(fit));
-                EXPECT_EQ(got.rotating, want.rotating);
-                EXPECT_EQ(got.regsRequired, want.regsRequired);
-                EXPECT_EQ(got.fits, want.fits);
-                EXPECT_EQ(got.maxLive, want.maxLive);
-                EXPECT_EQ(got.invariants, want.invariants);
-                expectSameAllocation(got.rotAlloc, want.rotAlloc);
+                expectSameOutcome(
+                    got, naive::allocateLoop(
+                             analyzeLifetimes(loop.graph, *s), budget, fit));
                 ++compared;
                 fitting += got.fits;
             }
@@ -571,12 +618,7 @@ TEST(RotAlloc, WithinBudgetMatchesAllocateLoopOnSuiteSchedules)
                     searchedUnfit += info.totalRegisterBound() <= budget;
                     continue;
                 }
-                EXPECT_TRUE(got->fits);
-                EXPECT_EQ(got->rotating, want.rotating);
-                EXPECT_EQ(got->regsRequired, want.regsRequired);
-                EXPECT_EQ(got->maxLive, want.maxLive);
-                EXPECT_EQ(got->invariants, want.invariants);
-                expectSameAllocation(got->rotAlloc, want.rotAlloc);
+                expectSameOutcome(*got, want);
                 ++fitting;
             }
         }

@@ -8,6 +8,7 @@
 #include "ir/builder.hh"
 #include "machine/machine.hh"
 #include "sched/schedule.hh"
+#include "testkit/machines.hh"
 
 namespace swp
 {
@@ -218,8 +219,7 @@ TEST(ValidateScheduleText, NonPipelinedOccupancyWrapsToRowZero)
     const NodeId d1 = b.div("d1");
     const NodeId d2 = b.div("d2");
     const Ddg g = b.take();
-    Machine m = Machine::p2l4();
-    m.setLatency(Opcode::Div, 3);
+    const Machine m = editedMachine(Machine::p2l4(), {"op div divsqrt 3"});
 
     Schedule s(4, 2);
     s.set(d1, 3, 0);

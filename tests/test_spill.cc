@@ -19,6 +19,15 @@ namespace swp
 namespace
 {
 
+/** The spill candidates of a schedule's lifetimes. */
+std::vector<SpillCandidate>
+candidatesOf(const Ddg &g, const LifetimeInfo &info, bool uses = false)
+{
+    std::vector<SpillCandidate> out;
+    spillCandidates(g, info, uses, out);
+    return out;
+}
+
 Schedule
 paperFlatSchedule(int ii)
 {
@@ -34,7 +43,7 @@ TEST(SpillSelect, CandidatesCoverVariantsAndInvariants)
 {
     const Ddg g = buildPaperExampleLoop();
     const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(1));
-    const auto cands = spillCandidates(g, info);
+    const auto cands = candidatesOf(g, info);
 
     // V1 (Ld), V2 (*), V3 (+) and the invariant 'a'.
     ASSERT_EQ(cands.size(), 4u);
@@ -48,7 +57,7 @@ TEST(SpillSelect, MaxLtPicksTheLongestLifetime)
 {
     const Ddg g = buildPaperExampleLoop();
     const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(1));
-    const auto cands = spillCandidates(g, info);
+    const auto cands = candidatesOf(g, info);
     const auto pick = selectOne(cands, SpillHeuristic::MaxLT);
     ASSERT_TRUE(pick.has_value());
     EXPECT_FALSE(pick->isInvariant);
@@ -122,7 +131,7 @@ TEST(SpillSelect, RatioHeuristicWeighsTraffic)
     info.pressure.assign(2, 0);
     info.maxLive = 11;
 
-    const auto cands = spillCandidates(g, info);
+    const auto cands = candidatesOf(g, info);
     const auto maxLt = selectOne(cands, SpillHeuristic::MaxLT);
     const auto ratio = selectOne(cands, SpillHeuristic::MaxLTOverTraf);
     ASSERT_TRUE(maxLt.has_value());
@@ -135,7 +144,7 @@ TEST(SpillInsert, ProducerIsLoadGetsReloadsWithoutStore)
 {
     Ddg g = buildPaperExampleLoop();
     const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(1));
-    const auto cands = spillCandidates(g, info);
+    const auto cands = candidatesOf(g, info);
     const auto pick = selectOne(cands, SpillHeuristic::MaxLT);
     ASSERT_TRUE(pick.has_value());
     ASSERT_EQ(pick->node, 0);
@@ -268,7 +277,7 @@ TEST(SpillInsert, SpilledArtifactsAreNeverCandidatesAgain)
 {
     Ddg g = buildPaperExampleLoop();
     const LifetimeInfo before = analyzeLifetimes(g, paperFlatSchedule(1));
-    const auto pick = selectOne(spillCandidates(g, before),
+    const auto pick = selectOne(candidatesOf(g, before),
                                 SpillHeuristic::MaxLT);
     insertSpill(g, Machine::universal("fig2", 4, 2), *pick);
 
@@ -279,7 +288,7 @@ TEST(SpillInsert, SpilledArtifactsAreNeverCandidatesAgain)
     auto s = hrms.scheduleAt(g, m, 2);
     ASSERT_TRUE(s.has_value());
     const LifetimeInfo after = analyzeLifetimes(g, *s);
-    for (const auto &cand : spillCandidates(g, after)) {
+    for (const auto &cand : candidatesOf(g, after)) {
         if (!cand.isInvariant) {
             EXPECT_EQ(g.node(cand.node).origin, NodeOrigin::Original);
             EXPECT_FALSE(g.node(cand.node).nonSpillableValue);
@@ -293,15 +302,15 @@ TEST(SpillSelect, MultiSelectStopsAtOptimisticEstimate)
     const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(1));
     // totalRegisterBound = 12 (11 + invariant). Budget 9: V1 alone
     // (ceil(7/1)=7) optimistically reaches 5 <= 9 -> exactly one pick.
-    const auto picks = selectMultiple(spillCandidates(g, info),
-                                      SpillHeuristic::MaxLT, info, 9);
+    const std::vector<SpillCandidate> cands = candidatesOf(g, info);
+    std::vector<SpillCandidate> picks;
+    selectMultiple(cands, SpillHeuristic::MaxLT, info, 9, picks);
     ASSERT_EQ(picks.size(), 1u);
     EXPECT_EQ(picks[0].node, 0);
 
     // Budget 2: needs more than one lifetime.
-    const auto more = selectMultiple(spillCandidates(g, info),
-                                     SpillHeuristic::MaxLT, info, 2);
-    EXPECT_GT(more.size(), 1u);
+    selectMultiple(cands, SpillHeuristic::MaxLT, info, 2, picks);
+    EXPECT_GT(picks.size(), 1u);
 }
 
 TEST(SpillSelect, NoCandidateWhenEverythingNonSpillable)
@@ -317,7 +326,7 @@ TEST(SpillSelect, NoCandidateWhenEverythingNonSpillable)
     s.set(0, 0, 0);
     s.set(1, 2, 1);
     const LifetimeInfo info = analyzeLifetimes(g, s);
-    EXPECT_TRUE(spillCandidates(g, info).empty());
+    EXPECT_TRUE(candidatesOf(g, info).empty());
     EXPECT_FALSE(selectOne(std::vector<SpillCandidate>{},
                            SpillHeuristic::MaxLT)
                      .has_value());

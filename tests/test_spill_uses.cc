@@ -23,6 +23,15 @@ namespace swp
 namespace
 {
 
+/** The spill candidates of a schedule's lifetimes. */
+std::vector<SpillCandidate>
+candidatesOf(const Ddg &g, const LifetimeInfo &info, bool uses = false)
+{
+    std::vector<SpillCandidate> out;
+    spillCandidates(g, info, uses, out);
+    return out;
+}
+
 /** ld feeds an early add and a much later mul (distance 4). */
 Ddg
 twoUseLoop()
@@ -71,8 +80,8 @@ TEST(SpillUses, CandidateTargetsTheCriticalUse)
     EXPECT_EQ(info.of(0).end, 15);
     EXPECT_EQ(info.of(0).secondEnd, 2);
 
-    const auto withUses = spillCandidates(g, info, /*include_uses=*/true);
-    const auto withoutUses = spillCandidates(g, info, false);
+    const auto withUses = candidatesOf(g, info, /*include_uses=*/true);
+    const auto withoutUses = candidatesOf(g, info, false);
     EXPECT_EQ(withUses.size(), withoutUses.size() + 1);
 
     const SpillCandidate *useCand = nullptr;
@@ -91,7 +100,7 @@ TEST(SpillUses, RewriteKeepsTheOtherUseInRegisters)
 {
     Ddg g = twoUseLoop();
     const LifetimeInfo info = analyzeLifetimes(g, twoUseSchedule(3));
-    const auto cands = spillCandidates(g, info, true);
+    const auto cands = candidatesOf(g, info, true);
     const SpillCandidate *useCand = nullptr;
     for (const auto &c : cands) {
         if (c.useEdge >= 0)
@@ -145,7 +154,7 @@ TEST(SpillUses, NonLoadProducerParksTheValueOnce)
     // Build lifetimes directly from the graph + schedule.
     const LifetimeInfo info = analyzeLifetimes(g, s);
 
-    const auto cands = spillCandidates(g, info, true);
+    const auto cands = candidatesOf(g, info, true);
     const SpillCandidate *useCand = useCandidateOf(cands, v);
     ASSERT_NE(useCand, nullptr);
     EXPECT_EQ(useCand->cost, 2);  // Store + load the first time.
@@ -166,7 +175,7 @@ TEST(SpillUses, NonLoadProducerParksTheValueOnce)
     for (NodeId n = oldNodes; n < g.numNodes(); ++n)
         s2.set(n, s.time(v) + 4 * (n - oldNodes + 1), 1);
     const LifetimeInfo info2 = analyzeLifetimes(g, s2);
-    const auto cands2 = spillCandidates(g, info2, true);
+    const auto cands2 = candidatesOf(g, info2, true);
     const SpillCandidate *useCand2 = useCandidateOf(cands2, v);
     ASSERT_NE(useCand2, nullptr);
     EXPECT_EQ(useCand2->cost, 1);
@@ -204,7 +213,7 @@ TEST(SpillUses, UseSpillBesideAnOriginalStoreAddsAFreshStore)
     int t = 0;
     for (NodeId n = 0; n < g.numNodes(); ++n)
         s.set(n, t += 4, 0);
-    const auto cands = spillCandidates(g, analyzeLifetimes(g, s), true);
+    const auto cands = candidatesOf(g, analyzeLifetimes(g, s), true);
     const SpillCandidate *first = useCandidateOf(cands, v);
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(g.edge(first->useEdge).dst, u2);
@@ -225,7 +234,7 @@ TEST(SpillUses, UseSpillBesideAnOriginalStoreAddsAFreshStore)
     for (NodeId n = nodes; n < g.numNodes(); ++n)
         s2.set(n, s.time(v) + 4 * (n - nodes + 1), 1);
     const auto cands2 =
-        spillCandidates(g, analyzeLifetimes(g, s2), true);
+        candidatesOf(g, analyzeLifetimes(g, s2), true);
     const SpillCandidate *second = useCandidateOf(cands2, v);
     ASSERT_NE(second, nullptr);
     EXPECT_EQ(g.edge(second->useEdge).dst, u1);
@@ -265,7 +274,7 @@ TEST(SpillUses, CostIsTheRewriteOnSuiteLoops)
                     analyzeLifetimes(work, *found.sched);
                 if (info.totalRegisterBound() <= registers)
                     break;
-                const auto cands = spillCandidates(work, info, true);
+                const auto cands = candidatesOf(work, info, true);
                 for (const SpillCandidate &cand : cands) {
                     Ddg copy = work;
                     insertSpill(copy, m, cand);

@@ -151,7 +151,7 @@ TEST(VerifyMutation, ResourceOverlapCaught)
     const Schedule &s = d.result.sched;
     for (NodeId a = 0; a < d.g.numNodes(); ++a) {
         for (NodeId b = a + 1; b < d.g.numNodes(); ++b) {
-            if (fuClassOf(d.g.node(a).op) != fuClassOf(d.g.node(b).op))
+            if (d.m.classOf(d.g.node(a).op) != d.m.classOf(d.g.node(b).op))
                 continue;
             // Same row mod II via a stage shift, same unit index.
             Schedule mutant = withUnit(s, b, s.unit(a));
@@ -170,8 +170,7 @@ TEST(VerifyMutation, UnitOutOfRangeCaught)
 {
     const Donor d;
     const NodeId victim = 0;
-    const int units =
-        d.m.unitsFor(fuClassOf(d.g.node(victim).op));
+    const int units = d.m.unitsInClass(d.m.classOf(d.g.node(victim).op));
     const Schedule mutant = withUnit(d.result.sched, victim, units);
     const VerifyReport report = verifySchedule(d.g, d.m, mutant);
     EXPECT_GT(report.count(ViolationKind::Resource), 0)

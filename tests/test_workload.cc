@@ -13,6 +13,8 @@
 #include "sched/acyclic.hh"
 #include "sched/mii.hh"
 #include "support/diag.hh"
+#include "support/strutil.hh"
+#include "testkit/ddg_write.hh"
 #include "workload/ddgio.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
@@ -241,6 +243,29 @@ TEST(DdgIo, RejectsMalformedInput)
     // Memory and control edges from a store stay legal.
     EXPECT_NO_THROW(
         parse("loop a\nnode u st\nnode v ld\nedge u v mem 1\nend\n"));
+
+    // An iteration count is an integer in [1, LONG_MAX], diagnosed on
+    // its line with the token quoted: it used to saturate at LONG_MAX,
+    // and a non-number's diagnostic had no line.
+    auto iterationsError = [&](const std::string &count) -> std::string {
+        try {
+            parse(("loop a\niterations " + count + "\nnode x ld\nend\n")
+                      .c_str());
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    for (const char *bad : {"99999999999999999999", "9223372036854775808",
+                            "abc", "0", "-3", "12x"}) {
+        const std::string error = iterationsError(bad);
+        EXPECT_NE(error.find(strCat("line 2: iterations ", bad,
+                                    " outside [1, 9223372036854775807]")),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(iterationsError("9223372036854775807"), "");
+    EXPECT_EQ(iterationsError("1"), "");
 }
 
 TEST(DdgIo, RejectsEdgeDistanceOutsideIntRange)
@@ -273,6 +298,14 @@ TEST(DdgIo, RejectsEdgeDistanceOutsideIntRange)
                   "line 5: edge distance 2147483648 outside"),
               std::string::npos);
     EXPECT_NE(errorFor("-1").find("line 5: edge distance -1 outside"),
+              std::string::npos);
+    // Beyond long, the token itself is quoted, not a saturated value.
+    EXPECT_NE(errorFor("99999999999999999999")
+                  .find("line 5: edge distance 99999999999999999999 "
+                        "outside [0, 2147483647]"),
+              std::string::npos)
+        << errorFor("99999999999999999999");
+    EXPECT_NE(errorFor("x1").find("line 5: edge distance x1 outside"),
               std::string::npos);
 
     // The bounds themselves parse.
