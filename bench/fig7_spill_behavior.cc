@@ -2,7 +2,8 @@
  * @file
  * Figure 7: evolution of the register requirement, MII, II and memory
  * bus utilization as lifetimes are spilled one at a time with the
- * Max(LT) heuristic (APSI 47/50 analogues, P2L4).
+ * Max(LT) heuristic (APSI 47/50 analogues, on P2L4 unless --machine
+ * names another).
  *
  * Expected shape: registers fall as lifetimes are spilled (with
  * occasional non-monotone bumps when the rescheduled graph packs
@@ -44,7 +45,7 @@ traceSpilling(const Ddg &g, const Machine &m, int registers)
     TraceOutput out;
     Table table({"loop", "budget", "spilled", "regs", "MII", "II",
                  "bus%"});
-    const int memUnits = m.unitsFor(FuClass::Mem);
+    const int memUnits = m.unitsInClass(m.classOf(Opcode::Load));
     const PipelineResult r = spillStrategy(
         g, m, opts, [&](const SpillRoundInfo &info) {
             const double busUse = 100.0 * double(info.memOps) /
@@ -75,7 +76,8 @@ runFig7(benchmark::State &state)
     const Machine m = benchutil::benchMachine();
     for (auto _ : state) {
         std::cout << "\nFigure 7: spilling one lifetime per round, "
-                     "Max(LT), P2L4\n";
+                     "Max(LT), "
+                  << m.name() << "\n";
         const struct
         {
             const char *loop;

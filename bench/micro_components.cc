@@ -155,7 +155,7 @@ BM_RotatingAllocation(benchmark::State &state)
 {
     const SuiteLoop &loop = loopOfSize(int(state.range(0)));
     const Machine m = benchutil::benchMachine();
-    const PipelineResult r = pipelineIdeal(loop.graph, m);
+    const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
     const LifetimeInfo info = analyzeLifetimes(loop.graph, r.sched);
     for (auto _ : state)
         benchmark::DoNotOptimize(minRotatingRegs(info));
@@ -171,7 +171,7 @@ BM_AllocateLoop(benchmark::State &state)
     // packs.
     const SuiteLoop &loop = loopOfSize(int(state.range(0)));
     const Machine m = benchutil::benchMachine();
-    const PipelineResult r = pipelineIdeal(loop.graph, m);
+    const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
     for (auto _ : state)
         benchmark::DoNotOptimize(allocateLoop(loop.graph, r.sched, 32));
 }
@@ -298,7 +298,7 @@ BM_Simulator(benchmark::State &state)
 {
     const SuiteLoop &loop = loopOfSize(24);
     const Machine m = benchutil::benchMachine();
-    const PipelineResult r = pipelineIdeal(loop.graph, m);
+    const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
     SimConfig cfg;
     cfg.iterations = state.range(0);
     for (auto _ : state) {

@@ -35,7 +35,7 @@ explore(const Ddg &g, const Machine &m)
               << g.numLiveInvariants() << " invariants, MII="
               << mii(g, m) << " on " << m.name() << "\n";
 
-    const PipelineResult ideal = pipelineIdeal(g, m);
+    const PipelineResult ideal = pipelineLoop(g, m, Strategy::Ideal, {});
     std::cout << "unlimited registers: II=" << ideal.ii() << " using "
               << ideal.alloc.regsRequired << " registers\n";
 

@@ -44,7 +44,6 @@ class DdgBuilder
     NodeId div(std::string name = "") { return op(Opcode::Div, name); }
     NodeId sqrt(std::string name = "") { return op(Opcode::Sqrt, name); }
     NodeId copy(std::string name = "") { return op(Opcode::Copy, name); }
-    NodeId select(std::string name = "") { return op(Opcode::Select, name); }
 
     /** Register flow dependence src -> dst with the given distance. */
     EdgeId

@@ -28,31 +28,14 @@ opcodeName(Opcode op)
     SWP_PANIC("unknown opcode ", int(op));
 }
 
-Opcode
-parseOpcode(const std::string &name)
+std::optional<Opcode>
+findOpcode(const std::string &name)
 {
-    if (name == "ld") return Opcode::Load;
-    if (name == "st") return Opcode::Store;
-    if (name == "add") return Opcode::Add;
-    if (name == "mul") return Opcode::Mul;
-    if (name == "div") return Opcode::Div;
-    if (name == "sqrt") return Opcode::Sqrt;
-    if (name == "copy") return Opcode::Copy;
-    if (name == "nop") return Opcode::Nop;
-    if (name == "sel") return Opcode::Select;
-    SWP_FATAL("unknown opcode mnemonic '", name, "'");
-}
-
-const char *
-fuClassName(FuClass fu)
-{
-    switch (fu) {
-      case FuClass::Mem: return "mem";
-      case FuClass::Adder: return "adder";
-      case FuClass::Mult: return "mult";
-      case FuClass::DivSqrt: return "divsqrt";
+    for (int op = 0; op < numOpcodes; ++op) {
+        if (name == opcodeName(Opcode(op)))
+            return Opcode(op);
     }
-    SWP_PANIC("unknown fu class ", int(fu));
+    return std::nullopt;
 }
 
 } // namespace swp

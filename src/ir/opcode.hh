@@ -1,15 +1,16 @@
 /**
  * @file
- * Operation codes and functional-unit classes.
+ * Operation codes of dependence-graph nodes.
  *
- * The paper's machine models (Section 5) have four functional unit
- * classes: load/store units, adders, multipliers and non-pipelined
- * divide/square-root units. Opcodes map onto those classes.
+ * A Machine binds each opcode to one of its unit classes; the paper's
+ * machine models (Section 5) have four: load/store units, adders,
+ * multipliers and non-pipelined divide/square-root units.
  */
 
 #ifndef SWP_IR_OPCODE_HH
 #define SWP_IR_OPCODE_HH
 
+#include <optional>
 #include <string>
 
 namespace swp
@@ -33,27 +34,14 @@ enum class Opcode
 /** Number of Opcode values (for per-opcode table sizing). */
 constexpr int numOpcodes = 9;
 
-/** The unit classes of the paper's preset machines, in their
-    class-index order (Machine::unitsFor). */
-enum class FuClass
-{
-    Mem,      ///< Load/store units.
-    Adder,    ///< FP adders (Add, Copy, Nop).
-    Mult,     ///< FP multipliers.
-    DivSqrt,  ///< Non-pipelined divide/square-root units.
-};
-
 /** True if the opcode defines a register value. */
 bool producesValue(Opcode op);
 
 /** Short mnemonic ("ld", "st", "add", ...). */
 const char *opcodeName(Opcode op);
 
-/** Parse a mnemonic; throws FatalError for unknown names. */
-Opcode parseOpcode(const std::string &name);
-
-/** Printable functional-unit class name. */
-const char *fuClassName(FuClass fu);
+/** The opcode whose mnemonic is `name`, or nullopt for unknown names. */
+std::optional<Opcode> findOpcode(const std::string &name);
 
 } // namespace swp
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "support/diag.hh"
@@ -12,17 +13,6 @@ namespace swp
 
 namespace
 {
-
-/** Non-throwing counterpart of parseOpcode: -1 for unknown mnemonics. */
-int
-opcodeIndex(const std::string &mnemonic)
-{
-    for (int op = 0; op < numOpcodes; ++op) {
-        if (mnemonic == opcodeName(Opcode(op)))
-            return op;
-    }
-    return -1;
-}
 
 /**
  * Parse a decimal integer token; false if the token is not a number.
@@ -159,7 +149,8 @@ class MachParser
     {
         std::string mnemonic, className, latTok, extra;
         toks >> mnemonic >> className >> latTok;
-        const int op = opcodeIndex(mnemonic);
+        const std::optional<Opcode> found = findOpcode(mnemonic);
+        const int op = found ? int(*found) : -1;
         // A rejected binding of a known opcode is reported here, with
         // its line; finish() then does not also call the opcode unbound.
         const auto reject = [&](const std::string &message) {

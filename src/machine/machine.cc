@@ -134,17 +134,6 @@ Machine::p2l6()
     return m;
 }
 
-int
-Machine::presetClassIndex(FuClass fu) const
-{
-    if (isUniversal())
-        return 0;
-    SWP_ASSERT(int(fu) < numClasses(), "machine '", name_,
-               "' has no preset-shaped class for ", fuClassName(fu),
-               "; address it by class index");
-    return int(fu);
-}
-
 std::string
 Machine::describe() const
 {

@@ -111,18 +111,6 @@ class Machine
     /** True if every op executes on one shared pool (Figure 2 shape). */
     bool isUniversal() const { return classes_.size() == 1; }
 
-    /**
-     * Units available for an operation of the given preset class.
-     * Convenience for preset-shaped machines (and the single-pool
-     * universal shape); arbitrary described machines are addressed by
-     * class index via unitsInClass().
-     */
-    int
-    unitsFor(FuClass fu) const
-    {
-        return unitsInClass(presetClassIndex(fu));
-    }
-
     /** Issue latency of an opcode in cycles. */
     int latency(Opcode op) const { return latency_[int(op)]; }
 
@@ -156,8 +144,6 @@ class Machine
     bool operator!=(const Machine &o) const { return !(*this == o); }
 
   private:
-    int presetClassIndex(FuClass fu) const;
-
     std::string name_;
     std::vector<UnitClass> classes_;
     int classOf_[numOpcodes] = {0};

@@ -434,14 +434,6 @@ pipelineLoop(const Ddg &g, const Machine &m, Strategy s,
 }
 
 PipelineResult
-pipelineIdeal(const Ddg &g, const Machine &m, SchedulerKind kind,
-              const EvalContext *ctx)
-{
-    Job job(g, m, kind, ctx);
-    return ideal(job);
-}
-
-PipelineResult
 spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
               const SpillRoundObserver &observer, const EvalContext *ctx)
 {

@@ -61,7 +61,9 @@ enum class Strategy
     IncreaseII,  ///< Reschedule at larger IIs (Section 3).
     Spill,       ///< Iterative spill code insertion (Section 4).
     BestOfAll,   ///< Combination proposed in Section 5.
-    Ideal,       ///< Unlimited registers; `registers` is ignored.
+    Ideal,       ///< The paper's ideal baseline: the plain II search
+                 ///< from MII with unlimited registers; `registers` is
+                 ///< ignored.
 };
 
 const char *strategyName(Strategy s);
@@ -110,20 +112,6 @@ PipelineResult pipelineLoop(const Ddg &g, const Machine &m, Strategy s,
 PipelineResult pipelineLoop(Ddg &&, const Machine &, Strategy,
                             const PipelinerOptions &,
                             const EvalContext * = nullptr) = delete;
-
-/**
- * Schedule with an unlimited register file (the paper's "ideal"
- * baseline, Strategy::Ideal): the plain II search from MII with no
- * register constraint.
- */
-PipelineResult pipelineIdeal(const Ddg &g, const Machine &m,
-                             SchedulerKind kind = SchedulerKind::Hrms,
-                             const EvalContext *ctx = nullptr);
-
-/** The result references the input graph; temporaries would dangle. */
-PipelineResult pipelineIdeal(Ddg &&, const Machine &,
-                             SchedulerKind = SchedulerKind::Hrms,
-                             const EvalContext * = nullptr) = delete;
 
 /** Observer invoked after each spill round (used by the Figure 7 bench). */
 struct SpillRoundInfo

@@ -24,10 +24,9 @@ constexpr long posInf = schedPosInf;
  * Scheduling context shared by the ordering and placement phases.
  *
  * All sizable state — the complex groups, the probe's arc table, the
- * condensed group-graph adjacency and its SCCs, the zero-distance
- * reachability matrix reach0, the priority buffers and the MRT — lives
- * in the scheduler's SchedWorkspace and is cleared, not reallocated,
- * for each probe.
+ * condensed group-graph adjacency and its SCCs, the priority buffers
+ * and the MRT — lives in the scheduler's SchedWorkspace and is
+ * cleared, not reallocated, for each probe.
  */
 struct HrmsContext
 {
@@ -85,22 +84,6 @@ struct HrmsContext
             if (kind != Arcs::ZeroOut || b.distance == 0)
                 f(groups.groupOf(b.node));
         }
-    }
-
-    /** The closure of the zero-distance subgraph, which only orders
-        recurrences among each other: built when the graph has
-        several. */
-    void
-    buildZeroDistanceClosure()
-    {
-        ws.succ0.build(n, [&](auto &&emit) {
-            for (int gi = 0; gi < n; ++gi)
-                forEachNeighbour(gi, Arcs::ZeroOut,
-                                 [&](int to) { emit(gi, to); });
-        });
-        auto succ0Row = [&](int v) { return ws.succ0.row(v); };
-        stronglyConnectedComponents(n, succ0Row, ws.scc0, ws.sccScratch);
-        transitiveClosure(ws.scc0, succ0Row, ws.reach0);
     }
 
   private:
@@ -248,18 +231,8 @@ class Ordering
         }
         // A lone recurrence needs no rank.
         if (ws_.recurrenceRanks.size() >= 2) {
-            for (auto &[crit, c] : ws_.recurrenceRanks) {
-                ws_.recurrenceNodes.clear();
-                for (const int gi : compMembers(c)) {
-                    const auto &grp = ctx_.groups.group(gi);
-                    ws_.recurrenceNodes.insert(ws_.recurrenceNodes.end(),
-                                               grp.members.begin(),
-                                               grp.members.end());
-                }
-                crit = recMiiOfComponent(ctx_.g, ctx_.m,
-                                         ws_.recurrenceNodes,
-                                         ws_.recurrenceScratch);
-            }
+            for (auto &[crit, c] : ws_.recurrenceRanks)
+                crit = recurrenceRecMii(c);
         }
         stableSortInPlace(ws_.recurrenceRanks, ws_.rankBuf,
                           [&](const auto &a, const auto &b) {
@@ -285,8 +258,8 @@ class Ordering
             ws_.aboveSet.reset(n);
             for (const int gi : compMembers(c)) {
                 ws_.setMask.set(gi);
-                growClosed(gi, ws_.succBits, ws_.belowSet);
-                growClosed(gi, ws_.predBits, ws_.aboveSet);
+                growClosed(gi, ws_.succBits, ws_.belowSet.words());
+                growClosed(gi, ws_.predBits, ws_.aboveSet.words());
             }
             if (!ws_.order.empty()) {
                 // Paths ordered-set -> recurrence: only-preds nodes;
@@ -403,21 +376,21 @@ class Ordering
     {
         ws_.orderedMask.set(v);
         ws_.order.push_back(v);
-        growClosed(v, ws_.succBits, ws_.belowOrdered);
-        growClosed(v, ws_.predBits, ws_.aboveOrdered);
+        growClosed(v, ws_.succBits, ws_.belowOrdered.words());
+        growClosed(v, ws_.predBits, ws_.aboveOrdered.words());
     }
 
     /**
-     * Add to `set` every group reachable from v by one or more arcs of
-     * the bit adjacency adj. `set` must be closed under adj (hold every
-     * successor of each of its groups), and it stays closed, so the
-     * search stops at any group already in it. The frontier holds the
-     * groups added whose own arcs are not yet followed.
+     * Add to the row `in` every group reachable from v by one or more
+     * arcs of the bit adjacency adj. The row must be closed under adj
+     * (hold every successor of each of its groups), and it stays
+     * closed, so the search stops at any group already in it. The
+     * frontier holds the groups added whose own arcs are not yet
+     * followed.
      */
     void
-    growClosed(int v, const BitMatrix &adj, BitRow &set)
+    growClosed(int v, const BitMatrix &adj, std::uint64_t *in)
     {
-        std::uint64_t *in = set.words();
         std::uint64_t *frontier = ws_.frontier.words();
         const std::uint64_t *arcs = adj.row(v);
         for (int w = 0; w < words_; ++w) {
@@ -441,15 +414,46 @@ class Ordering
         }
     }
 
+    /**
+     * RecMII of recurrence c. Every cycle through its member nodes uses
+     * only arcs whose two groups lie in c, so the region is those arcs
+     * of the probe's table, in edge-id order, over the members
+     * numbered group by group.
+     */
+    long
+    recurrenceRecMii(int c)
+    {
+        RecurrenceRegion region;
+        ws_.regionLocalId.resize(std::size_t(ctx_.g.numNodes()));
+        for (const int gi : compMembers(c)) {
+            for (const NodeId v : ctx_.groups.group(gi).members) {
+                ws_.regionLocalId[std::size_t(v)] = region.numNodes++;
+                region.latencySum += ctx_.m.latency(ctx_.g.node(v).op);
+            }
+        }
+        const std::vector<int> &compOf = ws_.scc.compOf;
+        ws_.regionArcs.clear();
+        for (const ArcTable::Arc &a : ws_.arcs.arcs()) {
+            if (compOf[std::size_t(a.srcGroup)] == c &&
+                compOf[std::size_t(a.dstGroup)] == c) {
+                ws_.regionArcs.push_back(
+                    {ws_.regionLocalId[std::size_t(a.src)],
+                     ws_.regionLocalId[std::size_t(a.dst)],
+                     a.weight + long(ctx_.ii) * a.distance, a.distance});
+            }
+        }
+        region.first = ws_.regionArcs.data();
+        region.last = region.first + ws_.regionArcs.size();
+        return regionRecMii(region, 1, ws_.regionDist);
+    }
+
     /** Component c has a zero-distance path into component d. */
     bool
     reaches0(int c, int d) const
     {
-        for (const int a : compMembers(c)) {
-            for (const int b : compMembers(d)) {
-                if (ws_.reach0.test(a, b))
-                    return true;
-            }
+        for (const int b : compMembers(d)) {
+            if (ws_.zeroReach.test(c, b))
+                return true;
         }
         return false;
     }
@@ -469,7 +473,20 @@ class Ordering
         auto &comps = ws_.recurrenceRanks;
         if (comps.size() < 2)
             return;
-        ctx_.buildZeroDistanceClosure();
+        // Row c of zeroReach: the groups some member of recurrence c
+        // reaches by one or more zero-distance arcs.
+        const int n = ctx_.n;
+        ws_.zeroSucc.reset(n, n);
+        for (int gi = 0; gi < n; ++gi) {
+            ctx_.forEachNeighbour(gi, HrmsContext::Arcs::ZeroOut,
+                                  [&](int to) { ws_.zeroSucc.set(gi, to); });
+        }
+        ws_.zeroReach.reset(ws_.scc.numComps(), n);
+        for (const auto &[crit, c] : comps) {
+            (void)crit;
+            for (const int gi : compMembers(c))
+                growClosed(gi, ws_.zeroSucc, ws_.zeroReach.row(c));
+        }
         for (std::size_t step = 0; step < comps.size(); ++step) {
             std::size_t pick = comps.size();
             for (std::size_t i = step; i < comps.size() && pick == comps.size();

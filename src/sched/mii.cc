@@ -39,30 +39,6 @@ resMii(const Ddg &g, const Machine &m)
 namespace
 {
 
-/** An internal live edge of a region, renumbered to local node ids. */
-struct LocalEdge
-{
-    int src = 0;
-    int dst = 0;
-    long latency = 0;
-    long distance = 0;
-};
-
-/**
- * One cyclic region (an SCC with a cycle, or an explicit node subset):
- * the whole RecMII computation for it touches only its own edges, so
- * one Bellman-Ford sweep costs O(region) instead of O(graph).
- */
-struct RegionView
-{
-    int numNodes = 0;
-    /** Sum of member latencies: RecMII of the region is below this, so
-        latencySum + 1 is always a feasible II for it. */
-    long latencySum = 0;
-    const LocalEdge *first = nullptr;
-    const LocalEdge *last = nullptr;
-};
-
 /**
  * A set of regions in flat storage: region r's edges are
  * edges[edgeBegin[r] .. edgeBegin[r + 1]), in edge-id order.
@@ -77,11 +53,11 @@ struct CyclicRegions
 
     std::vector<Region> regions;
     std::vector<int> edgeBegin;
-    std::vector<LocalEdge> edges;
+    std::vector<RegionArc> edges;
 
     int size() const { return int(regions.size()); }
 
-    RegionView
+    RecurrenceRegion
     region(int r) const
     {
         const Region &info = regions[std::size_t(r)];
@@ -91,7 +67,7 @@ struct CyclicRegions
     }
 };
 
-/** Storage the region builders recycle across graphs. */
+/** cyclicRegions' working storage. */
 struct RegionScratch
 {
     CsrAdj succ;
@@ -113,12 +89,13 @@ struct RegionScratch
  * II cycles per iteration.
  */
 bool
-hasPositiveCycle(const RegionView &r, long ii, std::vector<long> &dist)
+hasPositiveCycle(const RecurrenceRegion &r, long ii,
+                 std::vector<long> &dist)
 {
     dist.assign(std::size_t(r.numNodes), 0);
     for (int iter = 0; iter < r.numNodes; ++iter) {
         bool changed = false;
-        for (const LocalEdge *e = r.first; e != r.last; ++e) {
+        for (const RegionArc *e = r.first; e != r.last; ++e) {
             const long w = e->latency - ii * e->distance;
             if (dist[std::size_t(e->src)] + w > dist[std::size_t(e->dst)]) {
                 dist[std::size_t(e->dst)] = dist[std::size_t(e->src)] + w;
@@ -129,24 +106,6 @@ hasPositiveCycle(const RegionView &r, long ii, std::vector<long> &dist)
             return false;
     }
     return true;
-}
-
-/**
- * Smallest II at which the region admits no positive cycle, given that
- * `lo` does admit one (binary search; `lo` is infeasible throughout).
- */
-long
-searchRegionRecMii(const RegionView &r, long lo, std::vector<long> &dist)
-{
-    long hi = r.latencySum + 1;
-    while (lo + 1 < hi) {
-        const long mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycle(r, mid, dist))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return hi;
 }
 
 /**
@@ -240,45 +199,24 @@ cyclicRegions(const Ddg &g, const Machine &m, RegionScratch &scratch,
     fillRegionEdges(g, m, scratch, out);
 }
 
-/** One region over an explicit node subset (its internal live edges). */
-void
-subsetRegion(const Ddg &g, const Machine &m,
-             const std::vector<NodeId> &nodes, RegionScratch &scratch,
-             CyclicRegions &out)
-{
-    scratch.regionOf.assign(std::size_t(g.numNodes()), -1);
-    scratch.localId.assign(std::size_t(g.numNodes()), -1);
-    out.regions.assign(1, {});
-    CyclicRegions::Region &info = out.regions.back();
-    for (const NodeId v : nodes) {
-        if (scratch.localId[std::size_t(v)] >= 0)
-            continue;
-        scratch.regionOf[std::size_t(v)] = 0;
-        scratch.localId[std::size_t(v)] = info.numNodes++;
-        info.latencySum += m.latency(g.node(v).op);
-    }
-    fillRegionEdges(g, m, scratch, out);
-}
-
 } // namespace
 
-/** The recycled subset region and Bellman-Ford storage. */
-struct RecurrenceScratch::Impl
+long
+regionRecMii(const RecurrenceRegion &r, long floor, std::vector<long> &dist)
 {
-    CyclicRegions subset;
-    RegionScratch scratch;
-    std::vector<long> dist;
-};
-
-RecurrenceScratch::RecurrenceScratch() = default;
-RecurrenceScratch::~RecurrenceScratch() = default;
-
-RecurrenceScratch::Impl &
-RecurrenceScratch::impl()
-{
-    if (!impl_)
-        impl_ = std::make_unique<Impl>();
-    return *impl_;
+    if (!hasPositiveCycle(r, floor, dist))
+        return floor;
+    // Binary search: `lo` is infeasible throughout, `hi` feasible.
+    long lo = floor;
+    long hi = r.latencySum + 1;
+    while (lo + 1 < hi) {
+        const long mid = lo + (hi - lo) / 2;
+        if (hasPositiveCycle(r, mid, dist))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return hi;
 }
 
 int
@@ -294,26 +232,9 @@ recMii(const Ddg &g, const Machine &m)
     cyclicRegions(g, m, scratch, regions);
     std::vector<long> dist;
     long best = 1;
-    for (int i = 0; i < regions.size(); ++i) {
-        const RegionView r = regions.region(i);
-        if (!hasPositiveCycle(r, best, dist))
-            continue;
-        best = searchRegionRecMii(r, best, dist);
-    }
+    for (int i = 0; i < regions.size(); ++i)
+        best = regionRecMii(regions.region(i), best, dist);
     return int(best);
-}
-
-int
-recMiiOfComponent(const Ddg &g, const Machine &m,
-                  const std::vector<NodeId> &nodes,
-                  RecurrenceScratch &scratch)
-{
-    RecurrenceScratch::Impl &c = scratch.impl();
-    subsetRegion(g, m, nodes, c.scratch, c.subset);
-    const RegionView r = c.subset.region(0);
-    if (!hasPositiveCycle(r, 1, c.dist))
-        return 1;
-    return int(searchRegionRecMii(r, 1, c.dist));
 }
 
 int

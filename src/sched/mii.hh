@@ -16,7 +16,6 @@
 #ifndef SWP_SCHED_MII_HH
 #define SWP_SCHED_MII_HH
 
-#include <memory>
 #include <vector>
 
 #include "ir/ddg.hh"
@@ -34,34 +33,38 @@ int recMii(const Ddg &g, const Machine &m);
 /** MII = max(ResMII, RecMII). */
 int mii(const Ddg &g, const Machine &m);
 
-/**
- * The region and Bellman-Ford storage recMiiOfComponent builds its
- * subset region in, recycled from call to call. HRMS keeps one in its
- * workspace to rank recurrences on every probe. Nothing is cached: the
- * answer is recomputed on every call.
- */
-class RecurrenceScratch
+/** A dependence arc of a recurrence region, between local node ids. */
+struct RegionArc
 {
-  public:
-    RecurrenceScratch();
-    ~RecurrenceScratch();
-
-  private:
-    friend int recMiiOfComponent(const Ddg &g, const Machine &m,
-                                 const std::vector<NodeId> &nodes,
-                                 RecurrenceScratch &scratch);
-    struct Impl;
-    Impl &impl();
-    std::unique_ptr<Impl> impl_;
+    int src = 0;
+    int dst = 0;
+    long latency = 0;
+    long distance = 0;
 };
 
 /**
- * RecMII restricted to a node subset (used to rank recurrences),
- * computed on the storage of `scratch`.
+ * One cyclic region: nodes [0, numNodes) and the live edges among
+ * them, in edge-id order. latencySum is the sum of the members'
+ * latencies: the region's RecMII is below it, so latencySum + 1 is
+ * always a feasible II for it.
  */
-int recMiiOfComponent(const Ddg &g, const Machine &m,
-                      const std::vector<NodeId> &nodes,
-                      RecurrenceScratch &scratch);
+struct RecurrenceRegion
+{
+    int numNodes = 0;
+    long latencySum = 0;
+    const RegionArc *first = nullptr;
+    const RegionArc *last = nullptr;
+};
+
+/**
+ * The larger of `floor` and the region's RecMII: one Bellman-Ford
+ * positive-cycle check at `floor`, then, if it fails, a binary search
+ * above it. recMii runs it on each cyclic SCC of the graph, and HRMS on
+ * each recurrence it ranks. `dist` is Bellman-Ford storage the caller
+ * recycles.
+ */
+long regionRecMii(const RecurrenceRegion &r, long floor,
+                  std::vector<long> &dist);
 
 } // namespace swp
 

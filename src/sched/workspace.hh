@@ -23,25 +23,22 @@
  *    it instead of the Ddg (so does the acyclic fallback, on its own
  *    table); validateSchedule alone keeps reading the Ddg, so it stays
  *    an independent check of the result;
- *  - the HRMS group graph: successor and predecessor bit rows, the SCC
- *    decomposition with its Tarjan scratch, and the zero-distance CSR
- *    rows, SCCs and reachability matrix of graphs with several
- *    recurrences;
+ *  - the HRMS group graph: successor and predecessor bit rows and the
+ *    SCC decomposition with its Tarjan scratch;
  *  - the HRMS pre-ordering: the ordered set and the cone rows grown
- *    with it (and their search frontier), the recurrence ranks, member
- *    lists and RecMII storage,
- *    the cone and absorb vectors with their merge-sort buffer, and the
- *    Kahn state (absorb positions, in-set wait counts, ready and
- *    remaining rows);
+ *    with it (and their search frontier); for graphs with several
+ *    recurrences, the region each is ranked on (arcs of the arc table,
+ *    local node ids, Bellman-Ford distances) and the zero-distance
+ *    successor and reachability rows that order them; the cone and
+ *    absorb vectors with their merge-sort buffer; and the Kahn state
+ *    (absorb positions, in-set wait counts, ready and remaining rows);
  *  - the IMS placement state and eviction buffers.
  *
  * Once the buffers have grown to the largest loop seen, an HRMS probe
  * allocates only the Schedule it returns and validateSchedule's owner
  * table. The state carries no semantic information across probes:
  * every probe rebuilds its content from scratch, so schedules are
- * bit-identical to a freshly constructed scheduler's. That includes
- * the RecurrenceScratch the ordering ranks recurrences in; it recycles
- * storage, never an answer.
+ * bit-identical to a freshly constructed scheduler's.
  */
 
 #ifndef SWP_SCHED_WORKSPACE_HH
@@ -81,15 +78,9 @@ struct SchedWorkspace
     /** Group successors and predecessors as bit rows (lists come
         from the arc table's boundary arcs). */
     BitMatrix succBits, predBits;
-    /** SCCs of the group graph and of its zero-distance subgraph, and
-        their Tarjan scratch. */
-    AdjScc scc, scc0;
+    /** SCCs of the group graph, and their Tarjan scratch. */
+    AdjScc scc;
     SccScratch sccScratch;
-    /** Zero-distance successors and their transitive reachability:
-        they only order recurrences among each other, so they are built
-        only for graphs with several. */
-    CsrAdj succ0;
-    BitMatrix reach0;
     /// @}
 
     /** @name HRMS pre-ordering */
@@ -107,10 +98,15 @@ struct SchedWorkspace
     BitRow frontier;
     /** Recurrences as (criticality, SCC index), in placement order. */
     std::vector<std::pair<long, int>> recurrenceRanks, rankBuf;
-    /** Member nodes of one recurrence, and the region and
-        Bellman-Ford storage its RecMII is computed in. */
-    std::vector<NodeId> recurrenceNodes;
-    RecurrenceScratch recurrenceScratch;
+    /** The region one recurrence's RecMII is computed on: its arcs,
+        the local id of each member node, and Bellman-Ford distances. */
+    std::vector<RegionArc> regionArcs;
+    std::vector<int> regionLocalId;
+    std::vector<long> regionDist;
+    /** Zero-distance group successors, and per SCC index the groups a
+        recurrence's members reach along them: built only for graphs
+        with several recurrences, which they order among each other. */
+    BitMatrix zeroSucc, zeroReach;
     /** Absorb sets: the cone (or recurrence) being appended, and the
         backward paths of a recurrence; sortBuf is their merge buffer. */
     std::vector<int> cone, backCone, sortBuf;

@@ -74,8 +74,6 @@ class DataflowOracle
     /** Datum stream of a store node over [0, iterations). */
     std::vector<std::uint64_t> storeStream(NodeId store, long iterations);
 
-    const Ddg &graph() const { return g_; }
-
   private:
     std::uint64_t compute(NodeId n, long iteration);
 

@@ -4,6 +4,7 @@
 #include <istream>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "ir/verify.hh"
 #include "support/diag.hh"
@@ -15,8 +16,9 @@ namespace swp
 namespace
 {
 
-DepKind
-parseDepKind(const std::string &s)
+/** The dependence kind named `s`, or nullopt for unknown names. */
+std::optional<DepKind>
+findDepKind(const std::string &s)
 {
     if (s == "reg")
         return DepKind::RegFlow;
@@ -24,7 +26,7 @@ parseDepKind(const std::string &s)
         return DepKind::Mem;
     if (s == "ctrl")
         return DepKind::Control;
-    SWP_FATAL("unknown dependence kind '", s, "'");
+    return std::nullopt;
 }
 
 } // namespace
@@ -94,8 +96,12 @@ parseDdgStream(std::istream &in)
             if (nodeByName.count(tok[1]))
                 SWP_FATAL("line ", lineNo, ": duplicate node '", tok[1],
                           "'");
-            nodeByName[tok[1]] =
-                current.graph.addNode(parseOpcode(tok[2]), tok[1]);
+            const std::optional<Opcode> op = findOpcode(tok[2]);
+            if (!op) {
+                SWP_FATAL("line ", lineNo, ": unknown opcode mnemonic '",
+                          tok[2], "'");
+            }
+            nodeByName[tok[1]] = current.graph.addNode(*op, tok[1]);
         } else if (tok[0] == "inv") {
             needOpen("inv");
             if (tok.size() != 2)
@@ -120,16 +126,20 @@ parseDdgStream(std::istream &in)
             }
             // A line with several faults reports its kind first, then
             // its destination, then its source.
-            const DepKind kind = parseDepKind(tok[3]);
+            const std::optional<DepKind> kind = findDepKind(tok[3]);
+            if (!kind) {
+                SWP_FATAL("line ", lineNo, ": unknown dependence kind '",
+                          tok[3], "'");
+            }
             const NodeId dst = findNode(tok[2]);
             const NodeId src = findNode(tok[1]);
             const Opcode srcOp = current.graph.node(src).op;
-            if (kind == DepKind::RegFlow && !producesValue(srcOp)) {
+            if (*kind == DepKind::RegFlow && !producesValue(srcOp)) {
                 SWP_FATAL("line ", lineNo, ": register edge from node '",
                           tok[1], "', whose opcode ", opcodeName(srcOp),
                           " produces no value");
             }
-            current.graph.addEdge(src, dst, kind, distance);
+            current.graph.addEdge(src, dst, *kind, distance);
         } else if (tok[0] == "use") {
             needOpen("use");
             if (tok.size() != 3) {

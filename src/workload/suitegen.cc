@@ -16,6 +16,15 @@ namespace swp
 namespace
 {
 
+/** Probability a loop is "heavy" (APSI-50-like state). */
+constexpr double heavyFraction = 0.030;
+
+/** Probability a (non-heavy) loop carries a true recurrence. */
+constexpr double recurrenceFraction = 0.35;
+
+/** Probability of extra cross-iteration uses in normal loops. */
+constexpr double carriedUseFraction = 0.40;
+
 /** Mutable generation state for one loop. */
 struct LoopGen
 {
@@ -221,7 +230,7 @@ addCarriedUse(LoopGen &gen, int max_distance)
 }
 
 SuiteLoop
-generateNormalLoop(LoopGen &gen, const SuiteParams &params)
+generateNormalLoop(LoopGen &gen)
 {
     const int size = pickSize(gen.rng);
     const bool allowExpensive = gen.rng.chance(0.15);
@@ -297,9 +306,9 @@ generateNormalLoop(LoopGen &gen, const SuiteParams &params)
     }
 
     // Loop-carried structure.
-    if (gen.rng.chance(params.recurrenceFraction))
+    if (gen.rng.chance(recurrenceFraction))
         addRecurrence(gen);
-    if (gen.rng.chance(params.carriedUseFraction)) {
+    if (gen.rng.chance(carriedUseFraction)) {
         const int extra = gen.rng.range(1, 3);
         for (int i = 0; i < extra; ++i)
             addCarriedUse(gen, 4);
@@ -338,9 +347,8 @@ generateNormalLoop(LoopGen &gen, const SuiteParams &params)
  * constant demand on top.
  */
 SuiteLoop
-generateHeavyLoop(LoopGen &gen, const SuiteParams &params)
+generateHeavyLoop(LoopGen &gen)
 {
-    (void)params;
     const int numTaps = gen.rng.range(9, 18);
     const int numInvs = gen.rng.range(4, 8);
 
@@ -396,9 +404,8 @@ generateSuiteLoop(const SuiteParams &params, int index)
 {
     LoopGen gen(params.seed * 0x9e3779b97f4a7c15ull + std::uint64_t(index),
                 strprintf("loop%04d", index));
-    const bool heavy = gen.rng.chance(params.heavyFraction);
-    SuiteLoop loop = heavy ? generateHeavyLoop(gen, params)
-                           : generateNormalLoop(gen, params);
+    const bool heavy = gen.rng.chance(heavyFraction);
+    SuiteLoop loop = heavy ? generateHeavyLoop(gen) : generateNormalLoop(gen);
     std::string why;
     SWP_ASSERT(verifyDdg(loop.graph, &why), "generated loop ", index,
                " is malformed: ", why);

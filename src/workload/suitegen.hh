@@ -51,15 +51,6 @@ struct SuiteParams
 {
     int numLoops = 1258;
     std::uint64_t seed = kDefaultSuiteSeed;
-
-    /** Probability a loop is "heavy" (APSI-50-like state). */
-    double heavyFraction = 0.030;
-
-    /** Probability a (non-heavy) loop carries a true recurrence. */
-    double recurrenceFraction = 0.35;
-
-    /** Probability of extra cross-iteration uses in normal loops. */
-    double carriedUseFraction = 0.40;
 };
 
 /** Generate the deterministic evaluation suite. */

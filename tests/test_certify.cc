@@ -82,7 +82,7 @@ TEST(Certify, PaperExampleCertifiesClean)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::p2l4();
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
     const Certificate cert = certifyAndExpectClean(m, r, "paper example");
     EXPECT_EQ(cert.iiBound,
               std::max(cert.cycle.bound, cert.resource.bound));
@@ -92,7 +92,7 @@ TEST(Certify, CriticalCycleIsAClosedLiveWalk)
 {
     const SuiteLoop loop = recurrenceLoop();
     const Machine m = Machine::p2l4();
-    const PipelineResult r = pipelineIdeal(loop.graph, m);
+    const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
     const Certificate cert =
         certifyAndExpectClean(m, r, "recurrence donor");
 
@@ -155,7 +155,7 @@ TEST(Certify, UniversalMachineUsesOnePool)
     const Machine m = Machine::universal("u4", 4, 2);
     for (int i = 0; i < 20; ++i) {
         const SuiteLoop loop = generateSuiteLoop(params, i);
-        const PipelineResult r = pipelineIdeal(loop.graph, m);
+        const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
         const Certificate cert =
             certifyAndExpectClean(m, r, "loop " + std::to_string(i));
         ASSERT_EQ(cert.resource.tallies.size(), 1u);
@@ -212,7 +212,7 @@ struct Donor
 
     Donor()
         : g(recurrenceLoop().graph), m(Machine::p2l4()),
-          result(pipelineIdeal(g, m)),
+          result(pipelineLoop(g, m, Strategy::Ideal, {})),
           cert(certifyLoop(result.graph(), m, result.sched.ii()))
     {
     }

@@ -72,7 +72,7 @@ TEST(Kernel, ListingShowsPrologueKernelEpilogue)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
     const std::string text =
         formatKernelListing(r.graph(), m, r.sched, r.alloc.rotAlloc);
     EXPECT_NE(text.find("prologue_stage_0"), std::string::npos);

@@ -152,7 +152,7 @@ TEST(Integration, IdealPipelineOverSuiteSampleIsValidEverywhere)
                                 Machine::p2l6()};
     for (const Machine &m : machines) {
         for (const SuiteLoop &loop : suite) {
-            const PipelineResult r = pipelineIdeal(loop.graph, m);
+            const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
             ASSERT_TRUE(r.success) << loop.graph.name();
             std::string why;
             ASSERT_TRUE(validateSchedule(loop.graph, m, r.sched, &why))

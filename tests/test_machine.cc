@@ -25,10 +25,11 @@ namespace
 TEST(Machine, P1L4Shape)
 {
     const Machine m = Machine::p1l4();
-    EXPECT_EQ(m.unitsFor(FuClass::Mem), 1);
-    EXPECT_EQ(m.unitsFor(FuClass::Adder), 1);
-    EXPECT_EQ(m.unitsFor(FuClass::Mult), 1);
-    EXPECT_EQ(m.unitsFor(FuClass::DivSqrt), 1);
+    ASSERT_EQ(m.numClasses(), 4);
+    for (const Opcode op :
+         {Opcode::Load, Opcode::Add, Opcode::Mul, Opcode::Div}) {
+        EXPECT_EQ(m.unitsInClass(m.classOf(op)), 1) << opcodeName(op);
+    }
     EXPECT_EQ(m.latency(Opcode::Add), 4);
     EXPECT_EQ(m.latency(Opcode::Mul), 4);
 }
@@ -68,8 +69,8 @@ TEST(Machine, UniversalMachineForTheWorkedExample)
 {
     const Machine m = Machine::universal("fig2", 4, 2);
     EXPECT_TRUE(m.isUniversal());
-    EXPECT_EQ(m.unitsFor(FuClass::Mem), 4);
-    EXPECT_EQ(m.unitsFor(FuClass::DivSqrt), 4);
+    EXPECT_EQ(m.unitsInClass(m.classOf(Opcode::Load)), 4);
+    EXPECT_EQ(m.unitsInClass(m.classOf(Opcode::Div)), 4);
     EXPECT_EQ(m.latency(Opcode::Mul), 2);
     EXPECT_EQ(m.occupancy(Opcode::Div), 1);  // Universal = pipelined.
 }

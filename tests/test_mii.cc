@@ -192,10 +192,14 @@ TEST(RecMii, TightestOfSeveralCyclesWins)
     const Ddg g = b.take();
     EXPECT_EQ(recMii(g, Machine::p2l4()), 4);
 
-    // Component-restricted RecMII separates them.
-    RecurrenceScratch scratch;
-    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {a}, scratch), 1);
-    EXPECT_EQ(recMiiOfComponent(g, Machine::p2l4(), {m}, scratch), 4);
+    // The per-region primitive separates them, and never answers below
+    // its floor: each self-loop is a one-node region of latency 4.
+    std::vector<long> dist;
+    const RegionArc selfA{0, 0, 4, 4};
+    const RegionArc selfM{0, 0, 4, 1};
+    EXPECT_EQ(regionRecMii({1, 4, &selfA, &selfA + 1}, 1, dist), 1);
+    EXPECT_EQ(regionRecMii({1, 4, &selfM, &selfM + 1}, 1, dist), 4);
+    EXPECT_EQ(regionRecMii({1, 4, &selfM, &selfM + 1}, 6, dist), 6);
 }
 
 TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)

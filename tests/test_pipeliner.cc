@@ -19,7 +19,9 @@
 
 #include "ir/builder.hh"
 #include "pipeliner/pipeliner.hh"
+#include "regalloc/rotalloc.hh"
 #include "sched/fingerprint.hh"
+#include "sched/ii_search.hh"
 #include "sched/mii.hh"
 #include "sched/sched_memo.hh"
 #include "sched/scheduler.hh"
@@ -35,16 +37,16 @@ TEST(Pipeliner, IdealScheduleOfPaperExample)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.ii(), 1);
     EXPECT_EQ(r.alloc.maxLive, 11);
 }
 
-TEST(Pipeliner, IdealStrategyIsPipelineIdeal)
+TEST(Pipeliner, IdealStrategyIsThePlainIiSearch)
 {
-    // Strategy::Ideal runs pipelineIdeal with the options' scheduler and
-    // ignores the register budget.
+    // Strategy::Ideal runs the II search from MII with the options'
+    // scheduler, ignores the register budget and spills nothing.
     EXPECT_STREQ(strategyName(Strategy::Ideal), "ideal");
     const Machine m = Machine::p2l4();
     for (const Ddg &g :
@@ -57,20 +59,24 @@ TEST(Pipeliner, IdealStrategyIsPipelineIdeal)
             opts.scheduler = kind;
             const PipelineResult viaLoop =
                 pipelineLoop(g, m, Strategy::Ideal, opts);
-            const PipelineResult ideal = pipelineIdeal(g, m, kind);
+            const int lower = mii(g, m);
+            const IiSearchResult search =
+                searchIi(*makeScheduler(kind), g, m, lower);
+            ASSERT_TRUE(search.sched.has_value()) << g.name();
+            const AllocationOutcome alloc = allocateLoop(
+                g, *search.sched, std::numeric_limits<int>::max() / 2);
             EXPECT_TRUE(viaLoop.success) << g.name();
-            EXPECT_EQ(viaLoop.mii, ideal.mii) << g.name();
-            EXPECT_EQ(viaLoop.attempts, ideal.attempts) << g.name();
-            EXPECT_EQ(viaLoop.ii(), ideal.ii()) << g.name();
-            EXPECT_EQ(viaLoop.alloc.regsRequired, ideal.alloc.regsRequired)
+            EXPECT_EQ(viaLoop.mii, lower) << g.name();
+            EXPECT_EQ(viaLoop.attempts, search.attempts) << g.name();
+            EXPECT_EQ(viaLoop.ii(), search.sched->ii()) << g.name();
+            EXPECT_EQ(viaLoop.alloc.regsRequired, alloc.regsRequired)
                 << g.name();
-            EXPECT_EQ(viaLoop.alloc.maxLive, ideal.alloc.maxLive)
-                << g.name();
+            EXPECT_EQ(viaLoop.alloc.maxLive, alloc.maxLive) << g.name();
             EXPECT_EQ(viaLoop.spilledLifetimes, 0) << g.name();
             for (NodeId n = 0; n < g.numNodes(); ++n) {
-                EXPECT_EQ(viaLoop.sched.time(n), ideal.sched.time(n))
+                EXPECT_EQ(viaLoop.sched.time(n), search.sched->time(n))
                     << g.name() << " node " << n;
-                EXPECT_EQ(viaLoop.sched.unit(n), ideal.sched.unit(n))
+                EXPECT_EQ(viaLoop.sched.unit(n), search.sched->unit(n))
                     << g.name() << " node " << n;
             }
         }

@@ -93,7 +93,7 @@ TEST(Vliw, PaperExampleIdealExecutesCorrectly)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
     std::string why;
     EXPECT_TRUE(equivalentToSequential(g, r.graph(), m, r.sched,
                                        r.alloc.rotAlloc, 32, &why))
@@ -135,7 +135,7 @@ TEST(Vliw, CountsMemoryTraffic)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
     SimConfig cfg;
     cfg.iterations = 10;
     const SimResult sim =
@@ -149,7 +149,7 @@ TEST(Vliw, DetectsClobberFromBadAllocation)
 {
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
-    const PipelineResult r = pipelineIdeal(g, m);
+    const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
 
     // Sabotage: give every value the same register offset.
     RotAllocResult bad = r.alloc.rotAlloc;
@@ -182,7 +182,7 @@ TEST(Vliw, EndToEndCatchesWrongStoreStream)
         if (bad.node(n).spillRef.shift == 3)
             bad.node(n).spillRef.shift = 2;  // Off-by-one iteration.
     }
-    const PipelineResult r = pipelineIdeal(bad, m);
+    const PipelineResult r = pipelineLoop(bad, m, Strategy::Ideal, {});
     std::string why;
     EXPECT_FALSE(equivalentToSequential(g, bad, m, r.sched,
                                         r.alloc.rotAlloc, 16, &why));

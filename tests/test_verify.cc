@@ -50,7 +50,7 @@ struct Donor
 
     Donor()
         : g(buildPaperExampleLoop()), m(Machine::p2l4()),
-          result(pipelineIdeal(g, m))
+          result(pipelineLoop(g, m, Strategy::Ideal, {}))
     {
     }
 };
@@ -286,7 +286,7 @@ TEST(VerifyMutation, KernelRowMoveCaught)
     const Machine m = Machine::p1l4();
     for (int i = 0; i < 40; ++i) {
         const SuiteLoop loop = generateSuiteLoop(params, i);
-        const PipelineResult r = pipelineIdeal(loop.graph, m);
+        const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
         const Schedule &s = r.sched;
         if (s.ii() < 2)
             continue;

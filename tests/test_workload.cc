@@ -222,24 +222,40 @@ TEST(DdgIo, RejectsMalformedInput)
     };
     EXPECT_THROW(parse("node x ld\n"), FatalError);       // No loop.
     EXPECT_THROW(parse("loop a\nloop b\n"), FatalError);  // Nested.
-    EXPECT_THROW(parse("loop a\nnode x bogus\nend\n"), FatalError);
     EXPECT_THROW(parse("loop a\nedge p q reg 0\nend\n"), FatalError);
     EXPECT_THROW(parse("loop a\n"), FatalError);          // Unterminated.
     EXPECT_THROW(parse("loop a\nnode x ld\nnode x ld\nend\n"),
                  FatalError);                             // Duplicate.
 
+    // The message of the FatalError parsing `text` throws ("" if none).
+    auto errorFor = [&](const std::string &text) -> std::string {
+        try {
+            parse(text.c_str());
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+
     // A register edge from a node that produces no value is a diagnostic
     // on its line, not a failed assertion in Ddg::addEdge.
-    try {
-        parse("loop a\nnode u st\nnode v add\nedge u v reg 0\nend\n");
-        ADD_FAILURE() << "register edge from a store was accepted";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "line 4: register edge from node 'u', whose opcode "
-                      "st produces no value"),
-                  std::string::npos)
-            << e.what();
-    }
+    std::string error =
+        errorFor("loop a\nnode u st\nnode v add\nedge u v reg 0\nend\n");
+    EXPECT_NE(error.find("line 4: register edge from node 'u', whose "
+                         "opcode st produces no value"),
+              std::string::npos)
+        << error;
+    // An unknown opcode mnemonic or dependence kind is diagnosed on its
+    // line, like every other fault.
+    error = errorFor("loop a\nnode x bogus\nend\n");
+    EXPECT_NE(error.find("line 2: unknown opcode mnemonic 'bogus'"),
+              std::string::npos)
+        << error;
+    error = errorFor("loop a\nnode x ld\nnode y add\nedge x y regg 0\n"
+                     "end\n");
+    EXPECT_NE(error.find("line 4: unknown dependence kind 'regg'"),
+              std::string::npos)
+        << error;
     // Memory and control edges from a store stay legal.
     EXPECT_NO_THROW(
         parse("loop a\nnode u st\nnode v ld\nedge u v mem 1\nend\n"));
@@ -247,18 +263,12 @@ TEST(DdgIo, RejectsMalformedInput)
     // An iteration count is an integer in [1, LONG_MAX], diagnosed on
     // its line with the token quoted: it used to saturate at LONG_MAX,
     // and a non-number's diagnostic had no line.
-    auto iterationsError = [&](const std::string &count) -> std::string {
-        try {
-            parse(("loop a\niterations " + count + "\nnode x ld\nend\n")
-                      .c_str());
-        } catch (const FatalError &e) {
-            return e.what();
-        }
-        return "";
+    auto iterationsError = [&](const std::string &count) {
+        return errorFor("loop a\niterations " + count + "\nnode x ld\nend\n");
     };
     for (const char *bad : {"99999999999999999999", "9223372036854775808",
                             "abc", "0", "-3", "12x"}) {
-        const std::string error = iterationsError(bad);
+        error = iterationsError(bad);
         EXPECT_NE(error.find(strCat("line 2: iterations ", bad,
                                     " outside [1, 9223372036854775807]")),
                   std::string::npos)

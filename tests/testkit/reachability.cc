@@ -1,7 +1,5 @@
 #include "testkit/reachability.hh"
 
-#include "ir/graph_algo.hh"
-
 namespace swp
 {
 
