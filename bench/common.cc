@@ -1,6 +1,7 @@
 #include "common.hh"
 
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -8,7 +9,6 @@
 #include <limits>
 
 #include "support/diag.hh"
-#include "support/stats.hh"
 #include "support/strutil.hh"
 
 namespace swp::benchutil
@@ -196,10 +196,12 @@ runSuite(const std::vector<SuiteLoop> &suite, const Machine &m,
         jobs.push_back(variantJob(int(i), v, registers));
 
     SuiteTotals totals;
-    Stopwatch sw;
+    const auto start = std::chrono::steady_clock::now();
     const std::vector<PipelineResult> results =
         suiteRunner().run(suite, m, jobs, benchRunOptions());
-    totals.seconds = sw.seconds();
+    totals.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
 
     // Serial accumulation in loop order keeps the floating-point sums
     // (and thus the emitted JSON) bit-identical at any thread count.

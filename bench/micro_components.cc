@@ -299,11 +299,9 @@ BM_Simulator(benchmark::State &state)
     const SuiteLoop &loop = loopOfSize(24);
     const Machine m = benchutil::benchMachine();
     const PipelineResult r = pipelineLoop(loop.graph, m, Strategy::Ideal, {});
-    SimConfig cfg;
-    cfg.iterations = state.range(0);
     for (auto _ : state) {
         benchmark::DoNotOptimize(simulatePipelined(
-            r.graph(), m, r.sched, r.alloc.rotAlloc, cfg));
+            r.graph(), m, r.sched, r.alloc.rotAlloc, state.range(0)));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

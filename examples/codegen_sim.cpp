@@ -75,10 +75,8 @@ main(int argc, char **argv)
     std::cout << "\n" << formatMveKernel(r.graph(), r.sched, info);
 
     // Cycle-accurate execution.
-    SimConfig cfg;
-    cfg.iterations = long(iterations);
-    const SimResult sim = simulatePipelined(r.graph(), m, r.sched,
-                                            r.alloc.rotAlloc, cfg);
+    const SimResult sim = simulatePipelined(
+        r.graph(), m, r.sched, r.alloc.rotAlloc, long(iterations));
     if (!sim.ok) {
         std::cout << "\nsimulation FAILED: " << sim.error << "\n";
         return 1;

@@ -90,8 +90,7 @@ SuiteRunner::~SuiteRunner()
 int
 SuiteRunner::mii(const Ddg &g, const Machine &m)
 {
-    const auto key =
-        std::make_pair(graphFingerprint(g), machineFingerprint(m));
+    const auto key = std::make_pair(graphFingerprint(g), m.fingerprint());
     const CachedBounds cached = boundsCache_.getOrCompute(
         key,
         [&]() {

@@ -141,7 +141,6 @@ class Machine
     /** Equality over everything describe() emits: name, classes,
         per-opcode binding and latency. */
     bool operator==(const Machine &o) const;
-    bool operator!=(const Machine &o) const { return !(*this == o); }
 
   private:
     std::string name_;

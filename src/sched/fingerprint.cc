@@ -40,14 +40,6 @@ graphFingerprint(const Ddg &g)
     return value;
 }
 
-std::uint64_t
-machineFingerprint(const Machine &m)
-{
-    // The machine layer owns its content hash and keeps it current
-    // across mutations; memo keys reuse it unchanged.
-    return m.fingerprint();
-}
-
 bool
 graphsFingerprintEquivalent(const Ddg &a, const Ddg &b)
 {
@@ -75,12 +67,6 @@ graphsFingerprintEquivalent(const Ddg &a, const Ddg &b)
     return true;
 }
 
-bool
-machinesFingerprintEquivalent(const Machine &a, const Machine &b)
-{
-    return a == b;
-}
-
 KeyWitness::KeyWitness(bool verify, const Ddg &g, const Machine &m)
 {
     if (verify)
@@ -95,7 +81,7 @@ KeyWitness::check(const char *memo, const Ddg &g, const Machine &m) const
     SWP_ASSERT(graphsFingerprintEquivalent(g, inputs_->graph), memo,
                " fingerprint collision: graph '", g.name(),
                "' hit an entry built from a different graph");
-    SWP_ASSERT(machinesFingerprintEquivalent(m, inputs_->machine), memo,
+    SWP_ASSERT(m == inputs_->machine, memo,
                " fingerprint collision: machine '", m.name(),
                "' hit an entry built from a different machine");
 }

@@ -10,12 +10,13 @@
  * actually read: node opcodes, live-edge structure (endpoints, kind,
  * distance, fusion) and the machine's resource/latency description.
  * Names of individual nodes, spill annotations and invariant details
- * are deliberately excluded: no scheduler reads them.
+ * are deliberately excluded: no scheduler reads them. A machine's key
+ * is its stored Machine::fingerprint(), an O(1) read per request.
  *
- * Hash equality is not graph equality; the paired *FingerprintEquivalent
- * predicates compare exactly the fingerprinted structure so memo hits
- * can be verified (in debug builds) and a collision fails loudly
- * instead of silently returning another loop's result.
+ * Hash equality is not graph equality; graphsFingerprintEquivalent and
+ * Machine::operator== compare exactly the fingerprinted structure so
+ * memo hits can be verified (in debug builds) and a collision fails
+ * loudly instead of silently returning another loop's result.
  */
 
 #ifndef SWP_SCHED_FINGERPRINT_HH
@@ -73,21 +74,10 @@ class Fingerprint
 std::uint64_t graphFingerprint(const Ddg &g);
 
 /**
- * Machine identity for the memos. Names are not unique (two Machines
- * can share one), so the resource description the schedulers and bound
- * computations actually depend on is hashed: this is the Machine's
- * stored Machine::fingerprint(), an O(1) read per memo request.
- */
-std::uint64_t machineFingerprint(const Machine &m);
-
-/**
  * True when the two graphs agree on every field graphFingerprint
  * covers (so a memo entry for one is valid for the other).
  */
 bool graphsFingerprintEquivalent(const Ddg &a, const Ddg &b);
-
-/** Field-by-field counterpart of machineFingerprint. */
-bool machinesFingerprintEquivalent(const Machine &a, const Machine &b);
 
 /**
  * The graph and machine a fingerprint-keyed memo entry was computed

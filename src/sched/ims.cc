@@ -37,7 +37,8 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
     placed.assign(std::size_t(ng), 0);
     lastTime.assign(std::size_t(ng), schedNegInf);
     int unplacedCount = ng;
-    long budget = long(budgetRatio_) * std::max(ng, 8);
+    constexpr long placementsPerGroup = 6;
+    long budget = placementsPerGroup * std::max(ng, 8);
 
     auto pickNext = [&]() {
         int best = -1;

@@ -28,18 +28,12 @@ namespace swp
 class ImsScheduler : public ModuloScheduler
 {
   public:
-    /** @param budget_ratio Placement budget as a multiple of |V|. */
-    explicit ImsScheduler(int budget_ratio = 6)
-        : budgetRatio_(budget_ratio)
-    {}
-
     std::string name() const override { return "IMS"; }
 
     std::optional<Schedule> scheduleAt(const Ddg &g, const Machine &m,
                                        int ii) override;
 
   private:
-    int budgetRatio_;
     /** Scratch reused across probes; carries no cross-probe state. */
     SchedWorkspace ws_;
 };

@@ -40,53 +40,14 @@ namespace
 {
 
 /**
- * A set of regions in flat storage: region r's edges are
- * edges[edgeBegin[r] .. edgeBegin[r + 1]), in edge-id order.
- */
-struct CyclicRegions
-{
-    struct Region
-    {
-        int numNodes = 0;
-        long latencySum = 0;
-    };
-
-    std::vector<Region> regions;
-    std::vector<int> edgeBegin;
-    std::vector<RegionArc> edges;
-
-    int size() const { return int(regions.size()); }
-
-    RecurrenceRegion
-    region(int r) const
-    {
-        const Region &info = regions[std::size_t(r)];
-        return {info.numNodes, info.latencySum,
-                edges.data() + edgeBegin[std::size_t(r)],
-                edges.data() + edgeBegin[std::size_t(r) + 1]};
-    }
-};
-
-/** cyclicRegions' working storage. */
-struct RegionScratch
-{
-    CsrAdj succ;
-    AdjScc scc;
-    SccScratch tarjan;
-    /** Region per node (-1 outside every region), local id per node. */
-    std::vector<int> regionOf, localId;
-    /** Per component: does it hold a cycle. */
-    std::vector<char> cyclic;
-    /** Next free edge slot per region while filling. */
-    std::vector<int> cursor;
-};
-
-/**
  * Bellman-Ford positive-cycle detection restricted to one region, with
  * edge weight latency - II * distance (longest-path relaxation from a
  * virtual source connected to every member with weight 0). A positive
  * cycle exists iff some dependence cycle of the region needs more than
- * II cycles per iteration.
+ * II cycles per iteration. The answer does not depend on the order of
+ * the region's arcs: without a positive cycle every longest path has
+ * fewer than numNodes arcs, so the sweeps settle within numNodes - 1
+ * rounds whatever the order; with one they never settle.
  */
 bool
 hasPositiveCycle(const RecurrenceRegion &r, long ii,
@@ -106,97 +67,6 @@ hasPositiveCycle(const RecurrenceRegion &r, long ii,
             return false;
     }
     return true;
-}
-
-/**
- * Distribute the live edges whose endpoints share a region (by
- * regionOf) into out's per-region edge ranges, keeping edge-id order
- * inside each range. out.regions must already be filled.
- */
-void
-fillRegionEdges(const Ddg &g, const Machine &m, RegionScratch &scratch,
-                CyclicRegions &out)
-{
-    const std::vector<int> &regionOf = scratch.regionOf;
-    auto regionOfEdge = [&](const Edge &edge) {
-        const int r = regionOf[std::size_t(edge.src)];
-        return edge.alive && r == regionOf[std::size_t(edge.dst)] ? r : -1;
-    };
-    out.edgeBegin.assign(std::size_t(out.size()) + 1, 0);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const int r = regionOfEdge(g.edge(e));
-        if (r >= 0)
-            ++out.edgeBegin[std::size_t(r) + 1];
-    }
-    for (int r = 0; r < out.size(); ++r)
-        out.edgeBegin[std::size_t(r) + 1] += out.edgeBegin[std::size_t(r)];
-    out.edges.resize(std::size_t(out.edgeBegin.back()));
-    scratch.cursor.assign(out.edgeBegin.begin(), out.edgeBegin.end() - 1);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        const int r = regionOfEdge(edge);
-        if (r < 0)
-            continue;
-        out.edges[std::size_t(scratch.cursor[std::size_t(r)]++)] = {
-            scratch.localId[std::size_t(edge.src)],
-            scratch.localId[std::size_t(edge.dst)],
-            m.latency(g.node(edge.src).op), long(edge.distance)};
-    }
-}
-
-/**
- * Decompose the graph into its cyclic SCCs over live edges. Every
- * dependence cycle lies inside exactly one of the regions, so RecMII
- * questions decompose into per-region questions. Successors are a CSR
- * in edge-id order, which fixes the component (and region) numbering.
- */
-void
-cyclicRegions(const Ddg &g, const Machine &m, RegionScratch &scratch,
-              CyclicRegions &out)
-{
-    const int n = g.numNodes();
-    scratch.succ.build(n, [&](auto &&emit) {
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            const Edge &edge = g.edge(e);
-            if (edge.alive)
-                emit(edge.src, edge.dst);
-        }
-    });
-    const AdjScc &scc = scratch.scc;
-    stronglyConnectedComponents(
-        n, [&](int v) { return scratch.succ.row(v); }, scratch.scc,
-        scratch.tarjan);
-
-    // A component is cyclic when it has several members or a self-edge;
-    // cyclic components become regions in component order.
-    std::vector<char> &cyclic = scratch.cyclic;
-    cyclic.assign(std::size_t(scc.numComps()), 0);
-    for (int c = 0; c < scc.numComps(); ++c)
-        cyclic[std::size_t(c)] = scc.compSize(c) > 1;
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (edge.alive && edge.src == edge.dst)
-            cyclic[std::size_t(scc.compOf[std::size_t(edge.src)])] = 1;
-    }
-
-    out.regions.clear();
-    scratch.regionOf.assign(std::size_t(n), -1);
-    scratch.localId.assign(std::size_t(n), -1);
-    for (int c = 0; c < scc.numComps(); ++c) {
-        if (!cyclic[std::size_t(c)])
-            continue;
-        const int r = out.size();
-        out.regions.emplace_back();
-        CyclicRegions::Region &info = out.regions.back();
-        const int *members = scc.compNodes(c);
-        for (int i = 0; i < scc.compSize(c); ++i) {
-            const int v = members[i];
-            scratch.regionOf[std::size_t(v)] = r;
-            scratch.localId[std::size_t(v)] = info.numNodes++;
-            info.latencySum += m.latency(g.node(v).op);
-        }
-    }
-    fillRegionEdges(g, m, scratch, out);
 }
 
 } // namespace
@@ -222,18 +92,59 @@ regionRecMii(const RecurrenceRegion &r, long floor, std::vector<long> &dist)
 int
 recMii(const Ddg &g, const Machine &m)
 {
-    // RecMII = max over cyclic SCCs of the component's RecMII. Each
-    // component binary-searches independently over component-local
-    // edges, and a component whose cycles already fit the best bound so
-    // far is dismissed with a single feasibility check (early exit)
-    // instead of a full search.
-    RegionScratch scratch;
-    CyclicRegions regions;
-    cyclicRegions(g, m, scratch, regions);
+    // Every dependence cycle lies inside one SCC of the live edges, so
+    // RecMII is the maximum over the cyclic components of each one's
+    // RecMII. The running maximum is each search's floor: a component
+    // whose cycles already fit it is dismissed with one feasibility
+    // check. Tarjan runs on a CSR of the live edges in edge-id order;
+    // each component's arcs come from its members' out-lists.
+    const int n = g.numNodes();
+    CsrAdj succ;
+    succ.build(n, [&](auto &&emit) {
+        for (EdgeId e = 0; e < g.numEdges(); ++e) {
+            const Edge &edge = g.edge(e);
+            if (edge.alive)
+                emit(edge.src, edge.dst);
+        }
+    });
+    AdjScc scc;
+    SccScratch tarjan;
+    stronglyConnectedComponents(
+        n, [&](int v) { return succ.row(v); }, scc, tarjan);
+
+    std::vector<int> localId(std::size_t(n), 0);
+    std::vector<RegionArc> arcs;
     std::vector<long> dist;
     long best = 1;
-    for (int i = 0; i < regions.size(); ++i)
-        best = regionRecMii(regions.region(i), best, dist);
+    for (int c = 0; c < scc.numComps(); ++c) {
+        const int *members = scc.compNodes(c);
+        const int size = scc.compSize(c);
+        // A single member is cyclic only through a self-edge.
+        if (size == 1) {
+            const CsrAdj::Row row = succ.row(members[0]);
+            if (std::find(row.begin(), row.end(), members[0]) == row.end())
+                continue;
+        }
+        RecurrenceRegion region;
+        region.numNodes = size;
+        for (int i = 0; i < size; ++i) {
+            localId[std::size_t(members[i])] = i;
+            region.latencySum += m.latency(g.node(members[i]).op);
+        }
+        arcs.clear();
+        for (int i = 0; i < size; ++i) {
+            const long latency = m.latency(g.node(members[i]).op);
+            for (const EdgeId e : g.outEdges(members[i])) {
+                const Edge &edge = g.edge(e);
+                if (scc.compOf[std::size_t(edge.dst)] == c)
+                    arcs.push_back({i, localId[std::size_t(edge.dst)],
+                                    latency, long(edge.distance)});
+            }
+        }
+        region.first = arcs.data();
+        region.last = region.first + arcs.size();
+        best = regionRecMii(region, best, dist);
+    }
     return int(best);
 }
 

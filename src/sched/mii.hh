@@ -44,9 +44,9 @@ struct RegionArc
 
 /**
  * One cyclic region: nodes [0, numNodes) and the live edges among
- * them, in edge-id order. latencySum is the sum of the members'
- * latencies: the region's RecMII is below it, so latencySum + 1 is
- * always a feasible II for it.
+ * them, in any order (regionRecMii's answer does not depend on it).
+ * latencySum is the sum of the members' latencies: the region's RecMII
+ * is below it, so latencySum + 1 is always a feasible II for it.
  */
 struct RecurrenceRegion
 {

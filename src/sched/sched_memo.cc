@@ -7,8 +7,7 @@ std::optional<Schedule>
 ScheduleMemo::scheduleAt(ModuloScheduler &inner, SchedulerKind kind,
                          const Ddg &g, const Machine &m, int ii)
 {
-    const Key key{graphFingerprint(g), machineFingerprint(m), ii,
-                  int(kind)};
+    const Key key{graphFingerprint(g), m.fingerprint(), ii, int(kind)};
     CachedProbe probe = cache_.getOrCompute(
         key,
         [&]() {

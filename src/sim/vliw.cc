@@ -49,7 +49,7 @@ storeDataProducer(const Ddg &g, NodeId store)
 
 SimResult
 simulatePipelined(const Ddg &g, const Machine &m, const Schedule &sched,
-                  const RotAllocResult &alloc, const SimConfig &cfg)
+                  const RotAllocResult &alloc, long iterations)
 {
     SimResult result;
     if (!sched.complete() || sched.numNodes() != g.numNodes()) {
@@ -58,7 +58,7 @@ simulatePipelined(const Ddg &g, const Machine &m, const Schedule &sched,
     }
 
     const int ii = sched.ii();
-    const long n = cfg.iterations;
+    const long n = iterations;
     const int numRegs = std::max(alloc.registers, 1);
 
     DataflowOracle oracle(g);
@@ -259,10 +259,8 @@ equivalentToSequential(const Ddg &original, const Ddg &transformed,
         return false;
     };
 
-    SimConfig cfg;
-    cfg.iterations = iterations;
-    const SimResult sim = simulatePipelined(transformed, m, sched, alloc,
-                                            cfg);
+    const SimResult sim =
+        simulatePipelined(transformed, m, sched, alloc, iterations);
     if (!sim.ok)
         return fail("simulation failed: " + sim.error);
 

@@ -36,13 +36,6 @@
 namespace swp
 {
 
-/** Simulation parameters. */
-struct SimConfig
-{
-    /** Loop trip count to execute. */
-    long iterations = 32;
-};
-
 /** Simulation outcome. */
 struct SimResult
 {
@@ -62,16 +55,15 @@ struct SimResult
 /**
  * Execute a scheduled, register-allocated loop.
  *
- * @param g      The (possibly spill-transformed) loop.
- * @param m      Machine model (for latencies).
- * @param sched  Complete normalized schedule of g.
- * @param alloc  Rotating allocation of g's lifetimes under sched.
- * @param cfg    Trip count and checking options.
+ * @param g           The (possibly spill-transformed) loop.
+ * @param m           Machine model (for latencies).
+ * @param sched       Complete normalized schedule of g.
+ * @param alloc       Rotating allocation of g's lifetimes under sched.
+ * @param iterations  Loop trip count to execute.
  */
 SimResult simulatePipelined(const Ddg &g, const Machine &m,
                             const Schedule &sched,
-                            const RotAllocResult &alloc,
-                            const SimConfig &cfg = {});
+                            const RotAllocResult &alloc, long iterations);
 
 /**
  * End-to-end equivalence check: pipelined execution of `transformed`

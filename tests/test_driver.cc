@@ -326,10 +326,10 @@ TEST(Fingerprint, EquivalenceMatchesFingerprintCoverage)
     EXPECT_FALSE(graphsFingerprintEquivalent(a, suite[1].graph));
 
     const Machine p2l4 = Machine::p2l4();
-    EXPECT_TRUE(machinesFingerprintEquivalent(p2l4, Machine::p2l4()));
-    EXPECT_FALSE(machinesFingerprintEquivalent(p2l4, Machine::p2l6()));
-    EXPECT_FALSE(machinesFingerprintEquivalent(
-        Machine::universal("m", 8, 2), Machine::universal("m", 1, 2)));
+    EXPECT_TRUE(p2l4 == Machine::p2l4());
+    EXPECT_FALSE(p2l4 == Machine::p2l6());
+    EXPECT_FALSE(Machine::universal("m", 8, 2) ==
+                 Machine::universal("m", 1, 2));
 }
 
 TEST(Fingerprint, KeyWitnessPanicsOnACollision)

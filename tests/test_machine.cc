@@ -12,7 +12,6 @@
 #include "ir/builder.hh"
 #include "machine/machdesc.hh"
 #include "machine/machine.hh"
-#include "sched/fingerprint.hh"
 #include "sched/mii.hh"
 #include "sched/sched_memo.hh"
 #include "testkit/machines.hh"
@@ -105,9 +104,9 @@ TEST(Machine, DynamicClassTables)
 TEST(Machine, EqualityComparesContent)
 {
     EXPECT_TRUE(Machine::p2l4() == Machine::p2l4());
-    EXPECT_TRUE(Machine::p2l4() != Machine::p2l6());
+    EXPECT_FALSE(Machine::p2l4() == Machine::p2l6());
     const Machine m = editedMachine(Machine::p2l4(), {"op add adder 5"});
-    EXPECT_TRUE(m != Machine::p2l4());
+    EXPECT_FALSE(m == Machine::p2l4());
 }
 
 TEST(Machine, StoredFingerprintKeysTheMemo)
@@ -118,7 +117,7 @@ TEST(Machine, StoredFingerprintKeysTheMemo)
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::p2l4();
     const Machine copy = m;
-    EXPECT_EQ(machineFingerprint(copy), machineFingerprint(m));
+    EXPECT_EQ(copy.fingerprint(), m.fingerprint());
 
     ScheduleMemo memo(/*verifyKeys=*/true);
     const std::unique_ptr<ModuloScheduler> hrms =
@@ -132,22 +131,21 @@ TEST(Machine, StoredFingerprintKeysTheMemo)
     EXPECT_EQ(probe(copy), 1);  // Same machine: a hit.
 
     const Machine slowAdd = editedMachine(m, {"op add adder 5"});
-    EXPECT_NE(machineFingerprint(slowAdd), machineFingerprint(m));
-    EXPECT_EQ(machineFingerprint(slowAdd), machineContentFingerprint(slowAdd));
+    EXPECT_NE(slowAdd.fingerprint(), m.fingerprint());
+    EXPECT_EQ(slowAdd.fingerprint(), machineContentFingerprint(slowAdd));
     EXPECT_EQ(probe(slowAdd), 2);
 
     const Machine unpiped =
         editedMachine(slowAdd, {"class mult 2 nonpipelined"});
-    EXPECT_NE(machineFingerprint(unpiped), machineFingerprint(slowAdd));
-    EXPECT_EQ(machineFingerprint(unpiped), machineContentFingerprint(unpiped));
+    EXPECT_NE(unpiped.fingerprint(), slowAdd.fingerprint());
+    EXPECT_EQ(unpiped.fingerprint(), machineContentFingerprint(unpiped));
     EXPECT_EQ(probe(unpiped), 3);
 
     // Copies carry their source's value.
     const Machine unpipedCopy = unpiped;
-    EXPECT_EQ(machineFingerprint(unpipedCopy), machineFingerprint(unpiped));
-    EXPECT_EQ(machineFingerprint(copy),
-              machineFingerprint(Machine::p2l4()));
-    EXPECT_NE(machineFingerprint(copy), machineFingerprint(unpiped));
+    EXPECT_EQ(unpipedCopy.fingerprint(), unpiped.fingerprint());
+    EXPECT_EQ(copy.fingerprint(), Machine::p2l4().fingerprint());
+    EXPECT_NE(copy.fingerprint(), unpiped.fingerprint());
 }
 
 TEST(Machine, DescribeMentionsName)

@@ -11,6 +11,7 @@
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
+#include "pipeliner/pipeliner.hh"
 #include "sched/mii.hh"
 #include "workload/suitegen.hh"
 
@@ -207,23 +208,47 @@ TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
     // The per-SCC decomposition (with early exit and component-local
     // Bellman-Ford) must be an exact drop-in for the old whole-graph
     // binary search on the pinned-seed generated suite.
+    auto expectMatchesReference = [](const Ddg &g, const Machine &m) {
+        const int r = recMii(g, m);
+        EXPECT_EQ(r, refRecMii(g, m)) << g.name() << " on " << m.name();
+        // Feasibility agrees with the bound on both sides.
+        EXPECT_FALSE(refHasPositiveCycle(g, m, r));
+        if (r > 1) {
+            EXPECT_TRUE(refHasPositiveCycle(g, m, r - 1));
+        }
+        return r;
+    };
     SuiteParams params;
-    params.numLoops = 80;
+    params.numLoops = 200;
     const std::vector<SuiteLoop> suite = generateSuite(params);
     const Machine machines[] = {Machine::p1l4(), Machine::p2l4(),
                                 Machine::p2l6()};
     for (const Machine &m : machines) {
-        for (const SuiteLoop &loop : suite) {
-            const int r = recMii(loop.graph, m);
-            ASSERT_EQ(r, refRecMii(loop.graph, m))
-                << loop.graph.name() << " on " << m.name();
-            // Feasibility agrees with the bound on both sides.
-            EXPECT_FALSE(refHasPositiveCycle(loop.graph, m, r));
-            if (r > 1) {
-                EXPECT_TRUE(refHasPositiveCycle(loop.graph, m, r - 1));
+        for (const SuiteLoop &loop : suite)
+            expectMatchesReference(loop.graph, m);
+    }
+
+    // The graphs iterative spilling leaves behind: dead edge records,
+    // fused spill edges and appended spill nodes.
+    int spilled = 0;
+    int recurrent = 0;
+    for (const Machine &m : {Machine::p1l4(), Machine::p2l4()}) {
+        for (const int registers : {8, 16}) {
+            PipelinerOptions opts;
+            opts.registers = registers;
+            opts.multiSelect = true;
+            for (const SuiteLoop &loop : suite) {
+                const PipelineResult res =
+                    spillStrategy(loop.graph, m, opts);
+                if (!res.ownsGraph())
+                    continue;
+                ++spilled;
+                recurrent += expectMatchesReference(res.graph(), m) > 1;
             }
         }
     }
+    EXPECT_GT(spilled, 0);
+    EXPECT_GT(recurrent, 0);
 }
 
 TEST(Mii, TakesTheMaxOfBothBounds)

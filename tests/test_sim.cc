@@ -136,10 +136,8 @@ TEST(Vliw, CountsMemoryTraffic)
     const Ddg g = buildPaperExampleLoop();
     const Machine m = Machine::universal("fig2", 4, 2);
     const PipelineResult r = pipelineLoop(g, m, Strategy::Ideal, {});
-    SimConfig cfg;
-    cfg.iterations = 10;
     const SimResult sim =
-        simulatePipelined(r.graph(), m, r.sched, r.alloc.rotAlloc, cfg);
+        simulatePipelined(r.graph(), m, r.sched, r.alloc.rotAlloc, 10);
     ASSERT_TRUE(sim.ok) << sim.error;
     EXPECT_EQ(sim.memoryOps, 20);  // 1 load + 1 store per iteration.
     EXPECT_GT(sim.cycles, 10);
@@ -158,9 +156,7 @@ TEST(Vliw, DetectsClobberFromBadAllocation)
             off = 0;
     }
     bad.registers = 2;  // Far below MaxLive.
-    SimConfig cfg;
-    cfg.iterations = 16;
-    const SimResult sim = simulatePipelined(r.graph(), m, r.sched, bad, cfg);
+    const SimResult sim = simulatePipelined(r.graph(), m, r.sched, bad, 16);
     EXPECT_FALSE(sim.ok);
     EXPECT_NE(sim.error.find("clobbered"), std::string::npos);
 }

@@ -18,7 +18,6 @@
 #include "support/diag.hh"
 #include "support/rng.hh"
 #include "support/singleflight.hh"
-#include "support/stats.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
 
@@ -144,15 +143,6 @@ TEST(Diag, FatalAndPanicThrowDistinctTypes)
     EXPECT_THROW(SWP_PANIC("bug ", 2), PanicError);
     EXPECT_NO_THROW(SWP_ASSERT(true, "fine"));
     EXPECT_THROW(SWP_ASSERT(1 == 2, "broken"), PanicError);
-}
-
-TEST(Stats, StopwatchAdvances)
-{
-    Stopwatch sw;
-    volatile long x = 0;
-    for (long i = 0; i < 100000; ++i)
-        x = x + i;
-    EXPECT_GT(sw.seconds(), 0.0);
 }
 
 namespace
